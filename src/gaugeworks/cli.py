@@ -67,6 +67,24 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected a list, got {value!r}")
+    return value
+
+
+def _as_dict(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(path, f"expected an object, got {value!r}")
+    return value
+
+
+def _as_window(value, path: str) -> tuple[int, int]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise SchemaError(path, "expected [lo, hi]")
+    return _as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]")
+
+
 def _rational_entry(value, path: str) -> Fraction:
     if isinstance(value, str):
         try:
@@ -120,11 +138,8 @@ def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
     frob = _rational_matrix(_need(payload, "frobenius", "payload"),
                             dim, dim, "payload.frobenius")
     fil = _need(payload, "filtration", "payload")
-    window = _need(fil, "window", "payload.filtration")
-    if not (isinstance(window, list) and len(window) == 2):
-        raise SchemaError("payload.filtration.window", "expected [lo, hi]")
-    lo, hi = (_as_int(window[0], "payload.filtration.window[0]"),
-              _as_int(window[1], "payload.filtration.window[1]"))
+    lo, hi = _as_window(_need(fil, "window", "payload.filtration"),
+                        "payload.filtration.window")
     dims = _need(fil, "dims", "payload.filtration")
     if not isinstance(dims, list) or len(dims) != hi - lo + 1:
         raise SchemaError("payload.filtration.dims",
@@ -133,7 +148,7 @@ def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
     if dims and dims[0] != dim:
         raise SchemaError("payload.filtration.dims[0]",
                           "must equal the underlying dimension")
-    raw_trans = fil.get("transitions", [])
+    raw_trans = _as_list(fil.get("transitions", []), "payload.filtration.transitions")
     if len(raw_trans) != max(hi - lo, 0):
         raise SchemaError("payload.filtration.transitions",
                           f"expected {hi - lo} matrices")
@@ -169,9 +184,7 @@ def build_fgauge(p: int, payload: dict) -> FpGauge:
         tau = _rational_matrix(_need(fc, "tau", "payload.fcrystal"),
                                rank, rank, "payload.fcrystal.tau")
         return gauge_from_fcrystal(FCrystalPoint(p, rank, tau))
-    window = _need(payload, "window", "payload")
-    a, b = (_as_int(window[0], "payload.window[0]"),
-            _as_int(window[1], "payload.window[1]"))
+    a, b = _as_window(_need(payload, "window", "payload"), "payload.window")
     raw_modules = _need(payload, "modules", "payload")
     if not isinstance(raw_modules, list) or len(raw_modules) != b - a + 1:
         raise SchemaError("payload.modules", f"expected {b - a + 1} entries")
@@ -204,8 +217,7 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
     if "bk" in payload:
         return bk_reduced(_as_int(payload["bk"], "payload.bk"), p)
     raw_htc = _need(payload, "htc", "payload")
-    lo = _as_int(_need(raw_htc, "window", "payload.htc")[0], "payload.htc.window[0]")
-    hi = _as_int(raw_htc["window"][1], "payload.htc.window[1]")
+    lo, hi = _as_window(_need(raw_htc, "window", "payload.htc"), "payload.htc.window")
     dims = [_as_int(x, f"payload.htc.dims[{k}]")
             for k, x in enumerate(_need(raw_htc, "dims", "payload.htc"))]
     if len(dims) != hi - lo + 1:
@@ -220,8 +232,7 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
         raise SchemaError("payload.htc", str(err)) from None
     raw_drp = _need(payload, "drp", "payload")
     n = _as_int(_need(raw_drp, "dim", "payload.drp"), "payload.drp.dim")
-    dlo = _as_int(_need(raw_drp, "window", "payload.drp")[0], "payload.drp.window[0]")
-    dhi = _as_int(raw_drp["window"][1], "payload.drp.window[1]")
+    dlo, dhi = _as_window(_need(raw_drp, "window", "payload.drp"), "payload.drp.window")
     raw_flags = _need(raw_drp, "flags", "payload.drp")
     if not isinstance(raw_flags, list) or len(raw_flags) != dhi - dlo + 1:
         raise SchemaError("payload.drp.flags", f"expected {dhi - dlo + 1} bases")
@@ -250,7 +261,7 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
 
 def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
     d = _as_int(_need(payload, "directions", "payload"), "payload.directions")
-    raw_pieces = _need(payload, "pieces", "payload")
+    raw_pieces = _as_dict(_need(payload, "pieces", "payload"), "payload.pieces")
     dims = {}
     for key, v in raw_pieces.items():
         try:
@@ -259,7 +270,7 @@ def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
             raise SchemaError("payload.pieces", f"bad degree key {key!r}") from None
         dims[deg] = _as_int(v, f"payload.pieces[{key}]")
     fields = {}
-    for kdir, per in payload.get("fields", {}).items():
+    for kdir, per in _as_dict(payload.get("fields", {}), "payload.fields").items():
         try:
             k = int(kdir)
         except ValueError:
@@ -267,7 +278,7 @@ def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
         if not 1 <= k <= d:
             raise SchemaError("payload.fields", f"direction {k} out of range 1..{d}")
         per_out = {}
-        for key, mat in per.items():
+        for key, mat in _as_dict(per, f"payload.fields[{kdir}]").items():
             try:
                 deg = int(key)
             except ValueError:

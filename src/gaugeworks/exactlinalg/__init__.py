@@ -3,8 +3,11 @@
 Public surface: rational matrices (:class:`QMat`), prime-field matrices
 (:class:`FpMat`), Smith normal form over Z_(p), finitely generated modules
 in normal form, and homology of two-term complexes of such modules.
+``QMat`` and ``FpMat`` share one dense implementation (``dense.DenseMat``)
+and differ only in how an entry is reduced and inverted.
 """
 
+from .dense import block_diag
 from .fpmat import (FpMat, fp_homology_two_term, fp_kron, fp_span_union,
                     quotient_projection)
 from .modules import (FGModule, ModuleMap, TwoTermComplex, cokernel,
@@ -18,7 +21,7 @@ from .snf import SNF, kernel_over_zp, smith_normal_form
 __all__ = [
     "INF", "vp", "is_p_local", "is_p_unit", "unit_part", "reduce_mod_p",
     "check_prime", "parse_rational", "format_rational",
-    "QMat", "kron", "span_union", "intersect_spans",
+    "block_diag", "QMat", "kron", "span_union", "intersect_spans",
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",
     "quotient_projection",
     "SNF", "smith_normal_form", "kernel_over_zp",

@@ -1,8 +1,10 @@
 """Dense matrices over the prime field F_p.
 
-Entries are ints reduced to [0, p).  The same explicit-shape discipline as
-:class:`~gaugeworks.exactlinalg.qmat.QMat` applies, so empty matrices
-compose correctly.
+Entries are ints reduced to [0, p).  Every dense operation comes from
+:class:`~.dense.DenseMat`, shared with :class:`~.qmat.QMat`, so the same
+explicit-shape discipline applies and empty matrices compose correctly.
+This module supplies the reduction mod p, the prime-mismatch check and the
+F_p-only helpers.
 """
 
 from __future__ import annotations
@@ -10,29 +12,40 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..errors import PrimeMismatchError
+from . import dense
+from .dense import DenseMat, rows_from_cols
 
 
-class FpMat:
-    __slots__ = ("p", "rows", "nrows", "ncols")
+class FpMat(DenseMat):
+    __slots__ = ("p",)
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        rows = tuple(tuple(int(x) % p for x in r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} but rows have width {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        self._set(tuple(tuple(int(x) % p for x in r) for r in rows), ncols)
 
-    def __setattr__(self, *a):
-        raise AttributeError("FpMat is immutable")
+    def _like(self, rows, ncols: int) -> "FpMat":
+        return FpMat(self.p, rows, ncols)
+
+    def _key(self):
+        return (self.p, self.shape, self.rows)
+
+    def _check(self, other: "FpMat"):
+        if self.p != other.p:
+            raise PrimeMismatchError(self.p, other.p)
+
+    def _entry(self, x) -> int:
+        return int(x) % self.p
+
+    def _inv(self, x: int) -> int:
+        return pow(x, -1, self.p)
+
+    def _sub_mul(self, xs: list, f: int, ys: list) -> list:
+        p = self.p
+        return [(x - f * y) % p for x, y in zip(xs, ys)]
+
+    def _mul_row(self, c: int, xs: list) -> list:
+        p = self.p
+        return [(c * x) % p for x in xs]
 
     @classmethod
     def zeros(cls, p: int, m: int, n: int) -> "FpMat":
@@ -40,7 +53,7 @@ class FpMat:
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMat":
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls.scalar(p, n, 1)
 
     @classmethod
     def scalar(cls, p: int, n: int, c: int) -> "FpMat":
@@ -48,31 +61,8 @@ class FpMat:
 
     @classmethod
     def from_cols(cls, p: int, cols: Iterable[Sequence[int]], nrows: int) -> "FpMat":
-        cols = [list(c) for c in cols]
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column of wrong height")
-        return cls(p, [[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
-                   ncols=len(cols))
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def _check(self, other: "FpMat"):
-        if self.p != other.p:
-            raise PrimeMismatchError(self.p, other.p)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return (isinstance(other, FpMat) and self.p == other.p
-                and self.shape == other.shape and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.p, self.shape, self.rows))
+        rows, ncols = rows_from_cols(cols, nrows)
+        return cls(p, rows, ncols=ncols)
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -80,164 +70,17 @@ class FpMat:
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"FpMat(p={self.p})[{body}]"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
 
-    def transpose(self) -> "FpMat":
-        return FpMat(self.p, [[self.rows[i][j] for i in range(self.nrows)]
-                              for j in range(self.ncols)], ncols=self.nrows)
-
-    def __add__(self, other: "FpMat") -> "FpMat":
-        self._check(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return FpMat(self.p, [[a + b for a, b in zip(r1, r2)]
-                              for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
-
-    def __sub__(self, other: "FpMat") -> "FpMat":
-        return self + (-other)
-
-    def __neg__(self) -> "FpMat":
-        return FpMat(self.p, [[-a for a in r] for r in self.rows], ncols=self.ncols)
-
-    def scale(self, c: int) -> "FpMat":
-        return FpMat(self.p, [[c * a for a in r] for r in self.rows], ncols=self.ncols)
-
-    def __matmul__(self, other: "FpMat") -> "FpMat":
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        ot = other.transpose().rows
-        return FpMat(self.p,
-                     [[sum(a * b for a, b in zip(row, col)) % self.p for col in ot]
-                      for row in self.rows], ncols=other.ncols)
-
-    def power(self, k: int) -> "FpMat":
-        if self.nrows != self.ncols:
-            raise ValueError("power of non-square matrix")
-        out = FpMat.identity(self.p, self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
-
-    def is_nilpotent(self) -> bool:
-        """Checked by raising to the dimension, never beyond."""
-        return self.power(max(self.nrows, 1)).is_zero()
-
-    def hstack(self, other: "FpMat") -> "FpMat":
-        self._check(other)
-        if self.nrows != other.nrows:
-            raise ValueError("hstack: row count mismatch")
-        return FpMat(self.p, [list(r1) + list(r2) for r1, r2 in zip(self.rows, other.rows)],
-                     ncols=self.ncols + other.ncols)
-
-    def vstack(self, other: "FpMat") -> "FpMat":
-        self._check(other)
-        if self.ncols != other.ncols:
-            raise ValueError("vstack: column count mismatch")
-        return FpMat(self.p, list(self.rows) + list(other.rows), ncols=self.ncols)
-
-    def take_cols(self, idx: Sequence[int]) -> "FpMat":
-        return FpMat(self.p, [[r[j] for j in idx] for r in self.rows], ncols=len(idx))
-
-    def take_rows(self, idx: Sequence[int]) -> "FpMat":
-        return FpMat(self.p, [self.rows[i] for i in idx], ncols=self.ncols)
-
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        p = self.p
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = pow(rows[r][c], -1, p)
-            rows[r] = [(inv * x) % p for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return FpMat(p, rows, ncols=self.ncols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> "FpMat":
-        """Basis of the right null space, as columns (ncols x nullity)."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [0] * self.ncols
-            v[f] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = (-red.rows[r][f]) % self.p
-            cols.append(v)
-        return FpMat.from_cols(self.p, cols, self.ncols)
-
-    def solve(self, target: "FpMat"):
-        """One solution X of ``self @ X = target``, or None if inconsistent."""
-        self._check(target)
-        if target.nrows != self.nrows:
-            raise ValueError("solve: row count mismatch")
-        aug = self.hstack(target)
-        red, pivots = aug.rref()
-        pivots_in_self = [c for c in pivots if c < self.ncols]
-        if len(pivots_in_self) != len(pivots):
-            return None
-        xcols = []
-        for k in range(target.ncols):
-            v = [0] * self.ncols
-            for r, pc in enumerate(pivots_in_self):
-                v[pc] = red.rows[r][self.ncols + k]
-            xcols.append(v)
-        return FpMat.from_cols(self.p, xcols, self.ncols)
-
-    def column_space_basis(self) -> "FpMat":
-        red, pivots = self.rref()
-        return self.take_cols(pivots)
-
-    def inverse(self) -> "FpMat":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = self.hstack(FpMat.identity(self.p, self.nrows))
-        red, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
-            raise ValueError("matrix is singular")
-        return red.take_cols(list(range(self.nrows, 2 * self.nrows)))
-
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.rank() == self.nrows
-
-
+# fp_kron and fp_span_union stay distinct function objects from kron and
+# span_union: bench/tracer.py rebinds module functions by identity.
 def fp_kron(a: FpMat, b: FpMat) -> FpMat:
     """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
-    if a.p != b.p:
-        raise PrimeMismatchError(a.p, b.p)
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                row.extend((aij * b.rows[k][l]) % a.p for l in range(b.ncols))
-            rows.append(row)
-    return FpMat(a.p, rows, ncols=a.ncols * b.ncols)
+    return dense.kron(a, b)
 
 
 def fp_span_union(p: int, nrows: int, mats: Iterable[FpMat]) -> FpMat:
     """Basis (as columns) of the sum of the column spans of ``mats``."""
-    combined = FpMat.zeros(p, nrows, 0)
-    for m in mats:
-        combined = combined.hstack(m)
-    return combined.column_space_basis()
+    return dense.span_union(FpMat.zeros(p, nrows, 0), mats)
 
 
 def fp_homology_two_term(d: FpMat) -> tuple[int, int]:

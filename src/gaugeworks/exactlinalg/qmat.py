@@ -2,7 +2,10 @@
 
 A :class:`QMat` is an immutable matrix of :class:`~fractions.Fraction`
 entries with explicit shape (so zero-row and zero-column matrices behave).
-All eliminations are fraction-exact; nothing here ever touches a float.
+Every dense operation comes from :class:`~.dense.DenseMat`, shared with
+:class:`~.fpmat.FpMat`; this module supplies the rational entries, the
+rational row operations and the rational-only helpers.  All eliminations are
+fraction-exact; nothing here ever touches a float.
 """
 
 from __future__ import annotations
@@ -10,27 +13,35 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import dense
+from .dense import DenseMat, rows_from_cols
 
-class QMat:
-    __slots__ = ("rows", "nrows", "ncols")
+
+class QMat(DenseMat):
+    __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        rows = tuple(tuple(Fraction(x) for x in r) for r in rows)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} but rows have width {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        self._set(tuple(tuple(Fraction(x) for x in r) for r in rows), ncols)
 
-    def __setattr__(self, *a):
-        raise AttributeError("QMat is immutable")
+    def _like(self, rows, ncols: int) -> "QMat":
+        return QMat(rows, ncols)
+
+    def _key(self):
+        return (self.shape, self.rows)
+
+    _entry = staticmethod(Fraction)
+
+    @staticmethod
+    def _inv(x: Fraction) -> Fraction:
+        return 1 / x
+
+    @staticmethod
+    def _sub_mul(xs: list, f: Fraction, ys: list) -> list:
+        return [x - f * y for x, y in zip(xs, ys)]
+
+    @staticmethod
+    def _mul_row(c: Fraction, xs: list) -> list:
+        return [c * x for x in xs]
 
     # -- constructors ------------------------------------------------------
 
@@ -40,21 +51,16 @@ class QMat:
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls.scalar(n, 1)
 
     @classmethod
     def scalar(cls, n: int, c) -> "QMat":
-        c = Fraction(c)
         return cls([[c if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence], nrows: int) -> "QMat":
-        cols = [list(c) for c in cols]
-        for c in cols:
-            if len(c) != nrows:
-                raise ValueError("column of wrong height")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(nrows)],
-                   ncols=len(cols))
+        rows, ncols = rows_from_cols(cols, nrows)
+        return cls(rows, ncols=ncols)
 
     @classmethod
     def diagonal(cls, entries: Sequence, m: int | None = None, n: int | None = None) -> "QMat":
@@ -64,66 +70,13 @@ class QMat:
         return cls([[entries[i] if (i == j and i < len(entries)) else 0
                      for j in range(n)] for i in range(m)], ncols=n)
 
-    # -- basics ------------------------------------------------------------
-
-    @property
-    def shape(self):
-        return (self.nrows, self.ncols)
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def __eq__(self, other):
-        return (isinstance(other, QMat) and self.shape == other.shape
-                and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
-
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
             return f"QMat(zeros {self.nrows}x{self.ncols})"
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"QMat[{body}]"
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
-    def cols(self) -> list:
-        return [self.col(j) for j in range(self.ncols)]
-
-    def transpose(self) -> "QMat":
-        return QMat([[self.rows[i][j] for i in range(self.nrows)]
-                     for j in range(self.ncols)], ncols=self.nrows)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "QMat") -> "QMat":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return QMat([[a + b for a, b in zip(r1, r2)]
-                     for r1, r2 in zip(self.rows, other.rows)], ncols=self.ncols)
-
-    def __sub__(self, other: "QMat") -> "QMat":
-        return self + (-other)
-
-    def __neg__(self) -> "QMat":
-        return QMat([[-a for a in r] for r in self.rows], ncols=self.ncols)
-
-    def scale(self, c) -> "QMat":
-        c = Fraction(c)
-        return QMat([[c * a for a in r] for r in self.rows], ncols=self.ncols)
-
-    def __matmul__(self, other: "QMat") -> "QMat":
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        ot = other.transpose().rows
-        return QMat([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                     for row in self.rows], ncols=other.ncols)
+    # -- rational-only helpers ---------------------------------------------
 
     def apply(self, vec: Sequence) -> tuple:
         vec = [Fraction(x) for x in vec]
@@ -131,140 +84,24 @@ class QMat:
             raise ValueError("vector of wrong length")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)
 
-    def hstack(self, other: "QMat") -> "QMat":
-        if self.nrows != other.nrows:
-            raise ValueError("hstack: row count mismatch")
-        return QMat([list(r1) + list(r2) for r1, r2 in zip(self.rows, other.rows)],
-                    ncols=self.ncols + other.ncols)
-
-    def vstack(self, other: "QMat") -> "QMat":
-        if self.ncols != other.ncols:
-            raise ValueError("vstack: column count mismatch")
-        return QMat(list(self.rows) + list(other.rows), ncols=self.ncols)
-
-    def take_cols(self, idx: Sequence[int]) -> "QMat":
-        return QMat([[r[j] for j in idx] for r in self.rows], ncols=len(idx))
-
-    def take_rows(self, idx: Sequence[int]) -> "QMat":
-        return QMat([self.rows[i] for i in idx], ncols=self.ncols)
-
-    # -- elimination -------------------------------------------------------
-
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            inv = 1 / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return QMat(rows, ncols=self.ncols), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def kernel(self) -> "QMat":
-        """Basis of the right null space, as columns (ncols x nullity)."""
-        red, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [Fraction(0)] * self.ncols
-            v[f] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][f]
-            cols.append(v)
-        return QMat.from_cols(cols, self.ncols)
-
-    def solve(self, target: "QMat"):
-        """One solution X of ``self @ X = target``, or None if inconsistent."""
-        if target.nrows != self.nrows:
-            raise ValueError("solve: row count mismatch")
-        aug = self.hstack(target)
-        red, pivots = aug.rref()
-        pivots_in_self = [c for c in pivots if c < self.ncols]
-        if len(pivots_in_self) != len(pivots):
-            return None
-        xcols = []
-        for k in range(target.ncols):
-            v = [Fraction(0)] * self.ncols
-            for r, pc in enumerate(pivots_in_self):
-                v[pc] = red.rows[r][self.ncols + k]
-            xcols.append(v)
-        return QMat.from_cols(xcols, self.ncols)
-
-    def column_space_basis(self) -> "QMat":
-        red, pivots = self.rref()
-        return self.take_cols(pivots)
-
     def in_column_span(self, vec: Sequence) -> bool:
         target = QMat.from_cols([list(vec)], self.nrows)
         return self.solve(target) is not None
 
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = 1 / rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] * inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return det
 
-    def inverse(self) -> "QMat":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = self.hstack(QMat.identity(self.nrows))
-        red, pivots = aug.rref()
-        if pivots != list(range(self.nrows)):
-            raise ValueError("matrix is singular")
-        return red.take_cols(list(range(self.nrows, 2 * self.nrows)))
-
-
+# kron and span_union stay distinct function objects from fp_kron and
+# fp_span_union: bench/tracer.py rebinds module functions by identity.
 def kron(a: QMat, b: QMat) -> QMat:
     """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
-    rows = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                row.extend(aij * b.rows[k][l] for l in range(b.ncols))
-            rows.append(row)
-    return QMat(rows, ncols=a.ncols * b.ncols)
+    return dense.kron(a, b)
 
 
 def span_union(nrows: int, mats: Iterable[QMat]) -> QMat:
     """Basis (as columns) of the sum of the column spans of ``mats``."""
-    combined = QMat.zeros(nrows, 0)
-    for m in mats:
-        if m.nrows != nrows:
-            raise ValueError("span_union: ambient dimension mismatch")
-        combined = combined.hstack(m)
-    return combined.column_space_basis()
+    mats = list(mats)
+    if any(m.nrows != nrows for m in mats):
+        raise ValueError("span_union: ambient dimension mismatch")
+    return dense.span_union(QMat.zeros(nrows, 0), mats)
 
 
 def intersect_spans(a: QMat, b: QMat) -> QMat:

@@ -11,7 +11,6 @@ they may be negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qmat import QMat
 from .rationals import check_prime, is_p_unit, unit_part, vp
@@ -118,8 +117,4 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     return s.v.take_cols(list(range(s.rank, m.ncols)))
 
 
-def p_power(p: int, e: int) -> Fraction:
-    return Fraction(p) ** e
-
-
-__all__ = ["SNF", "smith_normal_form", "kernel_over_zp", "p_power", "is_p_unit"]
+__all__ = ["SNF", "smith_normal_form", "kernel_over_zp", "is_p_unit"]

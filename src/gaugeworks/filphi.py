@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from .errors import (LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError)
-from .exactlinalg import QMat, check_prime, intersect_spans, kron, vp
+from .exactlinalg import (QMat, block_diag, check_prime, intersect_spans,
+                          kron, span_union, vp)
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,7 @@ class PhiModule:
     def direct_sum(self, other: "PhiModule") -> "PhiModule":
         if self.prime != other.prime:
             raise PrimeMismatchError(self.prime, other.prime)
-        n, m = self.dim, other.dim
-        rows = []
-        for i in range(n):
-            rows.append(list(self.frobenius.rows[i]) + [Fraction(0)] * m)
-        for i in range(m):
-            rows.append([Fraction(0)] * n + list(other.frobenius.rows[i]))
-        return PhiModule(self.prime, QMat(rows, ncols=n + m))
+        return PhiModule(self.prime, block_diag(self.frobenius, other.frobenius))
 
 
 @dataclass(frozen=True)
@@ -161,10 +156,6 @@ class FilteredPhiModule:
     def dim(self) -> int:
         return self.filtration.underlying_dim
 
-    def phi_module(self) -> PhiModule:
-        """Forget the filtration (the crystalline realization)."""
-        return PhiModule(self.prime, self.frobenius)
-
     def fil0_dim(self) -> int:
         return self.filtration.dim_at(0)
 
@@ -181,11 +172,9 @@ class FilteredPhiModule:
             dims.append(self.filtration.dim_at(i) + other.filtration.dim_at(i))
         for i in range(lo, hi):
             a, b = _clamped_transition(self.filtration, i), _clamped_transition(other.filtration, i)
-            transitions.append(_block_diag(a, b))
+            transitions.append(block_diag(a, b))
         fs = FilteredSpace(lo, hi, tuple(dims), tuple(transitions))
-        phi = PhiModule(self.prime, self.frobenius).direct_sum(
-            PhiModule(other.prime, other.frobenius)).frobenius
-        return FilteredPhiModule(self.prime, fs, phi)
+        return FilteredPhiModule(self.prime, fs, block_diag(self.frobenius, other.frobenius))
 
 
 def _clamped_transition(f: FilteredSpace, i: int) -> QMat:
@@ -195,15 +184,6 @@ def _clamped_transition(f: FilteredSpace, i: int) -> QMat:
     if i >= f.hi:
         return QMat.zeros(f.dim_at(i), f.dim_at(i + 1))
     return f.transitions[i - f.lo]
-
-
-def _block_diag(a: QMat, b: QMat) -> QMat:
-    rows = []
-    for r in a.rows:
-        rows.append(list(r) + [Fraction(0)] * b.ncols)
-    for r in b.rows:
-        rows.append([Fraction(0)] * a.ncols + list(r))
-    return QMat(rows, ncols=a.ncols + b.ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +198,6 @@ class RHom:
     h0: int
     h1: int
     h0_basis: QMat        # columns: kernel vectors in the degree-0 space
-    h1_reps: QMat         # columns: representatives spanning the cokernel
     h0_in_underlying: QMat  # columns: images of the H0 basis downstairs
 
     @property
@@ -226,30 +205,12 @@ class RHom:
         return (self.h0, self.h1)
 
 
-def _coker_reps(d: QMat) -> QMat:
-    """Standard basis vectors representing a basis of coker(d)."""
-    n = d.nrows
-    image = d.column_space_basis()
-    reps = []
-    current = image
-    for j in range(n):
-        e = QMat.from_cols([[1 if i == j else 0 for i in range(n)]], n)
-        candidate = current.hstack(e)
-        if candidate.rank() > current.rank():
-            reps.append(e)
-            current = candidate
-    out = QMat.zeros(n, 0)
-    for e in reps:
-        out = out.hstack(e)
-    return out
-
-
 def rhom_phi(m: PhiModule) -> RHom:
     """Derived phi-invariants: kernel and cokernel of (phi - 1)."""
     d = m.frobenius - QMat.identity(m.dim)
     ker = d.kernel()
     return RHom(h0=ker.ncols, h1=m.dim - d.rank(), h0_basis=ker,
-                h1_reps=_coker_reps(d), h0_in_underlying=ker)
+                h0_in_underlying=ker)
 
 
 def rhom_mfphi(d: FilteredPhiModule) -> RHom:
@@ -277,11 +238,7 @@ def rhom_mfphi(d: FilteredPhiModule) -> RHom:
     # its image downstairs.
     h0_fil = ker.take_rows(list(range(n, n + f0)))
     h0_under = ker.take_rows(list(range(n)))
-    # H1 representatives: in the quotient (under + under) / image(d0), the
-    # second block can be absorbed; representatives live in the first copy.
-    reps = _coker_reps((phi - one) @ iota if f0 else QMat.zeros(n, 0))
-    return RHom(h0=h0, h1=h1, h0_basis=h0_fil, h1_reps=reps,
-                h0_in_underlying=h0_under)
+    return RHom(h0=h0, h1=h1, h0_basis=h0_fil, h0_in_underlying=h0_under)
 
 
 def rhom_mfphi_two_term(d: FilteredPhiModule) -> RHom:
@@ -295,7 +252,7 @@ def rhom_mfphi_two_term(d: FilteredPhiModule) -> RHom:
     diff = iota - d.frobenius @ iota
     ker = diff.kernel()
     return RHom(h0=ker.ncols, h1=n - diff.rank(), h0_basis=ker,
-                h1_reps=_coker_reps(diff), h0_in_underlying=iota @ ker)
+                h0_in_underlying=iota @ ker)
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +462,7 @@ def tensor(d1: FilteredPhiModule, d2: FilteredPhiModule) -> FilteredPhiModule:
         # the boundary term with Fil^i full on the left
         jc = min(max(k - f1.lo, f2.lo), f2.hi + 1)
         pieces.append(kron(b1[f1.lo], b2[jc]))
-        combined = QMat.zeros(n, 0)
-        for piece in pieces:
-            combined = combined.hstack(piece)
-        bases.append(combined.column_space_basis())
+        bases.append(span_union(n, pieces))
     fs = FilteredSpace.from_subspaces(lo, hi, bases)
     return FilteredPhiModule(d1.prime, fs, kron(d1.frobenius, d2.frobenius))
 

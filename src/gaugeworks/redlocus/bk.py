@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import LawViolation
-from ..exactlinalg import FpMat, check_prime, fp_kron, quotient_projection
+from ..exactlinalg import (FpMat, block_diag, check_prime, fp_kron,
+                           fp_span_union, quotient_projection)
 from .components import (A1Module, FilThetaModule, restrict_dRplus_to_Hod,
                          restrict_HTc_to_Hod)
 from .gluing import ReducedFGauge
@@ -117,13 +118,9 @@ class A1Flag:
         p = self.prime
         dim = self.dim * other.dim
         lo, hi = self.lo + other.lo, self.hi + other.hi
-        bases = []
-        for k in range(lo, hi + 1):
-            pieces = FpMat.zeros(p, dim, 0)
-            for i in range(self.lo, self.hi + 1):
-                pieces = pieces.hstack(fp_kron(self.basis_at(i),
-                                               other.basis_at(k - i)))
-            bases.append(pieces.column_space_basis())
+        bases = [fp_span_union(p, dim, [fp_kron(self.basis_at(i), other.basis_at(k - i))
+                                        for i in range(self.lo, self.hi + 1)])
+                 for k in range(lo, hi + 1)]
         bases[-1] = FpMat.identity(p, dim)
         op = (fp_kron(self.operator, FpMat.identity(p, other.dim))
               + fp_kron(FpMat.identity(p, self.dim), other.operator))
@@ -175,12 +172,9 @@ def _convolve_flags(d1: FilThetaModule, d2: FilThetaModule) -> FilThetaModule:
     p = d1.prime
     dim = d1.dim * d2.dim
     lo, hi = d1.lo + d2.lo, d1.hi + d2.hi
-    flags = []
-    for k in range(lo, hi + 1):
-        pieces = FpMat.zeros(p, dim, 0)
-        for i in range(d1.lo, d1.hi + 1):
-            pieces = pieces.hstack(fp_kron(d1.flag_at(i), d2.flag_at(k - i)))
-        flags.append(pieces.column_space_basis())
+    flags = [fp_span_union(p, dim, [fp_kron(d1.flag_at(i), d2.flag_at(k - i))
+                                    for i in range(d1.lo, d1.hi + 1)])
+             for k in range(lo, hi + 1)]
     theta = (fp_kron(d1.theta, FpMat.identity(p, d2.dim))
              + fp_kron(FpMat.identity(p, d1.dim), d2.theta))
     return FilThetaModule(p, dim, lo, hi, tuple(flags), theta)
@@ -195,51 +189,55 @@ def _dual_filtheta(d: FilThetaModule) -> FilThetaModule:
     return FilThetaModule(p, d.dim, lo, hi, tuple(flags), -d.theta.transpose())
 
 
-def _block_iso_increasing(f1: A1Flag, f2: A1Flag, ft: "A1Flag",
-                          tensor_module: A1Module):
+def _block_iso(gr, lift, d1, d2, dt, basis_at):
     """Canonical isomorphisms  (+)_{i+j=k} gr_i (x) gr_j  ->  gr_k(tensor).
 
+    ``gr(d, i)`` gives the projection of level i of ``d`` onto its graded
+    piece (and a section), ``lift(d, i)`` that piece lifted into the
+    underlying space.  Products of lifts live in V1 (x) V2 and are read in
+    the tensor's own level bases ``basis_at(k)``, the coordinates of ``dt``.
     Returns a map degree -> (iso matrix, list of (i, j, block width)).
-    Representatives live in V1 (x) V2 and are read in the tensor flag's own
-    level bases, which are also the coordinates of its windowed module.
     """
-    p = f1.prime
-    m1, m2 = f1.to_module(), f2.to_module()
-    gr1 = {i: _gr_data_a1(m1, i) for i in range(m1.lo, m1.hi + 1)}
-    gr2 = {j: _gr_data_a1(m2, j) for j in range(m2.lo, m2.hi + 1)}
+    lifts1 = {i: lift(d1, i) for i in range(d1.lo, d1.hi + 1)}
+    lifts2 = {j: lift(d2, j) for j in range(d2.lo, d2.hi + 1)}
     out = {}
-    for k in range(tensor_module.lo, tensor_module.hi + 1):
-        pi_k, _ = quotient_projection(
-            tensor_module.x_at(k - 1).column_space_basis())
+    for k in range(dt.lo, dt.hi + 1):
+        pi_k = gr(dt, k)[0]
         if pi_k.nrows == 0:
             continue
-        cols = FpMat.zeros(p, pi_k.nrows, 0)
+        cols = FpMat.zeros(dt.prime, pi_k.nrows, 0)
         layout = []
-        for i in sorted(gr1):
-            j = k - i
-            if j not in gr2:
+        for i in sorted(lifts1):
+            lift1, lift2 = lifts1[i], lifts2.get(k - i)
+            if lift2 is None or lift1.ncols == 0 or lift2.ncols == 0:
                 continue
-            sig1, lift1 = gr1[i]
-            sig2, lift2 = gr2[j]
-            if sig1.ncols == 0 or sig2.ncols == 0:
-                continue
-            # lift gr_i (x) gr_j into V1 (x) V2, then express at level k of
-            # the tensor flag and project to its gr
-            vec = fp_kron(lift1 @ sig1, lift2 @ sig2)
-            coords = ft.basis_at(k).solve(vec)
+            coords = basis_at(k).solve(fp_kron(lift1, lift2))
             if coords is None:
                 raise LawViolation("tensor flag does not contain a product piece")
             cols = cols.hstack(pi_k @ coords)
-            layout.append((i, j, sig1.ncols * sig2.ncols))
+            layout.append((i, k - i, lift1.ncols * lift2.ncols))
         out[k] = (cols, layout)
     return out
 
 
-def _gr_data_a1(m: A1Module, i: int):
-    """Section of Fil_i -> gr_i plus the embedding Fil_i -> stable space."""
-    _, sigma = quotient_projection(m.x_at(i - 1).column_space_basis())
-    lift = m.x_composite(i, m.stable_level())
-    return sigma, lift
+def _gr_a1(m: A1Module, i: int) -> tuple[FpMat, FpMat]:
+    """Projection Fil_i -> gr_i and a section of it."""
+    return quotient_projection(m.x_at(i - 1).column_space_basis())
+
+
+def _lift_a1(m: A1Module, i: int) -> FpMat:
+    """A basis of gr_i lifted into the stable space (columns)."""
+    return m.x_composite(i, m.stable_level()) @ _gr_a1(m, i)[1]
+
+
+def _gr_filtheta(d: FilThetaModule, i: int) -> tuple[FpMat, FpMat]:
+    """Projection Fil^i -> gr^i in flag coordinates and a section of it."""
+    return quotient_projection(d.flag_at(i).solve(d.flag_at(i + 1)))
+
+
+def _lift_filtheta(d: FilThetaModule, i: int) -> FpMat:
+    """A basis of gr^i lifted into V (columns)."""
+    return d.flag_at(i) @ _gr_filtheta(d, i)[1]
 
 
 def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
@@ -251,10 +249,11 @@ def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
     alpha_dr = fp_kron(g1.alpha_dr, g2.alpha_dr)
     # assemble alpha_hod degreewise through the canonical block isomorphisms
     p = g1.prime
-    htc_blocks = _block_iso_increasing(f1, f2, ft, htc)
-    hod1_h, hod2_h = restrict_HTc_to_Hod(g1.htc), restrict_HTc_to_Hod(g2.htc)
+    htc_blocks = _block_iso(_gr_a1, _lift_a1, f1.to_module(), f2.to_module(), htc,
+                            ft.basis_at)
     hod_d = restrict_dRplus_to_Hod(drp)
-    drp_blocks = _block_iso_decreasing(g1.drp, g2.drp, drp)
+    drp_blocks = _block_iso(_gr_filtheta, _lift_filtheta, g1.drp, g2.drp, drp,
+                            drp.flag_at)
     alpha_hod = {}
     for k, (iso_htc, layout) in htc_blocks.items():
         if hod_d.dim_at(k) == 0:
@@ -265,89 +264,30 @@ def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
         blocks = FpMat.zeros(p, 0, 0)
         for i, j, _ in layout:
             piece = fp_kron(g1.alpha_hod[i], g2.alpha_hod[j])
-            blocks = _block_diag(blocks, piece)
+            blocks = block_diag(blocks, piece)
         alpha_hod[k] = iso_drp @ blocks @ iso_htc.inverse()
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 
-def _block_iso_decreasing(d1: FilThetaModule, d2: FilThetaModule,
-                          tensor_mod: FilThetaModule):
-    """Same as :func:`_block_iso_increasing` on the filtered de Rham side."""
-    p = d1.prime
-    gr1 = {i: _gr_data_filtheta(d1, i) for i in range(d1.lo, d1.hi + 1)}
-    gr2 = {j: _gr_data_filtheta(d2, j) for j in range(d2.lo, d2.hi + 1)}
-    out = {}
-    for k in range(tensor_mod.lo, tensor_mod.hi + 1):
-        basis_k = tensor_mod.flag_at(k)
-        inner = basis_k.solve(tensor_mod.flag_at(k + 1))
-        pi_k, _ = quotient_projection(inner)
-        if pi_k.nrows == 0:
-            continue
-        cols = FpMat.zeros(p, pi_k.nrows, 0)
-        layout = []
-        for i in sorted(gr1):
-            j = k - i
-            if j not in gr2:
-                continue
-            lift1, lift2 = gr1[i], gr2[j]
-            if lift1.ncols == 0 or lift2.ncols == 0:
-                continue
-            vec = fp_kron(lift1, lift2)
-            coords = basis_k.solve(vec)
-            if coords is None:
-                raise LawViolation("tensor flag does not contain a product piece")
-            cols = cols.hstack(pi_k @ coords)
-            layout.append((i, j, lift1.ncols * lift2.ncols))
-        out[k] = (cols, layout)
-    return out
-
-
-def _gr_data_filtheta(d: FilThetaModule, i: int) -> FpMat:
-    """Lift of a gr^i basis into V (columns)."""
-    basis = d.flag_at(i)
-    inner = basis.solve(d.flag_at(i + 1))
-    _, sigma = quotient_projection(inner)
-    return basis @ sigma
-
-
-def _block_diag(a: FpMat, b: FpMat) -> FpMat:
-    if a.nrows == 0 and a.ncols == 0:
-        return b
-    p = a.p
-    top = a.hstack(FpMat.zeros(p, a.nrows, b.ncols))
-    bot = FpMat.zeros(p, b.nrows, a.ncols).hstack(b)
-    return top.vstack(bot)
-
-
 def dual_reduced(g: ReducedFGauge) -> ReducedFGauge:
     """Dual glued object; on twist objects this negates the twist."""
-    p = g.prime
     f = A1Flag.from_module(g.htc)
-    fd = f.dual()
-    htc = fd.to_module()
+    m, htc = f.to_module(), f.dual().to_module()
     drp = _dual_filtheta(g.drp)
     alpha_dr = g.alpha_dr.inverse().transpose()
-    hod_htc = restrict_HTc_to_Hod(htc)
-    hod_drp = restrict_dRplus_to_Hod(drp)
     alpha_hod = {}
-    for i in hod_htc.support():
-        pair_g = _duality_pairing_increasing(f, fd, i)
-        pair_f = _duality_pairing_decreasing(g.drp, drp, i)
+    for i in restrict_HTc_to_Hod(htc).support():
+        pair_g = _duality_pairing(_lift_a1, m, htc, i)
+        pair_f = _duality_pairing(_lift_filtheta, g.drp, drp, i)
         middle = g.alpha_hod[-i].inverse().transpose()
         alpha_hod[i] = pair_f.inverse() @ middle @ pair_g
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 
-def _duality_pairing_increasing(f: A1Flag, fd: A1Flag, i: int) -> FpMat:
-    """Matrix of gr_i(dual) -> gr_{-i}(original)^*, via the evaluation pairing."""
-    m, md = f.to_module(), fd.to_module()
-    sig_d, lift_d = _gr_data_a1(md, i)
-    sig, lift = _gr_data_a1(m, -i)
-    # pairing of representatives inside V* x V
-    return ((lift_d @ sig_d).transpose() @ (lift @ sig))
+def _duality_pairing(lift, d, dd, i: int) -> FpMat:
+    """Matrix of gr_i(dd) -> gr_{-i}(d)^* for the dual ``dd`` of ``d``.
 
-
-def _duality_pairing_decreasing(d: FilThetaModule, dd: FilThetaModule, i: int) -> FpMat:
-    reps_d = _gr_data_filtheta(dd, i)
-    reps = _gr_data_filtheta(d, -i)
-    return reps_d.transpose() @ reps
+    Entry (b, a) evaluates the lift of the a-th basis vector of gr_i(dd),
+    inside V*, on the lift of the b-th basis vector of gr_{-i}(d), inside V.
+    """
+    return lift(d, -i).transpose() @ lift(dd, i)

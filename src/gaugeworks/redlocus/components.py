@@ -323,7 +323,7 @@ def restrict_HTc_to_Hod(m: A1Module) -> GradedThetaModule:
     sections = {}
     dims = {}
     for i in range(m.lo, m.hi + 1):
-        pi, sigma = quotient_projection(_image_basis(m.x_at(i - 1)))
+        pi, sigma = quotient_projection(m.x_at(i - 1).column_space_basis())
         projections[i] = pi
         sections[i] = sigma
         if pi.nrows:
@@ -335,10 +335,6 @@ def restrict_HTc_to_Hod(m: A1Module) -> GradedThetaModule:
             comp = m.d_composite(i, j)      # D^p: Fil_i -> Fil_{i-p}
             thetas[i] = projections[j] @ comp @ sections[i]
     return GradedThetaModule(p, dims, thetas)
-
-
-def _image_basis(x: FpMat) -> FpMat:
-    return x.column_space_basis()
 
 
 def restrict_dRplus_to_dR(m: FilThetaModule) -> ThetaModule:

@@ -190,19 +190,25 @@ def rand_fp_invertible(rng: random.Random, p: int, n: int) -> FpMat:
             return m
 
 
-def rand_glued(rng: random.Random, p: int, max_rank: int = 3) -> ReducedFGauge:
+def rand_glued(rng: random.Random, p: int, max_rank: int = 3,
+               twists=None, perturb: bool = True) -> ReducedFGauge:
     """Random glued datum: conjugated sums of twist blocks with a compatible
 
     nilpotent perturbation of the operator (strictly twist-increasing, so
     every flag law survives) and freshly computed gluing isomorphisms.
+    Given ``twists`` (spanning a window of width below p) and no
+    ``perturb``, the datum is a conjugated direct sum of those twists.
     """
-    k = rng.randint(1, max_rank)
-    base = rng.randint(-2, 2)
-    twists = sorted(rng.randint(base, base + p - 1) for _ in range(k))
+    if twists is None:
+        k = rng.randint(1, max_rank)
+        base = rng.randint(-2, 2)
+        twists = sorted(rng.randint(base, base + p - 1) for _ in range(k))
+    twists = sorted(twists)
+    k = len(twists)
     diag = FpMat(p, [[twists[i] % p if i == j else 0 for j in range(k)]
                      for i in range(k)])
     nil = [[0] * k for _ in range(k)]
-    for l in range(k):
+    for l in range(k if perturb else 0):
         for j in range(k):
             if twists[l] >= twists[j] + 1 and rng.random() < 0.5:
                 nil[l][j] = rng.randrange(p)

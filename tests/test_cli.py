@@ -7,6 +7,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 from gaugeworks.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -94,6 +96,21 @@ def test_composite_prime_exits_1(capsys):
     code, _ = run_cli(["compute", str(FIXTURES / "malformed" / "bad_prime.json")])
     assert code == 1
     assert "prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, field", [
+    ("bad_window.json", "payload.window"),
+    ("bad_fields.json", "payload.fields"),
+    ("bad_transitions.json", "payload.filtration.transitions"),
+])
+def test_wrong_json_type_exits_1_without_traceback(name, field):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaugeworks.cli", "compute",
+         str(FIXTURES / "malformed" / name)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"schema error: {field}:" in proc.stderr
 
 
 def test_check_verb_reports_per_file(capsys):

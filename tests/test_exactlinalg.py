@@ -1,11 +1,11 @@
-"""Smith normal form, module homology and F_p linear algebra."""
+"""Smith normal form, module homology, and dense matrices over Q and F_p."""
 
 from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_fp_two_term, oracle_q_rank, qmat_rows,
-                      rand_unimodular)
+from conftest import (oracle_fp_rank, oracle_fp_two_term, oracle_q_rank,
+                      qmat_rows, rand_unimodular)
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     TwoTermComplex, fp_homology_two_term,
@@ -227,3 +227,205 @@ def test_mixing_primes_is_an_error():
         ModuleMap(FGModule(3, 1), FGModule(5, 1), QMat([[1]]))
     with pytest.raises(PrimeMismatchError):
         FpMat.identity(3, 2) @ FpMat.identity(5, 2)
+
+
+# ---------------------------------------------------------------------------
+# dense matrices: one suite over Q and over F_p
+# ---------------------------------------------------------------------------
+
+FIELDS = [None, 2, 3, 101]  # None stands for the rationals
+
+
+def mat(p, rows, ncols=None):
+    return QMat(rows, ncols=ncols) if p is None else FpMat(p, rows, ncols=ncols)
+
+
+def eye(p, n):
+    return QMat.identity(n) if p is None else FpMat.identity(p, n)
+
+
+def oracle_rank(p, rows):
+    return oracle_q_rank(rows) if p is None else oracle_fp_rank(p, rows)
+
+
+def rand_rows(rng, p, m, n):
+    """Entries of an m x n matrix whose rank is often below min(m, n)."""
+    k = rng.randint(0, min(m, n))
+    if p is None:
+        def entry():
+            return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+    else:
+        def entry():
+            return rng.randrange(p)
+    left = [[entry() for _ in range(k)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(k)]
+    rows = [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)]
+            for i in range(m)]
+    if n and rng.random() < 0.3:
+        for row in rows:
+            row[rng.randrange(n)] = entry()
+    return rows
+
+
+def reseed(rng, *key):
+    """Give each parametrised case its own draws, still led by the suite seed."""
+    rng.seed(f"{rng.random()}-{key}")
+
+
+@pytest.mark.parametrize("p", FIELDS)
+@pytest.mark.parametrize("trial", range(12))
+def test_dense_rank_and_kernel_match_oracle(rng, p, trial):
+    reseed(rng, "rank", p, trial)
+    m, n = rng.randint(0, 6), rng.randint(0, 6)
+    rows = rand_rows(rng, p, m, n)
+    a = mat(p, rows, ncols=n)
+    r = oracle_rank(p, rows)
+    assert a.rank() == r
+    k = a.kernel()
+    assert k.shape == (n, n - r)
+    assert (a @ k).is_zero()
+    assert k.rank() == n - r
+    basis = a.column_space_basis()
+    assert basis.shape == (m, r) and basis.rank() == r
+    assert a.is_invertible() == (m == n == r)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+@pytest.mark.parametrize("trial", range(12))
+def test_dense_solve_is_none_exactly_when_inconsistent(rng, p, trial):
+    reseed(rng, "solve", p, trial)
+    m, n, w = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 3)
+    a = mat(p, rand_rows(rng, p, m, n), ncols=n)
+    if rng.random() < 0.5:
+        b = a @ mat(p, rand_rows(rng, p, n, w), ncols=w)
+    else:
+        b = mat(p, rand_rows(rng, p, m, w), ncols=w)
+    consistent = oracle_rank(p, [list(r) for r in a.hstack(b).rows]) == a.rank()
+    x = a.solve(b)
+    assert (x is not None) == consistent
+    if x is not None:
+        assert x.shape == (n, w) and a @ x == b
+    with pytest.raises(ValueError, match="solve: row count mismatch"):
+        a.solve(mat(p, [], ncols=w) if m else mat(p, [[0] * w], ncols=w))
+
+
+@pytest.mark.parametrize("p", FIELDS)
+@pytest.mark.parametrize("trial", range(12))
+def test_dense_inverse_and_det(rng, p, trial):
+    reseed(rng, "inverse", p, trial)
+    n = rng.randint(0, 5)
+    rows = rand_rows(rng, p, n, n)
+    a = mat(p, rows, ncols=n)
+    full = oracle_rank(p, rows) == n
+    det = a.det()
+    assert (det == 0) == (not full)
+    if p is None:
+        assert isinstance(det, Fraction)
+    else:
+        assert isinstance(det, int) and 0 <= det < p
+    if full:
+        inv = a.inverse()
+        assert a @ inv == eye(p, n) and inv @ a == eye(p, n)
+        assert (a @ a).det() == mat(p, [[det * det]]).rows[0][0]
+    else:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            a.inverse()
+    with pytest.raises(ValueError, match="non-square"):
+        mat(p, [[1, 0]]).inverse()
+    with pytest.raises(ValueError, match="non-square"):
+        mat(p, [[1, 0]]).det()
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_dense_kron_index_convention(rng, p):
+    from gaugeworks.exactlinalg import fp_kron, kron
+    a = mat(p, rand_rows(rng, p, 2, 3), ncols=3)
+    b = mat(p, rand_rows(rng, p, 3, 2), ncols=2)
+    k = kron(a, b) if p is None else fp_kron(a, b)
+    assert k.shape == (6, 6)
+    for i in range(2):
+        for j in range(3):
+            for s in range(3):
+                for t in range(2):
+                    want = a[i, j] * b[s, t]
+                    assert k[i * 3 + s, j * 2 + t] == (want % p if p else want)
+    assert (kron(a, mat(p, [], ncols=2)) if p is None
+            else fp_kron(a, mat(p, [], ncols=2))).shape == (0, 6)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_dense_empty_shapes(p):
+    from gaugeworks.exactlinalg import block_diag
+    e03, e30, e00 = mat(p, [], ncols=3), mat(p, [[]] * 3), mat(p, [])
+    assert e03.shape == (0, 3) and e30.shape == (3, 0) and e00.shape == (0, 0)
+    assert e03.transpose().shape == (3, 0) and e30.transpose().shape == (0, 3)
+    assert e03.hstack(mat(p, [], ncols=2)).shape == (0, 5)
+    assert e30.vstack(mat(p, [[]] * 2)).shape == (5, 0)
+    assert e03.vstack(e03).shape == (0, 3) and e30.hstack(e30).shape == (3, 0)
+    assert e00.hstack(e00) == e00 and e00.vstack(e00) == e00
+    assert (e30 @ e03) == mat(p, [[0] * 3] * 3) and (e03 @ e30) == e00
+    assert eye(p, 3).take_cols([]) == e30 and eye(p, 3).take_rows([]) == e03
+    assert e03.rank() == e30.rank() == e00.rank() == 0
+    assert e03.kernel() == eye(p, 3) and e30.kernel().shape == (0, 0)
+    assert e00.inverse() == e00 and e00.det() == 1 and e00.is_invertible()
+    assert e30.solve(mat(p, [[1]] * 3)) is None
+    assert e03.solve(e00) == e30
+    assert block_diag(e00, eye(p, 2)) == eye(p, 2)
+    assert block_diag(e30, e03) == mat(p, [[0] * 3] * 3)
+    assert block_diag(eye(p, 1), mat(p, [[1, 1]])) == mat(p, [[1, 0, 0], [0, 1, 1]])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_dense_values_are_immutable_and_normalised(p):
+    a = mat(p, [[1, 2], [3, 4]])
+    with pytest.raises(AttributeError, match="immutable"):
+        a.rows = ()
+    with pytest.raises(AttributeError, match="immutable"):
+        a.nrows = 5
+    assert isinstance(a.rows, tuple) and all(isinstance(r, tuple) for r in a.rows)
+    b = a + a
+    assert a == mat(p, [[1, 2], [3, 4]]) and b == a.scale(2)
+    assert hash(mat(p, [[1, 2], [3, 4]])) == hash(a)
+    assert a - a == mat(p, [[0, 0], [0, 0]]) == -a + a
+    assert a.transpose().transpose() == a
+    assert a.power(2) == a @ a and a.power(0) == eye(p, 2)
+    if p is None:
+        assert all(isinstance(x, Fraction) for r in a.rows for x in r)
+        assert a != FpMat(3, [[1, 2], [3, 4]])
+    else:
+        assert all(0 <= x < p for r in b.rows for x in r)
+        assert mat(p, [[p + 1, -1]]) == mat(p, [[1, p - 1]])
+        assert a != QMat([[1, 2], [3, 4]])
+
+
+def test_fpmat_binary_operations_reject_mixed_primes():
+    from gaugeworks.errors import PrimeMismatchError
+    from gaugeworks.exactlinalg import block_diag, fp_kron, fp_span_union
+    a, b = FpMat.identity(3, 2), FpMat.identity(5, 2)
+    for op in (lambda: a + b, lambda: a - b, lambda: a @ b, lambda: a.hstack(b),
+               lambda: a.vstack(b), lambda: a.solve(b), lambda: fp_kron(a, b),
+               lambda: block_diag(a, b), lambda: fp_span_union(3, 2, [a, b])):
+        with pytest.raises(PrimeMismatchError):
+            op()
+    assert a != b
+
+
+SHARED_METHODS = [
+    "transpose", "__add__", "__sub__", "__neg__", "scale", "__matmul__",
+    "hstack", "vstack", "take_cols", "take_rows", "rref", "rank", "kernel",
+    "solve", "column_space_basis", "inverse", "is_invertible", "det", "power",
+    "__eq__", "__hash__",
+]
+
+
+@pytest.mark.parametrize("cls", [QMat, FpMat])
+def test_dense_methods_are_bound_on_each_class(cls):
+    # the benchmark tracer patches each class's own __dict__ entry
+    for name in SHARED_METHODS + ["__init__"]:
+        assert name in vars(cls), name
+
+
+def test_module_level_matrix_functions_are_distinct_objects():
+    # the benchmark tracer rebinds module functions by identity
+    from gaugeworks.exactlinalg import fp_kron, fp_span_union, kron, span_union
+    assert kron is not fp_kron and span_union is not fp_span_union

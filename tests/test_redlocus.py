@@ -446,6 +446,22 @@ def test_bk_dual(p):
         assert d.alpha_dr == ref.alpha_dr and d.alpha_hod == ref.alpha_hod
 
 
+@pytest.mark.parametrize("p, twists", [
+    (3, (-2, 0, 0)), (3, (-1, 0, 0)), (3, (1, 1)),
+    (5, (0, 0, 1)), (5, (-2, 0, 0)), (5, (-1, -1, 2, 2)),
+])
+def test_dual_of_twist_sum_with_repeated_twist(rng, p, twists):
+    # a repeated twist gives a graded piece of dimension >= 2, where the
+    # duality pairings are matrices rather than scalars
+    want = [0, 0, 0]
+    for t in twists:
+        for k, h in enumerate(reduced_syntomic_cohomology(bk_reduced(-t, p)).h):
+            want[k] += h
+    for _ in range(6):
+        g = rand_glued(rng, p, twists=twists, perturb=False)
+        assert reduced_syntomic_cohomology(dual_reduced(g)).h == tuple(want)
+
+
 @pytest.mark.parametrize("trial", range(10))
 def test_tensor_and_dual_on_random_glued(rng, trial):
     g1 = rand_glued(rng, 3, max_rank=2)
