@@ -22,13 +22,13 @@ share across threads.
 """
 
 from . import beilinson, cli, exactlinalg, fgauge, filphi, higgs, redlocus
-from .errors import (LawViolation, NonHonestFiltrationError,
+from .errors import (LawReport, LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError, SchemaError, WindowError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "exactlinalg", "filphi", "beilinson", "fgauge", "redlocus", "higgs",
-    "cli", "SchemaError", "LawViolation", "PrimeMismatchError",
+    "cli", "SchemaError", "LawViolation", "LawReport", "PrimeMismatchError",
     "NonHonestFiltrationError", "WindowError",
 ]

@@ -27,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .beilinson import corners, fm_fibre, verify_cartesian
-from .errors import LawViolation, SchemaError
+from .errors import LawReport, LawViolation, SchemaError
 from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
                           format_rational, parse_rational)
 from .fgauge import (FCrystalPoint, FpGauge, extend_window,
@@ -55,8 +55,8 @@ DEFAULT_OUTPUTS = {
 # ---------------------------------------------------------------------------
 
 
-def _need(payload: dict, field: str, path: str):
-    if field not in payload:
+def _need(payload, field: str, path: str):
+    if field not in _as_dict(payload, path):
         raise SchemaError(f"{path}.{field}", "missing required field")
     return payload[field]
 
@@ -82,7 +82,15 @@ def _as_dict(value, path: str) -> dict:
 def _as_window(value, path: str) -> tuple[int, int]:
     if not (isinstance(value, list) and len(value) == 2):
         raise SchemaError(path, "expected [lo, hi]")
-    return _as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]")
+    lo, hi = _as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]")
+    if lo > hi:
+        raise SchemaError(path, f"expected lo <= hi, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def _row_width(rows: list, path: str) -> int:
+    """Length of the first row of a matrix given as a list of rows (0 if none)."""
+    return len(_as_list(rows[0], f"{path}[0]")) if _as_list(rows, path) else 0
 
 
 def _rational_entry(value, path: str) -> Fraction:
@@ -140,8 +148,8 @@ def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
     fil = _need(payload, "filtration", "payload")
     lo, hi = _as_window(_need(fil, "window", "payload.filtration"),
                         "payload.filtration.window")
-    dims = _need(fil, "dims", "payload.filtration")
-    if not isinstance(dims, list) or len(dims) != hi - lo + 1:
+    dims = _as_list(_need(fil, "dims", "payload.filtration"), "payload.filtration.dims")
+    if len(dims) != hi - lo + 1:
         raise SchemaError("payload.filtration.dims",
                           f"expected {hi - lo + 1} entries")
     dims = [_as_int(x, f"payload.filtration.dims[{k}]") for k, x in enumerate(dims)]
@@ -167,9 +175,7 @@ def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
 
 def _build_module(p: int, data, path: str) -> FGModule:
     free = _as_int(_need(data, "free", path), f"{path}.free")
-    torsion = data.get("torsion", [])
-    if not isinstance(torsion, list):
-        raise SchemaError(f"{path}.torsion", "expected a list of exponents")
+    torsion = _as_list(data.get("torsion", []), f"{path}.torsion")
     torsion = tuple(_as_int(e, f"{path}.torsion[{k}]") for k, e in enumerate(torsion))
     try:
         return FGModule(p, free, torsion)
@@ -185,15 +191,15 @@ def build_fgauge(p: int, payload: dict) -> FpGauge:
                                rank, rank, "payload.fcrystal.tau")
         return gauge_from_fcrystal(FCrystalPoint(p, rank, tau))
     a, b = _as_window(_need(payload, "window", "payload"), "payload.window")
-    raw_modules = _need(payload, "modules", "payload")
-    if not isinstance(raw_modules, list) or len(raw_modules) != b - a + 1:
+    raw_modules = _as_list(_need(payload, "modules", "payload"), "payload.modules")
+    if len(raw_modules) != b - a + 1:
         raise SchemaError("payload.modules", f"expected {b - a + 1} entries")
     modules = tuple(_build_module(p, m, f"payload.modules[{k}]")
                     for k, m in enumerate(raw_modules))
 
     def maps(field: str, sources, targets) -> tuple[ModuleMap, ...]:
-        raw = _need(payload, field, "payload")
-        if not isinstance(raw, list) or len(raw) != b - a:
+        raw = _as_list(_need(payload, field, "payload"), f"payload.{field}")
+        if len(raw) != b - a:
             raise SchemaError(f"payload.{field}", f"expected {b - a} matrices")
         out = []
         for k, data in enumerate(raw):
@@ -218,14 +224,19 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
         return bk_reduced(_as_int(payload["bk"], "payload.bk"), p)
     raw_htc = _need(payload, "htc", "payload")
     lo, hi = _as_window(_need(raw_htc, "window", "payload.htc"), "payload.htc.window")
-    dims = [_as_int(x, f"payload.htc.dims[{k}]")
-            for k, x in enumerate(_need(raw_htc, "dims", "payload.htc"))]
+    raw_dims = _as_list(_need(raw_htc, "dims", "payload.htc"), "payload.htc.dims")
+    dims = [_as_int(x, f"payload.htc.dims[{k}]") for k, x in enumerate(raw_dims)]
     if len(dims) != hi - lo + 1:
         raise SchemaError("payload.htc.dims", f"expected {hi - lo + 1} entries")
+    raw_x = _as_list(raw_htc.get("x", []), "payload.htc.x")
+    raw_d = _as_list(raw_htc.get("d", []), "payload.htc.d")
+    if len(raw_x) != hi - lo or len(raw_d) != hi - lo:
+        raise SchemaError("payload.htc",
+                          "need one x and one D per adjacent pair in the window")
     xs = tuple(_int_matrix(p, mat, dims[k + 1], dims[k], f"payload.htc.x[{k}]")
-               for k, mat in enumerate(raw_htc.get("x", [])))
+               for k, mat in enumerate(raw_x))
     ds = tuple(_int_matrix(p, mat, dims[k], dims[k + 1], f"payload.htc.d[{k}]")
-               for k, mat in enumerate(raw_htc.get("d", [])))
+               for k, mat in enumerate(raw_d))
     try:
         htc = A1Module(p, lo, hi, tuple(dims), xs, ds)
     except ValueError as err:
@@ -233,29 +244,28 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
     raw_drp = _need(payload, "drp", "payload")
     n = _as_int(_need(raw_drp, "dim", "payload.drp"), "payload.drp.dim")
     dlo, dhi = _as_window(_need(raw_drp, "window", "payload.drp"), "payload.drp.window")
-    raw_flags = _need(raw_drp, "flags", "payload.drp")
-    if not isinstance(raw_flags, list) or len(raw_flags) != dhi - dlo + 1:
+    raw_flags = _as_list(_need(raw_drp, "flags", "payload.drp"), "payload.drp.flags")
+    if len(raw_flags) != dhi - dlo + 1:
         raise SchemaError("payload.drp.flags", f"expected {dhi - dlo + 1} bases")
-    flags = []
-    for k, cols in enumerate(raw_flags):
-        width = len(cols[0]) if cols else 0
-        flags.append(_int_matrix(p, cols, n, width, f"payload.drp.flags[{k}]"))
+    flags = [_int_matrix(p, cols, n, _row_width(cols, f"payload.drp.flags[{k}]"),
+                         f"payload.drp.flags[{k}]")
+             for k, cols in enumerate(raw_flags)]
     theta = _int_matrix(p, _need(raw_drp, "theta", "payload.drp"), n, n,
                         "payload.drp.theta")
     drp = FilThetaModule(p, n, dlo, dhi, tuple(flags), theta)
     alpha_dr_raw = _need(payload, "alpha_dr", "payload")
     dim_stable = htc.dim_at(htc.stable_level())
     alpha_dr = _int_matrix(p, alpha_dr_raw, n, dim_stable, "payload.alpha_dr")
-    raw_hod = _need(payload, "alpha_hod", "payload")
+    raw_hod = _as_dict(_need(payload, "alpha_hod", "payload"), "payload.alpha_hod")
     alpha_hod = {}
     for key, mat in raw_hod.items():
         try:
             deg = int(key)
         except ValueError:
             raise SchemaError("payload.alpha_hod", f"bad degree key {key!r}") from None
-        rows = len(mat)
-        cols = len(mat[0]) if rows else 0
-        alpha_hod[deg] = _int_matrix(p, mat, rows, cols, f"payload.alpha_hod[{key}]")
+        path = f"payload.alpha_hod[{key}]"
+        width = _row_width(mat, path)
+        alpha_hod[deg] = _int_matrix(p, mat, len(mat), width, path)
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 
@@ -299,6 +309,16 @@ def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
 # ---------------------------------------------------------------------------
 
 
+def _record_laws(rep: LawReport, results: dict, lines: list[str]) -> None:
+    """Write a law report into the job output; raise its first violation."""
+    results["valid"] = rep.ok
+    results["violations"] = list(rep.violations)
+    lines.append(f"valid: {str(rep.ok).lower()}")
+    lines.extend(f"violation: {v}" for v in rep.violations)
+    if not rep.ok:
+        raise LawViolation(rep.violations[0])
+
+
 def run_job(doc: dict, prime_flag: int | None):
     """Returns (text, report_dict).  Raises SchemaError / LawViolation."""
     if not isinstance(doc, dict):
@@ -319,8 +339,9 @@ def run_job(doc: dict, prime_flag: int | None):
         check_prime(p)
     except ValueError as err:
         raise SchemaError("prime", str(err)) from None
-    payload = _need(doc, "payload", "$")
-    outputs = tuple(doc.get("outputs", DEFAULT_OUTPUTS[kind]))
+    payload = _as_dict(_need(doc, "payload", "$"), "payload")
+    outputs = (tuple(_as_list(doc["outputs"], "outputs")) if "outputs" in doc
+               else DEFAULT_OUTPUTS[kind])
     for o in outputs:
         if o not in DEFAULT_OUTPUTS[kind]:
             raise SchemaError("outputs", f"unknown output {o!r} for kind {kind!r}")
@@ -363,14 +384,7 @@ def run_job(doc: dict, prime_flag: int | None):
     elif kind == "fgauge":
         g = build_fgauge(p, payload)
         if "validate" in outputs:
-            rep = validate(g)
-            results["valid"] = rep.ok
-            results["violations"] = list(rep.violations)
-            lines.append(f"valid: {str(rep.ok).lower()}")
-            for v in rep.violations:
-                lines.append(f"violation: {v}")
-            if not rep.ok:
-                raise LawViolation(rep.violations[0])
+            _record_laws(validate(g), results, lines)
         if "cohomology" in outputs:
             work = g
             if not (g.a <= 0 <= g.b):
@@ -406,21 +420,15 @@ def run_job(doc: dict, prime_flag: int | None):
     elif kind == "higgs":
         m = build_higgs(p, payload)
         if "check" in outputs:
-            rep = check_higgs(m)
-            results["valid"] = rep.ok
-            results["violations"] = list(rep.violations)
-            lines.append(f"valid: {str(rep.ok).lower()}")
-            for v in rep.violations:
-                lines.append(f"violation: {v}")
-            if not rep.ok:
-                raise LawViolation(rep.violations[0])
+            _record_laws(check_higgs(m), results, lines)
         if "cohomology" in outputs:
             weights = payload.get("weights")
             if weights is None:
                 support = sorted(m.dims)
                 weights = list(range(support[0], support[-1] + m.directions + 1)) \
                     if support else []
-            weights = [_as_int(w, "payload.weights[]") for w in weights]
+            weights = [_as_int(w, "payload.weights[]")
+                       for w in _as_list(weights, "payload.weights")]
             results["cohomology"] = {}
             for i in weights:
                 hs = hodge_cohomology(m, i)

@@ -3,8 +3,11 @@
 Two failure modes exist package-wide: structurally malformed input
 (:class:`SchemaError`, names the offending field) and well-formed input that
 breaks a mathematical law (:class:`LawViolation`, quotes the law).  The CLI
-maps them to exit codes 1 and 2 respectively.
+maps them to exit codes 1 and 2 respectively.  Checkers that list every
+violated law instead of raising the first return a :class:`LawReport`.
 """
+
+from dataclasses import dataclass
 
 
 class SchemaError(ValueError):
@@ -46,3 +49,14 @@ class NonHonestFiltrationError(LawViolation):
 
 class WindowError(LawViolation):
     """A diagram window does not cover the indices an operation needs."""
+
+
+@dataclass(frozen=True)
+class LawReport:
+    """The laws a value violates, listed rather than raised."""
+
+    violations: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations

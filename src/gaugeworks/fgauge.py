@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LawViolation, PrimeMismatchError, WindowError
+from .errors import LawReport, LawViolation, PrimeMismatchError, WindowError
 from .exactlinalg import (FGModule, ModuleMap, QMat, TwoTermComplex,
-                          check_prime, homology_two_term, is_p_local,
+                          block_diag, check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_normal_form, zero_module)
 from .filphi import PhiModule
 
@@ -114,18 +114,7 @@ class FpGauge:
         return acc
 
 
-@dataclass(frozen=True)
-class GaugeReport:
-    """Result of validating a gauge: the list of violated laws."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(g: FpGauge) -> GaugeReport:
+def validate(g: FpGauge) -> LawReport:
     """Check every gauge law exactly; list each violation, never raise."""
     a, b = g.window
     bad: list[str] = []
@@ -138,7 +127,7 @@ def validate(g: FpGauge) -> GaugeReport:
             bad.append(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         bad.append("tau must be an isomorphism M^b -> M^a")
-    return GaugeReport(tuple(bad))
+    return LawReport(tuple(bad))
 
 
 def extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
@@ -199,7 +188,9 @@ def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
     def sum_map(m1: ModuleMap, m2: ModuleMap) -> ModuleMap:
         src = m1.source.direct_sum(m2.source)
         tgt = m1.target.direct_sum(m2.target)
-        return ModuleMap(src, tgt, _block_diag_modmap(m1, m2))
+        mat = block_diag(m1.matrix, m2.matrix)
+        return ModuleMap(src, tgt, mat.take_rows(_sum_order(m1.target, m2.target))
+                         .take_cols(_sum_order(m1.source, m2.source)))
 
     modules = tuple(x.direct_sum(y) for x, y in zip(g1.modules, g2.modules))
     ts = tuple(sum_map(x, y) for x, y in zip(g1.t, g2.t))
@@ -208,40 +199,14 @@ def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
     return FpGauge(g1.prime, (a, b), modules, ts, us, tau)
 
 
-def _block_diag_modmap(m1: ModuleMap, m2: ModuleMap) -> QMat:
-    """Generator-aligned block sum: free generators first, then torsion."""
-    src = m1.source.direct_sum(m2.source)
-    tgt = m1.target.direct_sum(m2.target)
-    out = [[Fraction(0)] * src.ngens for _ in range(tgt.ngens)]
-    # direct_sum sorts torsion, so place blocks by searching stable positions
-    tgt_tors_positions = _merged_positions(m1.target.torsion, m2.target.torsion)
-    src_tors_positions = _merged_positions(m1.source.torsion, m2.source.torsion)
-    for i in range(m1.target.ngens):
-        oi = i if i < m1.target.free_rank else \
-            tgt.free_rank + tgt_tors_positions[0][i - m1.target.free_rank]
-        for j in range(m1.source.ngens):
-            oj = j if j < m1.source.free_rank else \
-                src.free_rank + src_tors_positions[0][j - m1.source.free_rank]
-            out[oi][oj] = m1.matrix[i, j]
-    for i in range(m2.target.ngens):
-        oi = (m1.target.free_rank + i) if i < m2.target.free_rank else \
-            tgt.free_rank + tgt_tors_positions[1][i - m2.target.free_rank]
-        for j in range(m2.source.ngens):
-            oj = (m1.source.free_rank + j) if j < m2.source.free_rank else \
-                src.free_rank + src_tors_positions[1][j - m2.source.free_rank]
-            out[oi][oj] = m2.matrix[i, j]
-    return QMat(out, ncols=src.ngens)
+def _sum_order(m1: FGModule, m2: FGModule) -> list[int]:
+    """Block positions of the generators of m1 (+) m2, in direct_sum order.
 
-
-def _merged_positions(t1: tuple[int, ...], t2: tuple[int, ...]):
-    """Stable positions of each input exponent inside sorted(t1 + t2)."""
-    tagged = [(e, 0, k) for k, e in enumerate(t1)] + [(e, 1, k) for k, e in enumerate(t2)]
-    tagged.sort(key=lambda x: (x[0], x[1], x[2]))
-    pos1 = {}
-    pos2 = {}
-    for slot, (_, side, k) in enumerate(tagged):
-        (pos1 if side == 0 else pos2)[k] = slot
-    return pos1, pos2
+    Free generators come first, then torsion by exponent; the sort is
+    stable, so ties keep m1's generators before m2's.
+    """
+    exps = (0,) * m1.free_rank + m1.torsion + (0,) * m2.free_rank + m2.torsion
+    return sorted(range(len(exps)), key=exps.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -171,19 +171,10 @@ class FilteredPhiModule:
         for i in range(lo, hi + 1):
             dims.append(self.filtration.dim_at(i) + other.filtration.dim_at(i))
         for i in range(lo, hi):
-            a, b = _clamped_transition(self.filtration, i), _clamped_transition(other.filtration, i)
-            transitions.append(block_diag(a, b))
+            transitions.append(block_diag(self.filtration.transition(i),
+                                          other.filtration.transition(i)))
         fs = FilteredSpace(lo, hi, tuple(dims), tuple(transitions))
         return FilteredPhiModule(self.prime, fs, block_diag(self.frobenius, other.frobenius))
-
-
-def _clamped_transition(f: FilteredSpace, i: int) -> QMat:
-    """transition(i) but with a genuine zero map at the top boundary."""
-    if i < f.lo:
-        return QMat.identity(f.dims[0])
-    if i >= f.hi:
-        return QMat.zeros(f.dim_at(i), f.dim_at(i + 1))
-    return f.transitions[i - f.lo]
 
 
 # ---------------------------------------------------------------------------

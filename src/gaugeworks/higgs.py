@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LawViolation
+from .errors import LawReport, LawViolation
 from .exactlinalg import FpMat, check_prime
 
 
@@ -46,6 +46,8 @@ class GradedHiggsModule:
             raise ValueError("directions must be >= 0")
         object.__setattr__(self, "dims",
                            {int(i): int(v) for i, v in self.dims.items() if v})
+        if any(v < 0 for v in self.dims.values()):
+            raise ValueError("piece dimensions must be >= 0")
         fields: dict = {}
         for k in range(1, self.directions + 1):
             per = {}
@@ -77,16 +79,7 @@ class GradedHiggsModule:
         return sum(self.dims.values())
 
 
-@dataclass(frozen=True)
-class HiggsReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_higgs(m: GradedHiggsModule) -> HiggsReport:
+def check_higgs(m: GradedHiggsModule) -> LawReport:
     """List every violated commutator law (wedge-square of the field).
 
     Joint nilpotence needs no separate check: monomials of length beyond the
@@ -101,7 +94,7 @@ def check_higgs(m: GradedHiggsModule) -> HiggsReport:
                 rhs = m.phi(k, i - 1) @ m.phi(j, i)
                 if lhs != rhs:
                     bad.append(f"phi_{j} phi_{k} != phi_{k} phi_{j} on V_{i}")
-    return HiggsReport(tuple(bad))
+    return LawReport(tuple(bad))
 
 
 def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:

@@ -6,7 +6,7 @@ from .components import (A1Module, FilThetaModule, GradedThetaModule,
                          ThetaModule, coh_dR, coh_dRplus, coh_Hod, coh_HTc,
                          graded_theta_is_nilpotent, restrict_dRplus_to_dR,
                          restrict_dRplus_to_Hod, restrict_HTc_to_dR,
-                         restrict_HTc_to_Hod, validate_a1)
+                         restrict_HTc_to_Hod)
 from .gluing import (ReducedCohomology, ReducedFGauge,
                      reduced_gauge_violations, reduced_syntomic_cohomology)
 
@@ -15,7 +15,7 @@ __all__ = [
     "coh_dR", "coh_Hod", "coh_HTc", "coh_dRplus",
     "restrict_HTc_to_dR", "restrict_HTc_to_Hod",
     "restrict_dRplus_to_dR", "restrict_dRplus_to_Hod",
-    "validate_a1", "graded_theta_is_nilpotent",
+    "graded_theta_is_nilpotent",
     "ReducedFGauge", "ReducedCohomology",
     "reduced_gauge_violations", "reduced_syntomic_cohomology",
     "A1Flag", "bk_flag", "bk_filtheta", "bk_reduced",

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, block_diag, check_prime, fp_kron,
-                           fp_span_union, quotient_projection)
-from .components import (A1Module, FilThetaModule, restrict_dRplus_to_Hod,
-                         restrict_HTc_to_Hod)
+                           fp_span_union)
+from .components import A1Module, FilThetaModule, restrict_HTc_to_Hod
 from .gluing import ReducedFGauge
 
 
@@ -189,20 +188,20 @@ def _dual_filtheta(d: FilThetaModule) -> FilThetaModule:
     return FilThetaModule(p, d.dim, lo, hi, tuple(flags), -d.theta.transpose())
 
 
-def _block_iso(gr, lift, d1, d2, dt, basis_at):
+def _block_iso(d1, d2, dt, basis_at):
     """Canonical isomorphisms  (+)_{i+j=k} gr_i (x) gr_j  ->  gr_k(tensor).
 
-    ``gr(d, i)`` gives the projection of level i of ``d`` onto its graded
-    piece (and a section), ``lift(d, i)`` that piece lifted into the
-    underlying space.  Products of lifts live in V1 (x) V2 and are read in
-    the tensor's own level bases ``basis_at(k)``, the coordinates of ``dt``.
-    Returns a map degree -> (iso matrix, list of (i, j, block width)).
+    ``d1``, ``d2`` and their tensor ``dt`` are all :class:`A1Module` or all
+    :class:`FilThetaModule`.  Products of the lifted graded pieces live in
+    V1 (x) V2 and are read in the tensor's own level bases ``basis_at(k)``,
+    the coordinates of ``dt``.  Returns a map degree -> (iso matrix, list of
+    (i, j, block width)).
     """
-    lifts1 = {i: lift(d1, i) for i in range(d1.lo, d1.hi + 1)}
-    lifts2 = {j: lift(d2, j) for j in range(d2.lo, d2.hi + 1)}
+    lifts1 = {i: d1.lift(i) for i in range(d1.lo, d1.hi + 1)}
+    lifts2 = {j: d2.lift(j) for j in range(d2.lo, d2.hi + 1)}
     out = {}
     for k in range(dt.lo, dt.hi + 1):
-        pi_k = gr(dt, k)[0]
+        pi_k = dt.gr(k)[0]
         if pi_k.nrows == 0:
             continue
         cols = FpMat.zeros(dt.prime, pi_k.nrows, 0)
@@ -220,26 +219,6 @@ def _block_iso(gr, lift, d1, d2, dt, basis_at):
     return out
 
 
-def _gr_a1(m: A1Module, i: int) -> tuple[FpMat, FpMat]:
-    """Projection Fil_i -> gr_i and a section of it."""
-    return quotient_projection(m.x_at(i - 1).column_space_basis())
-
-
-def _lift_a1(m: A1Module, i: int) -> FpMat:
-    """A basis of gr_i lifted into the stable space (columns)."""
-    return m.x_composite(i, m.stable_level()) @ _gr_a1(m, i)[1]
-
-
-def _gr_filtheta(d: FilThetaModule, i: int) -> tuple[FpMat, FpMat]:
-    """Projection Fil^i -> gr^i in flag coordinates and a section of it."""
-    return quotient_projection(d.flag_at(i).solve(d.flag_at(i + 1)))
-
-
-def _lift_filtheta(d: FilThetaModule, i: int) -> FpMat:
-    """A basis of gr^i lifted into V (columns)."""
-    return d.flag_at(i) @ _gr_filtheta(d, i)[1]
-
-
 def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
     """Tensor product of glued data, alphas included."""
     f1, f2 = A1Flag.from_module(g1.htc), A1Flag.from_module(g2.htc)
@@ -249,14 +228,11 @@ def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
     alpha_dr = fp_kron(g1.alpha_dr, g2.alpha_dr)
     # assemble alpha_hod degreewise through the canonical block isomorphisms
     p = g1.prime
-    htc_blocks = _block_iso(_gr_a1, _lift_a1, f1.to_module(), f2.to_module(), htc,
-                            ft.basis_at)
-    hod_d = restrict_dRplus_to_Hod(drp)
-    drp_blocks = _block_iso(_gr_filtheta, _lift_filtheta, g1.drp, g2.drp, drp,
-                            drp.flag_at)
+    htc_blocks = _block_iso(f1.to_module(), f2.to_module(), htc, ft.basis_at)
+    drp_blocks = _block_iso(g1.drp, g2.drp, drp, drp.flag_at)
     alpha_hod = {}
     for k, (iso_htc, layout) in htc_blocks.items():
-        if hod_d.dim_at(k) == 0:
+        if k not in drp_blocks:  # gr^k of the de Rham+ tensor is zero
             continue
         iso_drp, layout_d = drp_blocks[k]
         if [(i, j) for i, j, _ in layout] != [(i, j) for i, j, _ in layout_d]:
@@ -277,17 +253,17 @@ def dual_reduced(g: ReducedFGauge) -> ReducedFGauge:
     alpha_dr = g.alpha_dr.inverse().transpose()
     alpha_hod = {}
     for i in restrict_HTc_to_Hod(htc).support():
-        pair_g = _duality_pairing(_lift_a1, m, htc, i)
-        pair_f = _duality_pairing(_lift_filtheta, g.drp, drp, i)
+        pair_g = _duality_pairing(m, htc, i)
+        pair_f = _duality_pairing(g.drp, drp, i)
         middle = g.alpha_hod[-i].inverse().transpose()
         alpha_hod[i] = pair_f.inverse() @ middle @ pair_g
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 
-def _duality_pairing(lift, d, dd, i: int) -> FpMat:
+def _duality_pairing(d, dd, i: int) -> FpMat:
     """Matrix of gr_i(dd) -> gr_{-i}(d)^* for the dual ``dd`` of ``d``.
 
     Entry (b, a) evaluates the lift of the a-th basis vector of gr_i(dd),
     inside V*, on the lift of the b-th basis vector of gr_{-i}(d), inside V.
     """
-    return lift(d, -i).transpose() @ lift(dd, i)
+    return d.lift(-i).transpose() @ dd.lift(i)

@@ -204,9 +204,13 @@ class A1Module:
                 bad.append(f"Dx - xD = 1 failed on Fil_{i}")
         return tuple(bad)
 
+    def gr(self, i: int) -> tuple[FpMat, FpMat]:
+        """Projection Fil_i -> gr_i = coker(x_{i-1}) and a section of it."""
+        return quotient_projection(self.x_at(i - 1))
 
-def validate_a1(m: A1Module) -> tuple[str, ...]:
-    return m.violations()
+    def lift(self, i: int) -> FpMat:
+        """A basis of gr_i lifted into the stable space (columns)."""
+        return self.x_composite(i, self.stable_level()) @ self.gr(i)[1]
 
 
 @dataclass(frozen=True)
@@ -277,6 +281,14 @@ class FilThetaModule:
             raise LawViolation("Theta must carry Fil^i into Fil^{i-p}")
         return sol
 
+    def gr(self, i: int) -> tuple[FpMat, FpMat]:
+        """Projection Fil^i -> gr^i in flag coordinates and a section of it."""
+        return quotient_projection(self.flag_at(i).solve(self.flag_at(i + 1)))
+
+    def lift(self, i: int) -> FpMat:
+        """A basis of gr^i lifted into V (columns)."""
+        return self.flag_at(i) @ self.gr(i)[1]
+
 
 # ---------------------------------------------------------------------------
 # cohomology of the four strata
@@ -300,8 +312,7 @@ def coh_HTc(m: A1Module) -> tuple[int, int]:
 
 def coh_dRplus(m: FilThetaModule) -> tuple[int, int]:
     """Fibre of Theta: Fil^0 -> Fil^{-p}."""
-    sol = m.flag_at(-m.prime).solve(m.theta @ m.flag_at(0))
-    return fp_homology_two_term(sol)
+    return fp_homology_two_term(m.theta_in_flag(0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +329,7 @@ def restrict_HTc_to_dR(m: A1Module) -> ThetaModule:
 
 def restrict_HTc_to_Hod(m: A1Module) -> GradedThetaModule:
     """Associated graded gr_i = coker(x_{i-1}) with Theta = D^p."""
-    p = m.prime
-    projections = {}
-    sections = {}
-    dims = {}
-    for i in range(m.lo, m.hi + 1):
-        pi, sigma = quotient_projection(m.x_at(i - 1).column_space_basis())
-        projections[i] = pi
-        sections[i] = sigma
-        if pi.nrows:
-            dims[i] = pi.nrows
-    thetas = {}
-    for i in sorted(dims):
-        j = i - p
-        if j in dims:
-            comp = m.d_composite(i, j)      # D^p: Fil_i -> Fil_{i-p}
-            thetas[i] = projections[j] @ comp @ sections[i]
-    return GradedThetaModule(p, dims, thetas)
+    return _associated_graded(m, lambda i: m.d_composite(i, i - m.prime))
 
 
 def restrict_dRplus_to_dR(m: FilThetaModule) -> ThetaModule:
@@ -344,22 +339,18 @@ def restrict_dRplus_to_dR(m: FilThetaModule) -> ThetaModule:
 
 def restrict_dRplus_to_Hod(m: FilThetaModule) -> GradedThetaModule:
     """Associated graded of the flag, with the induced Theta."""
+    return _associated_graded(m, m.theta_in_flag)
+
+
+def _associated_graded(m, theta_at) -> GradedThetaModule:
+    """Associated graded of an :class:`A1Module` or a :class:`FilThetaModule`.
+
+    The pieces are ``m.gr(i)`` over the window; Theta on piece i is induced
+    by ``theta_at(i)``, a map from level i to level i - p.
+    """
     p = m.prime
-    data = {}
-    for i in range(m.lo, m.hi + 1):
-        basis = m.flag_at(i)
-        inner = basis.solve(m.flag_at(i + 1))
-        pi, sigma = quotient_projection(inner if inner is not None
-                                        else FpMat.zeros(p, basis.ncols, 0))
-        data[i] = (basis, pi, sigma)
-    dims = {i: d[1].nrows for i, d in data.items() if d[1].nrows}
-    thetas = {}
-    for i in sorted(dims):
-        j = i - p
-        if j in dims:
-            basis_i, _, sigma_i = data[i]
-            basis_j, pi_j, _ = data[j]
-            lifted = m.theta @ basis_i @ sigma_i
-            coords = basis_j.solve(lifted)
-            thetas[i] = pi_j @ coords
+    gr = {i: m.gr(i) for i in range(m.lo, m.hi + 1)}
+    dims = {i: pi.nrows for i, (pi, _) in gr.items() if pi.nrows}
+    thetas = {i: gr[i - p][0] @ theta_at(i) @ gr[i][1]
+              for i in dims if i - p in dims}
     return GradedThetaModule(p, dims, thetas)

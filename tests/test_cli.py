@@ -102,6 +102,22 @@ def test_composite_prime_exits_1(capsys):
     ("bad_window.json", "payload.window"),
     ("bad_fields.json", "payload.fields"),
     ("bad_transitions.json", "payload.filtration.transitions"),
+    ("bad_payload.json", "payload"),
+    ("bad_outputs.json", "outputs"),
+    ("bad_fcrystal.json", "payload.fcrystal"),
+    ("bad_filtration.json", "payload.filtration"),
+    ("bad_module.json", "payload.modules[0]"),
+    ("bad_htc.json", "payload.htc"),
+    ("bad_htc_dims.json", "payload.htc.dims"),
+    ("bad_htc_x.json", "payload.htc.x"),
+    ("bad_htc_x_count.json", "payload.htc"),
+    ("bad_flag.json", "payload.drp.flags[0]"),
+    ("bad_alpha_hod.json", "payload.alpha_hod"),
+    ("bad_alpha_hod_entry.json", "payload.alpha_hod[-2]"),
+    ("bad_weights.json", "payload.weights"),
+    # the right JSON type but out of range
+    ("bad_drp_window.json", "payload.drp.window"),
+    ("bad_piece_dim.json", "payload"),
 ])
 def test_wrong_json_type_exits_1_without_traceback(name, field):
     proc = subprocess.run(

@@ -245,6 +245,42 @@ def test_direct_sum_with_torsion_summand():
     assert h0 == cyclic(3) and h1 == cyclic(3)  # the free part cancels
 
 
+def constant_gauge(p, module, window, t, u, tau):
+    """One module at every level of the window, the same t, u and tau throughout."""
+    a, b = window
+    n = b - a
+    return FpGauge(p, window, (module,) * (n + 1),
+                   (ModuleMap(module, module, QMat(t)),) * n,
+                   (ModuleMap(module, module, QMat(u)),) * n,
+                   ModuleMap(module, module, QMat(tau)))
+
+
+def test_direct_sum_with_interleaved_torsion_and_nonscalar_tau():
+    # torsion exponents (1, 3) and (2,) merge to (1, 2, 3), so the second
+    # summand's torsion generator lands between the first summand's two
+    p = 3
+    m1 = FGModule(p, 1, (1, 3))
+    g1 = constant_gauge(p, m1, (-1, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        [[p, 0, 0], [0, p, 0], [0, 0, p]],
+                        [[1, 0, 0], [1, 1, 1], [0, p * p, 1]])
+    m2 = FGModule(p, 1, (2,))
+    g2 = constant_gauge(p, m2, (0, 1), [[p, 0], [0, 1]], [[1, 0], [0, p]],
+                        [[1, 0], [1, 1]])
+    for g in (g1, g2):
+        assert validate(g).ok
+    for first, second in ((g1, g2), (g2, g1)):
+        g = direct_sum(first, second)
+        assert g.modules[0] == FGModule(p, 2, (1, 2, 3))
+        assert validate(g).ok
+        h_sum = syntomic_cohomology(g)
+        h_first, h_second = syntomic_cohomology(first), syntomic_cohomology(second)
+        assert h_sum == tuple(x.direct_sum(y) for x, y in zip(h_first, h_second))
+        want = dict(hodge_tate_weights(first))
+        for k, v in hodge_tate_weights(second).items():
+            want[k] = want.get(k, 0) + v
+        assert hodge_tate_weights(g) == want
+
+
 def test_weights_of_zero_gauge():
     c = FCrystalPoint(3, 0, QMat.zeros(0, 0))
     assert hodge_tate_weights(gauge_from_fcrystal(c)) == {}

@@ -5,6 +5,7 @@ import pytest
 from conftest import fpmat_rows, oracle_fp_rank, oracle_fp_two_term, rand_glued
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
+from gaugeworks.redlocus import gluing
 from gaugeworks.redlocus import (A1Module, FilThetaModule,
                                  GradedThetaModule, ReducedFGauge,
                                  ThetaModule, bk_filtheta, bk_flag,
@@ -14,8 +15,7 @@ from gaugeworks.redlocus import (A1Module, FilThetaModule,
                                  reduced_syntomic_cohomology,
                                  restrict_dRplus_to_dR,
                                  restrict_dRplus_to_Hod, restrict_HTc_to_dR,
-                                 restrict_HTc_to_Hod, tensor_reduced,
-                                 validate_a1)
+                                 restrict_HTc_to_Hod, tensor_reduced)
 
 P = 3
 
@@ -78,13 +78,13 @@ def test_coh_drplus_twist_family():
 
 def test_a1_relation_holds_on_twist_modules():
     for n in range(-4, 5):
-        assert validate_a1(bk_flag(n, P).to_module()) == ()
+        assert bk_flag(n, P).to_module().violations() == ()
 
 
 def test_a1_relation_negative_control():
     # same shapes as the unit twist but D forced to zero out of level 1
     m = A1Module(P, 0, 1, (1, 1), (FpMat(P, [[1]]),), (FpMat(P, [[0]]),))
-    bad = validate_a1(m)
+    bad = m.violations()
     assert bad and "Dx - xD = 1" in bad[0]
 
 
@@ -96,7 +96,7 @@ def test_torsion_a1_module():
     ds = tuple(FpMat(P, [[(k + 1) % P]]) if k < P - 1 else FpMat.zeros(P, 1, 0)
                for k in range(P))
     m = A1Module(P, 0, P, dims, xs, ds)
-    assert validate_a1(m) == ()
+    assert m.violations() == ()
     assert coh_HTc(m) == (1, 0)  # Fil_{-1} = 0
 
 
@@ -381,6 +381,45 @@ def test_random_glued_euler_relation(rng, trial):
     r = reduced_syntomic_cohomology(g)
     assert r.euler == r.component_euler()
     assert r.h == oracle_reduced(g)
+
+
+def test_graded_pieces_lift_to_a_basis(rng):
+    # gr_i = coker(x_{i-1}) and gr^i = Fil^i / Fil^{i+1}; over the window the
+    # lifted pieces of each half together form a basis of its stable space
+    for _ in range(10):
+        g = rand_glued(rng, rng.choice([3, 5]))
+        p = g.prime
+        for m, below in ((g.htc, lambda i: g.htc.x_at(i - 1)),
+                         (g.drp, lambda i: g.drp.flag_at(i).solve(g.drp.flag_at(i + 1)))):
+            lifts = []
+            for i in range(m.lo, m.hi + 1):
+                pi, sigma = m.gr(i)
+                assert (pi @ below(i)).is_zero()
+                assert pi @ sigma == FpMat.identity(p, pi.nrows)
+                lifts.append(m.lift(i))
+            stacked = lifts[0]
+            for lift in lifts[1:]:
+                stacked = stacked.hstack(lift)
+            assert stacked.nrows == stacked.ncols == stacked.rank()
+
+
+def test_cohomology_trusts_a_constructed_gauge(monkeypatch, rng):
+    # the gluing laws and Theta^p - Theta nilpotence were checked when each
+    # value was built; computing its cohomology checks neither again
+    gauges = [bk_reduced(n, p) for p in (3, 5) for n in range(-p, p + 1)]
+    gauges += [rand_glued(rng, rng.choice([3, 5])) for _ in range(10)]
+    calls = []
+    laws = gluing.reduced_gauge_violations
+    post = ThetaModule.__post_init__
+    monkeypatch.setattr(gluing, "reduced_gauge_violations",
+                        lambda g: calls.append("laws") or laws(g))
+    monkeypatch.setattr(ThetaModule, "__post_init__",
+                        lambda m: calls.append("theta") or post(m))
+    for g in gauges:
+        reduced_syntomic_cohomology(g)
+    assert calls == []
+    bk_reduced(1, P)  # a construction does run both, so the counters work
+    assert "laws" in calls and "theta" in calls
 
 
 def test_alphas_must_commute_with_theta():
