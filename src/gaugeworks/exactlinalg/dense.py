@@ -1,10 +1,12 @@
 """Immutable dense matrices with explicit shape, written once for every field.
 
 :class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`
-and supply only the field: entry reduction in ``__init__``, ``_like`` (same
-field, new rows), ``_entry``/``_inv`` on scalars, the elimination row
-operations ``_sub_mul``/``_mul_row`` (reducing inside their comprehension),
-``_key`` for equality and, over F_p, the prime check ``_check``.
+and supply the field: entry reduction in ``__init__``, ``_like`` (same
+field, new rows), ``_entry`` on scalars, ``_key`` for equality and, over
+F_p, the prime check ``_check``.  The elimination here (``rref``, ``det``)
+also needs ``_inv`` and the row operations ``_sub_mul``/``_mul_row``
+(reducing inside their comprehension); ``FpMat`` supplies them, while
+``QMat`` replaces ``rref``, ``det`` and ``@`` with integer versions.
 """
 
 from __future__ import annotations
@@ -96,12 +98,17 @@ class DenseMat:
                            for row in self.rows], other.ncols)
 
     def power(self, k: int):
+        """``self`` to the k-th power by repeated squaring (identity for k <= 0)."""
         if self.nrows != self.ncols:
             raise ValueError("power of non-square matrix")
-        out = self._eye(self.nrows)
-        for _ in range(k):
-            out = out @ self
-        return out
+        out, base = None, self
+        while k > 0:
+            if k & 1:
+                out = base if out is None else out @ base
+            k >>= 1
+            if k:
+                base = base @ base
+        return self._eye(self.nrows) if out is None else out
 
     def is_nilpotent(self) -> bool:
         """Checked by raising to the dimension, never beyond."""

@@ -2,26 +2,43 @@
 
 A :class:`QMat` is an immutable matrix of :class:`~fractions.Fraction`
 entries with explicit shape (so zero-row and zero-column matrices behave).
-Every dense operation comes from :class:`~.dense.DenseMat`, shared with
-:class:`~.fpmat.FpMat`; this module supplies the rational entries, the
-rational row operations and the rational-only helpers.  All eliminations are
-fraction-exact; nothing here ever touches a float.
+Elimination (``rref``, hence ``rank``/``kernel``/``solve``/``inverse``, and
+``det``) and products run over the integers: each row (or column) is
+scaled by the lcm of its denominators once, and Fractions are built only
+for the result.  Every other dense operation comes from
+:class:`~.dense.DenseMat`, shared with :class:`~.fpmat.FpMat`.  Everything
+is exact; nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import dense
 from .dense import DenseMat, rows_from_cols
 
 
+def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``xs`` times the lcm ``d`` of its denominators, as ints, and ``d``."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _primitive(xs: list[int]) -> tuple[list[int], int]:
+    """``xs`` divided by the gcd g of its entries, and g (1 for a zero row)."""
+    g = gcd(*xs) or 1
+    return ([x // g for x in xs] if g > 1 else xs), g
+
+
 class QMat(DenseMat):
     __slots__ = ()
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        self._set(tuple(tuple(Fraction(x) for x in r) for r in rows), ncols)
+        self._set(tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
+                        for r in rows), ncols)
 
     def _like(self, rows, ncols: int) -> "QMat":
         return QMat(rows, ncols)
@@ -31,17 +48,79 @@ class QMat(DenseMat):
 
     _entry = staticmethod(Fraction)
 
-    @staticmethod
-    def _inv(x: Fraction) -> Fraction:
-        return 1 / x
+    # -- integer kernels ---------------------------------------------------
 
-    @staticmethod
-    def _sub_mul(xs: list, f: Fraction, ys: list) -> list:
-        return [x - f * y for x, y in zip(xs, ys)]
+    def __matmul__(self, other: "QMat") -> "QMat":
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
+        rows = [_cleared(r) for r in self.rows]
+        cols = [_cleared([r[j] for r in other.rows]) for j in range(other.ncols)]
+        return QMat([[Fraction(sum(map(mul, xs, ys)), da * db) for ys, db in cols]
+                     for xs, da in rows], other.ncols)
 
-    @staticmethod
-    def _mul_row(c: Fraction, xs: list) -> list:
-        return [c * x for x in xs]
+    def rref(self) -> tuple["QMat", list[int]]:
+        """Reduced row echelon form; returns (R, pivot_columns).
+
+        Gauss--Jordan over Z on rows with cleared denominators: each update
+        is ``pv*row_i - f*row_r`` with the row's content divided out, which
+        keeps entries near the size of the minors (cf. Bareiss, Math. Comp.
+        22, 1968).  Row r of R is the r-th integer row over its pivot.
+        """
+        rows = [_primitive(_cleared(r)[0])[0] for r in self.rows]
+        pivots = []
+        r = 0
+        for c in range(self.ncols):
+            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            prow = rows[r]
+            pv = prow[c]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    rows[i] = _primitive([pv * x - f * y for x, y in zip(row, prow)])[0]
+            pivots.append(c)
+            r += 1
+            if r == self.nrows:
+                break
+        # rows past the rank are zero
+        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
+        return QMat(red + rows[r:], self.ncols), pivots
+
+    def det(self) -> Fraction:
+        """Determinant by the integer forward sweep, as one Fraction."""
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        n = self.nrows
+        # det(self) = det(rows) * num / den throughout
+        rows, num, den = [], 1, 1
+        for r in self.rows:
+            xs, d = _cleared(r)
+            xs, g = _primitive(xs)
+            rows.append(xs)
+            num *= g
+            den *= d
+        for c in range(n):
+            pivot = next((i for i in range(c, n) if rows[i][c]), None)
+            if pivot is None:
+                return Fraction(0)
+            if pivot != c:
+                rows[c], rows[pivot] = rows[pivot], rows[c]
+                num = -num
+            prow = rows[c]
+            pv = prow[c]
+            # this column's factors, folded into num and den once
+            contents, updated = pv, 0
+            for i in range(c + 1, n):
+                f = rows[i][c]
+                if f:
+                    rows[i], g = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
+                    contents *= g
+                    updated += 1
+            num *= contents
+            den *= pv ** updated
+        return Fraction(num, den)
 
     # -- constructors ------------------------------------------------------
 

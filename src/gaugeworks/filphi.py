@@ -113,8 +113,8 @@ class FilteredSpace:
         return self.iota(i).column_space_basis()
 
     def is_honest(self) -> bool:
-        return all(self.iota(i).rank() == self.dim_at(i)
-                   for i in range(self.lo, self.hi + 1))
+        """Whether every ``iota(i)`` is injective, i.e. every transition is."""
+        return all(t.rank() == t.ncols for t in self.transitions)
 
     @classmethod
     def from_subspaces(cls, lo: int, hi: int, bases: list[QMat]) -> "FilteredSpace":

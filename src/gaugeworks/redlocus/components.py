@@ -25,6 +25,7 @@ stratum restricts by forgetting the filtration and by taking gr.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, check_prime, fp_homology_two_term,
@@ -262,7 +263,7 @@ class FilThetaModule:
         # gr-level nilpotence: the induced operator has degree -p on the
         # finitely supported graded, so composing past the window is zero;
         # the GradedThetaModule constructor runs the explicit guard.
-        restrict_dRplus_to_Hod(self)
+        self.hodge
 
     def flag_at(self, i: int) -> FpMat:
         if i < self.lo:
@@ -288,6 +289,11 @@ class FilThetaModule:
     def lift(self, i: int) -> FpMat:
         """A basis of gr^i lifted into V (columns)."""
         return self.flag_at(i) @ self.gr(i)[1]
+
+    @cached_property
+    def hodge(self) -> GradedThetaModule:
+        """Associated graded of the flag with the induced Theta, built once."""
+        return _associated_graded(self, self.theta_in_flag)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +345,7 @@ def restrict_dRplus_to_dR(m: FilThetaModule) -> ThetaModule:
 
 def restrict_dRplus_to_Hod(m: FilThetaModule) -> GradedThetaModule:
     """Associated graded of the flag, with the induced Theta."""
-    return _associated_graded(m, m.theta_in_flag)
+    return m.hodge
 
 
 def _associated_graded(m, theta_at) -> GradedThetaModule:

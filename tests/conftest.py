@@ -38,13 +38,14 @@ def rng() -> random.Random:
 # ---------------------------------------------------------------------------
 
 
-def oracle_q_rank(rows) -> int:
+def oracle_q_rref(rows, ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form (rows, pivot columns) by plain Fraction Gauss-Jordan."""
     mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    pivots = []
     for c in range(ncols):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
         piv = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
         if piv is None:
             continue
@@ -55,10 +56,36 @@ def oracle_q_rank(rows) -> int:
             if i != rank and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(c)
+    return mat, pivots
+
+
+def oracle_q_rank(rows) -> int:
+    return len(oracle_q_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def oracle_q_det(rows) -> Fraction:
+    """Determinant by plain Fraction forward elimination with row swaps."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+def oracle_q_matmul(a_rows, b_rows, ncols: int) -> list[list[Fraction]]:
+    """Product of two row lists by the defining triple sum."""
+    return [[sum((Fraction(a[t]) * Fraction(b_rows[t][j]) for t in range(len(a))),
+                 Fraction(0)) for j in range(ncols)] for a in a_rows]
 
 
 def oracle_q_two_term(rows, nrows: int, ncols: int) -> tuple[int, int]:

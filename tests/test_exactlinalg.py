@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_fp_rank, oracle_fp_two_term, oracle_q_rank,
-                      qmat_rows, rand_unimodular)
+from conftest import (oracle_fp_rank, oracle_fp_two_term, oracle_q_det,
+                      oracle_q_matmul, oracle_q_rank, oracle_q_rref, qmat_rows,
+                      rand_unimodular)
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     TwoTermComplex, fp_homology_two_term,
@@ -408,6 +409,127 @@ def test_fpmat_binary_operations_reject_mixed_primes():
         with pytest.raises(PrimeMismatchError):
             op()
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# QMat's integer kernels against the plain-Fraction oracles
+# ---------------------------------------------------------------------------
+
+
+def q_case(rng, kind):
+    """(rows of an m x n matrix, n, entry drawer) for one input family."""
+    big = kind == "bigint"
+    m, n = rng.randint(0, 5 if big else 12), rng.randint(0, 5 if big else 12)
+    if kind == "empty":
+        m, n = rng.choice([(0, n), (m, 0), (0, 0)])
+    if kind == "big_denominators":
+        def entry():
+            return Fraction(rng.randint(-2 ** 64, 2 ** 64), rng.randint(1, 2 ** 64))
+    elif big:
+        def entry():
+            return Fraction(rng.getrandbits(2000) - 2 ** 1999, rng.choice([1, 3, 2 ** 61 - 1]))
+    elif kind == "negative_pivots":
+        def entry():
+            return Fraction(rng.randint(-9, -1), rng.randint(1, 9)) if rng.random() < 0.6 else 0
+    else:
+        def entry():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    if kind == "rank_deficient":
+        k = rng.randint(0, max(min(m, n) - 1, 0))
+        left = [[entry() for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        rows = oracle_q_matmul(left, right, n)
+    else:
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if kind == "zero_lines":
+        for i in rng.sample(range(m), m // 3):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), n // 3):
+            for r in rows:
+                r[j] = 0
+    return rows, n, entry
+
+
+Q_KINDS = ["shapes", "empty", "rank_deficient", "zero_lines", "negative_pivots",
+           "big_denominators", "bigint"]
+
+
+def oracle_kernel(red, pivots, ncols):
+    free = [j for j in range(ncols) if j not in pivots]
+    return QMat.from_cols([[1 if i == f else -red[pivots.index(i)][f] if i in pivots else 0
+                            for i in range(ncols)] for f in free], ncols)
+
+
+@pytest.mark.parametrize("kind", Q_KINDS)
+@pytest.mark.parametrize("trial", range(8))
+def test_qmat_kernels_match_fraction_oracles(rng, kind, trial):
+    reseed(rng, "qkernels", kind, trial)
+    rows, n, entry = q_case(rng, kind)
+    m = len(rows)
+    a = QMat(rows, ncols=n)
+    red, pivots = oracle_q_rref(rows, n)
+    assert a.rref() == (QMat(red, ncols=n), pivots)
+    assert a.rank() == len(pivots)
+    assert a.kernel() == oracle_kernel(red, pivots, n)
+
+    w = rng.randint(0, 3)
+    x = [[entry() for _ in range(w)] for _ in range(n)]
+    b_rows = oracle_q_matmul(rows, x, w) if rng.random() < 0.5 else \
+        [[entry() for _ in range(w)] for _ in range(m)]
+    assert a @ QMat(x, ncols=w) == QMat(oracle_q_matmul(rows, x, w), ncols=w)
+    joined, jpivots = oracle_q_rref([r + b for r, b in zip(rows, b_rows)], n + w)
+    got = a.solve(QMat(b_rows, ncols=w))
+    if jpivots and jpivots[-1] >= n:
+        assert got is None
+    else:
+        want = [[0] * w for _ in range(n)]
+        for r, c in enumerate(jpivots):
+            want[c] = joined[r][n:]
+        assert got == QMat(want, ncols=w)
+
+    if m == n:
+        assert a.det() == oracle_q_det(rows)
+        if len(pivots) == n:
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            inv, _ = oracle_q_rref([r + e for r, e in zip(rows, ident)], 2 * n)
+            assert a.inverse() == QMat([r[n:] for r in inv], ncols=n)
+        else:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                a.inverse()
+
+
+def test_qmat_wraps_only_entries_that_are_not_fractions():
+    third = Fraction(1, 3)
+    a = QMat([[third, 2], [True, Fraction(4, 6)]])
+    assert a.rows[0][0] is third
+    assert all(type(x) is Fraction for r in a.rows for x in r)
+    assert a == QMat([[Fraction(1, 3), 2], [1, Fraction(2, 3)]])
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_power_matches_repeated_products(rng, p):
+    reseed(rng, "power", p)
+    for a in (mat(p, rand_rows(rng, p, 4, 4), ncols=4),
+              mat(p, [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)])):
+        naive = eye(p, a.nrows)
+        for k in range(71):
+            assert a.power(k) == naive, k
+            naive = naive @ a
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_power_uses_at_most_two_products_per_bit(monkeypatch, p):
+    cls = QMat if p is None else FpMat
+    a = mat(p, [[0, -1, 0], [0, 0, 1], [1, 0, 0]])  # a signed permutation
+    order = next(k for k in range(1, 13) if a.power(k) == eye(p, 3))
+    products = []
+    matmul = cls.__matmul__
+    monkeypatch.setattr(cls, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    for k in (0, 1, 2, 3, 7, 8, 70, 101, 1013, 100003):
+        want = a.power(k % order)
+        products.clear()
+        assert a.power(k) == want
+        assert len(products) <= 2 * k.bit_length(), k
 
 
 SHARED_METHODS = [

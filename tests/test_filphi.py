@@ -1,5 +1,8 @@
 """Filtered Frobenius modules: derived Hom, twists, admissibility, tensor."""
 
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 
 from conftest import (oracle_q_rank, oracle_q_two_term, qmat_rows,
@@ -140,6 +143,44 @@ def test_hodge_number_rejects_non_honest():
         hodge_number(d)
     r = rhom_mfphi(d)  # but cohomology is still defined
     assert r.h0 - r.h1 == d.fil0_dim() - d.dim
+
+
+def rand_window(rng) -> FilteredSpace:
+    """Random diagram, often non-honest: sparse transitions, wandering dims."""
+    lo = rng.randint(-3, 3)
+    hi = lo + rng.randint(0, 4)
+    dims = [rng.randint(0, 4)]
+    for _ in range(lo, hi):
+        dims.append(max(0, dims[-1] + rng.choice([-2, -1, -1, 0, 0, 1])))
+
+    def entry():
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 2])) if rng.random() < 0.6 else 0
+    return FilteredSpace(lo, hi, tuple(dims), tuple(
+        QMat([[entry() for _ in range(dims[k + 1])] for _ in range(dims[k])],
+             ncols=dims[k + 1]) for k in range(hi - lo)))
+
+
+def test_is_honest_matches_the_composite_definition(rng):
+    # honest means every composite iota(i) into the underlying space is injective
+    verdicts = Counter()
+    for _ in range(2000):
+        fs = rand_window(rng)
+        composite = all(fs.iota(i).rank() == fs.dim_at(i)
+                        for i in range(fs.lo, fs.hi + 1))
+        assert fs.is_honest() == composite
+        verdicts[composite] += 1
+    assert min(verdicts[True], verdicts[False]) >= 400
+
+
+def test_is_honest_makes_no_matrix_products(monkeypatch, rng):
+    windows = [rand_window(rng) for _ in range(50)]
+    windows += [rand_filtered_phi(rng, 3, honest=True).filtration for _ in range(10)]
+    products = []
+    matmul = QMat.__matmul__
+    monkeypatch.setattr(QMat, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    for fs in windows:
+        fs.is_honest()
+    assert products == []
 
 
 # ---------------------------------------------------------------------------

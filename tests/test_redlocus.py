@@ -5,7 +5,7 @@ import pytest
 from conftest import fpmat_rows, oracle_fp_rank, oracle_fp_two_term, rand_glued
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
-from gaugeworks.redlocus import gluing
+from gaugeworks.redlocus import components, gluing
 from gaugeworks.redlocus import (A1Module, FilThetaModule,
                                  GradedThetaModule, ReducedFGauge,
                                  ThetaModule, bk_filtheta, bk_flag,
@@ -420,6 +420,19 @@ def test_cohomology_trusts_a_constructed_gauge(monkeypatch, rng):
     assert calls == []
     bk_reduced(1, P)  # a construction does run both, so the counters work
     assert "laws" in calls and "theta" in calls
+
+
+def test_drplus_hodge_restriction_is_built_once_per_module(monkeypatch, rng):
+    # FilThetaModule's constructor builds its associated graded as a guard;
+    # the gluing laws and the cohomology reuse that same value
+    built = []
+    graded = components._associated_graded
+    monkeypatch.setattr(components, "_associated_graded",
+                        lambda m, theta_at: built.append(m) or graded(m, theta_at))
+    for _ in range(20):
+        reduced_syntomic_cohomology(rand_glued(rng, rng.choice([3, 5])))
+    drps = [m for m in built if isinstance(m, FilThetaModule)]
+    assert len(drps) == 20 and len({id(m) for m in drps}) == 20
 
 
 def test_alphas_must_commute_with_theta():
