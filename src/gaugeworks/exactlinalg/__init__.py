@@ -3,8 +3,8 @@
 Public surface: rational matrices (:class:`QMat`), prime-field matrices
 (:class:`FpMat`), Smith normal form over Z_(p), finitely generated modules
 in normal form, and homology of two-term complexes of such modules.
-``QMat`` and ``FpMat`` share one dense implementation (``dense.DenseMat``)
-and differ only in how an entry is reduced and inverted.
+``QMat`` and ``FpMat`` share the field-independent dense code
+(``dense.DenseMat``); each owns its ``rref``, ``det`` and ``@``.
 """
 
 from .dense import block_diag
@@ -14,12 +14,11 @@ from .modules import (FGModule, ModuleMap, TwoTermComplex, cokernel,
                       homology_two_term, kernel, zero_module)
 from .qmat import QMat, intersect_spans, kron, span_union
 from .rationals import (INF, check_prime, format_rational, is_p_local,
-                        is_p_unit, parse_rational, reduce_mod_p, unit_part,
-                        vp)
+                        parse_rational, unit_part, vp)
 from .snf import SNF, kernel_over_zp, smith_normal_form
 
 __all__ = [
-    "INF", "vp", "is_p_local", "is_p_unit", "unit_part", "reduce_mod_p",
+    "INF", "vp", "is_p_local", "unit_part",
     "check_prime", "parse_rational", "format_rational",
     "block_diag", "QMat", "kron", "span_union", "intersect_spans",
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",

@@ -1,12 +1,13 @@
-"""Immutable dense matrices with explicit shape, written once for every field.
+"""Immutable dense matrices with explicit shape: the field-independent part.
 
 :class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`
 and supply the field: entry reduction in ``__init__``, ``_like`` (same
-field, new rows), ``_entry`` on scalars, ``_key`` for equality and, over
-F_p, the prime check ``_check``.  The elimination here (``rref``, ``det``)
-also needs ``_inv`` and the row operations ``_sub_mul``/``_mul_row``
-(reducing inside their comprehension); ``FpMat`` supplies them, while
-``QMat`` replaces ``rref``, ``det`` and ``@`` with integer versions.
+field, new rows), ``_entry`` on scalars, ``_key`` for equality, the kernels
+``rref``, ``det`` and ``@`` (over Z for ``QMat``, mod p for ``FpMat``) and,
+over F_p, the prime check ``_check``.  Everything here (shapes, ``+``/``-``,
+``scale``, stacking, ``power``, and ``rank``/``kernel``/``solve``/
+``inverse``/``column_space_basis`` read off ``self.rref()``) is written once
+for both fields.
 """
 
 from __future__ import annotations
@@ -89,14 +90,6 @@ class DenseMat:
         c = self._entry(c)
         return self._like([[c * a for a in r] for r in self.rows], self.ncols)
 
-    def __matmul__(self, other):
-        self._check(other)
-        if self.ncols != other.nrows:
-            raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        ot = other.transpose().rows
-        return self._like([[sum(a * b for a, b in zip(row, col)) for col in ot]
-                           for row in self.rows], other.ncols)
-
     def power(self, k: int):
         """``self`` to the k-th power by repeated squaring (identity for k <= 0)."""
         if self.nrows != self.ncols:
@@ -138,27 +131,6 @@ class DenseMat:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self):
-        """Reduced row echelon form; returns (R, pivot_columns)."""
-        sub_mul = self._sub_mul
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, self.nrows) if rows[i][c] != 0), None)
-            if pivot is None:
-                continue
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-            rows[r] = self._mul_row(self._inv(rows[r][c]), rows[r])
-            for i in range(self.nrows):
-                if i != r and rows[i][c] != 0:
-                    rows[i] = sub_mul(rows[i], rows[i][c], rows[r])
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
-                break
-        return self._like(rows, self.ncols), pivots
-
     def rank(self) -> int:
         return len(self.rref()[1])
 
@@ -195,26 +167,6 @@ class DenseMat:
     def column_space_basis(self):
         red, pivots = self.rref()
         return self.take_cols(pivots)
-
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        rows = [list(r) for r in self.rows]
-        det = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-            if pivot is None:
-                return self._entry(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            det *= rows[c][c]
-            inv = self._inv(rows[c][c])
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    rows[i] = self._sub_mul(rows[i], rows[i][c] * inv, rows[c])
-        return self._entry(det)
 
     def inverse(self):
         if self.nrows != self.ncols:

@@ -1,14 +1,17 @@
 """Dense matrices over the prime field F_p.
 
-Entries are ints reduced to [0, p).  Every dense operation comes from
-:class:`~.dense.DenseMat`, shared with :class:`~.qmat.QMat`, so the same
-explicit-shape discipline applies and empty matrices compose correctly.
-This module supplies the reduction mod p, the prime-mismatch check and the
-F_p-only helpers.
+Entries are ints reduced to [0, p).  The kernels ``rref`` (hence ``rank``,
+``kernel``, ``solve``, ``inverse`` and ``column_space_basis``), ``det`` and
+``@`` are plain mod-p code here, reducing inside each row update; the
+field-independent operations come from :class:`~.dense.DenseMat`, shared
+with :class:`~.qmat.QMat`, so the same explicit-shape discipline applies and
+empty matrices compose correctly.  This module also supplies the reduction
+mod p, the prime-mismatch check and the F_p-only helpers.
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..errors import PrimeMismatchError
@@ -36,16 +39,65 @@ class FpMat(DenseMat):
     def _entry(self, x) -> int:
         return int(x) % self.p
 
-    def _inv(self, x: int) -> int:
-        return pow(x, -1, self.p)
+    # -- mod-p kernels -----------------------------------------------------
 
-    def _sub_mul(self, xs: list, f: int, ys: list) -> list:
-        p = self.p
-        return [(x - f * y) % p for x, y in zip(xs, ys)]
+    def __matmul__(self, other: "FpMat") -> "FpMat":
+        self._check(other)
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
+        # an inner dimension of 0 leaves zip nothing to transpose; the
+        # constructor reduces each sum mod p
+        cols = list(zip(*other.rows)) or [()] * other.ncols
+        return FpMat(self.p, [[sum(map(mul, row, col)) for col in cols]
+                              for row in self.rows], other.ncols)
 
-    def _mul_row(self, c: int, xs: list) -> list:
+    def rref(self) -> tuple["FpMat", list[int]]:
+        """Reduced row echelon form; returns (R, pivot_columns)."""
         p = self.p
-        return [(c * x) % p for x in xs]
+        rows = [list(r) for r in self.rows]
+        pivots = []
+        r = 0
+        for c in range(self.ncols):
+            pivot = next((i for i in range(r, self.nrows) if rows[i][c]), None)
+            if pivot is None:
+                continue
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            inv = pow(rows[r][c], -1, p)
+            prow = rows[r] = [inv * x % p for x in rows[r]]
+            for i, row in enumerate(rows):
+                f = row[c]
+                if f and i != r:
+                    rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+            pivots.append(c)
+            r += 1
+            if r == self.nrows:
+                break
+        return FpMat(p, rows, self.ncols), pivots
+
+    def det(self) -> int:
+        """Determinant by the forward sweep, in [0, p)."""
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
+        p, n = self.p, self.nrows
+        rows = [list(r) for r in self.rows]
+        det = 1
+        for c in range(n):
+            pivot = next((i for i in range(c, n) if rows[i][c]), None)
+            if pivot is None:
+                return 0
+            if pivot != c:
+                rows[c], rows[pivot] = rows[pivot], rows[c]
+                det = -det
+            prow = rows[c]
+            det = det * prow[c] % p
+            inv = pow(prow[c], -1, p)
+            for i in range(c + 1, n):
+                f = rows[i][c] * inv % p
+                if f:
+                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+        return det
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, p: int, m: int, n: int) -> "FpMat":

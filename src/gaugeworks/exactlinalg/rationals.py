@@ -97,26 +97,12 @@ def is_p_local(x, p: int) -> bool:
     return Fraction(x).denominator % p != 0
 
 
-def is_p_unit(x, p: int) -> bool:
-    """True when x is a unit of Z_(p) (valuation exactly zero)."""
-    x = Fraction(x)
-    return x != 0 and x.numerator % p != 0 and x.denominator % p != 0
-
-
 def unit_part(x, p: int) -> Fraction:
     """Write a nonzero rational as p^v * u with u a p-unit and return u."""
     x = Fraction(x)
     if x == 0:
         raise ValueError("zero has no unit part")
     return x / Fraction(p) ** vp(x, p)
-
-
-def reduce_mod_p(x, p: int) -> int:
-    """Image of a p-local rational in F_p, as an int in [0, p)."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise ValueError(f"{x} is not p-local at p={p}")
-    return (x.numerator * pow(x.denominator, -1, p)) % p
 
 
 def parse_rational(text: str) -> Fraction:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qmat import QMat
-from .rationals import check_prime, is_p_unit, unit_part, vp
+from .rationals import check_prime, unit_part, vp
 
 
 @dataclass(frozen=True)
@@ -117,4 +117,4 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     return s.v.take_cols(list(range(s.rank, m.ncols)))
 
 
-__all__ = ["SNF", "smith_normal_form", "kernel_over_zp", "is_p_unit"]
+__all__ = ["SNF", "smith_normal_form", "kernel_over_zp"]

@@ -341,11 +341,11 @@ def hodge_tate_weights(g: FpGauge) -> dict[int, int]:
     out: dict[int, int] = {}
     for i in range(a, b + 1):
         m = g.module_at(i)
-        u_img = g.u_at(i).matrix
-        t_img = g.t_at(i + 1).matrix
-        pid = QMat.scalar(m.ngens, g.prime)
-        rel = m.relation_matrix()
-        stacked = pid.hstack(u_img).hstack(t_img).hstack(rel)
+        # The quotient has dimension ngens minus the number of unit invariant
+        # factors of [p I | u_i | t_{i+1} | relations].  The p I and relation
+        # columns vanish mod p, so they never change that number: the Smith
+        # form of [u_i | t_{i+1}] alone counts the same units.
+        stacked = g.u_at(i).matrix.hstack(g.t_at(i + 1).matrix)
         s = smith_normal_form(stacked, g.prime)
         dim = m.ngens - sum(1 for e in s.exponents if e == 0)
         if dim:

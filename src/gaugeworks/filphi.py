@@ -47,11 +47,6 @@ class PhiModule:
     def dim(self) -> int:
         return self.frobenius.nrows
 
-    def direct_sum(self, other: "PhiModule") -> "PhiModule":
-        if self.prime != other.prime:
-            raise PrimeMismatchError(self.prime, other.prime)
-        return PhiModule(self.prime, block_diag(self.frobenius, other.frobenius))
-
 
 @dataclass(frozen=True)
 class FilteredSpace:
@@ -450,9 +445,6 @@ def tensor(d1: FilteredPhiModule, d2: FilteredPhiModule) -> FilteredPhiModule:
             j = k - i
             jc = min(max(j, f2.lo), f2.hi + 1)
             pieces.append(kron(b1[i], b2[jc]))
-        # the boundary term with Fil^i full on the left
-        jc = min(max(k - f1.lo, f2.lo), f2.hi + 1)
-        pieces.append(kron(b1[f1.lo], b2[jc]))
         bases.append(span_union(n, pieces))
     fs = FilteredSpace.from_subspaces(lo, hi, bases)
     return FilteredPhiModule(d1.prime, fs, kron(d1.frobenius, d2.frobenius))

@@ -33,6 +33,9 @@ class GradedHiggsModule:
 
     ``fields[k]`` maps a grading degree i to the matrix of phi_k on V_i
     (shape dim V_{i-1} x dim V_i); missing entries mean the zero map.
+    The commutator laws are checked once, here, raising the first violation
+    :func:`check_higgs` reports; the value is frozen, so
+    :func:`hodge_cohomology` trusts it.
     """
 
     prime: int
@@ -62,6 +65,8 @@ class GradedHiggsModule:
                     per[i] = mat
             fields[k] = per
         object.__setattr__(self, "fields", fields)
+        for law in check_higgs(self).violations:
+            raise LawViolation(law)
 
     def dim_at(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -129,9 +134,6 @@ def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:
 
 def hodge_cohomology(m: GradedHiggsModule, i: int) -> list[tuple[int, int]]:
     """[(k, dim H^k)] for k = 0..d of the Koszul total complex in weight i."""
-    report = check_higgs(m)
-    if not report.ok:
-        raise LawViolation(report.violations[0])
     d = m.directions
     diffs = [koszul_differential(m, i, k) for k in range(d)]
     out = []

@@ -129,10 +129,7 @@ class A1Flag:
         """G_i of the dual is the annihilator of G_{-i-1}; E dualizes to -E^T."""
         p = self.prime
         lo, hi = -self.hi, -self.lo
-        bases = []
-        for i in range(lo, hi + 1):
-            ann = self.basis_at(-i - 1).transpose().kernel()
-            bases.append(ann.column_space_basis())
+        bases = [self.basis_at(-i - 1).transpose().kernel() for i in range(lo, hi + 1)]
         bases[-1] = FpMat.identity(p, self.dim)
         return A1Flag(p, self.dim, lo, hi, tuple(bases), -self.operator.transpose())
 
@@ -182,9 +179,7 @@ def _convolve_flags(d1: FilThetaModule, d2: FilThetaModule) -> FilThetaModule:
 def _dual_filtheta(d: FilThetaModule) -> FilThetaModule:
     p = d.prime
     lo, hi = -d.hi, -d.lo
-    flags = []
-    for i in range(lo, hi + 1):
-        flags.append(d.flag_at(1 - i).transpose().kernel().column_space_basis())
+    flags = [d.flag_at(1 - i).transpose().kernel() for i in range(lo, hi + 1)]
     return FilThetaModule(p, d.dim, lo, hi, tuple(flags), -d.theta.transpose())
 
 

@@ -163,17 +163,22 @@ class A1Module:
         return self.x[i - self.lo]
 
     def d_at(self, i: int) -> FpMat:
-        """D_i: Fil_i -> Fil_{i-1}; continued upward by D_{i+1} x_i = x_{i-1} D_i + 1."""
+        """D_i: Fil_i -> Fil_{i-1}; continued upward by D_{i+1} x_i = x_{i-1} D_i + 1.
+
+        x is the identity from ``hi`` upward, so above the window the
+        recursion sums to D_i = x_{hi-1} D_hi + (i - hi).
+        """
         if i <= self.lo:
             return FpMat.zeros(self.prime, self.dim_at(i - 1), self.dim_at(i))
         if i <= self.hi:
             return self.d[i - self.lo - 1]
-        below = self.d_at(i - 1)
-        return self.x_at(i - 2) @ below + FpMat.identity(self.prime, self.dim_at(i - 1))
+        return (self.x_at(self.hi - 1) @ self.d_at(self.hi)
+                + FpMat.scalar(self.prime, self.dims[-1], i - self.hi))
 
     def x_composite(self, bottom: int, top: int) -> FpMat:
+        """x_{top-1} ... x_bottom; the factors from ``hi`` upward are identities."""
         acc = FpMat.identity(self.prime, self.dim_at(bottom))
-        for i in range(bottom, top):
+        for i in range(bottom, min(top, self.hi)):
             acc = self.x_at(i) @ acc
         return acc
 

@@ -94,27 +94,55 @@ def oracle_q_two_term(rows, nrows: int, ncols: int) -> tuple[int, int]:
     return (ncols - r, nrows - r)
 
 
-def oracle_fp_rank(p: int, rows) -> int:
+def oracle_fp_rref(p: int, rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p (rows, pivot columns) by plain int Gauss-Jordan."""
     mat = [[x % p for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
+    pivots = []
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][c] % p), None)
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         inv = pow(mat[rank][c], -1, p)
         mat[rank] = [(inv * x) % p for x in mat[rank]]
         for i in range(len(mat)):
-            if i != rank and mat[i][c] % p:
+            if i != rank and mat[i][c]:
                 f = mat[i][c]
                 mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        pivots.append(c)
+    return mat, pivots
+
+
+def oracle_fp_rank(p: int, rows) -> int:
+    return len(oracle_fp_rref(p, rows, len(rows[0]) if rows else 0)[1])
+
+
+def oracle_fp_det(p: int, rows) -> int:
+    """Determinant mod p, in [0, p), by forward elimination with row swaps."""
+    mat = [[x % p for x in r] for r in rows]
+    det = 1
+    for c in range(len(mat)):
+        piv = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            det = -det
+        det = det * mat[c][c] % p
+        inv = pow(mat[c][c], -1, p)
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] * inv
+            mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[c])]
+    return det % p
+
+
+def oracle_fp_matmul(p: int, a_rows, b_rows, ncols: int) -> list[list[int]]:
+    """Product mod p of two row lists by the defining triple sum."""
+    return [[sum(a[t] * b_rows[t][j] for t in range(len(a))) % p for j in range(ncols)]
+            for a in a_rows]
 
 
 def oracle_fp_two_term(p: int, rows, nrows: int, ncols: int) -> tuple[int, int]:

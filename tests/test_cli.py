@@ -129,6 +129,25 @@ def test_wrong_json_type_exits_1_without_traceback(name, field):
     assert f"schema error: {field}:" in proc.stderr
 
 
+NONCOMMUTING_HIGGS = {
+    "format": 1, "prime": 3, "kind": "higgs",
+    "payload": {"directions": 2, "pieces": {"0": 2, "-1": 2, "-2": 2},
+                "fields": {"1": {"0": [[0, 1], [0, 0]], "-1": [[0, 1], [0, 0]]},
+                           "2": {"0": [[0, 0], [1, 0]], "-1": [[0, 0], [1, 0]]}}}}
+
+
+@pytest.mark.parametrize("outputs", [["check"], ["cohomology"], []])
+def test_noncommuting_higgs_exits_2_whatever_the_outputs(tmp_path, capsys, outputs):
+    # construction checks the commutator laws, so no output escapes them
+    path = tmp_path / "higgs.json"
+    path.write_text(json.dumps(dict(NONCOMMUTING_HIGGS, outputs=outputs)),
+                    encoding="utf-8")
+    code, out = run_cli(["compute", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "phi_1 phi_2 != phi_2 phi_1" in capsys.readouterr().err
+
+
 def test_check_verb_reports_per_file(capsys):
     good = str(FIXTURES / "jobs" / "tate1.json")
     bad = str(FIXTURES / "malformed" / "bad_ut.json")

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_fp_rank, oracle_fp_two_term, oracle_q_det,
+from conftest import (oracle_fp_det, oracle_fp_matmul, oracle_fp_rank,
+                      oracle_fp_rref, oracle_fp_two_term, oracle_q_det,
                       oracle_q_matmul, oracle_q_rank, oracle_q_rref, qmat_rows,
                       rand_unimodular)
-from gaugeworks.errors import LawViolation
+from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     TwoTermComplex, fp_homology_two_term,
                                     homology_two_term, is_p_local,
@@ -455,9 +456,10 @@ Q_KINDS = ["shapes", "empty", "rank_deficient", "zero_lines", "negative_pivots",
 
 
 def oracle_kernel(red, pivots, ncols):
+    """Kernel basis columns read off a reduced row echelon form."""
     free = [j for j in range(ncols) if j not in pivots]
-    return QMat.from_cols([[1 if i == f else -red[pivots.index(i)][f] if i in pivots else 0
-                            for i in range(ncols)] for f in free], ncols)
+    return [[1 if i == f else -red[pivots.index(i)][f] if i in pivots else 0
+             for i in range(ncols)] for f in free]
 
 
 @pytest.mark.parametrize("kind", Q_KINDS)
@@ -470,7 +472,7 @@ def test_qmat_kernels_match_fraction_oracles(rng, kind, trial):
     red, pivots = oracle_q_rref(rows, n)
     assert a.rref() == (QMat(red, ncols=n), pivots)
     assert a.rank() == len(pivots)
-    assert a.kernel() == oracle_kernel(red, pivots, n)
+    assert a.kernel() == QMat.from_cols(oracle_kernel(red, pivots, n), n)
 
     w = rng.randint(0, 3)
     x = [[entry() for _ in range(w)] for _ in range(n)]
@@ -504,6 +506,96 @@ def test_qmat_wraps_only_entries_that_are_not_fractions():
     assert a.rows[0][0] is third
     assert all(type(x) is Fraction for r in a.rows for x in r)
     assert a == QMat([[Fraction(1, 3), 2], [1, Fraction(2, 3)]])
+
+
+# ---------------------------------------------------------------------------
+# FpMat's mod-p kernels against the plain-int oracles
+# ---------------------------------------------------------------------------
+
+FP_PRIMES = [2, 3, 101, 2 ** 61 - 1]
+
+
+def fp_solve_oracle(p, rows, b_rows, n, w):
+    """One solution of A X = B read off rref([A | B]), or None."""
+    joined, pivots = oracle_fp_rref(p, [r + b for r, b in zip(rows, b_rows)], n + w)
+    if pivots and pivots[-1] >= n:
+        return None
+    want = [[0] * w for _ in range(n)]
+    for r, c in enumerate(pivots):
+        want[c] = joined[r][n:]
+    return FpMat(p, want, ncols=w)
+
+
+@pytest.mark.parametrize("p", FP_PRIMES)
+@pytest.mark.parametrize("trial", range(12))
+def test_fpmat_kernels_match_int_oracles(rng, p, trial):
+    reseed(rng, "fpkernels", p, trial)
+    m, n = rng.randint(0, 10), rng.randint(0, 10)
+    if trial % 2:
+        n = m  # square: det and inverse
+    elif trial in (0, 2):
+        m, n = (0, n) if trial == 0 else (m, 0)
+    rows = rand_rows(rng, p, m, n)
+    if trial % 3 == 0:
+        for i in rng.sample(range(m), m // 3):
+            rows[i] = [0] * n
+        for j in rng.sample(range(n), n // 3):
+            for r in rows:
+                r[j] = 0
+    a = FpMat(p, rows, ncols=n)
+    red, pivots = oracle_fp_rref(p, rows, n)
+    assert a.rref() == (FpMat(p, red, ncols=n), pivots)
+    assert a.rank() == len(pivots)
+    assert a.kernel() == FpMat.from_cols(p, oracle_kernel(red, pivots, n), n)
+
+    w = rng.randint(0, 3)
+    x = [[rng.randrange(p) for _ in range(w)] for _ in range(n)]
+    consistent = oracle_fp_matmul(p, rows, x, w)
+    assert a @ FpMat(p, x, ncols=w) == FpMat(p, consistent, ncols=w)
+    assert FpMat.zeros(p, m, 0) @ FpMat.zeros(p, 0, w) == \
+        FpMat(p, oracle_fp_matmul(p, [[]] * m, [], w), ncols=w)
+    with pytest.raises(PrimeMismatchError):
+        a @ FpMat(5 if p != 5 else 7, x, ncols=w)
+    with pytest.raises(ValueError, match="cannot compose"):
+        a @ FpMat.zeros(p, n + 1, w)
+    arbitrary = [[rng.randrange(p) for _ in range(w)] for _ in range(m)]
+    for b_rows in (consistent, arbitrary):
+        got = a.solve(FpMat(p, b_rows, ncols=w))
+        assert got == fp_solve_oracle(p, rows, b_rows, n, w)
+        if got is None:
+            assert b_rows is arbitrary
+        else:
+            assert a @ got == FpMat(p, b_rows, ncols=w)
+    # A X = I is solvable exactly when A has full row rank
+    assert (a.solve(FpMat.identity(p, m)) is None) == (len(pivots) < m)
+
+    if m == n:
+        assert a.det() == oracle_fp_det(p, rows)
+        if len(pivots) == n:
+            ident = [[int(i == j) for j in range(n)] for i in range(n)]
+            inv, _ = oracle_fp_rref(p, [r + e for r, e in zip(rows, ident)], 2 * n)
+            assert a.inverse() == FpMat(p, [r[n:] for r in inv], ncols=n)
+        else:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                a.inverse()
+    else:
+        with pytest.raises(ValueError, match="determinant of a non-square matrix"):
+            a.det()
+        with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+            a.inverse()
+
+
+def test_fpmat_product_constructs_one_matrix(monkeypatch):
+    a = FpMat(7, [[1, 2, 3], [4, 5, 6]])
+    b = FpMat(7, [[1, 0], [2, 1], [0, 3]])
+    want = FpMat(7, [[5, 11], [14, 23]])
+    made = []
+    init = FpMat.__init__
+    monkeypatch.setattr(FpMat, "__init__",
+                        lambda self, *args, **kw: made.append(1) or init(self, *args, **kw))
+    product = a @ b
+    assert len(made) == 1  # no transposed copy of b
+    assert product == want
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -1,13 +1,16 @@
 """Gauges over F_p: laws, syntomic cohomology, filtrations, weights."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_fcrystal
 from gaugeworks.errors import WindowError
-from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, vp,
-                                    zero_module)
+from gaugeworks.cli import build_fgauge
+from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
+                                    smith_normal_form, vp, zero_module)
 from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
@@ -303,3 +306,38 @@ def test_weights_match_snf_multiset_randomized(rng, trial):
     c = rand_fcrystal(rng, rng.choice([3, 5]))
     g = gauge_from_fcrystal(c)
     assert hodge_tate_weights(g) == snf_weight_multiset(c)
+
+
+def four_block_weights(g):
+    """The former weight formula, kept as an oracle: unit invariant factors
+
+    of the Smith form of [p I | u_i | t_{i+1} | relations] at every level.
+    """
+    a, b = g.window
+    out = {}
+    for i in range(a, b + 1):
+        m = g.module_at(i)
+        stacked = (QMat.scalar(m.ngens, g.prime).hstack(g.u_at(i).matrix)
+                   .hstack(g.t_at(i + 1).matrix).hstack(m.relation_matrix()))
+        units = sum(1 for e in smith_normal_form(stacked, g.prime).exponents if e == 0)
+        if m.ngens - units:
+            out[i] = m.ngens - units
+    return out
+
+
+def test_weights_match_the_four_block_formula(rng):
+    p = 3
+    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "gauge_torsion.json"
+    fixture = build_fgauge(p, json.loads(job.read_text(encoding="utf-8"))["payload"])
+    m1, m2 = FGModule(p, 1, (1, 3)), FGModule(p, 1, (2,))
+    g1 = constant_gauge(p, m1, (-1, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                        [[p, 0, 0], [0, p, 0], [0, 0, p]],
+                        [[1, 0, 0], [1, 1, 1], [0, p * p, 1]])
+    g2 = constant_gauge(p, m2, (0, 1), [[p, 0], [0, 1]], [[1, 0], [0, p]],
+                        [[1, 0], [1, 1]])
+    gauges = [fixture, torsion_gauge(p), g1, g2, direct_sum(g1, g2),
+              direct_sum(torsion_gauge(p), twist_gauge(1, p))]
+    gauges += [gauge_from_fcrystal(rand_fcrystal(rng, rng.choice([3, 5])))
+               for _ in range(12)]
+    for g in gauges:
+        assert hodge_tate_weights(g) == four_block_weights(g)

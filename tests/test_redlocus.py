@@ -110,6 +110,18 @@ def test_d_power_p_commutes_with_x():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_a1_relation_holds_above_the_window(rng, p):
+    # d_at sums the upward recursion in closed form; the relation
+    # D_{i+1} x_i - x_{i-1} D_i = 1 must still hold level by level
+    modules = ([bk_flag(n, p).to_module() for n in range(-p - 1, p + 2)]
+               + [rand_glued(rng, p).htc for _ in range(8)])
+    for m in modules:
+        for i in range(m.lo, m.hi + 2 * p + 1):
+            lhs = m.d_at(i + 1) @ m.x_at(i) - m.x_at(i - 1) @ m.d_at(i)
+            assert lhs == FpMat.identity(p, m.dim_at(i)), (m.lo, m.hi, i)
+
+
 # ---------------------------------------------------------------------------
 # restrictions
 # ---------------------------------------------------------------------------
