@@ -15,7 +15,7 @@ from .modules import (FGModule, ModuleMap, TwoTermComplex, cokernel,
 from .qmat import QMat, intersect_spans, kron, span_union
 from .rationals import (INF, check_prime, format_rational, is_p_local,
                         parse_rational, unit_part, vp)
-from .snf import SNF, kernel_over_zp, smith_normal_form
+from .snf import SNF, kernel_over_zp, smith_exponents, smith_normal_form
 
 __all__ = [
     "INF", "vp", "is_p_local", "unit_part",
@@ -23,7 +23,7 @@ __all__ = [
     "block_diag", "QMat", "kron", "span_union", "intersect_spans",
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",
     "quotient_projection",
-    "SNF", "smith_normal_form", "kernel_over_zp",
+    "SNF", "smith_normal_form", "smith_exponents", "kernel_over_zp",
     "FGModule", "ModuleMap", "TwoTermComplex", "zero_module",
     "homology_two_term", "kernel", "cokernel",
 ]

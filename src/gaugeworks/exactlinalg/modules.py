@@ -19,7 +19,7 @@ from fractions import Fraction
 from ..errors import LawViolation, PrimeMismatchError
 from .qmat import QMat
 from .rationals import check_prime, is_p_local, vp
-from .snf import SNF, smith_normal_form
+from .snf import kernel_over_zp, smith_exponents
 
 
 @dataclass(frozen=True)
@@ -180,19 +180,16 @@ class TwoTermComplex:
     d: ModuleMap
 
 
-def _module_from_snf(p: int, ngens: int, s: SNF) -> FGModule:
-    """Cokernel of a relation matrix with the given normal form."""
-    free = ngens - s.rank
-    torsion = tuple(sorted(e for e in s.exponents if e > 0))
-    return FGModule(p, free, torsion)
+def _module_from_exponents(p: int, ngens: int, exps: tuple[int, ...]) -> FGModule:
+    """Cokernel of a relation matrix with the given Smith exponents."""
+    return FGModule(p, ngens - len(exps), tuple(sorted(e for e in exps if e > 0)))
 
 
 def cokernel(d: ModuleMap) -> FGModule:
     """coker(d) = target / (image of d + relations of target)."""
     p = d.prime
     rel = d.matrix.hstack(d.target.relation_matrix())
-    s = smith_normal_form(rel, p)
-    return _module_from_snf(p, d.target.ngens, s)
+    return _module_from_exponents(p, d.target.ngens, smith_exponents(rel, p))
 
 
 def kernel(d: ModuleMap) -> FGModule:
@@ -206,16 +203,13 @@ def kernel(d: ModuleMap) -> FGModule:
     a = d.matrix
     r_src = d.source.relation_matrix()
     r_tgt = d.target.relation_matrix()
-    s1 = smith_normal_form(a.hstack(r_tgt.scale(-1)), p)
-    lift_cols = s1.v.take_cols(list(range(s1.rank, s1.v.ncols)))
-    gens = lift_cols.take_rows(list(range(d.source.ngens)))
+    lifts = kernel_over_zp(a.hstack(r_tgt.scale(-1)), p)
+    gens = lifts.take_rows(list(range(d.source.ngens)))
     if gens.ncols == 0:
         return zero_module(p)
-    s2 = smith_normal_form(gens.hstack(r_src.scale(-1)), p)
-    rel_cols = s2.v.take_cols(list(range(s2.rank, s2.v.ncols)))
-    relations = rel_cols.take_rows(list(range(gens.ncols)))
-    s3 = smith_normal_form(relations, p)
-    return _module_from_snf(p, gens.ncols, s3)
+    rels = kernel_over_zp(gens.hstack(r_src.scale(-1)), p)
+    relations = rels.take_rows(list(range(gens.ncols)))
+    return _module_from_exponents(p, gens.ncols, smith_exponents(relations, p))
 
 
 def homology_two_term(c: TwoTermComplex) -> tuple[FGModule, FGModule]:

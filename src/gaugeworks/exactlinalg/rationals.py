@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import isqrt
 
 
 class _Infinity:
@@ -56,16 +57,81 @@ INF = _Infinity()
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    for k in range(2, isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, n, k)))
+    return tuple(k for k in range(2, n) if sieve[k])
+
+
+# Trial division by the primes below 1000 names a composite's smallest factor
+# when it is one of them; Miller--Rabin to the first 13 prime bases decides
+# the rest and is exact below _MR_LIMIT (Sorenson and Webster, Math. Comp.
+# 86, 2017).
+_SMALL_PRIMES = _primes_below(1000)
+_MR_BASES = _SMALL_PRIMES[:13]
+_MR_LIMIT = 3317044064679887385961981
+_KNOWN_PRIMES: set[int] = set()
+
+
 def check_prime(p: int) -> int:
-    """Return p if it is a prime >= 2, else raise ValueError."""
+    """Return p if it is a prime >= 2, else raise ValueError.
+
+    Primality is decided below 3.3 * 10^24; a larger p is rejected.  Primes
+    already accepted are remembered, since constructors check theirs again.
+    """
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be a prime >= 2, got {p!r}")
-    k = 2
-    while k * k <= p:
+    if p in _KNOWN_PRIMES:
+        return p
+    for k in _SMALL_PRIMES:
+        if k * k > p:
+            break
         if p % k == 0:
             raise ValueError(f"p must be prime, got {p} = {k}*{p // k}")
-        k += 1
+    else:
+        if p >= _MR_LIMIT:
+            raise ValueError(f"p must be below {_MR_LIMIT} for an exact primality "
+                             f"test, got {p}")
+        if not all(_strong_probable_prime(p, a) for a in _MR_BASES):
+            raise ValueError(f"p must be prime, got {p}")
+    _KNOWN_PRIMES.add(p)
     return p
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller--Rabin round: n odd, n - 1 = 2^s d, and a^d = 1 or a^(2^r d) = -1."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def vp_int(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer.
+
+    Divides by the largest p^(2^k) that divides n and then by the smaller
+    squares in turn, so the cost grows with log v, not with v.
+    """
+    if n % p:
+        return 0
+    squares = [p]
+    while n % squares[-1] == 0:
+        squares.append(squares[-1] * squares[-1])
+    v = 0
+    for k in range(len(squares) - 2, -1, -1):
+        if n % squares[k] == 0:
+            n //= squares[k]
+            v += 1 << k
+    return v
 
 
 def vp(x, p: int):
@@ -81,15 +147,7 @@ def vp(x, p: int):
     x = Fraction(x)
     if x == 0:
         return INF
-    v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
 
 
 def is_p_local(x, p: int) -> bool:

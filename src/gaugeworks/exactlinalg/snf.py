@@ -2,18 +2,39 @@
 
 Z_(p) is a discrete valuation ring, so the normal form of any matrix is
 diag(p^e1, ..., p^er, 0, ..., 0) with e1 <= ... <= er: only the prime matters
-and every p-unit is invertible.  The routine below is a total function on
+and every p-unit is invertible.  The routines below are total functions on
 rational matrices; for inputs with entries in Z_(p) the exponents are >= 0,
 and for general rational inputs (used for Frobenius matrices of F-crystals)
 they may be negative.
+
+Elimination runs over the integers (cf. Cohen, GTM 138, 2.4).  Row i is
+scaled by the lcm p^{k_i} w_i of its denominators (w_i a p-unit) and then by
+p^{K - k_i}, K = max k_i, so the integer matrix is p^K W M with W a diagonal
+of units: valuations keep their order and every exponent is an integer
+pivot's valuation minus K.  With pivot p^e u, row i becomes
+``u*row_i - (a_ik / p^e)*row_k`` and is then divided by the p-unit part of
+its gcd (the content step of Bareiss, Math. Comp. 22, 1968); both steps are
+unimodular over Z_(p).  The pivot is the first entry of least valuation in
+row-major order of the trailing block, exactly as in Fraction elimination.
+
+Two entry points share that elimination.  :func:`smith_exponents` reads no
+transforms: once a pivot's column is cleared, the rest of its row never
+affects a later pivot, so the row and column are dropped.
+:func:`smith_normal_form` also returns U and V, equal to those of plain
+Fraction elimination: U applies the true row operations (each integer row is
+a known unit multiple of its true row), and V depends only on the ratios
+a_kj / a_kk within pivot rows, which row scaling leaves unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import islice
+from math import gcd, lcm
 
 from .qmat import QMat
-from .rationals import check_prime, unit_part, vp
+from .rationals import check_prime, vp_int
 
 
 @dataclass(frozen=True)
@@ -35,6 +56,132 @@ class SNF:
         return len(self.exponents)
 
 
+def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], list[int], int]:
+    """The rows of p^K W m as ints, the diagonal of p^K W, and K."""
+    lcms = [lcm(*(x.denominator for x in r)) for r in m.rows]
+    ks = [vp_int(d, p) for d in lcms]
+    big = max(ks, default=0)
+    scales = [d * p ** (big - k) for d, k in zip(lcms, ks)]
+    rows = [[x.numerator * (s // x.denominator) for x in r]
+            for r, s in zip(m.rows, scales)]
+    return rows, scales, big
+
+
+def _pivot(rows: list[list[int]], p: int, width: int | None = None):
+    """(valuation, i, j) of the first entry of least valuation, row-major,
+    among the first ``width`` columns (all by default); None if they are zero."""
+    best = bound = None
+    for i, row in enumerate(rows):
+        for j, x in enumerate(islice(row, width)):
+            # x % p^e != 0 exactly when x has valuation below e
+            if x and (bound is None or x % bound):
+                e = vp_int(x, p)
+                if e == 0:
+                    return 0, i, j
+                best, bound = (e, i, j), p ** e
+    return best
+
+
+def _combine(row: list[int], prow: list[int], unit: int, q: int, p: int):
+    """``unit*row - q*prow`` over the p-unit part g of its gcd, and g."""
+    row = [unit * x - q * y for x, y in zip(row, prow)]
+    g = gcd(*row)
+    g = g // p ** vp_int(g, p) if g > 1 else 1
+    return ([x // g for x in row] if g > 1 else row), g
+
+
+def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
+    """The exponents of :func:`smith_normal_form` alone, without U, D or V.
+
+    >>> from .qmat import QMat
+    >>> smith_exponents(QMat([[2, 3], [3, 9]]), 3)
+    (0, 2)
+    """
+    check_prime(p)
+    rows, _, shift = _integral_rows(m, p)
+    exps = []
+    while (best := _pivot(rows, p)) is not None:
+        e, bi, bj = best
+        prow = rows.pop(bi)
+        pe = p ** e
+        unit = prow[bj] // pe
+        for i, row in enumerate(rows):
+            q = row[bj] // pe
+            if q:
+                row = rows[i] = _combine(row, prow, unit, q, p)[0]
+            del row[bj]
+        exps.append(e - shift)
+    return tuple(exps)
+
+
+def _eliminate(m: QMat, p: int, with_u: bool):
+    """Exponents, U's rows (None unless ``with_u``) and V's columns for ``m``.
+
+    The live rows and columns are positions k, k+1, ... of the Fraction
+    routine at step k; the pivot is swapped to the front of both, as there.
+    With U, each live row carries its integer U row after its live columns,
+    and ``ratios`` holds each integer row over its true row.  A column of V
+    is a pair (integer column w, denominator t), meaning w / t.
+    """
+    check_prime(p)
+    nr, nc = m.shape
+    rows, scales, shift = _integral_rows(m, p)
+    if with_u:
+        rows = [row + [s if j == i else 0 for j in range(nr)]
+                for i, (row, s) in enumerate(zip(rows, scales))]
+        ratios = [Fraction(s) for s in scales]
+    vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
+    exps, u_done, v_done = [], [], []
+    width = nc
+    while (best := _pivot(rows, p, width)) is not None:
+        e, bi, bj = best
+        rows[0], rows[bi] = rows[bi], rows[0]
+        if with_u:
+            ratios[bi] = ratios[0]  # the pivot row's own ratio is not needed
+            del ratios[0]
+        if bj:
+            for row in rows:
+                row[0], row[bj] = row[bj], row[0]
+            vcols[0], vcols[bj] = vcols[bj], vcols[0]
+        prow = rows.pop(0)
+        pe = p ** e
+        unit = prow[0] // pe
+        for i, row in enumerate(rows):
+            q = row[0] // pe
+            if q:
+                row, g = _combine(row, prow, unit, q, p)
+                if with_u:
+                    ratios[i] *= Fraction(unit, g)
+            rows[i] = row[1:]
+        # column j of V gains -(a_kj / a_kk) times the pivot column
+        w0, t0 = vcols.pop(0)
+        for j, a in enumerate(prow[1:width]):
+            q = a // pe
+            if q:
+                w, t = vcols[j]
+                c = unit * t0
+                w = [c * x - q * t * y for x, y in zip(w, w0)]
+                t *= c
+                g = gcd(*w, t)
+                vcols[j] = ([x // g for x in w], t // g) if g > 1 else (w, t)
+        v_done.append((w0, t0))
+        exps.append(e - shift)
+        if with_u:
+            # the true U row over its pivot's unit part: p^shift * unit is the
+            # integer row's ratio times that unit part
+            den = p ** shift * unit
+            u_done.append([Fraction(x, den) for x in prow[width:]])
+        width -= 1
+    if with_u:
+        u_done += [[Fraction(x) / r for x in row[width:]] for row, r in zip(rows, ratios)]
+    return tuple(exps), (u_done if with_u else None), v_done + vcols
+
+
+def _from_cols(cols, n: int) -> QMat:
+    """The QMat whose columns are the pairs (w, t) read as w / t."""
+    return QMat([[Fraction(w[i], t) for w, t in cols] for i in range(n)], ncols=len(cols))
+
+
 def smith_normal_form(m: QMat, p: int) -> SNF:
     """Diagonalize ``m`` by unimodular row and column operations over Z_(p).
 
@@ -42,69 +189,12 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
     >>> smith_normal_form(QMat([[2, 3], [3, 9]]), 3).exponents
     (0, 2)
     """
-    check_prime(p)
-    a = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
-    u = [list(r) for r in QMat.identity(nr).rows]
-    v = [list(r) for r in QMat.identity(nc).rows]
-
-    def row_swap(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-
-    def col_swap(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-    def row_axpy(mat, dst, src, c):
-        mat[dst] = [x + c * y for x, y in zip(mat[dst], mat[src])]
-
-    def col_axpy(mat, dst, src, c):
-        for row in mat:
-            row[dst] = row[dst] + c * row[src]
-
-    k = 0
-    while k < min(nr, nc):
-        # pick the entry of minimal valuation in the trailing block
-        best = None
-        for i in range(k, nr):
-            for j in range(k, nc):
-                if a[i][j] != 0:
-                    val = vp(a[i][j], p)
-                    if best is None or val < best[0]:
-                        best = (val, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != k:
-            row_swap(a, k, bi)
-            row_swap(u, k, bi)
-        if bj != k:
-            col_swap(a, k, bj)
-            col_swap(v, k, bj)
-        # normalize the pivot to an exact power of p (unit scaling is unimodular)
-        unit = unit_part(a[k][k], p)
-        inv = 1 / unit
-        a[k] = [inv * x for x in a[k]]
-        u[k] = [inv * x for x in u[k]]
-        pivot = a[k][k]
-        for i in range(k + 1, nr):
-            if a[i][k] != 0:
-                f = -a[i][k] / pivot  # valuation >= 0 by pivot minimality
-                row_axpy(a, i, k, f)
-                row_axpy(u, i, k, f)
-        for j in range(k + 1, nc):
-            if a[k][j] != 0:
-                f = -a[k][j] / pivot
-                col_axpy(a, j, k, f)
-                col_axpy(v, j, k, f)
-        k += 1
-
-    exps = []
-    for i in range(min(nr, nc)):
-        if a[i][i] != 0:
-            exps.append(vp(a[i][i], p))
-    return SNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
-               v=QMat(v, ncols=nc), exponents=tuple(exps))
+    exps, u, vcols = _eliminate(m, p, with_u=True)
+    d = [[0] * m.ncols for _ in range(m.nrows)]
+    for i, e in enumerate(exps):
+        d[i][i] = Fraction(p) ** e
+    return SNF(prime=p, u=QMat(u, ncols=m.nrows), d=QMat(d, ncols=m.ncols),
+               v=_from_cols(vcols, m.ncols), exponents=exps)
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -113,8 +203,8 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    s = smith_normal_form(m, p)
-    return s.v.take_cols(list(range(s.rank, m.ncols)))
+    exps, _, vcols = _eliminate(m, p, with_u=False)
+    return _from_cols(vcols[len(exps):], m.ncols)
 
 
-__all__ = ["SNF", "smith_normal_form", "kernel_over_zp"]
+__all__ = ["SNF", "smith_normal_form", "smith_exponents", "kernel_over_zp"]

@@ -29,7 +29,8 @@ from fractions import Fraction
 from .errors import LawReport, LawViolation, PrimeMismatchError, WindowError
 from .exactlinalg import (FGModule, ModuleMap, QMat, TwoTermComplex,
                           block_diag, check_prime, homology_two_term, is_p_local,
-                          kernel_over_zp, smith_normal_form, zero_module)
+                          kernel_over_zp, smith_exponents, smith_normal_form,
+                          zero_module)
 from .filphi import PhiModule
 
 
@@ -230,21 +231,15 @@ class FCrystalPoint:
             raise LawViolation("tau_crys must be invertible over the rationals")
 
 
-def _snf_data(c: FCrystalPoint):
-    s = smith_normal_form(c.tau_crys, c.prime)
-    # all diagonal entries are nonzero since tau is invertible
-    return s, list(s.exponents)
-
-
 def filtration_basis(c: FCrystalPoint, i: int) -> QMat:
     """Column basis of Fil^i = {m : tau(m) in p^i M} inside M = Z_(p)^rank.
 
     With U tau V = diag(p^{d_j}), the preimage is spanned by
     p^{max(i - d_j, 0)} (column j of V).
     """
-    s, exps = _snf_data(c)
+    s = smith_normal_form(c.tau_crys, c.prime)
     cols = []
-    for j, d_j in enumerate(exps):
+    for j, d_j in enumerate(s.exponents):
         scale = Fraction(c.prime) ** max(i - d_j, 0)
         cols.append([scale * s.v[r, j] for r in range(c.rank)])
     return QMat.from_cols(cols, c.rank)
@@ -262,7 +257,8 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     if c.rank == 0:
         m = zero_module(p)
         return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.identity(m))
-    s, exps = _snf_data(c)
+    s = smith_normal_form(c.tau_crys, p)
+    exps = s.exponents  # tau is invertible, so all r exponents are present
     a = min(min(exps), 0)
     b = max(max(exps), 0)
     free = FGModule(p, c.rank)
@@ -296,7 +292,7 @@ def filtration_saturation_holds(c: FCrystalPoint) -> bool:
     if c.rank == 0:
         return True
     p = c.prime
-    _, exps = _snf_data(c)
+    exps = smith_exponents(c.tau_crys, p)
     a, b = min(min(exps), 0), max(max(exps), 0)
     full = QMat.identity(c.rank)
     for i in range(a, b + 2):
@@ -344,10 +340,10 @@ def hodge_tate_weights(g: FpGauge) -> dict[int, int]:
         # The quotient has dimension ngens minus the number of unit invariant
         # factors of [p I | u_i | t_{i+1} | relations].  The p I and relation
         # columns vanish mod p, so they never change that number: the Smith
-        # form of [u_i | t_{i+1}] alone counts the same units.
+        # exponents of [u_i | t_{i+1}] alone count the same units.
         stacked = g.u_at(i).matrix.hstack(g.t_at(i + 1).matrix)
-        s = smith_normal_form(stacked, g.prime)
-        dim = m.ngens - sum(1 for e in s.exponents if e == 0)
+        exps = smith_exponents(stacked, g.prime)
+        dim = m.ngens - exps.count(0)
         if dim:
             out[i] = dim
     return out
@@ -359,8 +355,7 @@ def snf_weight_multiset(c: FCrystalPoint) -> dict[int, int]:
     For diag(p^{-n_1}, ..., p^{-n_r}) this is the multiset {-n_j}: the twist
     exponents negated; it must match :func:`hodge_tate_weights` of the gauge.
     """
-    _, exps = _snf_data(c)
     out: dict[int, int] = {}
-    for e in exps:
+    for e in smith_exponents(c.tau_crys, c.prime):
         out[e] = out.get(e, 0) + 1
     return out

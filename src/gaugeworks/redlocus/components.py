@@ -176,13 +176,19 @@ class A1Module:
                 + FpMat.scalar(self.prime, self.dims[-1], i - self.hi))
 
     def x_composite(self, bottom: int, top: int) -> FpMat:
-        """x_{top-1} ... x_bottom; the factors from ``hi`` upward are identities."""
+        """x_{top-1} ... x_bottom: Fil_bottom -> Fil_top; zero from below the window,
+        and the factors from ``hi`` upward are identities."""
+        if bottom < self.lo:
+            return FpMat.zeros(self.prime, self.dim_at(top), 0)
         acc = FpMat.identity(self.prime, self.dim_at(bottom))
         for i in range(bottom, min(top, self.hi)):
             acc = self.x_at(i) @ acc
         return acc
 
     def d_composite(self, top: int, bottom: int) -> FpMat:
+        """D_{bottom+1} ... D_top: Fil_top -> Fil_bottom; zero below the window."""
+        if bottom < self.lo:
+            return FpMat.zeros(self.prime, 0, self.dim_at(top))
         acc = FpMat.identity(self.prime, self.dim_at(top))
         for i in range(top, bottom, -1):
             acc = self.d_at(i) @ acc

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
 
 from gaugeworks.exactlinalg import FpMat, QMat
+from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
+from gaugeworks.exactlinalg.snf import SNF
 from gaugeworks.fgauge import FCrystalPoint
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
@@ -31,6 +34,24 @@ DEFAULT_SEED = 20260808
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(int(os.environ.get("GAUGEWORKS_SEED", DEFAULT_SEED)))
+
+
+class HangGuard:
+    """SIGALRM after ``seconds``: a guard against hangs, not a timing."""
+
+    def __init__(self, seconds: int):
+        self.seconds = seconds
+
+    def __enter__(self):
+        def on_alarm(signum, frame):
+            raise TimeoutError(f"still running after {self.seconds} s")
+        self.previous = signal.signal(signal.SIGALRM, on_alarm)
+        signal.alarm(self.seconds)
+
+    def __exit__(self, *exc):
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, self.previous)
+
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +169,78 @@ def oracle_fp_matmul(p: int, a_rows, b_rows, ncols: int) -> list[list[int]]:
 def oracle_fp_two_term(p: int, rows, nrows: int, ncols: int) -> tuple[int, int]:
     r = oracle_fp_rank(p, rows) if rows else 0
     return (ncols - r, nrows - r)
+
+
+def oracle_snf(m: QMat, p: int) -> SNF:
+    """Smith normal form over Z_(p) by plain Fraction row and column operations.
+
+    The former library routine, kept verbatim: the pivot is the first entry
+    of least valuation in the trailing block (row-major), scaled to an exact
+    power of p, and every U, D and V entry is a Fraction throughout.
+    """
+    check_prime(p)
+    a = [list(r) for r in m.rows]
+    nr, nc = m.nrows, m.ncols
+    u = [list(r) for r in QMat.identity(nr).rows]
+    v = [list(r) for r in QMat.identity(nc).rows]
+
+    def row_swap(mat, i, j):
+        mat[i], mat[j] = mat[j], mat[i]
+
+    def col_swap(mat, i, j):
+        for row in mat:
+            row[i], row[j] = row[j], row[i]
+
+    def row_axpy(mat, dst, src, c):
+        mat[dst] = [x + c * y for x, y in zip(mat[dst], mat[src])]
+
+    def col_axpy(mat, dst, src, c):
+        for row in mat:
+            row[dst] = row[dst] + c * row[src]
+
+    k = 0
+    while k < min(nr, nc):
+        # pick the entry of minimal valuation in the trailing block
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                if a[i][j] != 0:
+                    val = vp(a[i][j], p)
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != k:
+            row_swap(a, k, bi)
+            row_swap(u, k, bi)
+        if bj != k:
+            col_swap(a, k, bj)
+            col_swap(v, k, bj)
+        # normalize the pivot to an exact power of p (unit scaling is unimodular)
+        unit = unit_part(a[k][k], p)
+        inv = 1 / unit
+        a[k] = [inv * x for x in a[k]]
+        u[k] = [inv * x for x in u[k]]
+        pivot = a[k][k]
+        for i in range(k + 1, nr):
+            if a[i][k] != 0:
+                f = -a[i][k] / pivot  # valuation >= 0 by pivot minimality
+                row_axpy(a, i, k, f)
+                row_axpy(u, i, k, f)
+        for j in range(k + 1, nc):
+            if a[k][j] != 0:
+                f = -a[k][j] / pivot
+                col_axpy(a, j, k, f)
+                col_axpy(v, j, k, f)
+        k += 1
+
+    exps = []
+    for i in range(min(nr, nc)):
+        if a[i][i] != 0:
+            exps.append(vp(a[i][i], p))
+    return SNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
+               v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
 def qmat_rows(m: QMat):

@@ -9,6 +9,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from conftest import HangGuard
 from gaugeworks.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -96,6 +97,28 @@ def test_composite_prime_exits_1(capsys):
     code, _ = run_cli(["compute", str(FIXTURES / "malformed" / "bad_prime.json")])
     assert code == 1
     assert "prime" in capsys.readouterr().err
+
+
+def test_prime_past_the_exact_primality_range_exits_1(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    doc = json.loads((FIXTURES / "jobs" / "gauge_torsion.json").read_text(encoding="utf-8"))
+    doc["prime"] = 2 ** 89 - 1  # prime, but beyond 3.3 * 10^24
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["compute", str(path)])[0] == 1
+    assert "must be below" in capsys.readouterr().err
+
+
+# tate1.json still hangs at this prime: _rational_roots enumerates the divisors of p
+@pytest.mark.parametrize("job", [j for j in JOBS if j.name != "tate1.json"],
+                         ids=lambda j: j.stem)
+def test_fixture_jobs_finish_at_a_61_bit_prime(tmp_path, job):
+    doc = json.loads(job.read_text(encoding="utf-8"))
+    doc["prime"] = 2 ** 61 - 1
+    path = tmp_path / job.name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with HangGuard(60):
+        code, out = run_cli(["compute", str(path)])
+    assert code == 0 and f"prime: {2 ** 61 - 1}" in out
 
 
 @pytest.mark.parametrize("name, field", [

@@ -1,19 +1,22 @@
 """Smith normal form, module homology, and dense matrices over Q and F_p."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import (oracle_fp_det, oracle_fp_matmul, oracle_fp_rank,
+from conftest import (HangGuard, oracle_fp_det, oracle_fp_matmul, oracle_fp_rank,
                       oracle_fp_rref, oracle_fp_two_term, oracle_q_det,
-                      oracle_q_matmul, oracle_q_rank, oracle_q_rref, qmat_rows,
-                      rand_unimodular)
+                      oracle_q_matmul, oracle_q_rank, oracle_q_rref, oracle_snf,
+                      qmat_rows, rand_fcrystal, rand_unimodular)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
-                                    TwoTermComplex, fp_homology_two_term,
-                                    homology_two_term, is_p_local,
-                                    kernel_over_zp, parse_rational,
-                                    smith_normal_form, vp, zero_module)
+                                    TwoTermComplex, check_prime,
+                                    fp_homology_two_term, homology_two_term,
+                                    is_p_local, kernel_over_zp, parse_rational,
+                                    smith_exponents, smith_normal_form, vp,
+                                    zero_module)
+from gaugeworks.exactlinalg import rationals
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +31,84 @@ def test_valuations():
     assert INF > 10 ** 9 and not (INF < 5)
     assert is_p_local(Fraction(7, 10), 3)
     assert not is_p_local(Fraction(1, 3), 3)
+
+
+def loop_vp(x, p):
+    """The former valuation: divide by p one step at a time."""
+    x = Fraction(x)
+    if x == 0:
+        return INF
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101, 2 ** 61 - 1])
+def test_vp_matches_the_division_loop(rng, p):
+    for _ in range(300):
+        num = rng.choice([-1, 1]) * rng.randint(1, 10 ** 6) * p ** rng.randint(0, 70)
+        den = rng.randint(1, 10 ** 6) * p ** rng.randint(0, 70)
+        x = Fraction(num, den) if rng.random() < 0.9 else Fraction(0)
+        assert vp(x, p) == loop_vp(x, p)
+        if x:
+            assert rationals.vp_int(x.numerator, p) == loop_vp(x.numerator, p)
+
+
+def test_vp_of_a_large_power_descends_through_squares():
+    with HangGuard(60):
+        assert vp(3 ** 100000, 3) == 100000
+        assert vp(Fraction(2, 3 ** 100000 * 5), 3) == -100000
+
+
+def smallest_factor(n: int):
+    """Smallest prime factor of n >= 2 by trial division; None for a prime."""
+    return next((k for k in range(2, isqrt(n) + 1) if n % k == 0), None)
+
+
+def test_check_prime_agrees_with_trial_division_below_10_5():
+    for n in range(-2, 10 ** 5):
+        k = smallest_factor(n) if n >= 2 else 0
+        if k is None:
+            assert check_prime(n) == n
+            continue
+        try:
+            check_prime(n)
+        except ValueError as err:
+            # a composite names its smallest factor, as trial division did
+            want = (f"p must be prime, got {n} = {k}*{n // k}" if k
+                    else f"p must be a prime >= 2, got {n!r}")
+            assert str(err) == want
+        else:
+            raise AssertionError(f"check_prime accepted {n}")
+
+
+def test_check_prime_rejects_strong_pseudoprimes():
+    # 3215031751 passes Miller-Rabin to bases 2, 3, 5 and 7; the other two
+    # have no factor below 1000 and pass bases 2..31 and 2..37 respectively
+    assert all(rationals._strong_probable_prime(3215031751, a) for a in (2, 3, 5, 7))
+    assert not all(rationals._strong_probable_prime(3215031751, a)
+                   for a in rationals._MR_BASES)
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        with pytest.raises(ValueError, match="must be prime"):
+            check_prime(n)
+    assert all(rationals._strong_probable_prime(318665857834031151167461, a)
+               for a in rationals._MR_BASES[:12])
+
+
+def test_check_prime_decides_large_primes_and_remembers_them():
+    for p in (10 ** 6 + 3, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert check_prime(p) == p and p in rationals._KNOWN_PRIMES
+        assert check_prime(p) == p
+    with pytest.raises(ValueError, match="must be below"):
+        check_prime(2 ** 89 - 1)  # prime, but past the exact range of the bases
+    for bad in (True, 1.0, "7", None):
+        with pytest.raises(ValueError, match="prime >= 2"):
+            check_prime(bad)
 
 
 def test_rational_parsing_is_exact():
@@ -114,6 +195,76 @@ def test_kernel_over_zp_is_saturated(rng):
     # be a Z_(p)-combination of the basis
     sol = k.solve(QMat.from_cols([[Fraction(-3), Fraction(1), Fraction(0)]], 3))
     assert sol is not None and all(is_p_local(x, p) for r in sol.rows for x in r)
+
+
+SNF_PRIMES = [2, 3, 101, 2 ** 61 - 1]
+
+
+def _unit(rng, p):
+    return rng.choice([u for u in (-3, -2, -1, 1, 2, 3, 4, 5, 7, p - 1, p + 1) if u % p])
+
+
+def _snf_input(rng, p, family) -> QMat:
+    nr, nc = rng.randint(0, 6), rng.randint(0, 6)
+
+    def entry(lo=0, hi=3):
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(_unit(rng, p) * p ** rng.randint(0, hi),
+                        _unit(rng, p) * p ** rng.randint(0, -lo))
+
+    if family == "fcrystal":
+        return rand_fcrystal(rng, p, max_rank=6).tau_crys
+    if family == "torsion":
+        # [map | relations of the target], as cokernel and kernel stack them
+        torsion = tuple(sorted(rng.randint(1, 3) for _ in range(rng.randint(0, 3))))
+        target = FGModule(p, rng.randint(0, 3), torsion)
+        image = QMat([[entry() for _ in range(nc)] for _ in range(target.ngens)],
+                     ncols=nc)
+        return image.hstack(target.relation_matrix().scale(rng.choice([1, -1])))
+    if family == "negative":
+        return QMat([[entry(-4, 2) for _ in range(nc)] for _ in range(nr)], ncols=nc)
+    if family == "zero-lines":
+        rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+        for i in rng.sample(range(nr), rng.randint(0, nr)):
+            rows[i] = [Fraction(0)] * nc
+        for j in rng.sample(range(nc), rng.randint(0, nc)):
+            for row in rows:
+                row[j] = Fraction(0)
+        return QMat(rows, ncols=nc)
+    if family == "empty":
+        n = rng.randint(0, 4)
+        nr, nc = rng.choice([(0, n), (n, 0), (0, 0)])
+        return QMat([[0] * nc for _ in range(nr)], ncols=nc)
+    assert family == "2000-bit"
+    nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+    return QMat([[Fraction(rng.choice([-1, 1]) * rng.getrandbits(2000) * p ** rng.randint(0, 2),
+                           (rng.getrandbits(2000) | 1) * p ** rng.randint(0, 2))
+                  for _ in range(nc)] for _ in range(nr)], ncols=nc)
+
+
+@pytest.mark.parametrize("p", SNF_PRIMES)
+@pytest.mark.parametrize("family", ["fcrystal", "torsion", "negative", "zero-lines",
+                                    "empty", "2000-bit"])
+def test_snf_matches_fraction_oracle(rng, family, p):
+    for _ in range(12 if family != "2000-bit" else 4):
+        m = _snf_input(rng, p, family)
+        s, o = smith_normal_form(m, p), oracle_snf(m, p)
+        assert s.prime == o.prime == p
+        assert s.u == o.u
+        assert s.d == o.d
+        assert s.v == o.v
+        assert s.exponents == o.exponents
+        assert smith_exponents(m, p) == o.exponents
+        assert s.u @ m @ s.v == s.d
+        assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, m.ncols)))
+
+
+def test_smith_exponents_of_an_empty_or_zero_matrix():
+    assert smith_exponents(QMat.zeros(0, 3), 3) == ()
+    assert smith_exponents(QMat.zeros(3, 0), 3) == ()
+    assert smith_exponents(QMat.zeros(2, 2), 3) == ()
+    assert smith_exponents(QMat([[Fraction(1, 9), 0], [0, 6]]), 3) == (-2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from conftest import rand_fcrystal
 from gaugeworks.errors import WindowError
 from gaugeworks.cli import build_fgauge
-from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
-                                    smith_normal_form, vp, zero_module)
+from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
+                                    kernel_over_zp, smith_normal_form, vp,
+                                    zero_module)
 from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
@@ -341,3 +343,32 @@ def test_weights_match_the_four_block_formula(rng):
                for _ in range(12)]
     for g in gauges:
         assert hodge_tate_weights(g) == four_block_weights(g)
+
+
+def _count_calls(monkeypatch, fn, calls):
+    """Wrap ``fn`` at every gaugeworks module that binds it; calls go to ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    for name, mod in list(sys.modules.items()):
+        if name == "gaugeworks" or name.startswith("gaugeworks."):
+            for key, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, key, wrapper)
+
+
+def test_weights_and_cokernels_read_exponents_only(monkeypatch):
+    # hodge_tate_weights and cokernel read no transform, so they take Smith
+    # exponents only and build neither U and V nor a kernel basis
+    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "gauge_torsion.json"
+    doc = json.loads(job.read_text(encoding="utf-8"))
+    g = build_fgauge(doc["prime"], doc["payload"])
+    calls = []
+    for fn in (smith_normal_form, kernel_over_zp):
+        _count_calls(monkeypatch, fn, calls)
+    weights = hodge_tate_weights(g)
+    cokernels = [cokernel(d) for d in g.t + g.u + (g.tau,)]
+    assert calls == []
+    assert weights and len(cokernels) == 2 * len(g.t) + 1
+    gauge_from_fcrystal(FCrystalPoint(3, 1, QMat([[3]])))  # the counter does count
+    assert calls == ["smith_normal_form"]

@@ -536,3 +536,52 @@ def test_tensor_and_dual_on_random_glued(rng, trial):
     d = dual_reduced(g1)
     rd = reduced_syntomic_cohomology(d)
     assert rd.euler == rd.component_euler()
+
+
+def _count_bk_work(monkeypatch, cases):
+    """Calls of D_i, x_i, ``@`` and ``power`` made by building each bk twist
+    (n, p) in ``cases`` and computing its cohomology; the at most 2 log2(p)
+    products inside one ``power`` (Theta^p) count as that one call."""
+    counts = {}
+    inside_power = []
+
+    def counting(key, fn):
+        def wrapper(*args):
+            if not inside_power:
+                counts[key] = counts.get(key, 0) + 1
+            if key != "power":
+                return fn(*args)
+            inside_power.append(True)
+            try:
+                return fn(*args)
+            finally:
+                inside_power.pop()
+        return wrapper
+
+    monkeypatch.setattr(A1Module, "d_at", counting("d_at", A1Module.d_at))
+    monkeypatch.setattr(A1Module, "x_at", counting("x_at", A1Module.x_at))
+    monkeypatch.setattr(FpMat, "__matmul__", counting("@", FpMat.__matmul__))
+    monkeypatch.setattr(FpMat, "power", counting("power", FpMat.power))
+    seen = []
+    for n, p in cases:
+        counts.clear()
+        reduced_syntomic_cohomology(bk_reduced(n, p))
+        seen.append(dict(counts))
+    assert all(seen[0][key] for key in ("d_at", "x_at", "@", "power"))
+    return seen
+
+
+@pytest.mark.parametrize("n", [-3, -2, -1, 1, 2, 3])
+def test_bk_work_does_not_grow_with_p(monkeypatch, n):
+    # D composites that reach below the window are zero at once, so a bk
+    # twist and its cohomology take as many steps at p = 10^6 + 3 as at 7
+    # (counted, not timed)
+    small, large = _count_bk_work(monkeypatch, [(n, 7), (n, 10 ** 6 + 3)])
+    assert small == large
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_bk_work_does_not_grow_with_the_twist(monkeypatch, sign):
+    # x composites that start below the window are zero at once too
+    small, large = _count_bk_work(monkeypatch, [(30 * sign, 7), (3000 * sign, 7)])
+    assert small == large
