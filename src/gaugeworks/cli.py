@@ -205,10 +205,7 @@ def build_fgauge(p: int, payload: dict) -> FpGauge:
         for k, data in enumerate(raw):
             mat = _rational_matrix(data, targets[k].ngens, sources[k].ngens,
                                    f"payload.{field}[{k}]")
-            try:
-                out.append(ModuleMap(sources[k], targets[k], mat))
-            except LawViolation:
-                raise
+            out.append(ModuleMap(sources[k], targets[k], mat))
         return tuple(out)
 
     ts = maps("t", modules[1:], modules[:-1])

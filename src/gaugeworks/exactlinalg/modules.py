@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ..errors import LawViolation, PrimeMismatchError
 from .qmat import QMat
-from .rationals import check_prime, is_p_local, vp
+from .rationals import check_prime, vp, vp_int
 from .snf import kernel_over_zp, smith_exponents
 
 
@@ -99,22 +99,25 @@ class ModuleMap:
                 f"matrix shape {self.matrix.shape} does not match "
                 f"{self.target.ngens} target x {self.source.ngens} source generators")
         p = self.prime
-        for i in range(self.target.ngens):
-            for j in range(self.source.ngens):
-                x = self.matrix[i, j]
-                if not is_p_local(x, p):
+        for i, row in enumerate(self.matrix.rows):
+            f = self.target.order_exponent(i)
+            for j, x in enumerate(row):
+                if not x:
+                    continue
+                # QMat entries are Fractions in lowest terms
+                if x.denominator % p == 0:
                     raise LawViolation(
                         "module map entries must lie in Z_(p)",
                         f"entry ({i},{j}) = {x}")
                 e = self.source.order_exponent(j)
-                f = self.target.order_exponent(i)
-                if e is None or x == 0:
+                if e is None:
                     continue
                 if f is None:
                     raise LawViolation(
                         "image of a torsion generator must be torsion",
                         f"entry ({i},{j}) = {x} maps order p^{e} into a free factor")
-                if vp(x, p) < f - e:
+                # the denominator is a p-unit, so vp(x) is the numerator's
+                if vp_int(x.numerator, p) < f - e:
                     raise LawViolation(
                         "matrix must respect torsion orders",
                         f"entry ({i},{j}) = {x} needs valuation >= {f - e}")

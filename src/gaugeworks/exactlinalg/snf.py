@@ -15,22 +15,22 @@ pivot's valuation minus K.  With pivot p^e u, row i becomes
 ``u*row_i - (a_ik / p^e)*row_k`` and is then divided by the p-unit part of
 its gcd (the content step of Bareiss, Math. Comp. 22, 1968); both steps are
 unimodular over Z_(p).  The pivot is the first entry of least valuation in
-row-major order of the trailing block, exactly as in Fraction elimination.
+row-major order of the trailing block, exactly as in Fraction elimination,
+and is swapped to the front of the live rows and columns, as there.
 
-Two entry points share that elimination.  :func:`smith_exponents` reads no
-transforms: once a pivot's column is cleared, the rest of its row never
-affects a later pivot, so the row and column are dropped.
-:func:`smith_normal_form` also returns U and V, equal to those of plain
-Fraction elimination: U applies the true row operations (each integer row is
-a known unit multiple of its true row), and V depends only on the ratios
-a_kj / a_kk within pivot rows, which row scaling leaves unchanged.
+Every entry point reads that one elimination.  :func:`smith_exponents` takes
+the exponents alone.  :func:`smith_normal_form` and :func:`kernel_over_zp`
+also build V, equal to that of plain Fraction elimination: V depends only on
+the ratios a_kj / a_kk within pivot rows, which row scaling leaves unchanged.
+No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
+a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
+from M V.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .qmat import QMat
@@ -39,15 +39,13 @@ from .rationals import check_prime, vp_int
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V = D with U, V invertible over Z_(p).
+    """U @ M @ V = D with U, V invertible over Z_(p); only V is kept.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries of D,
     weakly increasing; the remaining diagonal of D is zero.
     """
 
     prime: int
-    u: QMat
-    d: QMat
     v: QMat
     exponents: tuple[int, ...]
 
@@ -56,23 +54,23 @@ class SNF:
         return len(self.exponents)
 
 
-def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], list[int], int]:
-    """The rows of p^K W m as ints, the diagonal of p^K W, and K."""
+def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
+    """The rows of p^K W m as ints, and K."""
     lcms = [lcm(*(x.denominator for x in r)) for r in m.rows]
     ks = [vp_int(d, p) for d in lcms]
     big = max(ks, default=0)
     scales = [d * p ** (big - k) for d, k in zip(lcms, ks)]
     rows = [[x.numerator * (s // x.denominator) for x in r]
             for r, s in zip(m.rows, scales)]
-    return rows, scales, big
+    return rows, big
 
 
-def _pivot(rows: list[list[int]], p: int, width: int | None = None):
-    """(valuation, i, j) of the first entry of least valuation, row-major,
-    among the first ``width`` columns (all by default); None if they are zero."""
+def _pivot(rows: list[list[int]], p: int):
+    """(valuation, i, j) of the first entry of least valuation, row-major;
+    None if every entry is zero."""
     best = bound = None
     for i, row in enumerate(rows):
-        for j, x in enumerate(islice(row, width)):
+        for j, x in enumerate(row):
             # x % p^e != 0 exactly when x has valuation below e
             if x and (bound is None or x % bound):
                 e = vp_int(x, p)
@@ -82,80 +80,61 @@ def _pivot(rows: list[list[int]], p: int, width: int | None = None):
     return best
 
 
-def _combine(row: list[int], prow: list[int], unit: int, q: int, p: int):
-    """``unit*row - q*prow`` over the p-unit part g of its gcd, and g."""
+def _combine(row: list[int], prow: list[int], unit: int, q: int, p: int) -> list[int]:
+    """``unit*row - q*prow`` over the p-unit part of its gcd."""
     row = [unit * x - q * y for x, y in zip(row, prow)]
     g = gcd(*row)
     g = g // p ** vp_int(g, p) if g > 1 else 1
-    return ([x // g for x in row] if g > 1 else row), g
+    return [x // g for x in row] if g > 1 else row
 
 
-def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
-    """The exponents of :func:`smith_normal_form` alone, without U, D or V.
-
-    >>> from .qmat import QMat
-    >>> smith_exponents(QMat([[2, 3], [3, 9]]), 3)
-    (0, 2)
-    """
-    check_prime(p)
-    rows, _, shift = _integral_rows(m, p)
-    exps = []
-    while (best := _pivot(rows, p)) is not None:
-        e, bi, bj = best
-        prow = rows.pop(bi)
-        pe = p ** e
-        unit = prow[bj] // pe
-        for i, row in enumerate(rows):
-            q = row[bj] // pe
-            if q:
-                row = rows[i] = _combine(row, prow, unit, q, p)[0]
-            del row[bj]
-        exps.append(e - shift)
-    return tuple(exps)
-
-
-def _eliminate(m: QMat, p: int, with_u: bool):
-    """Exponents, U's rows (None unless ``with_u``) and V's columns for ``m``.
+def _eliminate(m: QMat, p: int):
+    """Yield (exponent, j, pivot row, p^e, unit) for each pivot of ``m``.
 
     The live rows and columns are positions k, k+1, ... of the Fraction
-    routine at step k; the pivot is swapped to the front of both, as there.
-    With U, each live row carries its integer U row after its live columns,
-    and ``ratios`` holds each integer row over its true row.  A column of V
-    is a pair (integer column w, denominator t), meaning w / t.
+    routine at step k.  ``j`` is the live column swapped to the front, and
+    the pivot row is yielded in the swapped order, pivot p^e * unit first.
     """
     check_prime(p)
-    nr, nc = m.shape
-    rows, scales, shift = _integral_rows(m, p)
-    if with_u:
-        rows = [row + [s if j == i else 0 for j in range(nr)]
-                for i, (row, s) in enumerate(zip(rows, scales))]
-        ratios = [Fraction(s) for s in scales]
-    vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
-    exps, u_done, v_done = [], [], []
-    width = nc
-    while (best := _pivot(rows, p, width)) is not None:
+    rows, shift = _integral_rows(m, p)
+    while (best := _pivot(rows, p)) is not None:
         e, bi, bj = best
         rows[0], rows[bi] = rows[bi], rows[0]
-        if with_u:
-            ratios[bi] = ratios[0]  # the pivot row's own ratio is not needed
-            del ratios[0]
         if bj:
             for row in rows:
                 row[0], row[bj] = row[bj], row[0]
-            vcols[0], vcols[bj] = vcols[bj], vcols[0]
         prow = rows.pop(0)
         pe = p ** e
         unit = prow[0] // pe
         for i, row in enumerate(rows):
             q = row[0] // pe
-            if q:
-                row, g = _combine(row, prow, unit, q, p)
-                if with_u:
-                    ratios[i] *= Fraction(unit, g)
-            rows[i] = row[1:]
+            rows[i] = (_combine(row, prow, unit, q, p) if q else row)[1:]
+        yield e - shift, bj, prow, pe, unit
+
+
+def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
+    """The exponents of :func:`smith_normal_form` alone, without V.
+
+    >>> from .qmat import QMat
+    >>> smith_exponents(QMat([[2, 3], [3, 9]]), 3)
+    (0, 2)
+    """
+    return tuple(e for e, *_ in _eliminate(m, p))
+
+
+def _v_columns(m: QMat, p: int):
+    """Exponents and V's columns for ``m``.
+
+    A column of V is a pair (integer column w, denominator t), meaning w / t.
+    """
+    nc = m.ncols
+    vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
+    exps, v_done = [], []
+    for e, bj, prow, pe, unit in _eliminate(m, p):
+        vcols[0], vcols[bj] = vcols[bj], vcols[0]
         # column j of V gains -(a_kj / a_kk) times the pivot column
         w0, t0 = vcols.pop(0)
-        for j, a in enumerate(prow[1:width]):
+        for j, a in enumerate(prow[1:]):
             q = a // pe
             if q:
                 w, t = vcols[j]
@@ -165,16 +144,8 @@ def _eliminate(m: QMat, p: int, with_u: bool):
                 g = gcd(*w, t)
                 vcols[j] = ([x // g for x in w], t // g) if g > 1 else (w, t)
         v_done.append((w0, t0))
-        exps.append(e - shift)
-        if with_u:
-            # the true U row over its pivot's unit part: p^shift * unit is the
-            # integer row's ratio times that unit part
-            den = p ** shift * unit
-            u_done.append([Fraction(x, den) for x in prow[width:]])
-        width -= 1
-    if with_u:
-        u_done += [[Fraction(x) / r for x in row[width:]] for row, r in zip(rows, ratios)]
-    return tuple(exps), (u_done if with_u else None), v_done + vcols
+        exps.append(e)
+    return tuple(exps), v_done + vcols
 
 
 def _from_cols(cols, n: int) -> QMat:
@@ -189,12 +160,8 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
     >>> smith_normal_form(QMat([[2, 3], [3, 9]]), 3).exponents
     (0, 2)
     """
-    exps, u, vcols = _eliminate(m, p, with_u=True)
-    d = [[0] * m.ncols for _ in range(m.nrows)]
-    for i, e in enumerate(exps):
-        d[i][i] = Fraction(p) ** e
-    return SNF(prime=p, u=QMat(u, ncols=m.nrows), d=QMat(d, ncols=m.ncols),
-               v=_from_cols(vcols, m.ncols), exponents=exps)
+    exps, vcols = _v_columns(m, p)
+    return SNF(prime=p, v=_from_cols(vcols, m.ncols), exponents=exps)
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -203,7 +170,7 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    exps, _, vcols = _eliminate(m, p, with_u=False)
+    exps, vcols = _v_columns(m, p)
     return _from_cols(vcols[len(exps):], m.ncols)
 
 

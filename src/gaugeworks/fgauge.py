@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LawReport, LawViolation, PrimeMismatchError, WindowError
-from .exactlinalg import (FGModule, ModuleMap, QMat, TwoTermComplex,
+from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, TwoTermComplex,
                           block_diag, check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_exponents, smith_normal_form,
                           zero_module)
@@ -237,12 +237,17 @@ def filtration_basis(c: FCrystalPoint, i: int) -> QMat:
     With U tau V = diag(p^{d_j}), the preimage is spanned by
     p^{max(i - d_j, 0)} (column j of V).
     """
-    s = smith_normal_form(c.tau_crys, c.prime)
+    return _filtration_basis(smith_normal_form(c.tau_crys, c.prime), i)
+
+
+def _filtration_basis(s: SNF, i: int) -> QMat:
+    """:func:`filtration_basis` read off the Smith form ``s`` of tau."""
+    n = s.v.nrows
     cols = []
     for j, d_j in enumerate(s.exponents):
-        scale = Fraction(c.prime) ** max(i - d_j, 0)
-        cols.append([scale * s.v[r, j] for r in range(c.rank)])
-    return QMat.from_cols(cols, c.rank)
+        scale = Fraction(s.prime) ** max(i - d_j, 0)
+        cols.append([scale * s.v[r, j] for r in range(n)])
+    return QMat.from_cols(cols, n)
 
 
 def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
@@ -270,8 +275,10 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
         ts.append(ModuleMap(free, free, QMat.diagonal(tdiag)))
         us.append(ModuleMap(free, free, QMat.diagonal(udiag)))
     # in the bases B_i = V diag(p^{max(i - d_j, 0)}), tau of the gauge is
-    # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} U^{-1}: unimodular
-    tau = ModuleMap(free, free, s.v.inverse() @ s.u.inverse())
+    # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} tau_crys V diag(p^{-d_j}), which
+    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular
+    unscale = QMat.diagonal([Fraction(p) ** -d for d in exps])
+    tau = ModuleMap(free, free, s.v.inverse() @ c.tau_crys @ s.v @ unscale)
     return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
 
 
@@ -292,12 +299,12 @@ def filtration_saturation_holds(c: FCrystalPoint) -> bool:
     if c.rank == 0:
         return True
     p = c.prime
-    exps = smith_exponents(c.tau_crys, p)
-    a, b = min(min(exps), 0), max(max(exps), 0)
+    s = smith_normal_form(c.tau_crys, p)
+    a, b = min(min(s.exponents), 0), max(max(s.exponents), 0)
     full = QMat.identity(c.rank)
     for i in range(a, b + 2):
-        lhs = _lattice_intersection(full.scale(p), filtration_basis(c, i), p)
-        rhs = filtration_basis(c, i - 1).scale(p)
+        lhs = _lattice_intersection(full.scale(p), _filtration_basis(s, i), p)
+        rhs = _filtration_basis(s, i - 1).scale(p)
         if not (_lattice_contains(lhs, rhs, p) and _lattice_contains(rhs, lhs, p)):
             return False
     return True
@@ -309,8 +316,9 @@ def _lattice_intersection(b1: QMat, b2: QMat, p: int) -> QMat:
     coeffs = ker.take_rows(list(range(b1.ncols)))
     vecs = b1 @ coeffs
     s = smith_normal_form(vecs, p)
-    # a basis of the (full-rank) intersection: U^{-1} diag(p^e)
-    return s.u.inverse() @ s.d.take_cols(list(range(s.rank)))
+    # a basis of the (full-rank) intersection: the first rank columns of
+    # U^{-1} D, which is vecs V
+    return vecs @ s.v.take_cols(list(range(s.rank)))
 
 
 def _lattice_contains(outer: QMat, inner: QMat, p: int) -> bool:

@@ -15,12 +15,12 @@ import os
 import random
 import signal
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from gaugeworks.exactlinalg import FpMat, QMat
 from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
-from gaugeworks.exactlinalg.snf import SNF
 from gaugeworks.fgauge import FCrystalPoint
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
@@ -171,7 +171,21 @@ def oracle_fp_two_term(p: int, rows, nrows: int, ncols: int) -> tuple[int, int]:
     return (ncols - r, nrows - r)
 
 
-def oracle_snf(m: QMat, p: int) -> SNF:
+class OracleSNF(NamedTuple):
+    """U @ M @ V = D, with U and V invertible over Z_(p)."""
+
+    prime: int
+    u: QMat
+    d: QMat
+    v: QMat
+    exponents: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.exponents)
+
+
+def oracle_snf(m: QMat, p: int) -> OracleSNF:
     """Smith normal form over Z_(p) by plain Fraction row and column operations.
 
     The former library routine, kept verbatim: the pivot is the first entry
@@ -239,8 +253,8 @@ def oracle_snf(m: QMat, p: int) -> SNF:
     for i in range(min(nr, nc)):
         if a[i][i] != 0:
             exps.append(vp(a[i][i], p))
-    return SNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
-               v=QMat(v, ncols=nc), exponents=tuple(exps))
+    return OracleSNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
+                     v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
 def qmat_rows(m: QMat):

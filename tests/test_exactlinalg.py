@@ -127,16 +127,20 @@ def test_rational_parsing_is_exact():
 
 
 def test_snf_identity_case():
-    s = smith_normal_form(QMat.identity(2), 3)
+    m = QMat.identity(2)
+    s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 0)
-    assert s.d == QMat.identity(2)
-    assert s.u == QMat.identity(2) and s.v == QMat.identity(2)
+    assert o.d == QMat.identity(2) and o.u == QMat.identity(2)
+    assert s.v == QMat.identity(2)
+    assert m @ s.v == o.u.inverse() @ o.d
 
 
 def test_snf_permutes_diagonal():
-    s = smith_normal_form(QMat([[3, 0], [0, 1]]), 3)
+    m = QMat([[3, 0], [0, 1]])
+    s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 1)
-    assert s.d == QMat([[1, 0], [0, 3]])
+    assert o.d == QMat([[1, 0], [0, 3]])
+    assert m @ s.v == o.u.inverse() @ o.d
 
 
 def test_snf_unit_pivot_example():
@@ -144,9 +148,9 @@ def test_snf_unit_pivot_example():
     # determinant valuation 2 in the corner (value frozen from brute-force
     # row/column reduction)
     m = QMat([[2, 3], [3, 9]])
-    s = smith_normal_form(m, 3)
+    s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 2)
-    assert s.u @ m @ s.v == s.d
+    assert m @ s.v == o.u.inverse() @ o.d
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -162,14 +166,14 @@ def test_snf_roundtrip_randomized(rng, trial):
         return Fraction(rng.choice(units)) * p ** rng.randint(0, 4)
 
     m = QMat([[entry() for _ in range(nc)] for _ in range(nr)], ncols=nc)
-    s = smith_normal_form(m, p)
-    assert s.u @ m @ s.v == s.d
+    s, o = smith_normal_form(m, p), oracle_snf(m, p)
+    assert m @ s.v == o.u.inverse() @ o.d
     assert list(s.exponents) == sorted(s.exponents)
-    assert vp(s.u.det(), p) == 0 and vp(s.v.det(), p) == 0
+    assert vp(o.u.det(), p) == 0 and vp(s.v.det(), p) == 0
     for i in range(min(nr, nc)):
         for j in range(min(nr, nc)):
             if i != j:
-                assert s.d[i, j] == 0
+                assert o.d[i, j] == 0
 
 
 @pytest.mark.parametrize("trial", range(25))
@@ -251,12 +255,10 @@ def test_snf_matches_fraction_oracle(rng, family, p):
         m = _snf_input(rng, p, family)
         s, o = smith_normal_form(m, p), oracle_snf(m, p)
         assert s.prime == o.prime == p
-        assert s.u == o.u
-        assert s.d == o.d
         assert s.v == o.v
         assert s.exponents == o.exponents
         assert smith_exponents(m, p) == o.exponents
-        assert s.u @ m @ s.v == s.d
+        assert m @ s.v == o.u.inverse() @ o.d
         assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, m.ncols)))
 
 
@@ -314,6 +316,15 @@ def test_torsion_respect_is_enforced():
     ModuleMap(src, tgt, QMat([[p]]))  # valuation 1 is enough
     with pytest.raises(LawViolation):
         ModuleMap(src, FGModule(p, 1), QMat([[1]]))  # torsion into free
+
+
+def test_module_map_entries_must_be_p_local():
+    m = FGModule(3, 1)
+    with pytest.raises(LawViolation) as err:
+        ModuleMap(m, m, QMat([[Fraction(1, 3)]]))
+    assert err.value.law == "module map entries must lie in Z_(p)"
+    assert str(err.value) == "module map entries must lie in Z_(p) [entry (0,0) = 1/3]"
+    ModuleMap(m, m, QMat([[Fraction(1, 2)]]))  # 2 is a unit at 3
 
 
 @pytest.mark.parametrize("trial", range(30))

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_fcrystal
+from conftest import oracle_snf, rand_fcrystal
+from gaugeworks import fgauge
 from gaugeworks.errors import WindowError
 from gaugeworks.cli import build_fgauge
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
-                                    kernel_over_zp, smith_normal_form, vp,
-                                    zero_module)
+                                    kernel_over_zp, smith_exponents,
+                                    smith_normal_form, vp, zero_module)
 from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
@@ -146,6 +147,19 @@ def test_realization_roundtrip_up_to_base_change(rng, trial):
     assert phi == v.inverse() @ c.tau_crys @ v
 
 
+def test_gauge_tau_equals_the_oracle_transform(rng):
+    # tau of the gauge is V^{-1} U^{-1} for U tau_crys V = D, built from V alone
+    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "fcrystal.json"
+    doc = json.loads(job.read_text(encoding="utf-8"))
+    fc = doc["payload"]["fcrystal"]
+    tau = QMat([[Fraction(x) for x in row] for row in fc["tau"]])
+    crystals = [FCrystalPoint(doc["prime"], fc["rank"], tau)]
+    crystals += [rand_fcrystal(rng, rng.choice([2, 3, 5, 7])) for _ in range(40)]
+    for c in crystals:
+        o = oracle_snf(c.tau_crys, c.prime)
+        assert gauge_from_fcrystal(c).tau.matrix == o.v.inverse() @ o.u.inverse()
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_rational_comparison_with_derived_invariants(rng, trial):
     p = rng.choice([3, 5])
@@ -206,6 +220,23 @@ def test_mod_p_filtration_injectivity(rng, trial):
     # Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2} are injective
     c = rand_fcrystal(rng, rng.choice([3, 5]))
     assert filtration_saturation_holds(c)
+
+
+def test_saturation_check_takes_one_smith_form_of_tau(monkeypatch):
+    # exponents (1, 3): every Fil^i at the five window indices is read off
+    # one Smith form of tau
+    c = FCrystalPoint(3, 2, QMat([[3, 3], [0, 27]]))
+    assert smith_exponents(c.tau_crys, 3) == (1, 3)
+    of_tau = []
+
+    def counting(m, p):
+        if m is c.tau_crys:
+            of_tau.append(m)
+        return smith_normal_form(m, p)
+
+    monkeypatch.setattr(fgauge, "smith_normal_form", counting)
+    assert filtration_saturation_holds(c)
+    assert len(of_tau) == 1
 
 
 def test_saturation_fails_for_an_unsaturated_filtration():
@@ -359,7 +390,7 @@ def _count_calls(monkeypatch, fn, calls):
 
 def test_weights_and_cokernels_read_exponents_only(monkeypatch):
     # hodge_tate_weights and cokernel read no transform, so they take Smith
-    # exponents only and build neither U and V nor a kernel basis
+    # exponents only and build neither V nor a kernel basis
     job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "gauge_torsion.json"
     doc = json.loads(job.read_text(encoding="utf-8"))
     g = build_fgauge(doc["prime"], doc["payload"])
