@@ -23,12 +23,12 @@ share across threads.
 
 from . import beilinson, cli, exactlinalg, fgauge, filphi, higgs, redlocus
 from .errors import (LawReport, LawViolation, NonHonestFiltrationError,
-                     PrimeMismatchError, SchemaError, WindowError)
+                     PrimeMismatchError, SchemaError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "exactlinalg", "filphi", "beilinson", "fgauge", "redlocus", "higgs",
     "cli", "SchemaError", "LawViolation", "LawReport", "PrimeMismatchError",
-    "NonHonestFiltrationError", "WindowError",
+    "NonHonestFiltrationError",
 ]

@@ -30,9 +30,9 @@ from .beilinson import corners, fm_fibre, verify_cartesian
 from .errors import LawReport, LawViolation, SchemaError
 from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
                           format_rational, parse_rational)
-from .fgauge import (FCrystalPoint, FpGauge, extend_window,
-                     gauge_from_fcrystal, hodge_tate_weights,
-                     rational_realization, syntomic_cohomology, validate)
+from .fgauge import (FCrystalPoint, FpGauge, gauge_from_fcrystal,
+                     hodge_tate_weights, rational_realization,
+                     syntomic_cohomology, validate)
 from .filphi import (FilteredPhiModule, FilteredSpace, hodge_number,
                      is_weakly_admissible, newton_number, rhom_mfphi, tate)
 from .higgs import GradedHiggsModule, hodge_cohomology
@@ -385,10 +385,7 @@ def run_job(doc: dict, prime_flag: int | None):
         if "validate" in outputs:
             _record_laws(validate(g), results, lines)
         if "cohomology" in outputs:
-            work = g
-            if not (g.a <= 0 <= g.b):
-                work = extend_window(g, min(g.a, 0), max(g.b, 0))
-            h0, h1 = syntomic_cohomology(work)
+            h0, h1 = syntomic_cohomology(g)
             results["h0"] = {"free": h0.free_rank, "torsion": list(h0.torsion)}
             results["h1"] = {"free": h1.free_rank, "torsion": list(h1.torsion)}
             lines.append(f"syntomic h0: {h0}")

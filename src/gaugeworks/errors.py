@@ -47,10 +47,6 @@ class NonHonestFiltrationError(LawViolation):
         )
 
 
-class WindowError(LawViolation):
-    """A diagram window does not cover the indices an operation needs."""
-
-
 @dataclass(frozen=True)
 class LawReport:
     """The laws a value violates, listed rather than raised."""

@@ -126,7 +126,7 @@ class QMat(DenseMat):
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMat":
-        return cls([[0] * n for _ in range(m)], ncols=n)
+        return cls.diagonal((), m, n)
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
@@ -134,7 +134,7 @@ class QMat(DenseMat):
 
     @classmethod
     def scalar(cls, n: int, c) -> "QMat":
-        return cls([[c if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        return cls.diagonal([Fraction(c)] * n)
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence], nrows: int) -> "QMat":
@@ -143,10 +143,11 @@ class QMat(DenseMat):
 
     @classmethod
     def diagonal(cls, entries: Sequence, m: int | None = None, n: int | None = None) -> "QMat":
-        entries = [Fraction(e) for e in entries]
+        entries = list(entries)
         m = len(entries) if m is None else m
         n = len(entries) if n is None else n
-        return cls([[entries[i] if (i == j and i < len(entries)) else 0
+        zero = Fraction(0)  # shared, so __init__ builds no Fraction off the diagonal
+        return cls([[entries[i] if (i == j and i < len(entries)) else zero
                      for j in range(n)] for i in range(m)], ncols=n)
 
     def __repr__(self):

@@ -5,8 +5,9 @@ M^a ... M^b with downward maps t and upward maps u satisfying ut = tu = p,
 plus an isomorphism tau: M^b -> M^a identifying the two stabilized ends
 (Frobenius is the identity on the base, so tau is a plain isomorphism and
 the Frobenius twist is bookkeeping only).  Outside the window the diagram
-is declared constant: t is an isomorphism at and below a, u at and above b,
-so the stabilized ends stand in for the completed colimits.
+is declared constant: t = p above b and the identity at or below a, u = p
+at or below a and the identity above b, so the stabilized ends stand in for
+the completed colimits.  The window need not contain 0.
 
 Syntomic cohomology is the homology of the single map
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LawReport, LawViolation, PrimeMismatchError, WindowError
+from .errors import LawReport, LawViolation, PrimeMismatchError
 from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, TwoTermComplex,
                           block_diag, check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_exponents, smith_normal_form,
@@ -101,17 +102,27 @@ class FpGauge:
         return ModuleMap.identity(self.modules[-1])
 
     def t_composite(self, top: int, bottom: int) -> ModuleMap:
-        """Composite of t's from M^top down to M^bottom (top >= bottom)."""
-        acc = ModuleMap.identity(self.module_at(bottom))
-        for i in range(bottom + 1, top + 1):
-            acc = acc.compose(self.t_at(i))
+        """Composite of t's from M^top down to M^bottom (top >= bottom).
+
+        The t's above b are p, those at or below a the identity.
+        """
+        a, b = self.window
+        acc = ModuleMap.scalar(self.module_at(bottom),
+                               self.prime ** (max(top, b) - max(bottom, b)))
+        for i in range(max(bottom, a) + 1, min(top, b) + 1):
+            acc = acc.compose(self.t[i - a - 1])
         return acc
 
     def u_composite(self, bottom: int, top: int) -> ModuleMap:
-        """Composite of u's from M^bottom up to M^top (bottom <= top)."""
-        acc = ModuleMap.identity(self.module_at(bottom))
-        for i in range(bottom + 1, top + 1):
-            acc = self.u_at(i).compose(acc)
+        """Composite of u's from M^bottom up to M^top (bottom <= top).
+
+        The u's at or below a are p, those above b the identity.
+        """
+        a, b = self.window
+        acc = ModuleMap.scalar(self.module_at(bottom),
+                               self.prime ** (min(top, a) - min(bottom, a)))
+        for i in range(max(bottom, a) + 1, min(top, b) + 1):
+            acc = self.u[i - a - 1].compose(acc)
         return acc
 
 
@@ -149,14 +160,11 @@ def extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
 def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
     """(H0, H1) of  M^0 --(t-composite  -  tau u-composite)--> M^a.
 
-    The window must contain 0; extend it first if it does not.
+    Any window works: M^0 is M^a below it and M^b above it, and the
+    composites read the constant ends.
     """
-    a, b = g.window
-    if not (a <= 0 <= b):
-        raise WindowError("syntomic cohomology needs a window containing 0; "
-                          "extend the window first")
-    down = g.t_composite(0, a)
-    up = g.tau.compose(g.u_composite(0, b))
+    down = g.t_composite(0, min(g.a, 0))
+    up = g.tau.compose(g.u_composite(0, max(g.b, 0)))
     return homology_two_term(TwoTermComplex(down - up))
 
 
@@ -254,7 +262,8 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     """Gauge of the saturated filtration Fil^i = preimage of p^i M under tau.
 
     t is the inclusion, u the unique map with ut = p, and the window is the
-    exponent range of the Smith normal form of tau (widened to contain 0).
+    exponent range of the Smith normal form of tau, outside which t and u
+    are the declared constants.
     tau of the gauge sends m in Fil^b to tau_crys(m)/p^b, which lands in M
     and is an isomorphism there.
     """
@@ -264,8 +273,7 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
         return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.identity(m))
     s = smith_normal_form(c.tau_crys, p)
     exps = s.exponents  # tau is invertible, so all r exponents are present
-    a = min(min(exps), 0)
-    b = max(max(exps), 0)
+    a, b = min(exps), max(exps)
     free = FGModule(p, c.rank)
     modules = tuple(free for _ in range(a, b + 1))
     ts, us = [], []
@@ -300,7 +308,7 @@ def filtration_saturation_holds(c: FCrystalPoint) -> bool:
         return True
     p = c.prime
     s = smith_normal_form(c.tau_crys, p)
-    a, b = min(min(s.exponents), 0), max(max(s.exponents), 0)
+    a, b = min(s.exponents), max(s.exponents)
     full = QMat.identity(c.rank)
     for i in range(a, b + 2):
         lhs = _lattice_intersection(full.scale(p), _filtration_basis(s, i), p)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 from .errors import (LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError)
@@ -98,9 +99,11 @@ class FilteredSpace:
 
     def iota(self, i: int) -> QMat:
         """Composite structural map space_i -> space_lo (the underlying space)."""
+        if i > self.hi:
+            return QMat.zeros(self.dims[0], 0)
         acc = QMat.identity(self.dim_at(i))
-        for j in range(i - 1, self.lo - 1, -1):
-            acc = self.transition(j) @ acc
+        for t in reversed(self.transitions[:max(i - self.lo, 0)]):
+            acc = t @ acc
         return acc
 
     def subspace(self, i: int) -> QMat:
@@ -301,9 +304,11 @@ def _char_poly(a: QMat) -> list[Fraction]:
 
 
 def _rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
-    """Rational roots with multiplicities; may miss irrational ones."""
-    from math import gcd
+    """Rational roots with multiplicities; may miss irrational ones.
 
+    A linear factor's root is read off; above degree 1 the candidates are
+    the quotients of divisors of the end coefficients.
+    """
     def poly_eval(cs, x):
         acc = Fraction(0)
         for c in reversed(cs):
@@ -312,46 +317,29 @@ def _rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
 
     def divisors(m: int):
         m = abs(m)
-        out = set()
-        k = 1
-        while k * k <= m:
-            if m % k == 0:
-                out.add(k)
-                out.add(m // k)
-            k += 1
-        return sorted(out)
+        return sorted({d for k in range(1, isqrt(m) + 1) if m % k == 0
+                       for d in (k, m // k)})
+
+    def candidates(cs):
+        den = lcm(*(c.denominator for c in cs))
+        ics = [int(c * den) for c in cs]
+        g = gcd(*ics)
+        qdens = divisors(ics[-1] // g)
+        for pnum in divisors(ics[0] // g):
+            for qden in qdens:
+                yield from (Fraction(pnum, qden), Fraction(-pnum, qden))
 
     roots: dict[Fraction, int] = {}
     cs = list(coeffs)
     while len(cs) > 1:
-        while len(cs) > 1 and cs[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            cs = cs[1:]
-        if len(cs) == 1:
-            break
-        denlcm = 1
-        for c in cs:
-            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-        ics = [int(c * denlcm) for c in cs]
-        g = 0
-        for c in ics:
-            g = gcd(g, c)
-        if g:
-            ics = [c // g for c in ics]
-        found = None
-        for pnum in divisors(ics[0]) or [0]:
-            for qden in divisors(ics[-1]):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pnum, qden)
-                    if poly_eval(cs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+        if cs[0] == 0:
+            found = Fraction(0)
+        elif len(cs) == 2:
+            found = -cs[0] / cs[1]
+        else:
+            found = next((x for x in candidates(cs) if poly_eval(cs, x) == 0), None)
+            if found is None:
                 break
-        if found is None:
-            break
         roots[found] = roots.get(found, 0) + 1
         # synthetic division by (x - found)
         out = [Fraction(0)] * (len(cs) - 1)

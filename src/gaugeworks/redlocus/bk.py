@@ -26,7 +26,7 @@ degree -n, Theta = 0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, block_diag, check_prime, fp_kron,
@@ -49,6 +49,7 @@ class A1Flag:
     hi: int
     bases: tuple[FpMat, ...]
     operator: FpMat
+    _module: A1Module = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.prime)
@@ -58,18 +59,23 @@ class A1Flag:
             raise ValueError("need one basis per window index")
         if self.bases[-1] != FpMat.identity(self.prime, self.dim):
             raise ValueError("the top flag must be the identity basis")
+        # the law checks' solutions are the x and D maps of the module
+        xs, ds = [], []
         for k in range(len(self.bases) - 1):
-            if self.bases[k + 1].solve(self.bases[k]) is None:
+            xs.append(self.bases[k + 1].solve(self.bases[k]))
+            if xs[-1] is None:
                 raise LawViolation("the flag must be increasing")
         if self.operator.shape != (self.dim, self.dim):
             raise ValueError("operator must act on V")
         for i in range(self.lo, self.hi + 1):
-            b = self.basis_at(i)
             shifted = self.operator + FpMat.scalar(self.prime, self.dim, i)
-            target = self.basis_at(i - 1)
-            if target.solve(shifted @ b) is None:
+            ds.append(self.basis_at(i - 1).solve(shifted @ self.basis_at(i)))
+            if ds[-1] is None:
                 raise LawViolation("(E + i) must carry G_i into G_{i-1}",
                                    f"failed at i = {i}")
+        dims = tuple(b.ncols for b in self.bases)
+        object.__setattr__(self, "_module", A1Module(
+            self.prime, self.lo, self.hi, dims, tuple(xs), tuple(ds[1:])))
 
     def basis_at(self, i: int) -> FpMat:
         if i < self.lo:
@@ -80,16 +86,7 @@ class A1Flag:
 
     def to_module(self) -> A1Module:
         """Windowed presentation: x = flag inclusions, D_i = (E + i) on G_i."""
-        p = self.prime
-        dims, xs, ds = [], [], []
-        for i in range(self.lo, self.hi + 1):
-            dims.append(self.basis_at(i).ncols)
-        for i in range(self.lo, self.hi):
-            xs.append(self.basis_at(i + 1).solve(self.basis_at(i)))
-        for i in range(self.lo + 1, self.hi + 1):
-            shifted = self.operator + FpMat.scalar(p, self.dim, i)
-            ds.append(self.basis_at(i - 1).solve(shifted @ self.basis_at(i)))
-        return A1Module(p, self.lo, self.hi, tuple(dims), tuple(xs), tuple(ds))
+        return self._module
 
     @classmethod
     def from_module(cls, m: A1Module) -> "A1Flag":

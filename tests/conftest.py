@@ -257,6 +257,74 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
+def oracle_rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
+    """Rational roots with multiplicities by the rational root theorem.
+
+    The former library routine, kept verbatim: every candidate +-(divisor of
+    the constant term)/(divisor of the leading term) is tried, so it takes
+    time proportional to the square roots of the end coefficients.
+    """
+    from math import gcd
+
+    def poly_eval(cs, x):
+        acc = Fraction(0)
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def divisors(m: int):
+        m = abs(m)
+        out = set()
+        k = 1
+        while k * k <= m:
+            if m % k == 0:
+                out.add(k)
+                out.add(m // k)
+            k += 1
+        return sorted(out)
+
+    roots: dict[Fraction, int] = {}
+    cs = list(coeffs)
+    while len(cs) > 1:
+        while len(cs) > 1 and cs[0] == 0:
+            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+            cs = cs[1:]
+        if len(cs) == 1:
+            break
+        denlcm = 1
+        for c in cs:
+            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
+        ics = [int(c * denlcm) for c in cs]
+        g = 0
+        for c in ics:
+            g = gcd(g, c)
+        if g:
+            ics = [c // g for c in ics]
+        found = None
+        for pnum in divisors(ics[0]) or [0]:
+            for qden in divisors(ics[-1]):
+                for sign in (1, -1):
+                    cand = Fraction(sign * pnum, qden)
+                    if poly_eval(cs, cand) == 0:
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        # synthetic division by (x - found)
+        out = [Fraction(0)] * (len(cs) - 1)
+        acc = Fraction(0)
+        for k in range(len(cs) - 1, 0, -1):
+            acc = cs[k] + acc * found
+            out[k - 1] = acc
+        cs = out
+    return roots
+
+
 def qmat_rows(m: QMat):
     return [list(r) for r in m.rows]
 

@@ -1,0 +1,188 @@
+"""Cost grows with the bit size of the input, not with its numeric value.
+
+Each probe runs at full size under a generous alarm, a guard against hangs
+and not a timing.  The composites whose cost once grew with the distance of
+a window from 0 are compared with the per-index loops they replaced, which
+are kept here as oracles.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import HangGuard, rand_fcrystal, rand_filtered_phi
+from gaugeworks.cli import run_job
+from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
+                                    smith_normal_form, zero_module)
+from gaugeworks.fgauge import (FpGauge, direct_sum, extend_window,
+                               gauge_from_fcrystal, hodge_tate_weights,
+                               syntomic_cohomology, twist_gauge)
+from gaugeworks.filphi import FilteredSpace
+
+BIG = 10 ** 6
+
+
+def results(kind: str, payload: dict, outputs=None, p: int = 3) -> dict:
+    doc = {"format": 1, "prime": p, "kind": kind, "payload": payload}
+    if outputs is not None:
+        doc["outputs"] = outputs
+    with HangGuard(60):
+        return run_job(doc, None)[1]["results"]
+
+
+# ---------------------------------------------------------------------------
+# probes at full size
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [BIG, -BIG])
+@pytest.mark.parametrize("module", [{"free": 1}, {"free": 1, "torsion": [2]},
+                                    {"free": 0, "torsion": [1, 3]}],
+                         ids=["free", "mixed", "torsion"])
+def test_fgauge_job_with_a_far_window(n, module):
+    # tau = 1, so the differential is 1 - p^|n| (a unit) on every generator,
+    # and every generator has weight n
+    k = module["free"] + len(module.get("torsion", ()))
+    tau = [["1" if i == j else "0" for j in range(k)] for i in range(k)]
+    payload = {"window": [n, n], "modules": [module], "t": [], "u": [], "tau": tau}
+    zero = {"free": 0, "torsion": []}
+    assert results("fgauge", payload, ["cohomology", "weights"]) == \
+        {"h0": zero, "h1": zero, "weights": {str(n): k}}
+
+
+@pytest.mark.parametrize("n", [10 ** 5, -10 ** 5])
+def test_twist_gauge_far_from_zero(n):
+    with HangGuard(60):
+        g = twist_gauge(n, 3)
+        assert g.window == (-n, -n)
+        assert hodge_tate_weights(g) == {-n: 1}
+        assert syntomic_cohomology(g) == (zero_module(3), zero_module(3))
+
+
+@pytest.mark.parametrize("n", [10 ** 5, -10 ** 5])
+def test_tate_far_from_zero(n):
+    assert results("filphi", {"tate": n}, ["cohomology", "newton", "hodge"]) == \
+        {"h0": 0, "h1": int(n > 0), "newton": -n, "hodge": -n}
+
+
+@pytest.mark.parametrize("n", [60, 500])
+def test_tate_with_default_outputs(n):
+    assert results("filphi", {"tate": n}) == \
+        {"h0": 0, "h1": 1, "newton": -n, "hodge": -n, "admissible": "true"}
+
+
+@pytest.mark.parametrize("n", [1, -1])
+def test_bk_twist_at_a_large_prime(n):
+    # p divides neither twist, so the values are those at p = 7
+    assert results("reduced", {"bk": n}, p=10 ** 7 + 19) == \
+        results("reduced", {"bk": n}, p=7)
+
+
+def test_twist_cohomology_composes_as_often_near_and_far(monkeypatch):
+    # counted, not timed: the constant ends cost one scalar map at any distance
+    calls = []
+    compose = ModuleMap.compose
+
+    def counting(self, first):
+        calls.append(1)
+        return compose(self, first)
+
+    monkeypatch.setattr(ModuleMap, "compose", counting)
+    seen = []
+    for n in (3, -3, 10 ** 5, -10 ** 5):
+        calls.clear()
+        syntomic_cohomology(twist_gauge(n, 3))
+        seen.append(len(calls))
+    assert seen[0] == seen[2] and seen[1] == seen[3]
+
+
+# ---------------------------------------------------------------------------
+# the composites against the per-index loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def old_t_composite(g: FpGauge, top: int, bottom: int) -> ModuleMap:
+    acc = ModuleMap.identity(g.module_at(bottom))
+    for i in range(bottom + 1, top + 1):
+        acc = acc.compose(g.t_at(i))
+    return acc
+
+
+def old_u_composite(g: FpGauge, bottom: int, top: int) -> ModuleMap:
+    acc = ModuleMap.identity(g.module_at(bottom))
+    for i in range(bottom + 1, top + 1):
+        acc = g.u_at(i).compose(acc)
+    return acc
+
+
+def old_iota(fs: FilteredSpace, i: int) -> QMat:
+    acc = QMat.identity(fs.dim_at(i))
+    for j in range(i - 1, fs.lo - 1, -1):
+        acc = fs.transition(j) @ acc
+    return acc
+
+
+def torsion_gauge(p: int, a: int) -> FpGauge:
+    """Z/p on the window [a, a + 1] with t = 1, u = 0 and tau = 1."""
+    m = FGModule(p, 0, (1,))
+    return FpGauge(p, (a, a + 1), (m, m), (ModuleMap(m, m, QMat([[1]])),),
+                   (ModuleMap(m, m, QMat([[0]])),), ModuleMap(m, m, QMat([[1]])))
+
+
+def random_gauges(rng) -> list[FpGauge]:
+    """Windows across 0, above it and below it, with and without torsion."""
+    gauges = []
+    for lo, hi in [(-3, 3), (1, 4), (-4, -1)]:
+        for _ in range(3):
+            p = rng.choice([2, 3, 5])
+            gauges.append(gauge_from_fcrystal(rand_fcrystal(rng, p, exp_lo=lo, exp_hi=hi)))
+    for a in (-5, -1, 0, 3):
+        gauges.append(torsion_gauge(3, a))
+        gauges.append(direct_sum(torsion_gauge(3, a), twist_gauge(rng.randint(-4, 4), 3)))
+    return gauges
+
+
+def test_composites_equal_the_per_index_loops(rng):
+    for g in random_gauges(rng):
+        for bottom in range(g.a - 3, g.b + 4):
+            for top in range(bottom, g.b + 4):
+                assert g.t_composite(top, bottom) == old_t_composite(g, top, bottom)
+                assert g.u_composite(bottom, top) == old_u_composite(g, bottom, top)
+
+
+def test_iota_equals_the_per_index_loop(rng):
+    spaces = [rand_filtered_phi(rng, 3).filtration for _ in range(40)]
+    for fs in spaces:
+        for i in range(fs.lo - 3, fs.hi + 4):
+            assert fs.iota(i) == old_iota(fs, i)
+
+
+def widened_gauge_from_fcrystal(c):
+    """The former gauge of a crystal, kept as an oracle: its window is the
+    Smith exponent range widened to contain 0."""
+    p = c.prime
+    s = smith_normal_form(c.tau_crys, p)
+    exps = s.exponents
+    a, b = min(min(exps), 0), max(max(exps), 0)
+    free = FGModule(p, c.rank)
+    modules = tuple(free for _ in range(a, b + 1))
+    ts, us = [], []
+    for i in range(a + 1, b + 1):
+        tdiag = [Fraction(p) ** (max(i - d, 0) - max(i - 1 - d, 0)) for d in exps]
+        udiag = [Fraction(p) / x for x in tdiag]
+        ts.append(ModuleMap(free, free, QMat.diagonal(tdiag)))
+        us.append(ModuleMap(free, free, QMat.diagonal(udiag)))
+    unscale = QMat.diagonal([Fraction(p) ** -d for d in exps])
+    tau = ModuleMap(free, free, s.v.inverse() @ c.tau_crys @ s.v @ unscale)
+    return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
+
+
+def test_crystal_gauge_extends_to_the_former_widened_gauge(rng):
+    for lo, hi in [(-3, 3), (1, 4), (-4, -1), (0, 0)]:
+        for _ in range(10):
+            c = rand_fcrystal(rng, rng.choice([2, 3, 5]), exp_lo=lo, exp_hi=hi)
+            g = gauge_from_fcrystal(c)
+            exps = smith_normal_form(c.tau_crys, c.prime).exponents
+            assert g.window == (min(exps), max(exps))
+            assert extend_window(g, min(g.a, 0), max(g.b, 0)) == \
+                widened_gauge_from_fcrystal(c)

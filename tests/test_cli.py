@@ -108,9 +108,7 @@ def test_prime_past_the_exact_primality_range_exits_1(tmp_path, capsys):
     assert "must be below" in capsys.readouterr().err
 
 
-# tate1.json still hangs at this prime: _rational_roots enumerates the divisors of p
-@pytest.mark.parametrize("job", [j for j in JOBS if j.name != "tate1.json"],
-                         ids=lambda j: j.stem)
+@pytest.mark.parametrize("job", JOBS, ids=lambda j: j.stem)
 def test_fixture_jobs_finish_at_a_61_bit_prime(tmp_path, job):
     doc = json.loads(job.read_text(encoding="utf-8"))
     doc["prime"] = 2 ** 61 - 1

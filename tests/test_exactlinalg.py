@@ -327,6 +327,44 @@ def test_module_map_entries_must_be_p_local():
     ModuleMap(m, m, QMat([[Fraction(1, 2)]]))  # 2 is a unit at 3
 
 
+def rand_module_map(rng, p, src: FGModule, tgt: FGModule) -> ModuleMap:
+    """Random map that respects torsion: valuation >= f - e from order p^e
+    to order p^f, and nothing from a torsion generator into a free one."""
+    rows = []
+    for i in range(tgt.ngens):
+        f = tgt.order_exponent(i)
+        row = []
+        for j in range(src.ngens):
+            e = src.order_exponent(j)
+            if e is not None and f is None:
+                row.append(0)
+                continue
+            shift = max(f - e, 0) if e is not None else 0
+            row.append(Fraction(rng.choice([0, 1, -1, 2, p, p + 1])) * p ** shift)
+        rows.append(row)
+    return ModuleMap(src, tgt, QMat(rows, ncols=src.ngens))
+
+
+def test_is_isomorphism_matches_the_homology_definition(rng):
+    # the former definition: kernel and cokernel of the map both vanish
+    p = 3
+    modules = [FGModule(p, 0), FGModule(p, 1), FGModule(p, 2), FGModule(p, 0, (1,)),
+               FGModule(p, 1, (1,)), FGModule(p, 0, (1, 2)), FGModule(p, 1, (2,))]
+    seen = set()
+    for _ in range(300):
+        src = rng.choice(modules)
+        tgt = src if rng.random() < 0.6 else rng.choice(modules)
+        d = rand_module_map(rng, p, src, tgt)
+        h0, h1 = homology_two_term(TwoTermComplex(d))
+        want = h0.is_zero() and h1.is_zero()
+        assert d.is_isomorphism() == want
+        seen.add((src == tgt, want, h1.is_zero()))
+    # isomorphisms, non-surjective endomorphisms, and maps between unequal
+    # modules both onto and not onto
+    assert {(True, True, True), (True, False, False),
+            (False, False, True), (False, False, False)} <= seen
+
+
 @pytest.mark.parametrize("trial", range(30))
 def test_rank_nullity_for_free_modules(rng, trial):
     p = 3
@@ -668,6 +706,28 @@ def test_qmat_wraps_only_entries_that_are_not_fractions():
     assert a.rows[0][0] is third
     assert all(type(x) is Fraction for r in a.rows for x in r)
     assert a == QMat([[Fraction(1, 3), 2], [1, Fraction(2, 3)]])
+
+
+def test_qmat_constructors_match_the_old_ones_and_hold_fractions():
+    # the former constructions handed int zeros to QMat, one Fraction each
+    third = Fraction(1, 3)
+    built = []
+    for m, n in [(0, 0), (0, 3), (2, 0), (3, 3), (2, 4), (4, 2)]:
+        built.append((QMat.zeros(m, n), QMat([[0] * n for _ in range(m)], ncols=n)))
+        entries = [third, 2, 0, -1][:min(m, n)]
+        built.append((QMat.diagonal(entries, m, n),
+                      QMat([[entries[i] if (i == j and i < len(entries)) else 0
+                             for j in range(n)] for i in range(m)], ncols=n)))
+    for n in range(5):
+        built.append((QMat.identity(n), QMat([[int(i == j) for j in range(n)]
+                                              for i in range(n)], ncols=n)))
+        for c in (1, 0, -2, third):
+            built.append((QMat.scalar(n, c), QMat([[c if i == j else 0 for j in range(n)]
+                                                   for i in range(n)], ncols=n)))
+    built.append((QMat.diagonal(x for x in (1, third)), QMat([[1, 0], [0, third]])))
+    for new, old in built:
+        assert new == old and new.shape == old.shape
+        assert all(type(x) is Fraction for r in new.rows for x in r)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_q_rank, oracle_q_two_term, qmat_rows,
-                      rand_filtered_phi)
+from conftest import (oracle_q_rank, oracle_q_two_term, oracle_rational_roots,
+                      qmat_rows, rand_filtered_phi)
 from gaugeworks.errors import NonHonestFiltrationError
 from gaugeworks.exactlinalg import QMat
+from gaugeworks import filphi
 from gaugeworks.filphi import (Admissibility, FilteredPhiModule,
                                FilteredSpace, PhiModule, dual, hodge_number,
                                internal_hom, is_weakly_admissible,
@@ -223,6 +224,41 @@ def test_admissibility_conclusive_violation_with_repeated_eigenvalues():
     fs = FilteredSpace.from_subspaces(0, 1, [QMat.identity(2), QMat([[1], [0]])])
     d = FilteredPhiModule(3, fs, QMat.identity(2))
     assert is_weakly_admissible(d) is Admissibility.NO
+
+
+def _poly_times(cs, factor):
+    """Coefficient list (constant first) of the product of two polynomials."""
+    out = [Fraction(0)] * (len(cs) + len(factor) - 1)
+    for i, a in enumerate(cs):
+        for j, b in enumerate(factor):
+            out[i + j] += a * b
+    return out
+
+
+def test_rational_roots_match_the_divisor_oracle(rng):
+    # products of linear factors (zero and repeated roots included), times
+    # one of the irreducible x^2 - 2, x^2 + 1, x^2 + x + 1 every other time,
+    # with a rational leading term; then characteristic polynomials
+    for trial in range(60):
+        cs = [Fraction(rng.choice([1, -2, 3, Fraction(5, 7)]))]
+        for _ in range(rng.randint(1, 4)):
+            root = rng.choice([Fraction(0),
+                               Fraction(rng.randint(-6, 6), rng.randint(1, 4))])
+            for _ in range(rng.randint(1, 2)):
+                cs = _poly_times(cs, [-root, Fraction(1)])
+        if trial % 2:
+            cs = _poly_times(cs, rng.choice([[-2, 0, 1], [1, 0, 1], [1, 1, 1]]))
+        assert filphi._rational_roots(cs) == oracle_rational_roots(cs)
+    for _ in range(30):
+        char = filphi._char_poly(rand_filtered_phi(rng, 3, max_dim=3).frobenius)
+        assert filphi._rational_roots(char) == oracle_rational_roots(char)
+
+
+def test_rational_roots_of_a_linear_factor_at_a_61_bit_prime():
+    p = 2 ** 61 - 1
+    for n in (-3, -1, 1, 3):
+        assert filphi._rational_roots([-Fraction(p) ** -n, Fraction(1)]) \
+            == {Fraction(p) ** -n: 1}
 
 
 def test_admissibility_rejects_non_honest():

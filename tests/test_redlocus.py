@@ -6,7 +6,7 @@ from conftest import fpmat_rows, oracle_fp_rank, oracle_fp_two_term, rand_glued
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
 from gaugeworks.redlocus import components, gluing
-from gaugeworks.redlocus import (A1Module, FilThetaModule,
+from gaugeworks.redlocus import (A1Flag, A1Module, FilThetaModule,
                                  GradedThetaModule, ReducedFGauge,
                                  ThetaModule, bk_filtheta, bk_flag,
                                  bk_reduced, coh_dR, coh_dRplus, coh_Hod,
@@ -474,6 +474,48 @@ def test_two_hodge_routes_agree_after_alphas(rng):
 # ---------------------------------------------------------------------------
 # twist group law and duality
 # ---------------------------------------------------------------------------
+
+
+def old_to_module(flag: A1Flag) -> A1Module:
+    """The former ``A1Flag.to_module``, kept as an oracle: it solves for
+    the x and D maps afresh."""
+    p = flag.prime
+    dims, xs, ds = [], [], []
+    for i in range(flag.lo, flag.hi + 1):
+        dims.append(flag.basis_at(i).ncols)
+    for i in range(flag.lo, flag.hi):
+        xs.append(flag.basis_at(i + 1).solve(flag.basis_at(i)))
+    for i in range(flag.lo + 1, flag.hi + 1):
+        shifted = flag.operator + FpMat.scalar(p, flag.dim, i)
+        ds.append(flag.basis_at(i - 1).solve(shifted @ flag.basis_at(i)))
+    return A1Module(p, flag.lo, flag.hi, tuple(dims), tuple(xs), tuple(ds))
+
+
+def test_flag_module_is_the_one_its_law_checks_solve_for(rng):
+    flags = [bk_flag(n, p) for p in (3, 5) for n in range(-4, 5)]
+    for _ in range(8):
+        f1 = A1Flag.from_module(rand_glued(rng, 3, max_rank=2).htc)
+        f2 = A1Flag.from_module(rand_glued(rng, 3, max_rank=2).htc)
+        flags += [f1, f1.dual(), f1.tensor(f2)]
+    for flag in flags:
+        assert flag.to_module() == old_to_module(flag)
+
+
+def test_flag_laws_are_checked_in_order():
+    p = 3
+    e1, e2, ident = FpMat(p, [[1], [0]]), FpMat(p, [[0], [1]]), FpMat.identity(p, 2)
+    good = FpMat(p, [[0, 1], [0, 2]])  # E e1 = 0 and (E + 1) V inside <e1>
+    A1Flag(p, 2, 0, 1, (e1, ident), good)
+    with pytest.raises(LawViolation, match="the flag must be increasing"):
+        A1Flag(p, 2, 0, 2, (e1, e2, ident), FpMat.identity(p, 3))
+    with pytest.raises(ValueError, match="operator must act on V"):
+        A1Flag(p, 2, 0, 1, (e1, ident), FpMat.identity(p, 3))
+    with pytest.raises(LawViolation) as err:
+        A1Flag(p, 2, 0, 1, (e1, ident), ident)
+    assert str(err.value) == "(E + i) must carry G_i into G_{i-1} [failed at i = 0]"
+    with pytest.raises(LawViolation) as err:
+        A1Flag(p, 2, 0, 1, (e1, ident), FpMat(p, [[0, 1], [0, 0]]))
+    assert str(err.value) == "(E + i) must carry G_i into G_{i-1} [failed at i = 1]"
 
 
 @pytest.mark.parametrize("p", [3, 5])
