@@ -1,0 +1,8 @@
+"""``python -m gaugeworks``: the ``gaugeworks`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

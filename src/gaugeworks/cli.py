@@ -445,7 +445,10 @@ def _run_file(path: str, prime_flag: int | None):
             raw = fh.read()
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except ValueError as err:
+            # malformed JSON, or an integer literal past the interpreter's
+            # 4300-digit limit; the limit stays, since an exponent that long
+            # would otherwise hang in p ** n
             raise SchemaError("$", f"invalid JSON: {err}") from None
         text, report = run_job(doc, prime_flag)
         return 0, text, report

@@ -10,8 +10,8 @@ in normal form, and homology of two-term complexes of such modules.
 from .dense import block_diag
 from .fpmat import (FpMat, fp_homology_two_term, fp_kron, fp_span_union,
                     quotient_projection)
-from .modules import (FGModule, ModuleMap, TwoTermComplex, cokernel,
-                      homology_two_term, kernel, zero_module)
+from .modules import (FGModule, ModuleMap, cokernel, homology_two_term, kernel,
+                      zero_module)
 from .qmat import QMat, intersect_spans, kron, span_union
 from .rationals import (INF, check_prime, format_rational, is_p_local,
                         parse_rational, unit_part, vp)
@@ -24,6 +24,6 @@ __all__ = [
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",
     "quotient_projection",
     "SNF", "smith_normal_form", "smith_exponents", "kernel_over_zp",
-    "FGModule", "ModuleMap", "TwoTermComplex", "zero_module",
+    "FGModule", "ModuleMap", "zero_module",
     "homology_two_term", "kernel", "cokernel",
 ]

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from ..errors import LawViolation, PrimeMismatchError
 from .qmat import QMat
-from .rationals import check_prime, vp
+from .rationals import check_prime, format_rational, vp
 from .snf import kernel_over_zp, smith_exponents
 
 
@@ -108,20 +108,22 @@ class ModuleMap:
                 if x.denominator % p == 0:
                     raise LawViolation(
                         "module map entries must lie in Z_(p)",
-                        f"entry ({i},{j}) = {x}")
+                        f"entry ({i},{j}) = {format_rational(x)}")
                 e = self.source.order_exponent(j)
                 if e is None:
                     continue
                 if f is None:
                     raise LawViolation(
                         "image of a torsion generator must be torsion",
-                        f"entry ({i},{j}) = {x} maps order p^{e} into a free factor")
+                        f"entry ({i},{j}) = {format_rational(x)} maps order p^{e} "
+                        "into a free factor")
                 # the denominator is a p-unit: vp(x) >= f - e exactly when
                 # p^(f - e) divides the numerator, one division at any size
                 if f > e and x.numerator % p ** (f - e):
                     raise LawViolation(
                         "matrix must respect torsion orders",
-                        f"entry ({i},{j}) = {x} needs valuation >= {f - e}")
+                        f"entry ({i},{j}) = {format_rational(x)} needs valuation "
+                        f">= {f - e}")
 
     @property
     def prime(self) -> int:
@@ -179,13 +181,6 @@ class ModuleMap:
         return self.matrix.take_rows(rows).take_cols(cols)
 
 
-@dataclass(frozen=True)
-class TwoTermComplex:
-    """A complex  source --d--> target  placed in degrees 0 -> 1."""
-
-    d: ModuleMap
-
-
 def _module_from_exponents(p: int, ngens: int, exps: tuple[int, ...]) -> FGModule:
     """Cokernel of a relation matrix with the given Smith exponents."""
     return FGModule(p, ngens - len(exps), tuple(sorted(e for e in exps if e > 0)))
@@ -218,6 +213,6 @@ def kernel(d: ModuleMap) -> FGModule:
     return _module_from_exponents(p, gens.ncols, smith_exponents(relations, p))
 
 
-def homology_two_term(c: TwoTermComplex) -> tuple[FGModule, FGModule]:
-    """(H0, H1) = (kernel, cokernel) of the differential, in normal form."""
-    return kernel(c.d), cokernel(c.d)
+def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
+    """(H0, H1) = (kernel, cokernel) of  source --d--> target  in degrees 0 -> 1."""
+    return kernel(d), cokernel(d)

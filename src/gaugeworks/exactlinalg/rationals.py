@@ -11,6 +11,7 @@ sentinel :data:`INF`, never a number.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -180,8 +181,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Inverse of :func:`parse_rational`; integers print without a slash."""
+    """Inverse of :func:`parse_rational`; integers print without a slash.
+
+    Exact at any size: ``Decimal`` prints an int in full, where ``str``
+    stops at the interpreter's 4300-digit limit.
+    """
     x = Fraction(x)
+    num = str(Decimal(x.numerator))
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return num
+    return f"{num}/{Decimal(x.denominator)}"

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LawReport, LawViolation, PrimeMismatchError
-from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, TwoTermComplex,
-                          block_diag, check_prime, homology_two_term, is_p_local,
+from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, block_diag,
+                          check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_exponents, smith_normal_form,
                           zero_module)
 from .filphi import PhiModule
@@ -83,24 +83,6 @@ class FpGauge:
         a, b = self.window
         return self.modules[min(max(i, a), b) - a]
 
-    def t_at(self, i: int) -> ModuleMap:
-        """t_i: M^i -> M^{i-1}, extended by the declared-constant convention."""
-        a, b = self.window
-        if a < i <= b:
-            return self.t[i - a - 1]
-        if i <= a:
-            return ModuleMap.identity(self.modules[0])
-        return ModuleMap.scalar(self.modules[-1], self.prime)
-
-    def u_at(self, i: int) -> ModuleMap:
-        """u_i: M^{i-1} -> M^i, extended by the declared-constant convention."""
-        a, b = self.window
-        if a < i <= b:
-            return self.u[i - a - 1]
-        if i <= a:
-            return ModuleMap.scalar(self.modules[0], self.prime)
-        return ModuleMap.identity(self.modules[-1])
-
     def t_composite(self, top: int, bottom: int) -> ModuleMap:
         """Composite of t's from M^top down to M^bottom (top >= bottom).
 
@@ -128,14 +110,12 @@ class FpGauge:
 
 def validate(g: FpGauge) -> LawReport:
     """Check every gauge law exactly; list each violation, never raise."""
-    a, b = g.window
     bad: list[str] = []
-    for i in range(a + 1, b + 1):
-        ut = g.u_at(i).compose(g.t_at(i))
-        tu = g.t_at(i).compose(g.u_at(i))
-        if not ut.equals_as_map(ModuleMap.scalar(g.module_at(i), g.prime)):
+    for k, (t, u) in enumerate(zip(g.t, g.u)):
+        i = g.a + 1 + k
+        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.modules[k + 1], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (ut != p)")
-        if not tu.equals_as_map(ModuleMap.scalar(g.module_at(i - 1), g.prime)):
+        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.modules[k], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         bad.append("tau must be an isomorphism M^b -> M^a")
@@ -147,12 +127,13 @@ def extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
     a, b = g.window
     if a_new > a or b_new < b:
         raise ValueError("window can only grow")
-    modules = ([g.modules[0]] * (a - a_new) + list(g.modules)
-               + [g.modules[-1]] * (b_new - b))
-    ts = [g.t_at(i) for i in range(a_new + 1, a + 1)] + list(g.t) + \
-         [g.t_at(i) for i in range(b + 1, b_new + 1)]
-    us = [g.u_at(i) for i in range(a_new + 1, a + 1)] + list(g.u) + \
-         [g.u_at(i) for i in range(b + 1, b_new + 1)]
+    modules = [g.module_at(i) for i in range(a_new, b_new + 1)]
+    below, above = range(a_new + 1, a + 1), range(b + 1, b_new + 1)
+    # outside the window each one-step composite is the bare scalar
+    ts = [g.t_composite(i, i - 1) for i in below] + list(g.t) + \
+         [g.t_composite(i, i - 1) for i in above]
+    us = [g.u_composite(i - 1, i) for i in below] + list(g.u) + \
+         [g.u_composite(i - 1, i) for i in above]
     return FpGauge(g.prime, (a_new, b_new), tuple(modules), tuple(ts),
                    tuple(us), g.tau)
 
@@ -165,7 +146,7 @@ def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
     """
     down = g.t_composite(0, min(g.a, 0))
     up = g.tau.compose(g.u_composite(0, max(g.b, 0)))
-    return homology_two_term(TwoTermComplex(down - up))
+    return homology_two_term(down - up)
 
 
 def rational_realization(g: FpGauge) -> PhiModule:
@@ -349,19 +330,20 @@ def hodge_tate_weights(g: FpGauge) -> dict[int, int]:
     Finite support is guaranteed by stabilization: outside the window one of
     u, t is an isomorphism and the quotient vanishes.
     """
-    a, b = g.window
     out: dict[int, int] = {}
-    for i in range(a, b + 1):
-        m = g.module_at(i)
+    for k, m in enumerate(g.modules):
         # The quotient has dimension ngens minus the number of unit invariant
         # factors of [p I | u_i | t_{i+1} | relations].  The p I and relation
         # columns vanish mod p, so they never change that number: the Smith
-        # exponents of [u_i | t_{i+1}] alone count the same units.
-        stacked = g.u_at(i).matrix.hstack(g.t_at(i + 1).matrix)
-        exps = smith_exponents(stacked, g.prime)
-        dim = m.ngens - exps.count(0)
+        # exponents of [u_i | t_{i+1}] alone count the same units.  The end
+        # maps u_a = p and t_{b+1} = p vanish mod p too, so only the window's
+        # own maps are stacked: u_i for i > a and t_{i+1} for i < b.
+        stacked = QMat.zeros(m.ngens, 0)
+        for f in g.u[k - 1:k] + g.t[k:k + 1]:
+            stacked = stacked.hstack(f.matrix)
+        dim = m.ngens - smith_exponents(stacked, g.prime).count(0)
         if dim:
-            out[i] = dim
+            out[g.a + k] = dim
     return out
 
 

@@ -411,44 +411,34 @@ def is_weakly_admissible(d: FilteredPhiModule) -> Admissibility:
 # ---------------------------------------------------------------------------
 
 
-def _honest_bases(d: FilteredPhiModule) -> dict[int, QMat]:
-    f = d.filtration
-    if not f.is_honest():
+def _check_honest(d: FilteredPhiModule) -> None:
+    if not d.filtration.is_honest():
         raise NonHonestFiltrationError("tensor structure")
-    return {i: f.subspace(i) for i in range(f.lo - 1, f.hi + 2)}
 
 
 def tensor(d1: FilteredPhiModule, d2: FilteredPhiModule) -> FilteredPhiModule:
     """Tensor product; filtrations convolve: Fil^k = sum of Fil^i (x) Fil^j."""
     if d1.prime != d2.prime:
         raise PrimeMismatchError(d1.prime, d2.prime)
-    b1, b2 = _honest_bases(d1), _honest_bases(d2)
+    _check_honest(d1)
+    _check_honest(d2)
     f1, f2 = d1.filtration, d2.filtration
     n = d1.dim * d2.dim
     lo, hi = f1.lo + f2.lo, f1.hi + f2.hi
-    bases = []
-    for k in range(lo, hi + 1):
-        pieces = []
-        for i in range(f1.lo, f1.hi + 1):
-            j = k - i
-            jc = min(max(j, f2.lo), f2.hi + 1)
-            pieces.append(kron(b1[i], b2[jc]))
-        bases.append(span_union(n, pieces))
+    b1 = {i: f1.subspace(i) for i in range(f1.lo, f1.hi + 1)}
+    b2 = {j: f2.subspace(j) for j in range(lo - f1.hi, hi - f1.lo + 1)}
+    bases = [span_union(n, [kron(b1[i], b2[k - i]) for i in b1])
+             for k in range(lo, hi + 1)]
     fs = FilteredSpace.from_subspaces(lo, hi, bases)
     return FilteredPhiModule(d1.prime, fs, kron(d1.frobenius, d2.frobenius))
 
 
 def dual(d: FilteredPhiModule) -> FilteredPhiModule:
     """Dual object: phi inverts and transposes, Fil^i is the annihilator of Fil^{1-i}."""
-    b = _honest_bases(d)
+    _check_honest(d)
     f = d.filtration
-    n = d.dim
     lo, hi = -f.hi, -f.lo
-    bases = []
-    for i in range(lo, hi + 1):
-        j = 1 - i
-        jc = min(max(j, f.lo), f.hi + 1)
-        bases.append(b[jc].transpose().kernel())
+    bases = [f.subspace(1 - i).transpose().kernel() for i in range(lo, hi + 1)]
     fs = FilteredSpace.from_subspaces(lo, hi, bases)
     return FilteredPhiModule(d.prime, fs, d.frobenius.inverse().transpose())
 

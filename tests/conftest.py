@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import pytest
 
-from gaugeworks.exactlinalg import FpMat, QMat
+from gaugeworks.exactlinalg import FpMat, ModuleMap, QMat
 from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
-from gaugeworks.fgauge import FCrystalPoint
+from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
 from gaugeworks.redlocus import A1Flag, FilThetaModule, ReducedFGauge
@@ -32,8 +32,10 @@ DEFAULT_SEED = 20260808
 
 
 @pytest.fixture
-def rng() -> random.Random:
-    return random.Random(int(os.environ.get("GAUGEWORKS_SEED", DEFAULT_SEED)))
+def rng(request) -> random.Random:
+    """A stream of its own for every test case, parametrized trials included."""
+    seed = int(os.environ.get("GAUGEWORKS_SEED", DEFAULT_SEED))
+    return random.Random(f"{seed}:{request.node.nodeid}")
 
 
 class HangGuard:
@@ -255,6 +257,26 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
             exps.append(vp(a[i][i], p))
     return OracleSNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
+
+
+def oracle_t_at(g: FpGauge, i: int) -> ModuleMap:
+    """t_i: M^i -> M^{i-1} at one index: identity at or below a, p above b."""
+    a, b = g.window
+    if a < i <= b:
+        return g.t[i - a - 1]
+    if i <= a:
+        return ModuleMap.identity(g.modules[0])
+    return ModuleMap.scalar(g.modules[-1], g.prime)
+
+
+def oracle_u_at(g: FpGauge, i: int) -> ModuleMap:
+    """u_i: M^{i-1} -> M^i at one index: p at or below a, identity above b."""
+    a, b = g.window
+    if a < i <= b:
+        return g.u[i - a - 1]
+    if i <= a:
+        return ModuleMap.scalar(g.modules[0], g.prime)
+    return ModuleMap.identity(g.modules[-1])
 
 
 def oracle_rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:

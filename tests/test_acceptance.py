@@ -163,7 +163,7 @@ def test_criterion_9_cli_determinism():
     expected_codes = {"bad_row.json": 1, "bad_ut.json": 2, "bad_prime.json": 1}
     for name, want in expected_codes.items():
         proc = subprocess.run(
-            [sys.executable, "-m", "gaugeworks.cli", "compute",
+            [sys.executable, "-m", "gaugeworks", "compute",
              str(fixtures / "malformed" / name)],
             capture_output=True)
         assert proc.returncode == want, (name, proc.returncode, proc.stderr)

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from decimal import Decimal
 
 import pytest
 
@@ -52,10 +53,10 @@ def test_reports_match_golden_bytes(tmp_path):
 def test_parallel_execution_gives_identical_bytes():
     paths = [str(j) for j in JOBS]
     seq = subprocess.run(
-        [sys.executable, "-m", "gaugeworks.cli", "compute"] + paths,
+        [sys.executable, "-m", "gaugeworks", "compute"] + paths,
         capture_output=True, cwd=str(FIXTURES.parent.parent))
     par = subprocess.run(
-        [sys.executable, "-m", "gaugeworks.cli", "compute", "--jobs", "4"] + paths,
+        [sys.executable, "-m", "gaugeworks", "compute", "--jobs", "4"] + paths,
         capture_output=True, cwd=str(FIXTURES.parent.parent))
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
@@ -141,13 +142,13 @@ def test_fixture_jobs_finish_at_a_61_bit_prime(tmp_path, job):
     ("bad_piece_dim.json", "payload"),
 ])
 def test_wrong_json_type_exits_1_without_traceback(name, field):
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaugeworks.cli", "compute",
-         str(FIXTURES / "malformed" / name)],
-        capture_output=True, text=True)
+    path = str(FIXTURES / "malformed" / name)
+    proc = subprocess.run([sys.executable, "-m", "gaugeworks", "compute", path],
+                          capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert f"schema error: {field}:" in proc.stderr
+    # the one schema-error line and nothing else: no traceback, no warning
+    assert proc.stderr.startswith(f"{path}: schema error: {field}:")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 NONCOMMUTING_HIGGS = {
@@ -210,6 +211,35 @@ def test_invalid_json_is_schema_error(tmp_path):
     assert code == 1
 
 
+def test_integer_past_the_digit_limit_is_schema_error(tmp_path):
+    # json.loads refuses integer literals over 4300 digits; the limit stays,
+    # since an exponent that long would hang in p ** n
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": 1, "prime": 3, "kind": "filphi", '
+                    '"payload": {"tate": ' + "7" * 5000 + "}}", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "gaugeworks", "compute", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"{path}: schema error: $: invalid JSON:")
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_realization_past_the_digit_limit_is_exact(tmp_path):
+    # at the window [10000, 10000] the Frobenius is 3^10000, 4772 digits
+    doc = {"format": 1, "prime": 3, "kind": "fgauge", "outputs": ["realization"],
+           "payload": {"window": [10000, 10000], "modules": [{"free": 1}],
+                       "t": [], "u": [], "tau": [["1"]]}}
+    path, report = tmp_path / "big.json", tmp_path / "big.report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with HangGuard(60):
+        code, out = run_cli(["compute", str(path), "--report", str(report)])
+    assert code == 0 and "rational realization dim: 1" in out
+    entry = json.loads(report.read_text(encoding="utf-8"))["results"][
+        "realization_frobenius"][0][0]
+    # read back through Decimal, which int parsing's digit limit does not cover
+    assert len(entry) == 4772 and int(Decimal(entry)) == 3 ** 10000
+
+
 def test_seed_env_var_never_affects_computation():
     # GAUGEWORKS_SEED drives the random test corpora only
     job = str(FIXTURES / "jobs" / "fcrystal.json")
@@ -221,7 +251,7 @@ def test_seed_env_var_never_affects_computation():
         if seed is not None:
             env["GAUGEWORKS_SEED"] = seed
         proc = subprocess.run(
-            [sys.executable, "-m", "gaugeworks.cli", "compute", job],
+            [sys.executable, "-m", "gaugeworks", "compute", job],
             capture_output=True, env=env)
         out[seed] = (proc.returncode, proc.stdout)
     assert out[None] == out["1"] == out["987654321"]

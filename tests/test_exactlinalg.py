@@ -1,5 +1,6 @@
 """Smith normal form, module homology, and dense matrices over Q and F_p."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 
@@ -11,7 +12,7 @@ from conftest import (HangGuard, oracle_fp_det, oracle_fp_matmul, oracle_fp_rank
                       qmat_rows, rand_fcrystal, rand_unimodular)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
-                                    TwoTermComplex, check_prime,
+                                    check_prime, format_rational,
                                     fp_homology_two_term, homology_two_term,
                                     is_p_local, kernel_over_zp, parse_rational,
                                     smith_exponents, smith_normal_form, vp,
@@ -278,13 +279,13 @@ def test_homology_zero_map_returns_source_and_target_verbatim():
     p = 3
     m = FGModule(p, 1)
     n = FGModule(p, 2, (1, 2))
-    h0, h1 = homology_two_term(TwoTermComplex(ModuleMap.zero(m, n)))
+    h0, h1 = homology_two_term(ModuleMap.zero(m, n))
     assert h0 == m and h1 == n
 
 
 def test_homology_multiplication_by_p():
     m = FGModule(3, 1)
-    h0, h1 = homology_two_term(TwoTermComplex(ModuleMap(m, m, QMat([[3]]))))
+    h0, h1 = homology_two_term(ModuleMap(m, m, QMat([[3]])))
     assert h0 == zero_module(3)
     assert h1 == FGModule(3, 0, (1,))
 
@@ -293,7 +294,7 @@ def test_homology_multiplication_by_unit():
     # p - 1 is a unit at p; verified independently via the normal form of [2]
     m = FGModule(3, 1)
     assert smith_normal_form(QMat([[2]]), 3).exponents == (0,)
-    h0, h1 = homology_two_term(TwoTermComplex(ModuleMap(m, m, QMat([[2]]))))
+    h0, h1 = homology_two_term(ModuleMap(m, m, QMat([[2]])))
     assert h0 == zero_module(3) and h1 == zero_module(3)
 
 
@@ -302,7 +303,7 @@ def test_homology_with_torsion_target():
     p = 3
     src = FGModule(p, 1)
     tgt = FGModule(p, 0, (2,))
-    h0, h1 = homology_two_term(TwoTermComplex(ModuleMap(src, tgt, QMat([[p]]))))
+    h0, h1 = homology_two_term(ModuleMap(src, tgt, QMat([[p]])))
     assert h0 == FGModule(p, 1)
     assert h1 == FGModule(p, 0, (1,))
 
@@ -325,6 +326,29 @@ def test_module_map_entries_must_be_p_local():
     assert err.value.law == "module map entries must lie in Z_(p)"
     assert str(err.value) == "module map entries must lie in Z_(p) [entry (0,0) = 1/3]"
     ModuleMap(m, m, QMat([[Fraction(1, 2)]]))  # 2 is a unit at 3
+
+
+def test_law_details_quote_entries_past_the_digit_limit():
+    # 3^10000 + 1 has 4772 digits, past the limit of str on ints
+    p, big = 3, 3 ** 10000 + 1
+    with pytest.raises(LawViolation) as err:
+        ModuleMap(FGModule(p, 0, (2,)), FGModule(p, 0, (3,)), QMat([[big]]))
+    assert err.value.law == "matrix must respect torsion orders"
+    assert str(err.value).endswith("needs valuation >= 1]")
+    digits = str(err.value).split(" = ")[1].split()[0]
+    assert len(digits) == 4772 and int(Decimal(digits)) == big
+    with pytest.raises(LawViolation) as err:
+        ModuleMap(FGModule(p, 1), FGModule(p, 1), QMat([[Fraction(big, p)]]))
+    assert str(err.value).endswith("/3]")
+
+
+def test_format_rational_is_exact_at_any_size():
+    for x in (Fraction(0), Fraction(-7), Fraction(-4, 6), Fraction(3 ** 300, 2 ** 200)):
+        assert format_rational(x) == str(x)
+        assert parse_rational(format_rational(x)) == x
+    big = Fraction(-(3 ** 10000), 2 ** 20000)
+    num, den = format_rational(big).split("/")
+    assert Fraction(int(Decimal(num)), int(Decimal(den))) == big
 
 
 def rand_module_map(rng, p, src: FGModule, tgt: FGModule) -> ModuleMap:
@@ -355,7 +379,7 @@ def test_is_isomorphism_matches_the_homology_definition(rng):
         src = rng.choice(modules)
         tgt = src if rng.random() < 0.6 else rng.choice(modules)
         d = rand_module_map(rng, p, src, tgt)
-        h0, h1 = homology_two_term(TwoTermComplex(d))
+        h0, h1 = homology_two_term(d)
         want = h0.is_zero() and h1.is_zero()
         assert d.is_isomorphism() == want
         seen.add((src == tgt, want, h1.is_zero()))
@@ -372,7 +396,7 @@ def test_rank_nullity_for_free_modules(rng, trial):
     src, tgt = FGModule(p, a), FGModule(p, b)
     mat = QMat([[Fraction(rng.randint(-3, 3)) * p ** rng.randint(0, 2)
                  for _ in range(a)] for _ in range(b)], ncols=a)
-    h0, h1 = homology_two_term(TwoTermComplex(ModuleMap(src, tgt, mat)))
+    h0, h1 = homology_two_term(ModuleMap(src, tgt, mat))
     assert h0.free_rank + oracle_q_rank(qmat_rows(mat)) == a
     assert h1.free_rank == b - oracle_q_rank(qmat_rows(mat))
 
@@ -390,7 +414,7 @@ def test_homology_presentation_independence(rng, trial):
     left = rand_unimodular(rng, p, tgt.ngens)
     right = rand_unimodular(rng, p, src.ngens)
     d2 = ModuleMap(src, tgt, left @ mat @ right)
-    assert homology_two_term(TwoTermComplex(d)) == homology_two_term(TwoTermComplex(d2))
+    assert homology_two_term(d) == homology_two_term(d2)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_snf, rand_fcrystal
+from conftest import oracle_snf, oracle_t_at, oracle_u_at, rand_fcrystal
 from gaugeworks import fgauge
 from gaugeworks.cli import build_fgauge
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
@@ -112,10 +112,9 @@ def test_window_need_not_contain_zero():
 
 @pytest.mark.parametrize("trial", range(20))
 def test_window_enlargement_is_invisible(rng, trial):
-    # windows across 0, above it and below it; the rng restarts in every
-    # test, so trial k takes the k-th draw
+    # windows across 0, above it and below it; every trial draws its own crystal
     lo, hi = [(-3, 3), (1, 4), (-4, -1)][trial % 3]
-    c = [rand_fcrystal(rng, 3, exp_lo=lo, exp_hi=hi) for _ in range(trial + 1)][-1]
+    c = rand_fcrystal(rng, 3, exp_lo=lo, exp_hi=hi)
     g = gauge_from_fcrystal(c)
     for wide in (extend_window(g, g.a - 2, g.b + 3),
                  extend_window(g, min(g.a, 0), max(g.b, 0))):
@@ -354,29 +353,53 @@ def four_block_weights(g):
     out = {}
     for i in range(a, b + 1):
         m = g.module_at(i)
-        stacked = (QMat.scalar(m.ngens, g.prime).hstack(g.u_at(i).matrix)
-                   .hstack(g.t_at(i + 1).matrix).hstack(m.relation_matrix()))
+        stacked = (QMat.scalar(m.ngens, g.prime).hstack(oracle_u_at(g, i).matrix)
+                   .hstack(oracle_t_at(g, i + 1).matrix).hstack(m.relation_matrix()))
         units = sum(1 for e in smith_normal_form(stacked, g.prime).exponents if e == 0)
         if m.ngens - units:
             out[i] = m.ngens - units
     return out
 
 
-def test_weights_match_the_four_block_formula(rng):
+def gauge_corpus(rng) -> list[FpGauge]:
+    """Every fixture gauge, torsion and constant gauges, lawless ones and
+    random crystals."""
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    gauges = []
+    for job in sorted(fixtures.glob("*/*.json")):
+        doc = json.loads(job.read_text(encoding="utf-8"))
+        if doc.get("kind") == "fgauge":
+            try:
+                gauges.append(build_fgauge(doc["prime"], doc["payload"]))
+            except ValueError:  # the malformed fixtures that do not build
+                pass
     p = 3
-    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "gauge_torsion.json"
-    fixture = build_fgauge(p, json.loads(job.read_text(encoding="utf-8"))["payload"])
-    m1, m2 = FGModule(p, 1, (1, 3)), FGModule(p, 1, (2,))
-    g1 = constant_gauge(p, m1, (-1, 0), [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    m = FGModule(p, 1)
+    one = ModuleMap(m, m, QMat([[1]]))
+    gauges += [FpGauge(p, (-1, 0), (m, m), (one,), (one,), one),
+               FpGauge(p, (0, 0), (m,), (), (), ModuleMap(m, m, QMat([[p]]))),
+               torsion_gauge(p)]
+    g1 = constant_gauge(p, FGModule(p, 1, (1, 3)), (-1, 0),
+                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                         [[p, 0, 0], [0, p, 0], [0, 0, p]],
                         [[1, 0, 0], [1, 1, 1], [0, p * p, 1]])
-    g2 = constant_gauge(p, m2, (0, 1), [[p, 0], [0, 1]], [[1, 0], [0, p]],
-                        [[1, 0], [1, 1]])
-    gauges = [fixture, torsion_gauge(p), g1, g2, direct_sum(g1, g2),
-              direct_sum(torsion_gauge(p), twist_gauge(1, p))]
-    gauges += [gauge_from_fcrystal(rand_fcrystal(rng, rng.choice([3, 5])))
-               for _ in range(12)]
-    for g in gauges:
+    g2 = constant_gauge(p, FGModule(p, 1, (2,)), (0, 1), [[p, 0], [0, 1]],
+                        [[1, 0], [0, p]], [[1, 0], [1, 1]])
+    # Z/p, Z/p^2, Z/p: adjacent modules differ inside the window
+    c1, c2 = cyclic(p), cyclic(p, 2)
+    bump = FpGauge(p, (0, 2), (c1, c2, c1),
+                   (ModuleMap(c2, c1, QMat([[1]])), ModuleMap(c1, c2, QMat([[p]]))),
+                   (ModuleMap(c1, c2, QMat([[p]])), ModuleMap(c2, c1, QMat([[1]]))),
+                   ModuleMap(c1, c1, QMat([[1]])))
+    gauges += [g1, g2, direct_sum(g1, g2), bump, direct_sum(bump, twist_gauge(-1, p)),
+               direct_sum(torsion_gauge(p), twist_gauge(1, p))]
+    gauges += [gauge_from_fcrystal(rand_fcrystal(rng, rng.choice([2, 3, 5])))
+               for _ in range(20)]
+    return gauges
+
+
+def test_weights_match_the_four_block_formula(rng):
+    for g in gauge_corpus(rng):
         assert hodge_tate_weights(g) == four_block_weights(g)
 
 
@@ -407,3 +430,41 @@ def test_weights_and_cokernels_read_exponents_only(monkeypatch):
     assert weights and len(cokernels) == 2 * len(g.t) + 1
     gauge_from_fcrystal(FCrystalPoint(3, 1, QMat([[3]])))  # the counter does count
     assert calls == ["smith_normal_form"]
+
+
+# ---------------------------------------------------------------------------
+# the window readers against the per-index readers they replaced
+# ---------------------------------------------------------------------------
+
+
+def old_validate(g: FpGauge) -> tuple[str, ...]:
+    """The former law check, reading t_i and u_i one index at a time."""
+    bad = []
+    for i in range(g.a + 1, g.b + 1):
+        t, u = oracle_t_at(g, i), oracle_u_at(g, i)
+        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.module_at(i), g.prime)):
+            bad.append(f"ut = tu = p failed at index {i} (ut != p)")
+        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.module_at(i - 1), g.prime)):
+            bad.append(f"ut = tu = p failed at index {i} (tu != p)")
+    if not g.tau.is_isomorphism():
+        bad.append("tau must be an isomorphism M^b -> M^a")
+    return tuple(bad)
+
+
+def old_extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
+    """The former window enlargement, reading the new outer maps per index."""
+    idx = range(a_new + 1, b_new + 1)
+    return FpGauge(g.prime, (a_new, b_new),
+                   tuple(g.module_at(i) for i in range(a_new, b_new + 1)),
+                   tuple(oracle_t_at(g, i) for i in idx),
+                   tuple(oracle_u_at(g, i) for i in idx), g.tau)
+
+
+def test_window_readers_match_the_per_index_readers(rng):
+    gauges = gauge_corpus(rng)
+    assert len(gauges) > 25 and any(not validate(g).ok for g in gauges)
+    for g in gauges:
+        assert validate(g).violations == old_validate(g)
+        for da, db in ((0, 0), (2, 0), (0, 3), (1, 2)):
+            a_new, b_new = g.a - da, g.b + db
+            assert extend_window(g, a_new, b_new) == old_extend_window(g, a_new, b_new)

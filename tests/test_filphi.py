@@ -8,7 +8,7 @@ import pytest
 from conftest import (oracle_q_rank, oracle_q_two_term, oracle_rational_roots,
                       qmat_rows, rand_filtered_phi)
 from gaugeworks.errors import NonHonestFiltrationError
-from gaugeworks.exactlinalg import QMat
+from gaugeworks.exactlinalg import QMat, kron, span_union
 from gaugeworks import filphi
 from gaugeworks.filphi import (Admissibility, FilteredPhiModule,
                                FilteredSpace, PhiModule, dual, hodge_number,
@@ -309,3 +309,50 @@ def test_tensor_rejects_non_honest():
     bad = FilteredPhiModule(3, fs, QMat([[1]]))
     with pytest.raises(NonHonestFiltrationError):
         tensor(bad, tate(0, 3))
+
+
+def old_tensor(d1: FilteredPhiModule, d2: FilteredPhiModule) -> FilteredPhiModule:
+    """The former tensor product, kept as an oracle: per-index basis tables
+    over the window plus one index each side, read through clamped indices."""
+    f1, f2 = d1.filtration, d2.filtration
+    b1 = {i: f1.subspace(i) for i in range(f1.lo - 1, f1.hi + 2)}
+    b2 = {i: f2.subspace(i) for i in range(f2.lo - 1, f2.hi + 2)}
+    n = d1.dim * d2.dim
+    lo, hi = f1.lo + f2.lo, f1.hi + f2.hi
+    bases = []
+    for k in range(lo, hi + 1):
+        pieces = []
+        for i in range(f1.lo, f1.hi + 1):
+            jc = min(max(k - i, f2.lo), f2.hi + 1)
+            pieces.append(kron(b1[i], b2[jc]))
+        bases.append(span_union(n, pieces))
+    fs = FilteredSpace.from_subspaces(lo, hi, bases)
+    return FilteredPhiModule(d1.prime, fs, kron(d1.frobenius, d2.frobenius))
+
+
+def old_dual(d: FilteredPhiModule) -> FilteredPhiModule:
+    """The former dual, kept as an oracle alongside :func:`old_tensor`."""
+    f = d.filtration
+    b = {i: f.subspace(i) for i in range(f.lo - 1, f.hi + 2)}
+    lo, hi = -f.hi, -f.lo
+    bases = []
+    for i in range(lo, hi + 1):
+        jc = min(max(1 - i, f.lo), f.hi + 1)
+        bases.append(b[jc].transpose().kernel())
+    fs = FilteredSpace.from_subspaces(lo, hi, bases)
+    return FilteredPhiModule(d.prime, fs, d.frobenius.inverse().transpose())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_tensor_and_dual_match_the_clamped_tables(rng, p):
+    for _ in range(70):
+        d1 = rand_filtered_phi(rng, p, max_dim=3, window=(-3, 3), honest=True)
+        d2 = rand_filtered_phi(rng, p, max_dim=3, window=(-3, 3), honest=True)
+        assert tensor(d1, d2) == old_tensor(d1, d2)
+        assert dual(d1) == old_dual(d1)
+
+
+def test_dual_rejects_non_honest():
+    fs = FilteredSpace(0, 1, (1, 1), (QMat([[0]]),))
+    with pytest.raises(NonHonestFiltrationError):
+        dual(FilteredPhiModule(3, fs, QMat([[1]])))
