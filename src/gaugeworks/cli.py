@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .beilinson import corners, fm_fibre, verify_cartesian
@@ -93,9 +94,33 @@ def _row_width(rows: list, path: str) -> int:
     return len(_as_list(rows[0], f"{path}[0]")) if _as_list(rows, path) else 0
 
 
+def _sized(value, n: int, path: str, noun: str) -> list:
+    """``value`` as a list of exactly ``n`` items, ``n`` printed at any size."""
+    if len(_as_list(value, path)) != n:
+        raise SchemaError(path, f"expected {format_rational(n)} {noun}")
+    return value
+
+
+def _int_key(key: str, path: str, what: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise SchemaError(path, f"bad {what} key {key!r}") from None
+
+
+@contextmanager
+def _schema(path: str):
+    try:
+        yield
+    except LawViolation:
+        raise
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
+
+
 def _rational_entry(value, path: str) -> Fraction:
     if isinstance(value, str):
-        try:
+        try:  # not _schema: this runs once per matrix entry
             return parse_rational(value)
         except ValueError as err:
             raise SchemaError(path, str(err)) from None
@@ -104,34 +129,31 @@ def _rational_entry(value, path: str) -> Fraction:
     raise SchemaError(path, f"expected a rational string, got {value!r}")
 
 
-def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
+def _int_entry(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(path, "expected an integer mod p")
+    return value
+
+
+def _rows(data, rows: int, cols: int, path: str, entry) -> list[list]:
+    """A ``rows`` x ``cols`` list of rows; row i's length, then its entries."""
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows")
     out = []
     for i, row in enumerate(data):
+        at = f"{path}[{i}]"
         if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]", f"expected a row of length {cols}")
-        out.append([_rational_entry(x, f"{path}[{i}][{j}]")
-                    for j, x in enumerate(row)])
-    return QMat(out, ncols=cols)
+            raise SchemaError(at, f"expected a row of length {cols}")
+        out.append([entry(x, f"{at}[{j}]") for j, x in enumerate(row)])
+    return out
+
+
+def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
+    return QMat(_rows(data, rows, cols, path, _rational_entry), ncols=cols)
 
 
 def _int_matrix(p: int, data, rows: int, cols: int, path: str) -> FpMat:
-    if not isinstance(data, list) or len(data) != rows:
-        raise SchemaError(path, f"expected {rows} rows")
-    out = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(f"{path}[{i}]", f"expected a row of length {cols}")
-        for j, x in enumerate(row):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
-        out.append(row)
-    return FpMat(p, out, ncols=cols)
-
-
-def _format_matrix(m: QMat) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.rows]
+    return FpMat(p, _rows(data, rows, cols, path, _int_entry), ncols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +170,29 @@ def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
     fil = _need(payload, "filtration", "payload")
     lo, hi = _as_window(_need(fil, "window", "payload.filtration"),
                         "payload.filtration.window")
-    dims = _as_list(_need(fil, "dims", "payload.filtration"), "payload.filtration.dims")
-    if len(dims) != hi - lo + 1:
-        raise SchemaError("payload.filtration.dims",
-                          f"expected {hi - lo + 1} entries")
+    dims = _sized(_need(fil, "dims", "payload.filtration"), hi - lo + 1,
+                  "payload.filtration.dims", "entries")
     dims = [_as_int(x, f"payload.filtration.dims[{k}]") for k, x in enumerate(dims)]
     if dims and dims[0] != dim:
         raise SchemaError("payload.filtration.dims[0]",
                           "must equal the underlying dimension")
-    raw_trans = _as_list(fil.get("transitions", []), "payload.filtration.transitions")
-    if len(raw_trans) != max(hi - lo, 0):
-        raise SchemaError("payload.filtration.transitions",
-                          f"expected {hi - lo} matrices")
+    raw_trans = _sized(fil.get("transitions", []), hi - lo,
+                       "payload.filtration.transitions", "matrices")
     transitions = tuple(
         _rational_matrix(t, dims[k], dims[k + 1],
                          f"payload.filtration.transitions[{k}]")
         for k, t in enumerate(raw_trans))
-    try:
+    with _schema("payload.filtration"):
         fs = FilteredSpace(lo, hi, tuple(dims), transitions)
         return FilteredPhiModule(p, fs, frob)
-    except LawViolation:
-        raise
-    except ValueError as err:
-        raise SchemaError("payload.filtration", str(err)) from None
 
 
 def _build_module(p: int, data, path: str) -> FGModule:
     free = _as_int(_need(data, "free", path), f"{path}.free")
     torsion = _as_list(data.get("torsion", []), f"{path}.torsion")
     torsion = tuple(_as_int(e, f"{path}.torsion[{k}]") for k, e in enumerate(torsion))
-    try:
+    with _schema(path):
         return FGModule(p, free, torsion)
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
 
 
 def build_fgauge(p: int, payload: dict) -> FpGauge:
@@ -191,22 +203,19 @@ def build_fgauge(p: int, payload: dict) -> FpGauge:
                                rank, rank, "payload.fcrystal.tau")
         return gauge_from_fcrystal(FCrystalPoint(p, rank, tau))
     a, b = _as_window(_need(payload, "window", "payload"), "payload.window")
-    raw_modules = _as_list(_need(payload, "modules", "payload"), "payload.modules")
-    if len(raw_modules) != b - a + 1:
-        raise SchemaError("payload.modules", f"expected {b - a + 1} entries")
+    raw_modules = _sized(_need(payload, "modules", "payload"), b - a + 1,
+                         "payload.modules", "entries")
     modules = tuple(_build_module(p, m, f"payload.modules[{k}]")
                     for k, m in enumerate(raw_modules))
 
     def maps(field: str, sources, targets) -> tuple[ModuleMap, ...]:
-        raw = _as_list(_need(payload, field, "payload"), f"payload.{field}")
-        if len(raw) != b - a:
-            raise SchemaError(f"payload.{field}", f"expected {b - a} matrices")
-        out = []
-        for k, data in enumerate(raw):
-            mat = _rational_matrix(data, targets[k].ngens, sources[k].ngens,
-                                   f"payload.{field}[{k}]")
-            out.append(ModuleMap(sources[k], targets[k], mat))
-        return tuple(out)
+        raw = _sized(_need(payload, field, "payload"), b - a, f"payload.{field}",
+                     "matrices")
+        return tuple(
+            ModuleMap(sources[k], targets[k],
+                      _rational_matrix(data, targets[k].ngens, sources[k].ngens,
+                                       f"payload.{field}[{k}]"))
+            for k, data in enumerate(raw))
 
     ts = maps("t", modules[1:], modules[:-1])
     us = maps("u", modules[:-1], modules[1:])
@@ -222,9 +231,8 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
     raw_htc = _need(payload, "htc", "payload")
     lo, hi = _as_window(_need(raw_htc, "window", "payload.htc"), "payload.htc.window")
     raw_dims = _as_list(_need(raw_htc, "dims", "payload.htc"), "payload.htc.dims")
-    dims = [_as_int(x, f"payload.htc.dims[{k}]") for k, x in enumerate(raw_dims)]
-    if len(dims) != hi - lo + 1:
-        raise SchemaError("payload.htc.dims", f"expected {hi - lo + 1} entries")
+    dims = _sized([_as_int(x, f"payload.htc.dims[{k}]") for k, x in enumerate(raw_dims)],
+                  hi - lo + 1, "payload.htc.dims", "entries")
     raw_x = _as_list(raw_htc.get("x", []), "payload.htc.x")
     raw_d = _as_list(raw_htc.get("d", []), "payload.htc.d")
     if len(raw_x) != hi - lo or len(raw_d) != hi - lo:
@@ -234,16 +242,13 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
                for k, mat in enumerate(raw_x))
     ds = tuple(_int_matrix(p, mat, dims[k], dims[k + 1], f"payload.htc.d[{k}]")
                for k, mat in enumerate(raw_d))
-    try:
+    with _schema("payload.htc"):
         htc = A1Module(p, lo, hi, tuple(dims), xs, ds)
-    except ValueError as err:
-        raise SchemaError("payload.htc", str(err)) from None
     raw_drp = _need(payload, "drp", "payload")
     n = _as_int(_need(raw_drp, "dim", "payload.drp"), "payload.drp.dim")
     dlo, dhi = _as_window(_need(raw_drp, "window", "payload.drp"), "payload.drp.window")
-    raw_flags = _as_list(_need(raw_drp, "flags", "payload.drp"), "payload.drp.flags")
-    if len(raw_flags) != dhi - dlo + 1:
-        raise SchemaError("payload.drp.flags", f"expected {dhi - dlo + 1} bases")
+    raw_flags = _sized(_need(raw_drp, "flags", "payload.drp"), dhi - dlo + 1,
+                       "payload.drp.flags", "bases")
     flags = [_int_matrix(p, cols, n, _row_width(cols, f"payload.drp.flags[{k}]"),
                          f"payload.drp.flags[{k}]")
              for k, cols in enumerate(raw_flags)]
@@ -256,12 +261,9 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
     raw_hod = _as_dict(_need(payload, "alpha_hod", "payload"), "payload.alpha_hod")
     alpha_hod = {}
     for key, mat in raw_hod.items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise SchemaError("payload.alpha_hod", f"bad degree key {key!r}") from None
+        deg = _int_key(key, "payload.alpha_hod", "degree")
         path = f"payload.alpha_hod[{key}]"
-        width = _row_width(mat, path)
+        width = _row_width(mat, path)  # checks that mat is a list before len()
         alpha_hod[deg] = _int_matrix(p, mat, len(mat), width, path)
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
@@ -269,38 +271,20 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
 def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
     d = _as_int(_need(payload, "directions", "payload"), "payload.directions")
     raw_pieces = _as_dict(_need(payload, "pieces", "payload"), "payload.pieces")
-    dims = {}
-    for key, v in raw_pieces.items():
-        try:
-            deg = int(key)
-        except ValueError:
-            raise SchemaError("payload.pieces", f"bad degree key {key!r}") from None
-        dims[deg] = _as_int(v, f"payload.pieces[{key}]")
+    dims = {_int_key(key, "payload.pieces", "degree"): _as_int(v, f"payload.pieces[{key}]")
+            for key, v in raw_pieces.items()}
     fields = {}
     for kdir, per in _as_dict(payload.get("fields", {}), "payload.fields").items():
-        try:
-            k = int(kdir)
-        except ValueError:
-            raise SchemaError("payload.fields", f"bad direction key {kdir!r}") from None
+        k = _int_key(kdir, "payload.fields", "direction")
         if not 1 <= k <= d:
             raise SchemaError("payload.fields", f"direction {k} out of range 1..{d}")
-        per_out = {}
+        fields[k] = per_out = {}
         for key, mat in _as_dict(per, f"payload.fields[{kdir}]").items():
-            try:
-                deg = int(key)
-            except ValueError:
-                raise SchemaError(f"payload.fields[{kdir}]",
-                                  f"bad degree key {key!r}") from None
-            per_out[deg] = _int_matrix(p, mat, dims.get(deg - 1, 0),
-                                       dims.get(deg, 0),
+            deg = _int_key(key, f"payload.fields[{kdir}]", "degree")
+            per_out[deg] = _int_matrix(p, mat, dims.get(deg - 1, 0), dims.get(deg, 0),
                                        f"payload.fields[{kdir}][{key}]")
-        fields[k] = per_out
-    try:
+    with _schema("payload"):
         return GradedHiggsModule(p, d, dims, fields)
-    except LawViolation:
-        raise
-    except ValueError as err:
-        raise SchemaError("payload", str(err)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +318,17 @@ def run_job(doc: dict, prime_flag: int | None):
     if prime_flag is not None and "prime" in doc and doc["prime"] != prime_flag:
         raise SchemaError("prime", f"--prime {prime_flag} conflicts with job prime {doc['prime']}")
     p = _as_int(p, "prime")
-    try:
+    with _schema("prime"):
         check_prime(p)
-    except ValueError as err:
-        raise SchemaError("prime", str(err)) from None
     payload = _as_dict(_need(doc, "payload", "$"), "payload")
     outputs = (tuple(_as_list(doc["outputs"], "outputs")) if "outputs" in doc
                else DEFAULT_OUTPUTS[kind])
     for o in outputs:
         if o not in DEFAULT_OUTPUTS[kind]:
             raise SchemaError("outputs", f"unknown output {o!r} for kind {kind!r}")
+    num = format_rational  # exact past the 4300-digit limit of str(int)
     results: dict = {}
-    lines = [f"kind: {kind}", f"prime: {p}"]
+    lines = [f"kind: {kind}", f"prime: {num(p)}"]
 
     if kind in ("filphi", "square"):
         obj = build_filphi(p, payload)
@@ -353,13 +336,13 @@ def run_job(doc: dict, prime_flag: int | None):
             if "cohomology" in outputs:
                 r = rhom_mfphi(obj)
                 results["h0"], results["h1"] = r.dims
-                lines.append(f"rhom h0 h1: {r.h0} {r.h1}")
+                lines.append(f"rhom h0 h1: {num(r.h0)} {num(r.h1)}")
             if "newton" in outputs:
                 results["newton"] = newton_number(obj)
-                lines.append(f"newton: {results['newton']}")
+                lines.append(f"newton: {num(results['newton'])}")
             if "hodge" in outputs:
                 results["hodge"] = hodge_number(obj)
-                lines.append(f"hodge: {results['hodge']}")
+                lines.append(f"hodge: {num(results['hodge'])}")
             if "admissible" in outputs:
                 results["admissible"] = is_weakly_admissible(obj).value
                 lines.append(f"weakly admissible: {results['admissible']}")
@@ -368,17 +351,17 @@ def run_job(doc: dict, prime_flag: int | None):
             if "corners" in outputs:
                 dims = sq.corner_dims()
                 results["corners"] = {k: list(v) for k, v in sorted(dims.items())}
-                for name in sorted(dims):
-                    lines.append(f"corner {name} h0 h1: {dims[name][0]} {dims[name][1]}")
+                for name, (h0, h1) in sorted(dims.items()):
+                    lines.append(f"corner {name} h0 h1: {num(h0)} {num(h1)}")
             if "residual" in outputs:
                 res = verify_cartesian(sq)
                 results["residual"] = list(res.h) + [res.chain_defect]
-                lines.append(f"cartesian residual: {res.h[0]} {res.h[1]} {res.h[2]}"
-                             f" defect {res.chain_defect}")
+                lines.append(f"cartesian residual: {num(res.h[0])} {num(res.h[1])} "
+                             f"{num(res.h[2])} defect {num(res.chain_defect)}")
             if "fm" in outputs:
                 fm = fm_fibre(obj)
                 results["fm_h0"], results["fm_h1"] = fm.dims
-                lines.append(f"twisted fibre h0 h1: {fm.h0} {fm.h1}")
+                lines.append(f"twisted fibre h0 h1: {num(fm.h0)} {num(fm.h1)}")
 
     elif kind == "fgauge":
         g = build_fgauge(p, payload)
@@ -392,14 +375,15 @@ def run_job(doc: dict, prime_flag: int | None):
             lines.append(f"syntomic h1: {h1}")
         if "weights" in outputs:
             w = hodge_tate_weights(g)
-            results["weights"] = {str(k): v for k, v in sorted(w.items())}
-            pretty = ", ".join(f"{k}:{v}" for k, v in sorted(w.items())) or "none"
+            results["weights"] = {num(k): v for k, v in sorted(w.items())}
+            pretty = ", ".join(f"{num(k)}:{num(v)}" for k, v in sorted(w.items())) or "none"
             lines.append(f"hodge-tate weights: {pretty}")
         if "realization" in outputs:
             phi = rational_realization(g)
             results["realization_dim"] = phi.dim
-            results["realization_frobenius"] = _format_matrix(phi.frobenius)
-            lines.append(f"rational realization dim: {phi.dim}")
+            results["realization_frobenius"] = [[num(x) for x in row]
+                                                for row in phi.frobenius.rows]
+            lines.append(f"rational realization dim: {num(phi.dim)}")
 
     elif kind == "reduced":
         g = build_reduced(p, payload)
@@ -408,10 +392,10 @@ def run_job(doc: dict, prime_flag: int | None):
             results["components"] = {k: list(v) for k, v in sorted(red.components.items())}
             for name in sorted(red.components):
                 h0, h1 = red.components[name]
-                lines.append(f"component {name} h0 h1: {h0} {h1}")
+                lines.append(f"component {name} h0 h1: {num(h0)} {num(h1)}")
         if "cohomology" in outputs:
             results["h"] = list(red.h)
-            lines.append(f"reduced h0 h1 h2: {red.h[0]} {red.h[1]} {red.h[2]}")
+            lines.append(f"reduced h0 h1 h2: {num(red.h[0])} {num(red.h[1])} {num(red.h[2])}")
 
     elif kind == "higgs":
         m = build_higgs(p, payload)
@@ -429,9 +413,9 @@ def run_job(doc: dict, prime_flag: int | None):
             results["cohomology"] = {}
             for i in weights:
                 hs = hodge_cohomology(m, i)
-                results["cohomology"][str(i)] = [h for _, h in hs]
-                pretty = " ".join(str(h) for _, h in hs)
-                lines.append(f"weight {i} koszul h: {pretty}")
+                results["cohomology"][num(i)] = [h for _, h in hs]
+                pretty = " ".join(num(h) for _, h in hs)
+                lines.append(f"weight {num(i)} koszul h: {pretty}")
 
     report = {"format": 1, "prime": p, "kind": kind, "payload": payload,
               "results": results}
@@ -513,6 +497,7 @@ def main(argv: list[str] | None = None) -> int:
     pk = sub.add_parser("check", help="validate job files without computing")
     pk.add_argument("jobs", nargs="+")
     pk.add_argument("--prime", type=int, default=None)
+    pk.set_defaults(nproc=1, report=None)
 
     pt = sub.add_parser("table", help="print built-in reference tables")
     pt.add_argument("family", choices=("tate", "bk", "weights"))
@@ -536,19 +521,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(table_weights(args.prime, args.lo, args.hi))
         return 0
 
-    if args.verb == "check":
-        code = 0
-        for path in args.jobs:
-            status, text, _ = _run_file(path, args.prime)
-            if status == 0:
-                sys.stdout.write(f"ok: {path}\n")
-            else:
-                sys.stderr.write(f"{path}: {text}")
-                if code == 0:
-                    code = status
-        return code
-
-    # compute
     if args.report is not None and len(args.jobs) != 1:
         sys.stderr.write("schema error: --report: needs exactly one job file\n")
         return 1
@@ -557,19 +529,26 @@ def main(argv: list[str] | None = None) -> int:
             outcomes = list(pool.map(_run_file, args.jobs,
                                      [args.prime] * len(args.jobs)))
     else:
-        outcomes = [_run_file(path, args.prime) for path in args.jobs]
+        outcomes = (_run_file(path, args.prime) for path in args.jobs)
     code = 0
     for path, (status, text, report) in zip(args.jobs, outcomes):
-        if status == 0:
+        if status != 0:
+            sys.stderr.write(f"{path}: {text}")
+            code = code or status
+        elif args.verb == "check":
+            sys.stdout.write(f"ok: {path}\n")
+        else:
             sys.stdout.write(f"== {path}\n{text}")
             if args.report is not None:
-                with open(args.report, "w", encoding="utf-8") as fh:
-                    json.dump(report, fh, sort_keys=True, indent=2)
-                    fh.write("\n")
-        else:
-            sys.stderr.write(f"{path}: {text}")
-            if code == 0:
-                code = status
+                # integers stay JSON numbers at any size; parsing keeps the limit
+                limit = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(0)
+                try:
+                    with open(args.report, "w", encoding="utf-8") as fh:
+                        json.dump(report, fh, sort_keys=True, indent=2)
+                        fh.write("\n")
+                finally:
+                    sys.set_int_max_str_digits(limit)
     return code
 
 

@@ -255,3 +255,89 @@ def test_seed_env_var_never_affects_computation():
             capture_output=True, env=env)
         out[seed] = (proc.returncode, proc.stdout)
     assert out[None] == out["1"] == out["987654321"]
+
+
+# ---------------------------------------------------------------------------
+# computed integers past the 4300-digit limit of str(int)
+# ---------------------------------------------------------------------------
+
+HUGE = 6 * 10 ** 4299  # 4300 digits: still a legal JSON integer in a job
+
+HUGE_JOBS = {
+    # Hodge number 2 * HUGE + 1, 4301 digits
+    "hodge": ({"format": 1, "prime": 3, "kind": "filphi", "outputs": ["hodge"],
+               "payload": {"dim": 2, "frobenius": [["1", "0"], ["0", "1"]],
+                           "filtration": {"window": [HUGE, HUGE + 1], "dims": [2, 1],
+                                          "transitions": [[["1"], ["0"]]]}}},
+              "hodge: ", 2 * HUGE + 1),
+    # the default weights run up to the top piece plus one direction: 10^4300
+    "higgs": ({"format": 1, "prime": 3, "kind": "higgs",
+               "payload": {"directions": 1, "pieces": {str(10 ** 4300 - 1): 1}}},
+              "weight ", 10 ** 4300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_JOBS))
+def test_computed_integers_past_the_digit_limit_print_in_full(tmp_path, name):
+    doc, prefix, value = HUGE_JOBS[name]
+    digits = str(Decimal(value))
+    assert len(digits) == 4301
+    path, report = tmp_path / "huge.json", tmp_path / "huge.report.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    with HangGuard(60):
+        code, out = run_cli(["compute", str(path), "--report", str(report)])
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert f"\n{prefix}{digits}" in out
+    results = json.loads(report.read_text(encoding="utf-8"), parse_int=Decimal)["results"]
+    if name == "hodge":
+        assert results["hodge"] == Decimal(value)  # a JSON number, not a string
+    else:
+        assert digits in results["cohomology"]
+
+
+def test_count_past_the_digit_limit_is_schema_error(tmp_path, capsys):
+    # the window holds 10^4300 + 1 indices, a count str() cannot print
+    doc = {"format": 1, "prime": 3, "kind": "filphi",
+           "payload": {"dim": 1, "frobenius": [["1"]],
+                       "filtration": {"window": [-5 * 10 ** 4299, 5 * 10 ** 4299],
+                                      "dims": [1]}}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["compute", str(path)]) == (1, "")
+    assert capsys.readouterr().err == (f"{path}: schema error: payload.filtration.dims: "
+                                       f"expected {Decimal(10 ** 4300 + 1)} entries\n")
+
+
+# ---------------------------------------------------------------------------
+# one status loop for check and compute
+# ---------------------------------------------------------------------------
+
+MALFORMED = sorted((FIXTURES / "malformed").glob("*.json"))
+
+
+@pytest.mark.parametrize("job", MALFORMED, ids=lambda j: j.stem)
+def test_check_reports_a_malformed_job_as_compute_does(capsys, job):
+    law = job.stem == "bad_ut"  # every other malformed fixture breaks the schema
+    code, out = run_cli(["compute", str(job)])
+    err = capsys.readouterr().err
+    assert (code, out) == (2 if law else 1, "")
+    assert err.startswith(f"{job}: {'law violated' if law else 'schema error'}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert run_cli(["check", str(job)]) == (code, "")
+    assert capsys.readouterr().err == err
+
+
+def test_parallel_compute_keeps_a_bad_file_out_of_stdout():
+    good = str(FIXTURES / "jobs" / "tate1.json")
+    bad = str(FIXTURES / "malformed" / "bad_row.json")
+    par, seq = (subprocess.run([sys.executable, "-m", "gaugeworks", "compute", *flags,
+                                good, bad], capture_output=True, text=True)
+                for flags in (["--jobs", "2"], []))
+    code, out = run_cli(["compute", good])
+    assert code == 0
+    assert par.returncode == 1 and par.stdout == out
+    assert par.stderr.startswith(f"{bad}: schema error: payload.frobenius[1]:")
+    assert par.stderr.count("\n") == 1
+    assert (seq.returncode, seq.stdout, seq.stderr) == (par.returncode, par.stdout,
+                                                        par.stderr)
