@@ -23,9 +23,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 
 from .beilinson import corners, fm_fibre, verify_cartesian
 from .errors import LawReport, LawViolation, SchemaError
@@ -478,7 +478,9 @@ def table_weights(p: int, lo: int, hi: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use."""
     parser = argparse.ArgumentParser(
         prog="gaugeworks",
         description="exact computations with filtered Frobenius modules, "
@@ -504,8 +506,11 @@ def main(argv: list[str] | None = None) -> int:
     pt.add_argument("--prime", type=int, required=True)
     pt.add_argument("--min", dest="lo", type=int, default=-5)
     pt.add_argument("--max", dest="hi", type=int, default=5)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.verb == "table":
         try:
@@ -525,6 +530,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("schema error: --report: needs exactly one job file\n")
         return 1
     if args.nproc > 1 and len(args.jobs) > 1:
+        # imported here: the pool pulls in multiprocessing, ~2 MB that
+        # sequential runs never use
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.nproc) as pool:
             outcomes = list(pool.map(_run_file, args.jobs,
                                      [args.prime] * len(args.jobs)))

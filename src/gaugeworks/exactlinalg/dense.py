@@ -1,17 +1,31 @@
 """Immutable dense matrices with explicit shape: the field-independent part.
 
 :class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`
-and supply the field: entry reduction in ``__init__``, ``_like`` (same
-field, new rows), ``_entry`` on scalars, ``_key`` for equality, the kernels
-``rref``, ``det`` and ``@`` (over Z for ``QMat``, mod p for ``FpMat``) and,
-over F_p, the prime check ``_check``.  Everything here (shapes, ``+``/``-``,
-``scale``, stacking, ``power``, and ``rank``/``kernel``/``solve``/
-``inverse``/``column_space_basis`` read off ``self.rref()``) is written once
-for both fields.
+and supply the field: entry reduction in ``__init__``, ``_entry`` on
+scalars, ``_key`` for equality, the kernels ``rref``, ``det`` and ``@``
+(over Z for ``QMat``, mod p for ``FpMat``) and, over F_p, the prime check
+``_check``.  Everything here (shapes, ``+``/``-``, ``scale``, stacking,
+``power``, and ``rank``/``kernel``/``solve``/``inverse``/
+``column_space_basis`` read off ``self.rref()``) is written once for both
+fields.
+
+A matrix is built by one of two paths.  The public constructors,
+``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols)``, are checked: they
+reduce every entry (mod p, or to a ``Fraction``), reject ragged rows and
+check ``ncols``.  The private ``_made`` classmethod of each field, with the
+same arguments, is trusted: it stores ``rows`` as given.  Every result the
+library builds itself goes through ``_made``, directly or through the two
+hooks each field supplies: ``_like(rows, ncols)`` (``_made`` over the
+field of ``self``) and ``_reduced(rows, ncols)`` (entries reduced mod p, or
+kept as the ``Fraction``s they are, then ``_made``).  A kernel hands the
+trusted path a tuple of row tuples, each of length ``ncols``, holding only
+normalised entries: ints in [0, p) over F_p, ``Fraction``s over Q (never an
+int zero or one; ``_entry(0)`` and ``_entry(1)`` are the field's own).
 """
 
 from __future__ import annotations
 
+from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -28,7 +42,7 @@ class DenseMat:
                 setattr(cls, name, value)
 
     def _set(self, rows: tuple, ncols: int | None):
-        """Store already-normalised rows, checking and fixing the shape."""
+        """The checked path: store already-normalised rows, checking and fixing the shape."""
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -38,9 +52,14 @@ class DenseMat:
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
+        self._store(rows, ncols)
+
+    def _store(self, rows: tuple, ncols: int):
+        """Store rows of the given width as they are; both paths end here."""
+        _set_rows(self, rows)
+        _set_nrows(self, len(rows))
+        _set_ncols(self, ncols)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -68,27 +87,32 @@ class DenseMat:
         return all(x == 0 for r in self.rows for x in r)
 
     def transpose(self):
-        return self._like([[self.rows[i][j] for i in range(self.nrows)]
-                           for j in range(self.ncols)], self.nrows)
+        # zip has no rows to read the width off when there are none
+        return self._like(tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols,
+                          self.nrows)
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other):
+    def _paired_rows(self, other):
         self._check(other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return self._like([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        return zip(self.rows, other.rows)
+
+    def __add__(self, other):
+        return self._reduced([list(map(add, r1, r2)) for r1, r2 in self._paired_rows(other)],
+                             self.ncols)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._reduced([list(map(sub, r1, r2)) for r1, r2 in self._paired_rows(other)],
+                             self.ncols)
 
     def __neg__(self):
-        return self._like([[-a for a in r] for r in self.rows], self.ncols)
+        return self._reduced([[-a for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c):
         c = self._entry(c)
-        return self._like([[c * a for a in r] for r in self.rows], self.ncols)
+        return self._reduced([[c * a for a in r] for r in self.rows], self.ncols)
 
     def power(self, k: int):
         """``self`` to the k-th power by repeated squaring (identity for k <= 0)."""
@@ -111,7 +135,7 @@ class DenseMat:
         self._check(other)
         if self.nrows != other.nrows:
             raise ValueError("hstack: row count mismatch")
-        return self._like([r1 + r2 for r1, r2 in zip(self.rows, other.rows)],
+        return self._like(tuple([r1 + r2 for r1, r2 in zip(self.rows, other.rows)]),
                           self.ncols + other.ncols)
 
     def vstack(self, other):
@@ -121,13 +145,16 @@ class DenseMat:
         return self._like(self.rows + other.rows, self.ncols)
 
     def take_cols(self, idx: Sequence[int]):
-        return self._like([[r[j] for j in idx] for r in self.rows], len(idx))
+        return self._like(tuple([tuple([r[j] for j in idx]) for r in self.rows]), len(idx))
 
     def take_rows(self, idx: Sequence[int]):
-        return self._like([self.rows[i] for i in idx], self.ncols)
+        rows = self.rows
+        return self._like(tuple([rows[i] for i in idx]), self.ncols)
 
     def _eye(self, n: int):
-        return self._like([[int(i == j) for j in range(n)] for i in range(n)], n)
+        zero, one = self._entry(0), self._entry(1)
+        return self._like(tuple([tuple([one if i == j else zero for j in range(n)])
+                                 for i in range(n)]), n)
 
     # -- elimination -------------------------------------------------------
 
@@ -137,15 +164,16 @@ class DenseMat:
     def kernel(self):
         """Basis of the right null space, as columns (ncols x nullity)."""
         red, pivots = self.rref()
+        zero, one = self._entry(0), self._entry(1)
         free = [j for j in range(self.ncols) if j not in pivots]
         cols = []
         for f in free:
-            v = [0] * self.ncols
-            v[f] = 1
+            v = [zero] * self.ncols
+            v[f] = one
             for r, pc in enumerate(pivots):
                 v[pc] = -red.rows[r][f]
             cols.append(v)
-        return self._like(*rows_from_cols(cols, self.ncols))
+        return self._reduced(*rows_from_cols(cols, self.ncols))
 
     def solve(self, target):
         """One solution X of ``self @ X = target``, or None if inconsistent."""
@@ -153,16 +181,14 @@ class DenseMat:
         if target.nrows != self.nrows:
             raise ValueError("solve: row count mismatch")
         red, pivots = self.hstack(target).rref()
-        pivots_in_self = [c for c in pivots if c < self.ncols]
-        if len(pivots_in_self) != len(pivots):
+        n = self.ncols
+        if pivots and pivots[-1] >= n:
             return None
-        xcols = []
-        for k in range(target.ncols):
-            v = [0] * self.ncols
-            for r, pc in enumerate(pivots_in_self):
-                v[pc] = red.rows[r][self.ncols + k]
-            xcols.append(v)
-        return self._like(*rows_from_cols(xcols, self.ncols))
+        # row pc of X is the target part of the echelon row with pivot pc
+        xrows = [(self._entry(0),) * target.ncols] * n
+        for r, pc in enumerate(pivots):
+            xrows[pc] = red.rows[r][n:]
+        return self._like(tuple(xrows), target.ncols)
 
     def column_space_basis(self):
         red, pivots = self.rref()
@@ -178,6 +204,12 @@ class DenseMat:
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.rank() == self.nrows
+
+
+# ``__setattr__`` keeps matrices immutable; construction writes the slots
+# through their descriptors
+_set_rows, _set_nrows, _set_ncols = (DenseMat.rows.__set__, DenseMat.nrows.__set__,
+                                     DenseMat.ncols.__set__)
 
 
 def rows_from_cols(cols: Iterable[Sequence], nrows: int) -> tuple[list, int]:
@@ -196,7 +228,7 @@ def kron(a: DenseMat, b: DenseMat) -> DenseMat:
     for ra in a.rows:
         for rb in b.rows:
             rows.append([x * y for x in ra for y in rb])
-    return a._like(rows, a.ncols * b.ncols)
+    return a._reduced(rows, a.ncols * b.ncols)
 
 
 def span_union(empty: DenseMat, mats: Iterable[DenseMat]) -> DenseMat:
@@ -210,6 +242,7 @@ def span_union(empty: DenseMat, mats: Iterable[DenseMat]) -> DenseMat:
 def block_diag(a: DenseMat, b: DenseMat) -> DenseMat:
     """The block matrix [[a, 0], [0, b]]."""
     a._check(b)
-    rows = ([list(r) + [0] * b.ncols for r in a.rows]
-            + [[0] * a.ncols + list(r) for r in b.rows])
-    return a._like(rows, a.ncols + b.ncols)
+    zero = a._entry(0)
+    right, left = (zero,) * b.ncols, (zero,) * a.ncols
+    return a._like(tuple([r + right for r in a.rows] + [left + r for r in b.rows]),
+                   a.ncols + b.ncols)

@@ -23,11 +23,22 @@ class FpMat(DenseMat):
     __slots__ = ("p",)
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        object.__setattr__(self, "p", p)
+        _set_p(self, p)
         self._set(tuple(tuple(int(x) % p for x in r) for r in rows), ncols)
 
-    def _like(self, rows, ncols: int) -> "FpMat":
-        return FpMat(self.p, rows, ncols)
+    @classmethod
+    def _made(cls, p: int, rows: tuple, ncols: int) -> "FpMat":
+        """The trusted twin of ``FpMat(p, rows, ncols)``: rows stored as given."""
+        new = object.__new__(cls)
+        _set_p(new, p)
+        return new._store(rows, ncols)
+
+    def _like(self, rows: tuple, ncols: int) -> "FpMat":
+        return FpMat._made(self.p, rows, ncols)
+
+    def _reduced(self, rows, ncols: int) -> "FpMat":
+        p = self.p
+        return FpMat._made(p, tuple([tuple([x % p for x in r]) for r in rows]), ncols)
 
     def _key(self):
         return (self.p, self.shape, self.rows)
@@ -45,11 +56,11 @@ class FpMat(DenseMat):
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        # an inner dimension of 0 leaves zip nothing to transpose; the
-        # constructor reduces each sum mod p
+        # an inner dimension of 0 leaves zip nothing to transpose
+        p = self.p
         cols = list(zip(*other.rows)) or [()] * other.ncols
-        return FpMat(self.p, [[sum(map(mul, row, col)) for col in cols]
-                              for row in self.rows], other.ncols)
+        return FpMat._made(p, tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
+                                     for row in self.rows]), other.ncols)
 
     def rref(self) -> tuple["FpMat", list[int]]:
         """Reduced row echelon form; returns (R, pivot_columns)."""
@@ -72,7 +83,7 @@ class FpMat(DenseMat):
             r += 1
             if r == self.nrows:
                 break
-        return FpMat(p, rows, self.ncols), pivots
+        return FpMat._made(p, tuple(map(tuple, rows)), self.ncols), pivots
 
     def det(self) -> int:
         """Determinant by the forward sweep, in [0, p)."""
@@ -101,7 +112,7 @@ class FpMat(DenseMat):
 
     @classmethod
     def zeros(cls, p: int, m: int, n: int) -> "FpMat":
-        return cls(p, [[0] * n for _ in range(m)], ncols=n)
+        return cls._made(p, ((0,) * n,) * m, n)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMat":
@@ -109,7 +120,9 @@ class FpMat(DenseMat):
 
     @classmethod
     def scalar(cls, p: int, n: int, c: int) -> "FpMat":
-        return cls(p, [[c if i == j else 0 for j in range(n)] for i in range(n)], ncols=n)
+        c = int(c) % p
+        return cls._made(p, tuple([tuple([c if i == j else 0 for j in range(n)])
+                                   for i in range(n)]), n)
 
     @classmethod
     def from_cols(cls, p: int, cols: Iterable[Sequence[int]], nrows: int) -> "FpMat":
@@ -121,6 +134,9 @@ class FpMat(DenseMat):
             return f"FpMat(p={self.p}, zeros {self.nrows}x{self.ncols})"
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
         return f"FpMat(p={self.p})[{body}]"
+
+
+_set_p = FpMat.p.__set__
 
 
 # fp_kron and fp_span_union stay distinct function objects from kron and
@@ -164,6 +180,7 @@ def quotient_projection(basis: FpMat) -> tuple[FpMat, FpMat]:
         for r, pc in enumerate(pivots):
             row[pc] = (-echelon[r][f]) % p
         proj_rows.append(row)
-    pi = FpMat(p, proj_rows, ncols=m)
-    sigma = FpMat.from_cols(p, [[1 if i == f else 0 for i in range(m)] for f in free], m)
+    pi = FpMat._made(p, tuple(map(tuple, proj_rows)), m)
+    sigma = FpMat._made(p, tuple([tuple([int(i == f) for f in free]) for i in range(m)]),
+                        len(free))
     return pi, sigma

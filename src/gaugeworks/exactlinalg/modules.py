@@ -130,22 +130,42 @@ class ModuleMap:
         return self.source.prime
 
     @classmethod
+    def _made(cls, source: FGModule, target: FGModule, matrix: QMat) -> "ModuleMap":
+        """The trusted twin of ``ModuleMap(source, target, matrix)``: no law check.
+
+        Only for maps that are lawful by construction: identities, zero maps,
+        scalars in Z_(p) and composites of lawful maps.
+        """
+        new = object.__new__(cls)
+        object.__setattr__(new, "source", source)
+        object.__setattr__(new, "target", target)
+        object.__setattr__(new, "matrix", matrix)
+        return new
+
+    @classmethod
     def identity(cls, m: FGModule) -> "ModuleMap":
-        return cls(m, m, QMat.identity(m.ngens))
+        return cls._made(m, m, QMat.identity(m.ngens))
 
     @classmethod
     def scalar(cls, m: FGModule, c) -> "ModuleMap":
-        return cls(m, m, QMat.scalar(m.ngens, c))
+        mat = QMat.scalar(m.ngens, c)
+        if m.ngens and mat.rows[0][0].denominator % m.prime == 0:
+            return cls(m, m, mat)  # raises the checked path's LawViolation
+        return cls._made(m, m, mat)
 
     @classmethod
     def zero(cls, source: FGModule, target: FGModule) -> "ModuleMap":
-        return cls(source, target, QMat.zeros(target.ngens, source.ngens))
+        if source.prime != target.prime:
+            raise PrimeMismatchError(source.prime, target.prime)
+        return cls._made(source, target, QMat.zeros(target.ngens, source.ngens))
 
     def compose(self, first: "ModuleMap") -> "ModuleMap":
         """self after first."""
         if first.target != self.source:
             raise ValueError("composition mismatch")
-        return ModuleMap(first.source, self.target, self.matrix @ first.matrix)
+        # a product of torsion-respecting matrices respects torsion: the
+        # valuations of the two factors add up along each path
+        return ModuleMap._made(first.source, self.target, self.matrix @ first.matrix)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:

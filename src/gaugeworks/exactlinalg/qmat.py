@@ -40,8 +40,16 @@ class QMat(DenseMat):
         self._set(tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
                         for r in rows), ncols)
 
-    def _like(self, rows, ncols: int) -> "QMat":
-        return QMat(rows, ncols)
+    @classmethod
+    def _made(cls, rows: tuple, ncols: int) -> "QMat":
+        """The trusted twin of ``QMat(rows, ncols)``: rows stored as given."""
+        return object.__new__(cls)._store(rows, ncols)
+
+    def _like(self, rows: tuple, ncols: int) -> "QMat":
+        return QMat._made(rows, ncols)
+
+    def _reduced(self, rows, ncols: int) -> "QMat":
+        return QMat._made(tuple(map(tuple, rows)), ncols)
 
     def _key(self):
         return (self.shape, self.rows)
@@ -55,8 +63,9 @@ class QMat(DenseMat):
             raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
         rows = [_cleared(r) for r in self.rows]
         cols = [_cleared([r[j] for r in other.rows]) for j in range(other.ncols)]
-        return QMat([[Fraction(sum(map(mul, xs, ys)), da * db) for ys, db in cols]
-                     for xs, da in rows], other.ncols)
+        return QMat._made(tuple([tuple([Fraction(sum(map(mul, xs, ys)), da * db)
+                                        for ys, db in cols]) for xs, da in rows]),
+                          other.ncols)
 
     def rref(self) -> tuple["QMat", list[int]]:
         """Reduced row echelon form; returns (R, pivot_columns).
@@ -85,8 +94,9 @@ class QMat(DenseMat):
             if r == self.nrows:
                 break
         # rows past the rank are zero
-        red = [[Fraction(x, row[c]) for x in row] for row, c in zip(rows, pivots)]
-        return QMat(red + rows[r:], self.ncols), pivots
+        red = [tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(rows, pivots)]
+        zero_row = (Fraction(0),) * self.ncols
+        return QMat._made(tuple(red) + (zero_row,) * (self.nrows - r), self.ncols), pivots
 
     def det(self) -> Fraction:
         """Determinant by the integer forward sweep, as one Fraction."""
@@ -146,9 +156,12 @@ class QMat(DenseMat):
         entries = list(entries)
         m = len(entries) if m is None else m
         n = len(entries) if n is None else n
-        zero = Fraction(0)  # shared, so __init__ builds no Fraction off the diagonal
-        return cls([[entries[i] if (i == j and i < len(entries)) else zero
-                     for j in range(n)] for i in range(m)], ncols=n)
+        zero = Fraction(0)  # shared: no Fraction is built off the diagonal
+        rows = [[zero] * n for _ in range(m)]
+        for i in range(min(len(entries), m, n)):
+            x = entries[i]
+            rows[i][i] = x if isinstance(x, Fraction) else Fraction(x)
+        return cls._made(tuple(map(tuple, rows)), n)
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import LawReport, LawViolation
 from .exactlinalg import FpMat, check_prime
@@ -118,17 +119,22 @@ def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:
     cols = len(src_subsets) * src_dim
     entries = [[0] * cols for _ in range(rows)]
     tgt_index = {s: a for a, s in enumerate(tgt_subsets)}
+    # each direction's block on V_{i-k} and its negation, read once; a
+    # direction with no field there contributes only zeros
+    blocks = {}
+    for j in range(1, d + 1):
+        field = m.fields[j].get(i - k)
+        if field is not None:
+            blocks[j] = (field.rows, (-field).rows)
     for b, s in enumerate(src_subsets):
-        for j in range(1, d + 1):
+        for j, (plus, minus) in blocks.items():
             if j in s:
                 continue
             merged = tuple(sorted(s + (j,)))
-            sign = (-1) ** sum(1 for x in s if x < j)
-            block = m.phi(j, i - k).scale(sign)
+            block = minus if sum(1 for x in s if x < j) % 2 else plus
             a = tgt_index[merged]
             for r in range(tgt_dim):
-                for c in range(src_dim):
-                    entries[a * tgt_dim + r][b * src_dim + c] = block[r, c]
+                entries[a * tgt_dim + r][b * src_dim:(b + 1) * src_dim] = block[r]
     return FpMat(p, entries, ncols=cols)
 
 
@@ -139,7 +145,6 @@ def hodge_cohomology(m: GradedHiggsModule, i: int) -> list[tuple[int, int]]:
     out = []
     prev_rank = 0
     for k in range(d + 1):
-        from math import comb
         dim_term = comb(d, k) * m.dim_at(i - k)
         rank_out = diffs[k].rank() if k < d else 0
         out.append((k, dim_term - rank_out - prev_rank))

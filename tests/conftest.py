@@ -55,6 +55,58 @@ class HangGuard:
         signal.signal(signal.SIGALRM, self.previous)
 
 
+# Test modules in which every trusted construction is rebuilt and compared.
+RECHECKED_MODULES = {"test_exactlinalg", "test_redlocus", "test_higgs", "test_fgauge"}
+
+
+def assert_same_matrix(made, rebuilt, entry_type):
+    """``made`` (trusted path) equals ``rebuilt`` (checked path), entry types included."""
+    assert type(made.rows) is tuple and all(type(r) is tuple for r in made.rows)
+    assert made.shape == rebuilt.shape and made.rows == rebuilt.rows and made == rebuilt
+    assert all(type(x) is entry_type for r in made.rows for x in r)
+
+
+@pytest.fixture(autouse=True)
+def recheck_trusted_constructions(request, monkeypatch):
+    """Rebuild each ``_made`` result of ``FpMat``, ``QMat`` and ``ModuleMap`` publicly.
+
+    The trusted path stores its arguments as given, so a kernel that hands
+    it an unreduced entry, an int in a ``QMat``, a list row or a wrong width,
+    or a map that breaks a torsion law, fails the first test that builds
+    one.  The rebuild calls the ``__init__`` captured here, so tests that
+    count constructions see only their own.
+    """
+    if request.path.stem not in RECHECKED_MODULES:
+        return
+    fp_made, fp_init = FpMat._made, FpMat.__init__
+    q_made, q_init = QMat._made, QMat.__init__
+    map_made, map_init = ModuleMap._made, ModuleMap.__init__
+
+    def fp_checked(p, rows, ncols):
+        made = fp_made(p, rows, ncols)
+        rebuilt = object.__new__(FpMat)
+        fp_init(rebuilt, p, rows, ncols)
+        assert_same_matrix(made, rebuilt, int)
+        return made
+
+    def q_checked(rows, ncols):
+        made = q_made(rows, ncols)
+        rebuilt = object.__new__(QMat)
+        q_init(rebuilt, rows, ncols)
+        assert_same_matrix(made, rebuilt, Fraction)
+        return made
+
+    def map_checked(source, target, matrix):
+        made = map_made(source, target, matrix)
+        rebuilt = object.__new__(ModuleMap)
+        map_init(rebuilt, source, target, matrix)  # raises on a broken law
+        assert made == rebuilt
+        return made
+
+    monkeypatch.setattr(FpMat, "_made", staticmethod(fp_checked))
+    monkeypatch.setattr(QMat, "_made", staticmethod(q_checked))
+    monkeypatch.setattr(ModuleMap, "_made", staticmethod(map_checked))
+
 
 # ---------------------------------------------------------------------------
 # oracles (independent of the package's elimination code)
