@@ -15,6 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
+from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
 from .qmat import QMat
@@ -134,7 +138,7 @@ class ModuleMap:
         """The trusted twin of ``ModuleMap(source, target, matrix)``: no law check.
 
         Only for maps that are lawful by construction: identities, zero maps,
-        scalars in Z_(p) and composites of lawful maps.
+        scalars in Z_(p), and composites and differences of lawful maps.
         """
         new = object.__new__(cls)
         object.__setattr__(new, "source", source)
@@ -170,7 +174,8 @@ class ModuleMap:
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("can only subtract parallel maps")
-        return ModuleMap(self.source, self.target, self.matrix - other.matrix)
+        # both maps are p-integral, and valuations >= f - e survive subtraction
+        return ModuleMap._made(self.source, self.target, self.matrix - other.matrix)
 
     def equals_as_map(self, other: "ModuleMap") -> bool:
         """Equality modulo the target's relations (entrywise mod p^f)."""
@@ -188,6 +193,14 @@ class ModuleMap:
                     return False
         return True
 
+    @cached_property
+    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Integer rows N and the lcm D of the entries' denominators: matrix = N / D."""
+        rows = self.matrix.rows
+        d = lcm(*(x.denominator for r in rows for x in r))
+        return tuple([tuple([x.numerator * (d // x.denominator) for x in r])
+                      for r in rows]), d
+
     def is_isomorphism(self) -> bool:
         # isomorphic modules have equal normal forms, and a surjective
         # endomorphism of a finitely generated module is injective
@@ -199,6 +212,45 @@ class ModuleMap:
         rows = list(range(self.target.free_rank))
         cols = list(range(self.source.free_rank))
         return self.matrix.take_rows(rows).take_cols(cols)
+
+
+def _int_product(start: FGModule, maps: Sequence[ModuleMap],
+                 c: int = 1) -> tuple[list[list[int]], int]:
+    """Integer rows N and a denominator D with c maps[-1] o ... o maps[0] = N / D.
+
+    ``maps[0]`` has source ``start``, and each map's target is the next one's
+    source; an empty chain is c times the identity of ``start``.  Each factor
+    is cleared once by the lcm of its denominators (a map keeps its cleared
+    rows) and the product runs over the integers.  Every entry of a
+    :class:`ModuleMap` lies in Z_(p), so D is a p-unit.
+    :meth:`ModuleMap.compose` stays on the Fraction route, as the reference
+    that the integer route is tested against.
+    """
+    n = start.ngens
+    if not maps:
+        return [[c if i == j else 0 for j in range(n)] for i in range(n)], 1
+    cols, den = None, 1
+    for f in maps:
+        rows, d = f._cleared
+        den *= d
+        if cols is None:  # the first factor, times c, as columns
+            cols = [[c * r[j] for r in rows] for j in range(n)]
+        else:
+            cols = [[sum(map(mul, r, col)) for r in rows] for col in cols]
+    m = maps[-1].target.ngens
+    return [[col[i] for col in cols] for i in range(m)], den
+
+
+def _composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
+               c: int = 1) -> ModuleMap:
+    """c maps[-1] o ... o maps[0]: source -> target, by :func:`_int_product`."""
+    rows, den = _int_product(source, maps, c)
+    if den == 1:
+        mat = tuple([tuple(map(Fraction, r)) for r in rows])
+    else:
+        mat = tuple([tuple([Fraction(x, den) for x in r]) for r in rows])
+    # a composite of lawful maps is lawful (see ``compose``)
+    return ModuleMap._made(source, target, QMat._made(mat, source.ngens))
 
 
 def _module_from_exponents(p: int, ngens: int, exps: tuple[int, ...]) -> FGModule:

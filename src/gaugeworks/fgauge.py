@@ -32,6 +32,7 @@ from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, block_diag,
                           check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_exponents, smith_normal_form,
                           zero_module)
+from .exactlinalg.modules import _composite, _int_product
 from .filphi import PhiModule
 
 
@@ -89,23 +90,26 @@ class FpGauge:
         The t's above b are p, those at or below a the identity.
         """
         a, b = self.window
-        acc = ModuleMap.scalar(self.module_at(bottom),
-                               self.prime ** (max(top, b) - max(bottom, b)))
-        for i in range(max(bottom, a) + 1, min(top, b) + 1):
-            acc = acc.compose(self.t[i - a - 1])
-        return acc
+        maps = [self.t[i - a - 1] for i in range(min(top, b), max(bottom, a), -1)]
+        return _composite(self.module_at(top), self.module_at(bottom), maps,
+                          self.prime ** (max(top, b) - max(bottom, b)))
 
     def u_composite(self, bottom: int, top: int) -> ModuleMap:
         """Composite of u's from M^bottom up to M^top (bottom <= top).
 
         The u's at or below a are p, those above b the identity.
         """
+        return _composite(self.module_at(bottom), self.module_at(top),
+                          *self._u_chain(bottom, top))
+
+    def _u_chain(self, bottom: int, top: int) -> tuple[list[ModuleMap], int]:
+        """The window's u's from M^bottom up to M^top, first applied first,
+
+        and the power of p that the constant u's at or below a contribute.
+        """
         a, b = self.window
-        acc = ModuleMap.scalar(self.module_at(bottom),
-                               self.prime ** (min(top, a) - min(bottom, a)))
-        for i in range(max(bottom, a) + 1, min(top, b) + 1):
-            acc = self.u[i - a - 1].compose(acc)
-        return acc
+        return ([self.u[i - a - 1] for i in range(max(bottom, a) + 1, min(top, b) + 1)],
+                self.prime ** (min(top, a) - min(bottom, a)))
 
 
 def validate(g: FpGauge) -> LawReport:
@@ -113,13 +117,36 @@ def validate(g: FpGauge) -> LawReport:
     bad: list[str] = []
     for k, (t, u) in enumerate(zip(g.t, g.u)):
         i = g.a + 1 + k
-        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.modules[k + 1], g.prime)):
+        if not _is_p(g.modules[k + 1], *_int_product(g.modules[k + 1], (t, u))):
             bad.append(f"ut = tu = p failed at index {i} (ut != p)")
-        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.modules[k], g.prime)):
+        if not _is_p(g.modules[k], *_int_product(g.modules[k], (u, t))):
             bad.append(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         bad.append("tau must be an isomorphism M^b -> M^a")
     return LawReport(tuple(bad))
+
+
+def _is_p(m: FGModule, rows: list[list[int]], den: int) -> bool:
+    """``rows / den`` is multiplication by p on ``m``, as a map; consumes ``rows``.
+
+    That is :meth:`ModuleMap.equals_as_map` against p: N - p D I is 0 in each
+    free row and 0 mod p^f in each row of order p^f, since D is a p-unit.
+    """
+    p = m.prime
+    for i, row in enumerate(rows):
+        row[i] -= p * den
+        xs = [x for x in row if x]
+        if not xs:
+            continue
+        f = m.order_exponent(i)
+        # a nonzero multiple of p^f has more than f bits, so p^f is built
+        # only below the size of the entries
+        if f is None or f >= min(x.bit_length() for x in xs):
+            return False
+        q = p ** f
+        if any(x % q for x in xs):
+            return False
+    return True
 
 
 def extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
@@ -145,7 +172,8 @@ def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
     composites read the constant ends.
     """
     down = g.t_composite(0, min(g.a, 0))
-    up = g.tau.compose(g.u_composite(0, max(g.b, 0)))
+    maps, c = g._u_chain(0, max(g.b, 0))
+    up = _composite(g.module_at(0), g.tau.target, maps + [g.tau], c)
     return homology_two_term(down - up)
 
 
@@ -163,7 +191,7 @@ def rational_realization(g: FpGauge) -> PhiModule:
     n = g.modules[0].free_rank
     if n == 0:
         return PhiModule(g.prime, QMat.zeros(0, 0))
-    phi = tau @ QMat.scalar(iota.nrows, Fraction(g.prime) ** b) @ iota.inverse()
+    phi = tau.scale(Fraction(g.prime) ** b) @ iota.inverse()
     return PhiModule(g.prime, phi)
 
 

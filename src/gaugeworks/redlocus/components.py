@@ -252,10 +252,16 @@ class FilThetaModule:
         if self.flags[0].shape != (self.dim, self.dim) or \
                 self.flags[0].rank() != self.dim:
             raise LawViolation("Fil^lo must be the whole space")
+        # each system is solved once: gr and theta_in_flag read these
+        inclusions = []
         for k in range(len(self.flags) - 1):
-            if self.flags[k].solve(self.flags[k + 1]) is None:
+            inc = self.flags[k].solve(self.flags[k + 1])
+            if inc is None:
                 raise LawViolation("the filtration must be decreasing",
                                    f"Fil^{self.lo + k + 1} not inside Fil^{self.lo + k}")
+            inclusions.append(inc)
+        inclusions.append(FpMat.zeros(self.prime, self.flags[-1].ncols, 0))  # Fil^{hi+1} = 0
+        object.__setattr__(self, "_inclusions", tuple(inclusions))
         for k, f in enumerate(self.flags):
             if f.rank() != f.ncols:
                 raise LawViolation("flag bases must be independent columns",
@@ -265,12 +271,14 @@ class FilThetaModule:
         frob = self.theta.power(self.prime) - self.theta
         if not frob.is_nilpotent():
             raise LawViolation("Theta^p - Theta must act nilpotently on the underlying space")
-        p = self.prime
+        thetas = []
         for i in range(self.lo, self.hi + 1):
-            img = self.theta @ self.flag_at(i)
-            if self.flag_at(i - p).solve(img) is None:
+            sol = self._solve_theta(i)
+            if sol is None:
                 raise LawViolation("Theta must carry Fil^i into Fil^{i-p}",
                                    f"failed at i = {i}")
+            thetas.append(sol)
+        object.__setattr__(self, "_thetas", tuple(thetas))
         # gr-level nilpotence: the induced operator has degree -p on the
         # finitely supported graded, so composing past the window is zero;
         # the GradedThetaModule constructor runs the explicit guard.
@@ -286,15 +294,22 @@ class FilThetaModule:
     def fil_dim(self, i: int) -> int:
         return self.flag_at(i).ncols
 
+    def _solve_theta(self, i: int) -> FpMat | None:
+        return self.flag_at(i - self.prime).solve(self.theta @ self.flag_at(i))
+
     def theta_in_flag(self, i: int) -> FpMat:
         """Theta as a map Fil^i -> Fil^{i-p} in flag coordinates."""
-        sol = self.flag_at(i - self.prime).solve(self.theta @ self.flag_at(i))
+        if self.lo <= i <= self.hi:
+            return self._thetas[i - self.lo]
+        sol = self._solve_theta(i)
         if sol is None:  # excluded by validation
             raise LawViolation("Theta must carry Fil^i into Fil^{i-p}")
         return sol
 
     def gr(self, i: int) -> tuple[FpMat, FpMat]:
         """Projection Fil^i -> gr^i in flag coordinates and a section of it."""
+        if self.lo <= i <= self.hi:
+            return quotient_projection(self._inclusions[i - self.lo])
         return quotient_projection(self.flag_at(i).solve(self.flag_at(i + 1)))
 
     def lift(self, i: int) -> FpMat:

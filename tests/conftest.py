@@ -311,6 +311,16 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
+def constant_gauge(p, module, window, t, u, tau):
+    """One module at every level of the window, the same t, u and tau throughout."""
+    a, b = window
+    n = b - a
+    return FpGauge(p, window, (module,) * (n + 1),
+                   (ModuleMap(module, module, QMat(t)),) * n,
+                   (ModuleMap(module, module, QMat(u)),) * n,
+                   ModuleMap(module, module, QMat(tau)))
+
+
 def oracle_t_at(g: FpGauge, i: int) -> ModuleMap:
     """t_i: M^i -> M^{i-1} at one index: identity at or below a, p above b."""
     a, b = g.window

@@ -10,14 +10,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (HangGuard, oracle_t_at, oracle_u_at, rand_fcrystal,
-                      rand_filtered_phi)
+from conftest import (HangGuard, constant_gauge, oracle_t_at, oracle_u_at,
+                      rand_fcrystal, rand_filtered_phi)
 from gaugeworks.cli import run_job
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
                                     smith_normal_form, zero_module)
+from gaugeworks.exactlinalg import modules
 from gaugeworks.fgauge import (FpGauge, direct_sum, extend_window,
                                gauge_from_fcrystal, hodge_tate_weights,
-                               syntomic_cohomology, twist_gauge)
+                               syntomic_cohomology, twist_gauge, validate)
 from gaugeworks.filphi import FilteredSpace
 
 BIG = 10 ** 6
@@ -80,21 +81,40 @@ def test_bk_twist_at_a_large_prime(n):
 
 
 def test_twist_cohomology_composes_as_often_near_and_far(monkeypatch):
-    # counted, not timed: the constant ends cost one scalar map at any distance
-    calls = []
-    compose = ModuleMap.compose
+    # counted, not timed: the constant ends fold into one scalar at any
+    # distance, so the integer products take as many factors near and far
+    factors = []
+    product = modules._int_product
 
-    def counting(self, first):
-        calls.append(1)
-        return compose(self, first)
+    def counting(start, maps, c=1):
+        factors.append(len(maps))
+        return product(start, maps, c)
 
-    monkeypatch.setattr(ModuleMap, "compose", counting)
+    monkeypatch.setattr(modules, "_int_product", counting)
     seen = []
     for n in (3, -3, 10 ** 5, -10 ** 5):
-        calls.clear()
+        factors.clear()
         syntomic_cohomology(twist_gauge(n, 3))
-        seen.append(len(calls))
-    assert seen[0] == seen[2] and seen[1] == seen[3]
+        seen.append(list(factors))
+    assert seen[0] and seen[0] == seen[2] and seen[1] == seen[3]
+
+
+def test_gauge_laws_and_cohomology_at_a_large_torsion_exponent():
+    # exponent 5000 and 2000-digit p-unit denominators: the law check builds
+    # p^f once per row and divides once per entry
+    p, e = 3, 5000
+    q, r = 10 ** 2000 + 1, 10 ** 2000 + 3
+    assert q % p and r % p
+    m = FGModule(p, 1, (e,))
+    t = [[Fraction(1, q), 0], [Fraction(p ** (e - 1), r), Fraction(1, q)]]
+    for off, ok in ((p ** e, True), (p ** (e - 1), False)):
+        # u t = p + off / q^2 in the torsion row's diagonal entry
+        u = [[p * q, 0], [-p * q * q * t[1][0], p * q + Fraction(off, q)]]
+        g = constant_gauge(p, m, (-1, 0), t, u, t)
+        with HangGuard(60):
+            assert validate(g).ok is ok
+            # the differential t - tau is 0
+            assert syntomic_cohomology(g) == (m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +160,22 @@ def random_gauges(rng) -> list[FpGauge]:
     for a in (-5, -1, 0, 3):
         gauges.append(torsion_gauge(3, a))
         gauges.append(direct_sum(torsion_gauge(3, a), twist_gauge(rng.randint(-4, 4), 3)))
+    # p-unit denominators, and one-level windows (every composite is the
+    # bare scalar) on a free, a torsion and a 0-generator module
+    p, half, unit = 3, Fraction(1, 2), Fraction(1, 4)
+    free, cyc = FGModule(p, 1), FGModule(p, 0, (2,))
+    gauges += [constant_gauge(p, free, (-1, 1), [[half]], [[2 * p]], [[1]]),
+               constant_gauge(p, free, (0, 2), [[unit]], [[4 * p]], [[half]]),
+               constant_gauge(p, cyc, (-2, 0), [[half]], [[2 * p + Fraction(p ** 2, 4)]],
+                              [[unit]]),
+               constant_gauge(p, FGModule(p, 1, (1, 3)), (1, 2),
+                              [[half, 0, 0], [0, 1, 0], [0, p * p * half, unit]],
+                              [[2 * p, 0, 0], [0, p, 0], [0, -2 * p ** 3, 4 * p]],
+                              [[1, 0, 0], [half, 1, 0], [0, 0, 1]])]
+    for a in (-2, 2):
+        gauges += [constant_gauge(p, free, (a, a), [[1]], [[p]], [[half]]),
+                   constant_gauge(p, cyc, (a, a), [[1]], [[p]], [[unit]]),
+                   constant_gauge(p, FGModule(p, 0), (a, a), [], [], [])]
     return gauges
 
 

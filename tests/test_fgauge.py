@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_snf, oracle_t_at, oracle_u_at, rand_fcrystal
+from conftest import (constant_gauge, oracle_snf, oracle_t_at, oracle_u_at,
+                      rand_fcrystal)
 from gaugeworks import fgauge
 from gaugeworks.cli import build_fgauge
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
@@ -284,16 +285,6 @@ def test_direct_sum_with_torsion_summand():
     assert h0 == cyclic(3) and h1 == cyclic(3)  # the free part cancels
 
 
-def constant_gauge(p, module, window, t, u, tau):
-    """One module at every level of the window, the same t, u and tau throughout."""
-    a, b = window
-    n = b - a
-    return FpGauge(p, window, (module,) * (n + 1),
-                   (ModuleMap(module, module, QMat(t)),) * n,
-                   (ModuleMap(module, module, QMat(u)),) * n,
-                   ModuleMap(module, module, QMat(tau)))
-
-
 def test_direct_sum_with_interleaved_torsion_and_nonscalar_tau():
     # torsion exponents (1, 3) and (2,) merge to (1, 2, 3), so the second
     # summand's torsion generator lands between the first summand's two
@@ -393,6 +384,30 @@ def gauge_corpus(rng) -> list[FpGauge]:
                    ModuleMap(c1, c1, QMat([[1]])))
     gauges += [g1, g2, direct_sum(g1, g2), bump, direct_sum(bump, twist_gauge(-1, p)),
                direct_sum(torsion_gauge(p), twist_gauge(1, p))]
+    # the integer law check's boundaries: ut - p of valuation exactly f - 1
+    # (lawless) and exactly f (lawful) in a torsion row, on and off the
+    # diagonal; a free row off by p^40; p-unit denominators in t and u
+    mixed = FGModule(p, 1, (3,))
+    eye = [[1, 0], [0, 1]]
+    for off in (p ** 2, p ** 3):
+        gauges += [constant_gauge(p, mixed, (0, 1), eye, [[p, 0], [0, p + off]], eye),
+                   constant_gauge(p, mixed, (-1, 0), eye, [[p, 0], [off, p]], eye)]
+    half, unit = Fraction(1, 2), Fraction(1, 1 + p)
+    gauges += [constant_gauge(p, m, (0, 1), [[1]], [[p + p ** 40]], [[1]]),
+               constant_gauge(p, m, (-1, 1), [[half]], [[2 * p]], [[1]]),
+               constant_gauge(p, m, (0, 2), [[unit]], [[p * (1 + p)]], [[half]]),
+               constant_gauge(p, cyclic(p, 2), (0, 1), [[half]],
+                              [[2 * p + Fraction(p ** 2, 1 + p)]], [[unit]]),
+               constant_gauge(p, cyclic(p, 2), (0, 1), [[unit]],
+                              [[p * (1 + p) + Fraction(p, 2)]], [[1]])]
+    # 0-generator modules: everywhere, and at one level of a torsion gauge,
+    # where tu = 0 is p on Z/p
+    zero = FGModule(p, 0)
+    gauges += [constant_gauge(p, zero, (-1, 0), [], [], []),
+               FpGauge(p, (0, 1), (c1, zero),
+                       (ModuleMap(zero, c1, QMat.zeros(1, 0)),),
+                       (ModuleMap(c1, zero, QMat.zeros(0, 1)),),
+                       ModuleMap(zero, c1, QMat.zeros(1, 0)))]
     gauges += [gauge_from_fcrystal(rand_fcrystal(rng, rng.choice([2, 3, 5])))
                for _ in range(20)]
     return gauges
