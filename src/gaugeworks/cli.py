@@ -33,14 +33,12 @@ from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
                           format_rational, parse_rational)
 from .fgauge import (FCrystalPoint, FpGauge, gauge_from_fcrystal,
                      hodge_tate_weights, rational_realization,
-                     syntomic_cohomology, validate)
+                     syntomic_cohomology, twist_gauge, validate)
 from .filphi import (FilteredPhiModule, FilteredSpace, hodge_number,
                      is_weakly_admissible, newton_number, rhom_mfphi, tate)
 from .higgs import GradedHiggsModule, hodge_cohomology
 from .redlocus import (A1Module, FilThetaModule, ReducedFGauge, bk_reduced,
                        reduced_syntomic_cohomology)
-
-KINDS = ("filphi", "square", "fgauge", "reduced", "higgs")
 
 DEFAULT_OUTPUTS = {
     "filphi": ("cohomology", "newton", "hodge", "admissible"),
@@ -49,6 +47,7 @@ DEFAULT_OUTPUTS = {
     "reduced": ("components", "cohomology"),
     "higgs": ("check", "cohomology"),
 }
+KINDS = tuple(DEFAULT_OUTPUTS)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +463,6 @@ def table_bk(p: int) -> str:
 
 
 def table_weights(p: int, lo: int, hi: int) -> str:
-    from .fgauge import twist_gauge
     lines = [f"twist gauge weights at p = {p}", "   n  weights"]
     for n in range(lo, hi + 1):
         w = hodge_tate_weights(twist_gauge(n, p))

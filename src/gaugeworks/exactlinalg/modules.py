@@ -137,8 +137,8 @@ class ModuleMap:
     def _made(cls, source: FGModule, target: FGModule, matrix: QMat) -> "ModuleMap":
         """The trusted twin of ``ModuleMap(source, target, matrix)``: no law check.
 
-        Only for maps that are lawful by construction: identities, zero maps,
-        scalars in Z_(p), and composites and differences of lawful maps.
+        Only for maps lawful by construction: zero maps, diagonal self-maps
+        over Z_(p), and composites, differences and block sums of lawful maps.
         """
         new = object.__new__(cls)
         object.__setattr__(new, "source", source)

@@ -186,13 +186,14 @@ def rational_realization(g: FpGauge) -> PhiModule:
     on the window (enlarging it multiplies and divides by the same power).
     """
     a, b = g.window
-    iota = g.t_composite(b, a).rational_matrix()
-    tau = g.tau.rational_matrix()
-    n = g.modules[0].free_rank
-    if n == 0:
+    if g.modules[0].free_rank == 0:
         return PhiModule(g.prime, QMat.zeros(0, 0))
-    phi = tau.scale(Fraction(g.prime) ** b) @ iota.inverse()
-    return PhiModule(g.prime, phi)
+    try:
+        inv = g.t_composite(b, a).rational_matrix().inverse()
+    except ValueError:  # ut = tu = p makes every t invertible after inverting p
+        raise LawViolation("ut = tu = p failed", "the t-composite M^b -> M^a "
+                           "is not invertible after inverting p") from None
+    return PhiModule(g.prime, g.tau.rational_matrix().scale(Fraction(g.prime) ** b) @ inv)
 
 
 def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
@@ -207,8 +208,8 @@ def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
         src = m1.source.direct_sum(m2.source)
         tgt = m1.target.direct_sum(m2.target)
         mat = block_diag(m1.matrix, m2.matrix)
-        return ModuleMap(src, tgt, mat.take_rows(_sum_order(m1.target, m2.target))
-                         .take_cols(_sum_order(m1.source, m2.source)))
+        return ModuleMap._made(src, tgt, mat.take_rows(_sum_order(m1.target, m2.target))
+                               .take_cols(_sum_order(m1.source, m2.source)))
 
     modules = tuple(x.direct_sum(y) for x, y in zip(g1.modules, g2.modules))
     ts = tuple(sum_map(x, y) for x, y in zip(g1.t, g2.t))
@@ -287,15 +288,14 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     modules = tuple(free for _ in range(a, b + 1))
     ts, us = [], []
     for i in range(a + 1, b + 1):
-        tdiag = [Fraction(p) ** (max(i - d, 0) - max(i - 1 - d, 0)) for d in exps]
-        udiag = [Fraction(p) / x for x in tdiag]
-        ts.append(ModuleMap(free, free, QMat.diagonal(tdiag)))
-        us.append(ModuleMap(free, free, QMat.diagonal(udiag)))
+        # t_i is p where d_j < i and 1 elsewhere, u_i = p / t_i: lawful as built
+        ts.append(ModuleMap._made(free, free, QMat.diagonal([p if d < i else 1 for d in exps])))
+        us.append(ModuleMap._made(free, free, QMat.diagonal([1 if d < i else p for d in exps])))
     # in the bases B_i = V diag(p^{max(i - d_j, 0)}), tau of the gauge is
     # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} tau_crys V diag(p^{-d_j}), which
-    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular
+    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular (checked)
     unscale = QMat.diagonal([Fraction(p) ** -d for d in exps])
-    tau = ModuleMap(free, free, s.v.inverse() @ c.tau_crys @ s.v @ unscale)
+    tau = ModuleMap(free, free, s.v.solve(c.tau_crys @ s.v @ unscale))
     return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
 
 

@@ -4,9 +4,8 @@ from .bk import (A1Flag, bk_filtheta, bk_flag, bk_reduced, dual_reduced,
                  tensor_reduced)
 from .components import (A1Module, FilThetaModule, GradedThetaModule,
                          ThetaModule, coh_dR, coh_dRplus, coh_Hod, coh_HTc,
-                         graded_theta_is_nilpotent, restrict_dRplus_to_dR,
-                         restrict_dRplus_to_Hod, restrict_HTc_to_dR,
-                         restrict_HTc_to_Hod)
+                         restrict_dRplus_to_dR, restrict_dRplus_to_Hod,
+                         restrict_HTc_to_dR, restrict_HTc_to_Hod)
 from .gluing import (ReducedCohomology, ReducedFGauge,
                      reduced_gauge_violations, reduced_syntomic_cohomology)
 
@@ -15,7 +14,6 @@ __all__ = [
     "coh_dR", "coh_Hod", "coh_HTc", "coh_dRplus",
     "restrict_HTc_to_dR", "restrict_HTc_to_Hod",
     "restrict_dRplus_to_dR", "restrict_dRplus_to_Hod",
-    "graded_theta_is_nilpotent",
     "ReducedFGauge", "ReducedCohomology",
     "reduced_gauge_violations", "reduced_syntomic_cohomology",
     "A1Flag", "bk_flag", "bk_filtheta", "bk_reduced",

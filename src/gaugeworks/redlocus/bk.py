@@ -100,10 +100,7 @@ class A1Flag:
             if comp.rank() != m.dim_at(i):
                 raise LawViolation("flag presentation needs injective x maps",
                                    f"x out of level {i} drops rank")
-            bases.append(comp.column_space_basis())
-        # normalize the top to the identity basis of the stable space
-        if bases and bases[-1].ncols == dim:
-            bases[-1] = FpMat.identity(p, dim)
+            bases.append(comp.column_space_basis())  # the identity at i = hi
         operator = m.x_at(n_level - 1) @ m.d_at(n_level)  # = E (+ n_level = 0 mod p)
         return cls(p, dim, m.lo, m.hi, tuple(bases), operator)
 
@@ -126,8 +123,8 @@ class A1Flag:
         """G_i of the dual is the annihilator of G_{-i-1}; E dualizes to -E^T."""
         p = self.prime
         lo, hi = -self.hi, -self.lo
+        # at i = hi the kernel of the 0 x dim transpose is the identity
         bases = [self.basis_at(-i - 1).transpose().kernel() for i in range(lo, hi + 1)]
-        bases[-1] = FpMat.identity(p, self.dim)
         return A1Flag(p, self.dim, lo, hi, tuple(bases), -self.operator.transpose())
 
 

@@ -170,6 +170,29 @@ def test_noncommuting_higgs_exits_2_whatever_the_outputs(tmp_path, capsys, outpu
     assert "phi_1 phi_2 != phi_2 phi_1" in capsys.readouterr().err
 
 
+def lawless_gauge(t, u, tau, free_top):
+    return {"format": 1, "prime": 3, "kind": "fgauge", "outputs": ["realization"],
+            "payload": {"window": [0, 1], "modules": [{"free": 1}, {"free": free_top}],
+                        "t": [t], "u": [u], "tau": tau}}
+
+
+@pytest.mark.parametrize("doc", [
+    # t = 0: the t-composite is singular
+    lawless_gauge([["0"]], [["3"]], [["1"]], 1),
+    # free ranks 1 and 2 at the two ends: the t-composite is not square
+    lawless_gauge([["1", "0"]], [["3"], ["0"]], [["1", "0"]], 2),
+])
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_realization_of_lawless_gauge_exits_2(tmp_path, capsys, doc, verb):
+    # without validate the realization is the first output to meet the law
+    path = tmp_path / "gauge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli([verb, str(path)])
+    assert code == 2
+    assert out == ""
+    assert "law violated: ut = tu = p failed" in capsys.readouterr().err
+
+
 def test_check_verb_reports_per_file(capsys):
     good = str(FIXTURES / "jobs" / "tate1.json")
     bad = str(FIXTURES / "malformed" / "bad_ut.json")

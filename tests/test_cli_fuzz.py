@@ -1,6 +1,7 @@
 """Property test: no job document, however mangled, escapes the exit-code contract.
 
-Each example takes one fixture or malformed job and replaces one or two of
+Each example takes one fixture or malformed job, in half the examples sets
+its outputs to a random subset of its kind's, and replaces one or two of
 its subtrees with random JSON. ``run_job`` must return or raise
 ``SchemaError`` (exit 1) or ``LawViolation`` (exit 2); anything else would be
 a traceback. Integers stay in [-40, 40] so that every example is cheap to
@@ -19,7 +20,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_SEED, HangGuard
-from gaugeworks.cli import run_job
+from gaugeworks.cli import DEFAULT_OUTPUTS, run_job
 from gaugeworks.errors import LawViolation, SchemaError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -53,6 +54,10 @@ def _subtrees(node, path=()):
 @st.composite
 def mutated_jobs(draw):
     doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    if draw(st.booleans()):
+        # an output on its own meets lawless input without validate first
+        doc["outputs"] = draw(st.lists(st.sampled_from(DEFAULT_OUTPUTS[doc["kind"]]),
+                                       min_size=1, unique=True))
     for _ in range(draw(st.integers(1, 2))):
         *parents, last = draw(st.sampled_from(list(_subtrees(doc))))
         node = doc

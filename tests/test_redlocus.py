@@ -11,7 +11,6 @@ from gaugeworks.redlocus import (A1Flag, A1Module, FilThetaModule,
                                  ThetaModule, bk_filtheta, bk_flag,
                                  bk_reduced, coh_dR, coh_dRplus, coh_Hod,
                                  coh_HTc, dual_reduced,
-                                 graded_theta_is_nilpotent,
                                  reduced_syntomic_cohomology,
                                  restrict_dRplus_to_dR,
                                  restrict_dRplus_to_Hod, restrict_HTc_to_dR,
@@ -48,8 +47,6 @@ def test_coh_hod_twist_positions():
     assert coh_Hod(GradedThetaModule(P, {-P: 1}, {})) == (0, 1)
     for n in (1, 2, -1, 4):
         assert coh_Hod(GradedThetaModule(P, {-n: 1}, {})) == (0, 0)
-    assert graded_theta_is_nilpotent(GradedThetaModule(P, {0: 1, -P: 1},
-                                                       {0: FpMat(P, [[1]])}))
 
 
 def test_coh_htc_twist_family():
@@ -435,8 +432,8 @@ def test_cohomology_trusts_a_constructed_gauge(monkeypatch, rng):
 
 
 def test_drplus_hodge_restriction_is_built_once_per_module(monkeypatch, rng):
-    # FilThetaModule's constructor builds its associated graded as a guard;
-    # the gluing laws and the cohomology reuse that same value
+    # a FilThetaModule builds its associated graded on first use; the gluing
+    # laws and the cohomology reuse that same value
     built = []
     graded = components._associated_graded
     monkeypatch.setattr(components, "_associated_graded",
