@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 
 from .errors import (LawViolation, NonHonestFiltrationError,
@@ -146,13 +147,18 @@ class FilteredPhiModule:
         check_prime(self.prime)
         if self.frobenius.shape != (self.dim, self.dim):
             raise ValueError("frobenius must act on the underlying space")
-        if self.dim > 0 and self.frobenius.det() == 0:
+        if self.dim > 0 and self.det == 0:
             raise LawViolation("the Frobenius matrix must be invertible",
                                "determinant is zero")
 
     @property
     def dim(self) -> int:
         return self.filtration.underlying_dim
+
+    @cached_property
+    def det(self) -> Fraction:
+        """det(phi), computed once."""
+        return self.frobenius.det()
 
     def fil0_dim(self) -> int:
         return self.filtration.dim_at(0)
@@ -265,7 +271,7 @@ def newton_number(d: FilteredPhiModule) -> int:
     """p-adic valuation of det(phi)."""
     if d.dim == 0:
         return 0
-    return vp(d.frobenius.det(), d.prime)
+    return vp(d.det, d.prime)
 
 
 def hodge_number(d: FilteredPhiModule) -> int:
@@ -389,7 +395,6 @@ def is_weakly_admissible(d: FilteredPhiModule) -> Admissibility:
         inter[f.hi + 1] = 0
         return sum(i * (inter[i] - inter[i + 1]) for i in range(f.lo, f.hi + 1))
 
-    violated = False
     for mask in range(1, 2 ** len(lams)):
         chosen = [lams[k] for k in range(len(lams)) if mask >> k & 1]
         basis = QMat.zeros(n, 0)
@@ -397,10 +402,7 @@ def is_weakly_admissible(d: FilteredPhiModule) -> Admissibility:
             basis = basis.hstack(eigen[lam])
         t_newton = sum(vp(lam, d.prime) * eigen[lam].ncols for lam in chosen)
         if hodge_of(basis) > t_newton:
-            violated = True
-            break
-    if violated:
-        return Admissibility.NO
+            return Admissibility.NO
     if any(mult > 1 for mult in roots.values()):
         return Admissibility.UNDECIDED
     return Admissibility.YES

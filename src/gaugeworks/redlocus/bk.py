@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, block_diag, check_prime, fp_kron,
                            fp_span_union)
-from .components import A1Module, FilThetaModule, restrict_HTc_to_Hod
+from .components import A1Module, FilThetaModule
 from .gluing import ReducedFGauge
 
 
@@ -100,7 +100,7 @@ class A1Flag:
             if comp.rank() != m.dim_at(i):
                 raise LawViolation("flag presentation needs injective x maps",
                                    f"x out of level {i} drops rank")
-            bases.append(comp.column_space_basis())  # the identity at i = hi
+            bases.append(comp)  # independent columns; the identity at i = hi
         operator = m.x_at(n_level - 1) @ m.d_at(n_level)  # = E (+ n_level = 0 mod p)
         return cls(p, dim, m.lo, m.hi, tuple(bases), operator)
 
@@ -184,7 +184,7 @@ def _block_iso(d1, d2, dt, basis_at):
     :class:`FilThetaModule`.  Products of the lifted graded pieces live in
     V1 (x) V2 and are read in the tensor's own level bases ``basis_at(k)``,
     the coordinates of ``dt``.  Returns a map degree -> (iso matrix, list of
-    (i, j, block width)).
+    (i, j)).
     """
     lifts1 = {i: d1.lift(i) for i in range(d1.lo, d1.hi + 1)}
     lifts2 = {j: d2.lift(j) for j in range(d2.lo, d2.hi + 1)}
@@ -199,11 +199,10 @@ def _block_iso(d1, d2, dt, basis_at):
             lift1, lift2 = lifts1[i], lifts2.get(k - i)
             if lift2 is None or lift1.ncols == 0 or lift2.ncols == 0:
                 continue
+            # the product of the lifts lies in level k of the tensor's flag
             coords = basis_at(k).solve(fp_kron(lift1, lift2))
-            if coords is None:
-                raise LawViolation("tensor flag does not contain a product piece")
             cols = cols.hstack(pi_k @ coords)
-            layout.append((i, k - i, lift1.ncols * lift2.ncols))
+            layout.append((i, k - i))
         out[k] = (cols, layout)
     return out
 
@@ -215,19 +214,16 @@ def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
     htc = ft.to_module()
     drp = _convolve_flags(g1.drp, g2.drp)
     alpha_dr = fp_kron(g1.alpha_dr, g2.alpha_dr)
-    # assemble alpha_hod degreewise through the canonical block isomorphisms
+    # assemble alpha_hod degreewise through the canonical block isomorphisms;
+    # the halves share graded dimensions, so their degrees and layouts agree
     p = g1.prime
-    htc_blocks = _block_iso(f1.to_module(), f2.to_module(), htc, ft.basis_at)
+    htc_blocks = _block_iso(g1.htc, g2.htc, htc, ft.basis_at)
     drp_blocks = _block_iso(g1.drp, g2.drp, drp, drp.flag_at)
     alpha_hod = {}
     for k, (iso_htc, layout) in htc_blocks.items():
-        if k not in drp_blocks:  # gr^k of the de Rham+ tensor is zero
-            continue
-        iso_drp, layout_d = drp_blocks[k]
-        if [(i, j) for i, j, _ in layout] != [(i, j) for i, j, _ in layout_d]:
-            raise LawViolation("tensor gradeds disagree between the two halves")
+        iso_drp = drp_blocks[k][0]
         blocks = FpMat.zeros(p, 0, 0)
-        for i, j, _ in layout:
+        for i, j in layout:
             piece = fp_kron(g1.alpha_hod[i], g2.alpha_hod[j])
             blocks = block_diag(blocks, piece)
         alpha_hod[k] = iso_drp @ blocks @ iso_htc.inverse()
@@ -236,16 +232,17 @@ def tensor_reduced(g1: ReducedFGauge, g2: ReducedFGauge) -> ReducedFGauge:
 
 def dual_reduced(g: ReducedFGauge) -> ReducedFGauge:
     """Dual glued object; on twist objects this negates the twist."""
-    f = A1Flag.from_module(g.htc)
-    m, htc = f.to_module(), f.dual().to_module()
+    fd = A1Flag.from_module(g.htc).dual()
+    htc = fd.to_module()
     drp = _dual_filtheta(g.drp)
     alpha_dr = g.alpha_dr.inverse().transpose()
     alpha_hod = {}
-    for i in restrict_HTc_to_Hod(htc).support():
-        pair_g = _duality_pairing(m, htc, i)
-        pair_f = _duality_pairing(g.drp, drp, i)
-        middle = g.alpha_hod[-i].inverse().transpose()
-        alpha_hod[i] = pair_f.inverse() @ middle @ pair_g
+    for i in range(fd.lo, fd.hi + 1):
+        if fd.basis_at(i).ncols > fd.basis_at(i - 1).ncols:  # gr_i is nonzero
+            pair_g = _duality_pairing(g.htc, htc, i)
+            pair_f = _duality_pairing(g.drp, drp, i)
+            middle = g.alpha_hod[-i].inverse().transpose()
+            alpha_hod[i] = pair_f.inverse() @ middle @ pair_g
     return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 

@@ -189,9 +189,10 @@ class A1Module:
         return p * ((top + p - 1) // p)
 
     def violations(self) -> tuple[str, ...]:
-        """Check the algebra relation on every window level."""
+        """Check the algebra relation on levels lo..hi-1; at hi both sides
+        are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}."""
         bad = []
-        for i in range(self.lo, self.hi + 1):
+        for i in range(self.lo, self.hi):
             lhs = self.d_at(i + 1) @ self.x_at(i)
             rhs = (self.x_at(i - 1) @ self.d_at(i)
                    + FpMat.identity(self.prime, self.dim_at(i)))

@@ -44,43 +44,38 @@ class ReducedFGauge:
             raise LawViolation("both halves must share one prime")
         object.__setattr__(self, "alpha_hod",
                            {int(k): v for k, v in self.alpha_hod.items()})
-        for law in reduced_gauge_violations(self):
-            raise LawViolation(law)
+        _check_gluing(self)
 
     @property
     def prime(self) -> int:
         return self.htc.prime
 
 
-def reduced_gauge_violations(g: ReducedFGauge) -> list[str]:
-    """All gluing laws, checked as plain equalities of matrices."""
-    bad = list(g.htc.violations())
+def _check_gluing(g: ReducedFGauge) -> None:
+    """Raise the first violated gluing law.  Once Dx - xD = 1 holds, the de Rham
+    restriction is lawful: (xD)^p - xD = x^p D^p, with x^p and D^p central, so
+    its k-th power x^{pk} D^{pk} factors through a level below the window."""
+    bad = g.htc.violations()
     if bad:
-        return bad
-    try:
-        dr_htc = restrict_HTc_to_dR(g.htc)
-    except LawViolation as err:
-        return [str(err)]
+        raise LawViolation(bad[0])
+    dr_htc = restrict_HTc_to_dR(g.htc)
     if g.alpha_dr.shape != (g.drp.dim, dr_htc.dim):
-        bad.append("alpha_dR must map the Hodge--Tate de Rham restriction "
-                   "to the de Rham restriction")
-        return bad
+        raise LawViolation("alpha_dR must map the Hodge--Tate de Rham restriction "
+                           "to the de Rham restriction")
     if not g.alpha_dr.is_invertible():
-        bad.append("alpha_dR must be an isomorphism")
+        raise LawViolation("alpha_dR must be an isomorphism")
     if g.alpha_dr @ dr_htc.theta != g.drp.theta @ g.alpha_dr:
-        bad.append("alpha_dR must commute with Theta")
+        raise LawViolation("alpha_dR must commute with Theta")
     hod_htc = restrict_HTc_to_Hod(g.htc)
     hod_drp = restrict_dRplus_to_Hod(g.drp)
     if hod_htc.support() != hod_drp.support():
-        bad.append("the two Hodge restrictions must have equal support")
-        return bad
+        raise LawViolation("the two Hodge restrictions must have equal support")
     for i in hod_htc.support():
         a_i = g.alpha_hod.get(i)
         if a_i is None or a_i.shape != (hod_drp.dim_at(i), hod_htc.dim_at(i)):
-            bad.append(f"alpha_Hod missing or mis-shaped in degree {i}")
-            return bad
+            raise LawViolation(f"alpha_Hod missing or mis-shaped in degree {i}")
         if not a_i.is_invertible():
-            bad.append(f"alpha_Hod must be an isomorphism in degree {i}")
+            raise LawViolation(f"alpha_Hod must be an isomorphism in degree {i}")
     p = g.prime
     for i in hod_htc.support():
         j = i - p
@@ -89,8 +84,7 @@ def reduced_gauge_violations(g: ReducedFGauge) -> list[str]:
         a_i = g.alpha_hod[i]
         a_j = g.alpha_hod[j]
         if a_j @ hod_htc.theta_at(i) != hod_drp.theta_at(i) @ a_i:
-            bad.append(f"alpha_Hod must commute with Theta (degree {i})")
-    return bad
+            raise LawViolation(f"alpha_Hod must commute with Theta (degree {i})")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,10 @@ from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
-from gaugeworks.redlocus import A1Flag, FilThetaModule, ReducedFGauge
+from gaugeworks.errors import LawViolation
+from gaugeworks.redlocus import (A1Flag, FilThetaModule, ReducedFGauge,
+                                 restrict_dRplus_to_Hod, restrict_HTc_to_dR,
+                                 restrict_HTc_to_Hod)
 from gaugeworks.exactlinalg import quotient_projection
 
 
@@ -409,6 +412,64 @@ def oracle_rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
     return roots
 
 
+def oracle_a1_violations(m) -> list[str]:
+    """The algebra relation of an ``A1Module`` on every level lo..hi, the top
+    level included."""
+    bad = []
+    for i in range(m.lo, m.hi + 1):
+        lhs = m.d_at(i + 1) @ m.x_at(i)
+        rhs = m.x_at(i - 1) @ m.d_at(i) + FpMat.identity(m.prime, m.dim_at(i))
+        if lhs != rhs:
+            bad.append(f"Dx - xD = 1 failed on Fil_{i}")
+    return bad
+
+
+def oracle_gauge_violations(g) -> list[str]:
+    """The former list of every violated gluing law, kept verbatim as an
+    oracle except that the relation is checked by :func:`oracle_a1_violations`.
+
+    ``g`` needs only the fields of a :class:`ReducedFGauge` and ``prime``, so
+    lawless data can be checked without constructing one.
+    """
+    bad = oracle_a1_violations(g.htc)
+    if bad:
+        return bad
+    try:
+        dr_htc = restrict_HTc_to_dR(g.htc)
+    except LawViolation as err:
+        return [str(err)]
+    if g.alpha_dr.shape != (g.drp.dim, dr_htc.dim):
+        bad.append("alpha_dR must map the Hodge--Tate de Rham restriction "
+                   "to the de Rham restriction")
+        return bad
+    if not g.alpha_dr.is_invertible():
+        bad.append("alpha_dR must be an isomorphism")
+    if g.alpha_dr @ dr_htc.theta != g.drp.theta @ g.alpha_dr:
+        bad.append("alpha_dR must commute with Theta")
+    hod_htc = restrict_HTc_to_Hod(g.htc)
+    hod_drp = restrict_dRplus_to_Hod(g.drp)
+    if hod_htc.support() != hod_drp.support():
+        bad.append("the two Hodge restrictions must have equal support")
+        return bad
+    for i in hod_htc.support():
+        a_i = g.alpha_hod.get(i)
+        if a_i is None or a_i.shape != (hod_drp.dim_at(i), hod_htc.dim_at(i)):
+            bad.append(f"alpha_Hod missing or mis-shaped in degree {i}")
+            return bad
+        if not a_i.is_invertible():
+            bad.append(f"alpha_Hod must be an isomorphism in degree {i}")
+    p = g.prime
+    for i in hod_htc.support():
+        j = i - p
+        if hod_htc.dim_at(j) == 0:
+            continue
+        a_i = g.alpha_hod[i]
+        a_j = g.alpha_hod[j]
+        if a_j @ hod_htc.theta_at(i) != hod_drp.theta_at(i) @ a_i:
+            bad.append(f"alpha_Hod must commute with Theta (degree {i})")
+    return bad
+
+
 def qmat_rows(m: QMat):
     return [list(r) for r in m.rows]
 
@@ -495,6 +556,11 @@ def rand_fcrystal(rng: random.Random, p: int, max_rank: int = 4,
     diag = QMat.diagonal([Fraction(p) ** e for e in exps])
     tau = rand_unimodular(rng, p, r) @ diag @ rand_unimodular(rng, p, r)
     return FCrystalPoint(p, r, tau)
+
+
+def rand_fpmat(rng: random.Random, p: int, nrows: int, ncols: int) -> FpMat:
+    return FpMat(p, [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)],
+                 ncols=ncols)
 
 
 def rand_fp_invertible(rng: random.Random, p: int, n: int) -> FpMat:

@@ -80,6 +80,12 @@ def test_bk_twist_at_a_large_prime(n):
         results("reduced", {"bk": n}, p=7)
 
 
+def test_higgs_check_with_many_directions_and_no_fields():
+    # only directions with a field are paired in the commutator check
+    assert results("higgs", {"directions": 4000, "pieces": {"0": 1}}, ["check"]) == \
+        {"valid": True, "violations": []}
+
+
 def test_twist_cohomology_composes_as_often_near_and_far(monkeypatch):
     # counted, not timed: the constant ends fold into one scalar at any
     # distance, so the integer products take as many factors near and far

@@ -295,6 +295,21 @@ def test_tensor_newton_number(rng, trial):
                                + d1.dim * hodge_number(d2))
 
 
+def test_frobenius_determinant_is_computed_once(monkeypatch, rng):
+    # the invertibility check and newton_number read one cached value
+    calls = []
+    det = QMat.det
+    monkeypatch.setattr(QMat, "det", lambda m: calls.append(m) or det(m))
+    for _ in range(10):
+        d = rand_filtered_phi(rng, 3, max_dim=4)
+        if d.dim == 0:
+            continue
+        calls.clear()
+        d = FilteredPhiModule(d.prime, d.filtration, d.frobenius)
+        assert newton_number(d) == newton_number(d)
+        assert len(calls) == 1
+
+
 @pytest.mark.parametrize("trial", range(10))
 def test_dual_is_an_involution_on_numbers(rng, trial):
     d = rand_filtered_phi(rng, 3, max_dim=3, honest=True)

@@ -51,6 +51,17 @@ def test_noncommuting_pair_is_invalid():
                           {1: {0: a, -1: a}, 2: {0: b, -1: b}})
 
 
+def test_noncommuting_pair_among_many_directions():
+    # directions 7 and 31 of 40 carry fields; the 38 without one are never
+    # paired, and the one violation is still found
+    a = FpMat(P, [[1], [0]])
+    b = FpMat(P, [[0], [1]])
+    with pytest.raises(LawViolation) as err:
+        GradedHiggsModule(P, 40, {0: 1, -1: 2, -2: 1},
+                          {7: {0: b, -1: FpMat(P, [[1, 0]])}, 31: {0: a}})
+    assert str(err.value) == "phi_7 phi_31 != phi_31 phi_7 on V_0"
+
+
 def test_commuting_koszul_example_is_valid(rng):
     m = rand_higgs(rng, P, 2)
     assert check_higgs(m).ok

@@ -1,8 +1,12 @@
 """Reduced-locus component categories, restrictions, gluing and twists."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from conftest import fpmat_rows, oracle_fp_rank, oracle_fp_two_term, rand_glued
+from conftest import (fpmat_rows, oracle_a1_violations, oracle_fp_rank,
+                      oracle_fp_two_term, oracle_gauge_violations, rand_fpmat,
+                      rand_glued)
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
 from gaugeworks.redlocus import components, gluing
@@ -117,6 +121,27 @@ def test_a1_relation_holds_above_the_window(rng, p):
         for i in range(m.lo, m.hi + 2 * p + 1):
             lhs = m.d_at(i + 1) @ m.x_at(i) - m.x_at(i - 1) @ m.d_at(i)
             assert lhs == FpMat.identity(p, m.dim_at(i)), (m.lo, m.hi, i)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_relation_at_the_window_top_is_the_recursion(rng, p):
+    # at hi both sides are x_{hi-1} D_hi + 1, so checking lo..hi-1 reports
+    # what the full range reports, lawless modules included
+    modules = [rand_glued(rng, p).htc for _ in range(20)]
+    for _ in range(200):
+        lo = rng.randint(-4, 2)
+        dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+        xs = [rand_fpmat(rng, p, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
+        ds = [rand_fpmat(rng, p, dims[k], dims[k + 1]) for k in range(len(dims) - 1)]
+        modules.append(A1Module(p, lo, lo + len(dims) - 1, tuple(dims), tuple(xs),
+                                tuple(ds)))
+    lawless = 0
+    for m in modules:
+        full = oracle_a1_violations(m)
+        assert f"Dx - xD = 1 failed on Fil_{m.hi}" not in full
+        assert list(m.violations()) == full
+        lawless += bool(full)
+    assert 0 < lawless < len(modules)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +443,9 @@ def test_cohomology_trusts_a_constructed_gauge(monkeypatch, rng):
     gauges = [bk_reduced(n, p) for p in (3, 5) for n in range(-p, p + 1)]
     gauges += [rand_glued(rng, rng.choice([3, 5])) for _ in range(10)]
     calls = []
-    laws = gluing.reduced_gauge_violations
+    laws = gluing._check_gluing
     post = ThetaModule.__post_init__
-    monkeypatch.setattr(gluing, "reduced_gauge_violations",
+    monkeypatch.setattr(gluing, "_check_gluing",
                         lambda g: calls.append("laws") or laws(g))
     monkeypatch.setattr(ThetaModule, "__post_init__",
                         lambda m: calls.append("theta") or post(m))
@@ -442,6 +467,88 @@ def test_drplus_hodge_restriction_is_built_once_per_module(monkeypatch, rng):
         reduced_syntomic_cohomology(rand_glued(rng, rng.choice([3, 5])))
     drps = [m for m in built if isinstance(m, FilThetaModule)]
     assert len(drps) == 20 and len({id(m) for m in drps}) == 20
+
+
+def _bump(rng, mat: FpMat) -> FpMat:
+    """``mat`` with one entry moved by a nonzero amount mod p."""
+    rows = [list(r) for r in mat.rows]
+    rows[rng.randrange(mat.nrows)][rng.randrange(mat.ncols)] += rng.randrange(1, mat.p)
+    return FpMat(mat.p, rows, ncols=mat.ncols)
+
+
+def _mutated_gluing(rng, g: ReducedFGauge) -> dict:
+    """The fields of ``g`` with one datum changed: an entry of alpha_dR, of an
+    alpha_Hod block or of an x or D map bumped, or an alpha_Hod degree dropped."""
+    fields = {"htc": g.htc, "drp": g.drp, "alpha_dr": g.alpha_dr,
+              "alpha_hod": dict(g.alpha_hod)}
+    kind = rng.choice(["alpha_dr", "alpha_hod", "drop", "x", "d"])
+    if kind in ("alpha_hod", "drop"):
+        i = rng.choice(sorted(fields["alpha_hod"]))
+        if kind == "drop":
+            del fields["alpha_hod"][i]
+        else:
+            fields["alpha_hod"][i] = _bump(rng, fields["alpha_hod"][i])
+        return fields
+    m = g.htc
+    maps = [k for k, a in enumerate(getattr(m, kind, ())) if a.nrows and a.ncols]
+    if maps:  # an x or D map with entries; otherwise alpha_dR
+        new = list(getattr(m, kind))
+        k = rng.choice(maps)
+        new[k] = _bump(rng, new[k])
+        x, d = (new, m.d) if kind == "x" else (m.x, new)
+        fields["htc"] = A1Module(m.prime, m.lo, m.hi, m.dims, tuple(x), tuple(d))
+    else:
+        fields["alpha_dr"] = _bump(rng, g.alpha_dr)
+    return fields
+
+
+def test_gluing_raises_the_first_law_of_the_full_list(rng):
+    # the constructor raises the first entry of the former full list of
+    # violated gluing laws, and builds exactly when that list is empty
+    lawless = 0
+    for trial in range(300):
+        p = rng.choice([3, 5])
+        g = rand_glued(rng, p)
+        if trial % 3 == 0:  # wider windows and larger graded pieces
+            g = tensor_reduced(g, rand_glued(rng, p, max_rank=2))
+        for _ in range(5):
+            fields = _mutated_gluing(rng, g)
+            want = oracle_gauge_violations(SimpleNamespace(prime=g.prime, **fields))
+            if want:
+                lawless += 1
+                with pytest.raises(LawViolation) as err:
+                    ReducedFGauge(**fields)
+                assert str(err.value) == want[0]
+            else:
+                ReducedFGauge(**fields)
+    assert 0 < lawless < 1500
+
+
+def _wide_gluing(p: int, a: int, b: int) -> dict:
+    """Rank-two data with Hodge support {-p, 0}, where the Hodge restrictions'
+    Theta is nonzero: D^p acts as (p-1)! = -1 on the Hodge--Tate half and
+    Theta as 1 on the de Rham+ half, so alpha_Hod = (a, b) is lawful iff b = -a."""
+    e1, e2, one = FpMat(p, [[1], [0]]), FpMat(p, [[0], [1]]), FpMat.identity(p, 2)
+    e = FpMat(p, [[0, 1], [0, 0]])
+    return {"htc": A1Flag(p, 2, -p, 0, (e1,) * p + (one,), e).to_module(),
+            "drp": FilThetaModule(p, 2, -p, 0, (one,) + (e2,) * p, e),
+            "alpha_dr": one, "alpha_hod": {-p: FpMat(p, [[a]]), 0: FpMat(p, [[b]])}}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_alpha_hod_must_commute_with_the_hodge_theta(p):
+    for a in range(1, p):
+        for b in range(1, p):
+            fields = _wide_gluing(p, a, b)
+            want = oracle_gauge_violations(SimpleNamespace(prime=p, **fields))
+            if (a + b) % p:
+                assert want == ["alpha_Hod must commute with Theta (degree 0)"]
+                with pytest.raises(LawViolation) as err:
+                    ReducedFGauge(**fields)
+                assert str(err.value) == want[0]
+            else:
+                assert want == []
+                ReducedFGauge(**fields)
 
 
 def test_alphas_must_commute_with_theta():
@@ -496,6 +603,26 @@ def test_flag_module_is_the_one_its_law_checks_solve_for(rng):
         flags += [f1, f1.dual(), f1.tensor(f2)]
     for flag in flags:
         assert flag.to_module() == old_to_module(flag)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_flag_round_trip_and_de_rham_restriction_are_exact(rng, p):
+    # tensor and dual read the Hodge--Tate half itself in place of its flag
+    # round trip, and the gluing check does not guard the de Rham restriction
+    gauges = [bk_reduced(n, p) for n in range(-p - 1, p + 2)]
+    gauges += [rand_glued(rng, p) for _ in range(20)]
+    gauges += [ReducedFGauge(**_wide_gluing(p, 1, -1))]
+    gauges += [tensor_reduced(gauges[-1], gauges[-2]), dual_reduced(gauges[-1]),
+               dual_reduced(gauges[-3])]
+    for g in gauges:
+        assert A1Flag.from_module(g.htc).to_module() == g.htc
+        restrict_HTc_to_dR(g.htc)
+
+
+def test_dual_glues_in_each_degree_of_the_hodge_support(rng):
+    for _ in range(10):
+        d = dual_reduced(rand_glued(rng, rng.choice([3, 5])))
+        assert sorted(d.alpha_hod) == restrict_HTc_to_Hod(d.htc).support()
 
 
 def test_flag_laws_are_checked_in_order():
