@@ -22,13 +22,13 @@ share across threads.
 """
 
 from . import beilinson, cli, exactlinalg, fgauge, filphi, higgs, redlocus
-from .errors import (LawReport, LawViolation, NonHonestFiltrationError,
+from .errors import (LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError, SchemaError)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "exactlinalg", "filphi", "beilinson", "fgauge", "redlocus", "higgs",
-    "cli", "SchemaError", "LawViolation", "LawReport", "PrimeMismatchError",
+    "cli", "SchemaError", "LawViolation", "PrimeMismatchError",
     "NonHonestFiltrationError",
 ]

@@ -3,11 +3,8 @@
 Two failure modes exist package-wide: structurally malformed input
 (:class:`SchemaError`, names the offending field) and well-formed input that
 breaks a mathematical law (:class:`LawViolation`, quotes the law).  The CLI
-maps them to exit codes 1 and 2 respectively.  Checkers that list every
-violated law instead of raising the first return a :class:`LawReport`.
+maps them to exit codes 1 and 2 respectively.
 """
-
-from dataclasses import dataclass
 
 
 class SchemaError(ValueError):
@@ -45,14 +42,3 @@ class NonHonestFiltrationError(LawViolation):
             " (the associated graded is presentation-dependent otherwise)",
             detail,
         )
-
-
-@dataclass(frozen=True)
-class LawReport:
-    """The laws a value violates, listed rather than raised."""
-
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations

@@ -4,10 +4,11 @@ An :class:`FpGauge` is a finite window of finitely generated Z_(p)-modules
 M^a ... M^b with downward maps t and upward maps u satisfying ut = tu = p,
 plus an isomorphism tau: M^b -> M^a identifying the two stabilized ends
 (Frobenius is the identity on the base, so tau is a plain isomorphism and
-the Frobenius twist is bookkeeping only).  Outside the window the diagram
-is declared constant: t = p above b and the identity at or below a, u = p
-at or below a and the identity above b, so the stabilized ends stand in for
-the completed colimits.  The window need not contain 0.
+the Frobenius twist is bookkeeping only).  The constructor raises the first
+law the diagram breaks, so every value is a lawful gauge.  Outside the
+window the diagram is declared constant: t = p above b and the identity at
+or below a, u = p at or below a and the identity above b, so the stabilized
+ends stand in for the completed colimits.  The window need not contain 0.
 
 Syntomic cohomology is the homology of the single map
 
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LawReport, LawViolation, PrimeMismatchError
+from .errors import LawViolation, PrimeMismatchError
 from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, block_diag,
                           check_prime, homology_two_term, is_p_local,
                           kernel_over_zp, smith_exponents, smith_normal_form,
@@ -41,7 +42,8 @@ class FpGauge:
     """Windowed u/t diagram with Frobenius identification.
 
     ``t[k]`` is t_{a+1+k}: M^{a+1+k} -> M^{a+k} and ``u[k]`` is
-    u_{a+1+k}: M^{a+k} -> M^{a+1+k}; ``tau``: M^b -> M^a.
+    u_{a+1+k}: M^{a+k} -> M^{a+1+k}; ``tau``: M^b -> M^a.  The gauge laws
+    are checked once, here, by :func:`validate`.
     """
 
     prime: int
@@ -71,6 +73,7 @@ class FpGauge:
                 raise ValueError(f"u[{k}] must map M^{a + k} to M^{a + 1 + k}")
         if self.tau.source != self.modules[-1] or self.tau.target != self.modules[0]:
             raise ValueError("tau must map M^b to M^a")
+        validate(self)
 
     @property
     def a(self) -> int:
@@ -112,18 +115,16 @@ class FpGauge:
                 self.prime ** (min(top, a) - min(bottom, a)))
 
 
-def validate(g: FpGauge) -> LawReport:
-    """Check every gauge law exactly; list each violation, never raise."""
-    bad: list[str] = []
+def validate(g: FpGauge) -> None:
+    """Raise the first violated gauge law: ut = tu = p index by index, then tau."""
     for k, (t, u) in enumerate(zip(g.t, g.u)):
         i = g.a + 1 + k
         if not _is_p(g.modules[k + 1], *_int_product(g.modules[k + 1], (t, u))):
-            bad.append(f"ut = tu = p failed at index {i} (ut != p)")
+            raise LawViolation(f"ut = tu = p failed at index {i} (ut != p)")
         if not _is_p(g.modules[k], *_int_product(g.modules[k], (u, t))):
-            bad.append(f"ut = tu = p failed at index {i} (tu != p)")
+            raise LawViolation(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
-        bad.append("tau must be an isomorphism M^b -> M^a")
-    return LawReport(tuple(bad))
+        raise LawViolation("tau must be an isomorphism M^b -> M^a")
 
 
 def _is_p(m: FGModule, rows: list[list[int]], den: int) -> bool:
@@ -169,10 +170,15 @@ def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
     """(H0, H1) of  M^0 --(t-composite  -  tau u-composite)--> M^a.
 
     Any window works: M^0 is M^a below it and M^b above it, and the
-    composites read the constant ends.
+    composites read the constant ends.  A window off 0 gives an
+    automorphism, so both groups vanish: for a >= 1 the map is
+    1 - p^a X, for b <= -1 it is -tau (1 - p^(-b) tau^{-1} T), and 1 - p Y
+    is onto by Nakayama, hence bijective on a finitely generated module.
     """
-    down = g.t_composite(0, min(g.a, 0))
-    maps, c = g._u_chain(0, max(g.b, 0))
+    if g.a >= 1 or g.b <= -1:
+        return zero_module(g.prime), zero_module(g.prime)
+    down = g.t_composite(0, g.a)
+    maps, c = g._u_chain(0, g.b)
     up = _composite(g.module_at(0), g.tau.target, maps + [g.tau], c)
     return homology_two_term(down - up)
 
@@ -188,11 +194,8 @@ def rational_realization(g: FpGauge) -> PhiModule:
     a, b = g.window
     if g.modules[0].free_rank == 0:
         return PhiModule(g.prime, QMat.zeros(0, 0))
-    try:
-        inv = g.t_composite(b, a).rational_matrix().inverse()
-    except ValueError:  # ut = tu = p makes every t invertible after inverting p
-        raise LawViolation("ut = tu = p failed", "the t-composite M^b -> M^a "
-                           "is not invertible after inverting p") from None
+    # ut = p makes every t invertible after inverting p
+    inv = g.t_composite(b, a).rational_matrix().inverse()
     return PhiModule(g.prime, g.tau.rational_matrix().scale(Fraction(g.prime) ** b) @ inv)
 
 

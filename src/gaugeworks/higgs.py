@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import LawReport, LawViolation
+from .errors import LawViolation
 from .exactlinalg import FpMat, check_prime
 
 
@@ -34,9 +34,8 @@ class GradedHiggsModule:
 
     ``fields[k]`` maps a grading degree i to the matrix of phi_k on V_i
     (shape dim V_{i-1} x dim V_i); missing entries mean the zero map.
-    The commutator laws are checked once, here, raising the first violation
-    :func:`check_higgs` reports; the value is frozen, so
-    :func:`hodge_cohomology` trusts it.
+    The commutator laws are checked once, here, by :func:`check_higgs`; the
+    value is frozen, so :func:`hodge_cohomology` trusts it.
     """
 
     prime: int
@@ -66,8 +65,7 @@ class GradedHiggsModule:
                     per[i] = mat
             fields[k] = per
         object.__setattr__(self, "fields", fields)
-        for law in check_higgs(self).violations:
-            raise LawViolation(law)
+        check_higgs(self)
 
     def dim_at(self, i: int) -> int:
         return self.dims.get(i, 0)
@@ -85,14 +83,13 @@ class GradedHiggsModule:
         return sum(self.dims.values())
 
 
-def check_higgs(m: GradedHiggsModule) -> LawReport:
-    """List every violated commutator law (wedge-square of the field).
+def check_higgs(m: GradedHiggsModule) -> None:
+    """Raise the first violated commutator law (wedge-square of the field).
 
     Joint nilpotence needs no separate check: monomials of length beyond the
     support width factor through a zero graded piece.  A direction without a
     field commutes with every other, so only directions with one are paired.
     """
-    bad = []
     degrees = sorted(m.dims)
     with_field = [d for d in range(1, m.directions + 1) if m.fields[d]]
     for j, k in combinations(with_field, 2):
@@ -100,8 +97,7 @@ def check_higgs(m: GradedHiggsModule) -> LawReport:
             lhs = m.phi(j, i - 1) @ m.phi(k, i)
             rhs = m.phi(k, i - 1) @ m.phi(j, i)
             if lhs != rhs:
-                bad.append(f"phi_{j} phi_{k} != phi_{k} phi_{j} on V_{i}")
-    return LawReport(tuple(bad))
+                raise LawViolation(f"phi_{j} phi_{k} != phi_{k} phi_{j} on V_{i}")
 
 
 def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:
@@ -136,7 +132,8 @@ def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:
             a = tgt_index[merged]
             for r in range(tgt_dim):
                 entries[a * tgt_dim + r][b * src_dim:(b + 1) * src_dim] = block[r]
-    return FpMat(p, entries, ncols=cols)
+    # every entry is 0 or read from the rows of a field: already reduced
+    return FpMat._made(p, tuple(map(tuple, entries)), cols)
 
 
 def hodge_cohomology(m: GradedHiggsModule, i: int) -> list[tuple[int, int]]:

@@ -101,8 +101,8 @@ class A1Flag:
                 raise LawViolation("flag presentation needs injective x maps",
                                    f"x out of level {i} drops rank")
             bases.append(comp)  # independent columns; the identity at i = hi
-        operator = m.x_at(n_level - 1) @ m.d_at(n_level)  # = E (+ n_level = 0 mod p)
-        return cls(p, dim, m.lo, m.hi, tuple(bases), operator)
+        # x D at the stable level is E + n_level, and n_level = 0 mod p
+        return cls(p, dim, m.lo, m.hi, tuple(bases), m.de_rham_theta)
 
     def tensor(self, other: "A1Flag") -> "A1Flag":
         """Flag convolution with the Leibniz operator E (x) 1 + 1 (x) E."""

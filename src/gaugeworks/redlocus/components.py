@@ -188,6 +188,12 @@ class A1Module:
         top = max(self.hi, 0)
         return p * ((top + p - 1) // p)
 
+    @cached_property
+    def de_rham_theta(self) -> FpMat:
+        """Theta = x D on the stable space, read at :meth:`stable_level`."""
+        n = self.stable_level()
+        return self.x_at(n - 1) @ self.d_at(n)
+
     def violations(self) -> tuple[str, ...]:
         """Check the algebra relation on levels lo..hi-1; at hi both sides
         are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}."""
@@ -334,9 +340,7 @@ def coh_dRplus(m: FilThetaModule) -> tuple[int, int]:
 
 def restrict_HTc_to_dR(m: A1Module) -> ThetaModule:
     """Stable space with Theta = x D, read at the canonical stable level."""
-    n = m.stable_level()
-    theta = m.x_at(n - 1) @ m.d_at(n)
-    return ThetaModule(m.prime, theta)
+    return ThetaModule(m.prime, m.de_rham_theta)
 
 
 def restrict_HTc_to_Hod(m: A1Module) -> GradedThetaModule:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ..errors import LawViolation
 from ..exactlinalg import FpMat, fp_homology_two_term
 from .components import (A1Module, FilThetaModule, restrict_dRplus_to_Hod,
-                         restrict_HTc_to_dR, restrict_HTc_to_Hod)
+                         restrict_HTc_to_Hod)
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,19 @@ class ReducedFGauge:
 
 
 def _check_gluing(g: ReducedFGauge) -> None:
-    """Raise the first violated gluing law.  Once Dx - xD = 1 holds, the de Rham
-    restriction is lawful: (xD)^p - xD = x^p D^p, with x^p and D^p central, so
-    its k-th power x^{pk} D^{pk} factors through a level below the window."""
+    """Raise the first violated gluing law.  Once Dx - xD = 1 holds, Theta = xD
+    needs no check of its own: (xD)^p - xD = x^p D^p, with x^p and D^p central,
+    so its k-th power x^{pk} D^{pk} factors through a level below the window."""
     bad = g.htc.violations()
     if bad:
         raise LawViolation(bad[0])
-    dr_htc = restrict_HTc_to_dR(g.htc)
-    if g.alpha_dr.shape != (g.drp.dim, dr_htc.dim):
+    theta = g.htc.de_rham_theta
+    if g.alpha_dr.shape != (g.drp.dim, theta.nrows):
         raise LawViolation("alpha_dR must map the Hodge--Tate de Rham restriction "
                            "to the de Rham restriction")
     if not g.alpha_dr.is_invertible():
         raise LawViolation("alpha_dR must be an isomorphism")
-    if g.alpha_dr @ dr_htc.theta != g.drp.theta @ g.alpha_dr:
+    if g.alpha_dr @ theta != g.drp.theta @ g.alpha_dr:
         raise LawViolation("alpha_dR must commute with Theta")
     hod_htc = restrict_HTc_to_Hod(g.htc)
     hod_drp = restrict_dRplus_to_Hod(g.drp)

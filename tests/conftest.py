@@ -15,6 +15,7 @@ import os
 import random
 import signal
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import pytest
@@ -314,18 +315,29 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
-def constant_gauge(p, module, window, t, u, tau):
-    """One module at every level of the window, the same t, u and tau throughout."""
+def raw_gauge(prime, window, modules, t, u, tau) -> SimpleNamespace:
+    """The fields of an :class:`FpGauge` without its law check, so that lawless
+    data can be held, checked by an oracle and then handed to the constructor."""
+    return SimpleNamespace(prime=prime, window=window, modules=modules, t=t, u=u,
+                           tau=tau)
+
+
+def constant_gauge(p, module, window, t, u, tau, make=FpGauge):
+    """One module at every level of the window, the same t, u and tau throughout;
+    ``make=raw_gauge`` keeps the fields unchecked."""
     a, b = window
     n = b - a
-    return FpGauge(p, window, (module,) * (n + 1),
+    return make(p, window, (module,) * (n + 1),
                    (ModuleMap(module, module, QMat(t)),) * n,
                    (ModuleMap(module, module, QMat(u)),) * n,
                    ModuleMap(module, module, QMat(tau)))
 
 
-def oracle_t_at(g: FpGauge, i: int) -> ModuleMap:
-    """t_i: M^i -> M^{i-1} at one index: identity at or below a, p above b."""
+def oracle_t_at(g, i: int) -> ModuleMap:
+    """t_i: M^i -> M^{i-1} at one index: identity at or below a, p above b.
+
+    ``g`` needs only the fields of an :class:`FpGauge`, as in :func:`raw_gauge`.
+    """
     a, b = g.window
     if a < i <= b:
         return g.t[i - a - 1]
@@ -334,7 +346,7 @@ def oracle_t_at(g: FpGauge, i: int) -> ModuleMap:
     return ModuleMap.scalar(g.modules[-1], g.prime)
 
 
-def oracle_u_at(g: FpGauge, i: int) -> ModuleMap:
+def oracle_u_at(g, i: int) -> ModuleMap:
     """u_i: M^{i-1} -> M^i at one index: p at or below a, identity above b."""
     a, b = g.window
     if a < i <= b:

@@ -184,13 +184,41 @@ def lawless_gauge(t, u, tau, free_top):
 ])
 @pytest.mark.parametrize("verb", ["compute", "check"])
 def test_realization_of_lawless_gauge_exits_2(tmp_path, capsys, doc, verb):
-    # without validate the realization is the first output to meet the law
+    # the realization alone is asked for; the constructor meets the law first
     path = tmp_path / "gauge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     code, out = run_cli([verb, str(path)])
     assert code == 2
     assert out == ""
     assert "law violated: ut = tu = p failed" in capsys.readouterr().err
+
+
+LAWLESS_GAUGES = [
+    (json.loads((FIXTURES / "malformed" / "bad_ut.json").read_text(encoding="utf-8")),
+     "ut = tu = p failed at index 1 (ut != p)"),
+    (lawless_gauge([["0"]], [["3"]], [["1"]], 1), "ut = tu = p failed at index 1 (ut != p)"),
+    (lawless_gauge([["1", "0"]], [["3"], ["0"]], [["1", "0"]], 2),
+     "ut = tu = p failed at index 1 (ut != p)"),
+    ({"format": 1, "prime": 3, "kind": "fgauge",
+      "payload": {"window": [0, 0], "modules": [{"free": 1}], "t": [], "u": [],
+                  "tau": [["3"]]}},
+     "tau must be an isomorphism M^b -> M^a"),
+]
+GAUGE_OUTPUTS = ("validate", "cohomology", "weights", "realization")
+
+
+@pytest.mark.parametrize("outputs", [
+    [o for k, o in enumerate(GAUGE_OUTPUTS) if mask >> k & 1] for mask in range(16)])
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_lawless_gauge_exits_2_whatever_the_outputs(tmp_path, capsys, outputs, verb):
+    # construction checks the gauge laws, so no output escapes them
+    for k, (doc, law) in enumerate(LAWLESS_GAUGES):
+        path = tmp_path / f"gauge{k}.json"
+        path.write_text(json.dumps(dict(doc, outputs=outputs)), encoding="utf-8")
+        code, out = run_cli([verb, str(path)])
+        assert code == 2
+        assert out == ""
+        assert capsys.readouterr().err == f"{path}: law violated: {law}\n"
 
 
 def test_check_verb_reports_per_file(capsys):

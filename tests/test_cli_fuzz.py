@@ -55,7 +55,7 @@ def _subtrees(node, path=()):
 def mutated_jobs(draw):
     doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
     if draw(st.booleans()):
-        # an output on its own meets lawless input without validate first
+        # any subset of outputs: the constructors meet lawless input first
         doc["outputs"] = draw(st.lists(st.sampled_from(DEFAULT_OUTPUTS[doc["kind"]]),
                                        min_size=1, unique=True))
     for _ in range(draw(st.integers(1, 2))):

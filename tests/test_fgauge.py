@@ -4,16 +4,19 @@ import json
 import pathlib
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from conftest import (constant_gauge, oracle_snf, oracle_t_at, oracle_u_at,
-                      rand_fcrystal)
-from gaugeworks import fgauge
-from gaugeworks.cli import build_fgauge
+                      rand_fcrystal, raw_gauge)
+from gaugeworks import cli, fgauge
+from gaugeworks.cli import build_fgauge, run_job
+from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
-                                    kernel_over_zp, smith_exponents,
-                                    smith_normal_form, vp, zero_module)
+                                    homology_two_term, kernel_over_zp,
+                                    smith_exponents, smith_normal_form, vp,
+                                    zero_module)
 from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
@@ -48,33 +51,29 @@ def test_free_rank_one_gauge_is_valid():
                 (ModuleMap(m, m, QMat([[p]])),),
                 (ModuleMap(m, m, QMat([[1]])),),
                 ModuleMap(m, m, QMat([[1]])))
-    assert validate(g).ok
+    validate(g)
 
 
 def test_ut_equal_one_is_invalid():
     p = 3
     m = FGModule(p, 1)
-    g = FpGauge(p, (-1, 0), (m, m),
-                (ModuleMap(m, m, QMat([[1]])),),
-                (ModuleMap(m, m, QMat([[1]])),),
-                ModuleMap(m, m, QMat([[1]])))
-    rep = validate(g)
-    assert not rep.ok
-    assert any("ut = tu = p failed at index 0" in v for v in rep.violations)
+    one = ModuleMap(m, m, QMat([[1]]))
+    with pytest.raises(LawViolation) as err:
+        FpGauge(p, (-1, 0), (m, m), (one,), (one,), one)
+    assert str(err.value) == "ut = tu = p failed at index 0 (ut != p)"
 
 
 def test_torsion_gauge_is_valid():
     # ut = 0 = p on a module killed by p
-    rep = validate(torsion_gauge(3))
-    assert rep.ok
+    validate(torsion_gauge(3))
 
 
 def test_non_isomorphism_tau_is_flagged():
     p = 3
     m = FGModule(p, 1)
-    g = FpGauge(p, (0, 0), (m,), (), (), ModuleMap(m, m, QMat([[p]])))
-    rep = validate(g)
-    assert any("tau" in v for v in rep.violations)
+    with pytest.raises(LawViolation) as err:
+        FpGauge(p, (0, 0), (m,), (), (), ModuleMap(m, m, QMat([[p]])))
+    assert str(err.value) == "tau must be an isomorphism M^b -> M^a"
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +97,53 @@ def test_syntomic_of_torsion_gauge():
     assert h0 == cyclic(3) and h1 == cyclic(3)
 
 
+def torsion_constant_gauge(rng, p: int, window) -> FpGauge:
+    """Z_(p)^f + (+)_j Z/p^{e_j} at every level, with t and u diagonal (each
+    generator has t = 1, u = p or t = p, u = 1) and tau p-unit upper
+    unitriangular up to units, with the entries a map of the module allows."""
+    free = rng.randint(0, 1)
+    module = FGModule(p, free, tuple(sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))))
+    n = module.ngens
+    ts = [rng.choice((1, p)) for _ in range(n)]
+    units = [x for x in (1, -1, 2, 1 + p) if x % p]
+    tau = [[0] * n for _ in range(n)]
+    for i in range(n):
+        tau[i][i] = rng.choice(units)
+        for j in range(i + 1, n):
+            # a free row takes nothing from a torsion generator
+            tau[i][j] = 0 if i < free <= j else rng.randint(-p, p)
+    diag = lambda xs: [[xs[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return constant_gauge(p, module, window, diag(ts), diag([p // x for x in ts]), tau)
+
+
+def far_window_gauges(rng) -> list[FpGauge]:
+    """Lawful gauges whose windows start 1 to 4 above 0 or end 1 to 4 below it."""
+    gauges = []
+    for d in range(1, 5):
+        for _ in range(26):
+            p = rng.choice([2, 3, 5])
+            for lo, hi in ((d, d + rng.randint(0, 2)), (-d - rng.randint(0, 2), -d)):
+                gauges.append(gauge_from_fcrystal(rand_fcrystal(rng, p, exp_lo=lo,
+                                                                exp_hi=hi)))
+                gauges.append(torsion_constant_gauge(rng, p, (lo, hi)))
+    return gauges
+
+
+def test_far_window_cohomology_vanishes_as_the_explicit_composites_say(rng):
+    # 1 - p^a X (a >= 1) and -tau (1 - p^(-b) tau^{-1} T) (b <= -1) are
+    # automorphisms; the shortcut builds neither, the composites here do
+    gauges = far_window_gauges(rng)
+    assert len(gauges) >= 400 and all(g.a >= 1 or g.b <= -1 for g in gauges)
+    assert any(g.modules[0].torsion for g in gauges)
+    for g in gauges:
+        down = g.t_composite(0, min(g.a, 0))
+        up = g.tau.compose(g.u_composite(0, max(g.b, 0)))
+        explicit = homology_two_term(down - up)
+        zero = (zero_module(g.prime), zero_module(g.prime))
+        assert explicit == zero
+        assert syntomic_cohomology(g) == zero
+
+
 def test_window_need_not_contain_zero():
     p = 3
     m = FGModule(p, 1)
@@ -105,7 +151,6 @@ def test_window_need_not_contain_zero():
                       (ModuleMap(m, m, QMat([[p]])),),
                       (ModuleMap(m, m, QMat([[1]])),),
                       ModuleMap(m, m, QMat([[1]])))
-    assert validate(shifted).ok
     h = syntomic_cohomology(shifted)
     assert h == syntomic_cohomology(extend_window(shifted, 0, 2))
     assert h == syntomic_cohomology(extend_window(shifted, -2, 3))
@@ -119,7 +164,6 @@ def test_window_enlargement_is_invisible(rng, trial):
     g = gauge_from_fcrystal(c)
     for wide in (extend_window(g, g.a - 2, g.b + 3),
                  extend_window(g, min(g.a, 0), max(g.b, 0))):
-        assert validate(wide).ok
         assert syntomic_cohomology(wide) == syntomic_cohomology(g)
         assert hodge_tate_weights(wide) == hodge_tate_weights(g)
         assert rational_realization(wide) == rational_realization(g)
@@ -272,14 +316,12 @@ def test_weights_of_rank_one_twists(n):
 
 def test_weights_additive_in_direct_sums():
     g = direct_sum(twist_gauge(1, 3), twist_gauge(-2, 3))
-    assert validate(g).ok
     assert hodge_tate_weights(g) == {-1: 1, 2: 1}
 
 
 def test_direct_sum_with_torsion_summand():
     # exercises the generator reordering when torsion exponents merge
     g = direct_sum(torsion_gauge(3), twist_gauge(1, 3))
-    assert validate(g).ok
     assert hodge_tate_weights(g) == {-1: 1, 0: 1}
     h0, h1 = syntomic_cohomology(g)
     assert h0 == cyclic(3) and h1 == cyclic(3)  # the free part cancels
@@ -296,12 +338,9 @@ def test_direct_sum_with_interleaved_torsion_and_nonscalar_tau():
     m2 = FGModule(p, 1, (2,))
     g2 = constant_gauge(p, m2, (0, 1), [[p, 0], [0, 1]], [[1, 0], [0, p]],
                         [[1, 0], [1, 1]])
-    for g in (g1, g2):
-        assert validate(g).ok
     for first, second in ((g1, g2), (g2, g1)):
         g = direct_sum(first, second)
         assert g.modules[0] == FGModule(p, 2, (1, 2, 3))
-        assert validate(g).ok
         h_sum = syntomic_cohomology(g)
         h_first, h_second = syntomic_cohomology(first), syntomic_cohomology(second)
         assert h_sum == tuple(x.direct_sum(y) for x, y in zip(h_first, h_second))
@@ -352,23 +391,31 @@ def four_block_weights(g):
     return out
 
 
-def gauge_corpus(rng) -> list[FpGauge]:
+def gauge_corpus(rng) -> list:
     """Every fixture gauge, torsion and constant gauges, lawless ones and
-    random crystals."""
+    random crystals, as raw fields (:func:`conftest.raw_gauge`) where the
+    data may be lawless."""
     fixtures = pathlib.Path(__file__).parent / "fixtures"
     gauges = []
     for job in sorted(fixtures.glob("*/*.json")):
         doc = json.loads(job.read_text(encoding="utf-8"))
         if doc.get("kind") == "fgauge":
             try:
-                gauges.append(build_fgauge(doc["prime"], doc["payload"]))
+                # the CLI's own parser, with the law check left to the test
+                with mock.patch.object(cli, "FpGauge", raw_gauge):
+                    gauges.append(build_fgauge(doc["prime"], doc["payload"]))
             except ValueError:  # the malformed fixtures that do not build
                 pass
     p = 3
     m = FGModule(p, 1)
     one = ModuleMap(m, m, QMat([[1]]))
-    gauges += [FpGauge(p, (-1, 0), (m, m), (one,), (one,), one),
-               FpGauge(p, (0, 0), (m,), (), (), ModuleMap(m, m, QMat([[p]]))),
+    # ut = tu = 1; tau = p; ut = p on Z but tu != p on Z^2
+    m2 = FGModule(p, 2)
+    gauges += [raw_gauge(p, (-1, 0), (m, m), (one,), (one,), one),
+               raw_gauge(p, (0, 0), (m,), (), (), ModuleMap(m, m, QMat([[p]]))),
+               raw_gauge(p, (0, 1), (m2, m), (ModuleMap(m, m2, QMat([[1], [0]])),),
+                         (ModuleMap(m2, m, QMat([[p, 0]])),),
+                         ModuleMap(m, m2, QMat([[1], [0]]))),
                torsion_gauge(p)]
     g1 = constant_gauge(p, FGModule(p, 1, (1, 3)), (-1, 0),
                         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -390,21 +437,23 @@ def gauge_corpus(rng) -> list[FpGauge]:
     mixed = FGModule(p, 1, (3,))
     eye = [[1, 0], [0, 1]]
     for off in (p ** 2, p ** 3):
-        gauges += [constant_gauge(p, mixed, (0, 1), eye, [[p, 0], [0, p + off]], eye),
-                   constant_gauge(p, mixed, (-1, 0), eye, [[p, 0], [off, p]], eye)]
+        gauges += [constant_gauge(p, mixed, (0, 1), eye, [[p, 0], [0, p + off]], eye,
+                                  make=raw_gauge),
+                   constant_gauge(p, mixed, (-1, 0), eye, [[p, 0], [off, p]], eye,
+                                  make=raw_gauge)]
     half, unit = Fraction(1, 2), Fraction(1, 1 + p)
-    gauges += [constant_gauge(p, m, (0, 1), [[1]], [[p + p ** 40]], [[1]]),
+    gauges += [constant_gauge(p, m, (0, 1), [[1]], [[p + p ** 40]], [[1]], make=raw_gauge),
                constant_gauge(p, m, (-1, 1), [[half]], [[2 * p]], [[1]]),
                constant_gauge(p, m, (0, 2), [[unit]], [[p * (1 + p)]], [[half]]),
                constant_gauge(p, cyclic(p, 2), (0, 1), [[half]],
                               [[2 * p + Fraction(p ** 2, 1 + p)]], [[unit]]),
                constant_gauge(p, cyclic(p, 2), (0, 1), [[unit]],
-                              [[p * (1 + p) + Fraction(p, 2)]], [[1]])]
+                              [[p * (1 + p) + Fraction(p, 2)]], [[1]], make=raw_gauge)]
     # 0-generator modules: everywhere, and at one level of a torsion gauge,
-    # where tu = 0 is p on Z/p
+    # where tu = 0 is p on Z/p but tau: 0 -> Z/p is not onto
     zero = FGModule(p, 0)
     gauges += [constant_gauge(p, zero, (-1, 0), [], [], []),
-               FpGauge(p, (0, 1), (c1, zero),
+               raw_gauge(p, (0, 1), (c1, zero),
                        (ModuleMap(zero, c1, QMat.zeros(1, 0)),),
                        (ModuleMap(c1, zero, QMat.zeros(0, 1)),),
                        ModuleMap(zero, c1, QMat.zeros(1, 0)))]
@@ -413,9 +462,16 @@ def gauge_corpus(rng) -> list[FpGauge]:
     return gauges
 
 
+def gauge_of(g) -> FpGauge:
+    """The constructor on the fields of ``g``, a gauge or :func:`raw_gauge` data."""
+    return FpGauge(g.prime, g.window, g.modules, g.t, g.u, g.tau)
+
+
 def test_weights_match_the_four_block_formula(rng):
     for g in gauge_corpus(rng):
-        assert hodge_tate_weights(g) == four_block_weights(g)
+        if not old_validate(g):
+            g = gauge_of(g)
+            assert hodge_tate_weights(g) == four_block_weights(g)
 
 
 def _count_calls(monkeypatch, fn, calls):
@@ -447,19 +503,33 @@ def test_weights_and_cokernels_read_exponents_only(monkeypatch):
     assert calls == ["smith_normal_form"]
 
 
+@pytest.mark.parametrize("name", ["fcrystal", "gauge_torsion"])
+def test_a_gauge_job_checks_its_laws_once(monkeypatch, name):
+    # the constructor checks the laws; the validate output only records that
+    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / f"{name}.json"
+    doc = json.loads(job.read_text(encoding="utf-8"))
+    calls = []
+    _count_calls(monkeypatch, validate, calls)
+    _, report = run_job(doc, None)
+    assert report["results"]["valid"] is True
+    assert calls == ["validate"]
+
+
 # ---------------------------------------------------------------------------
 # the window readers against the per-index readers they replaced
 # ---------------------------------------------------------------------------
 
 
-def old_validate(g: FpGauge) -> tuple[str, ...]:
-    """The former law check, reading t_i and u_i one index at a time."""
+def old_validate(g) -> tuple[str, ...]:
+    """The former list of every violated gauge law, reading t_i and u_i one
+    index at a time; ``g`` needs only the fields of an :class:`FpGauge`."""
+    a, b = g.window
     bad = []
-    for i in range(g.a + 1, g.b + 1):
+    for i in range(a + 1, b + 1):
         t, u = oracle_t_at(g, i), oracle_u_at(g, i)
-        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.module_at(i), g.prime)):
+        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.modules[i - a], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (ut != p)")
-        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.module_at(i - 1), g.prime)):
+        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.modules[i - 1 - a], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         bad.append("tau must be an isomorphism M^b -> M^a")
@@ -476,10 +546,18 @@ def old_extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
 
 
 def test_window_readers_match_the_per_index_readers(rng):
+    # the constructor raises the first law the former list names, and builds
+    # exactly when that list is empty
     gauges = gauge_corpus(rng)
-    assert len(gauges) > 25 and any(not validate(g).ok for g in gauges)
-    for g in gauges:
-        assert validate(g).violations == old_validate(g)
+    assert len(gauges) > 25 and sum(1 for g in gauges if old_validate(g)) >= 9
+    for raw in gauges:
+        want = old_validate(raw)
+        if want:
+            with pytest.raises(LawViolation) as err:
+                gauge_of(raw)
+            assert str(err.value) == want[0]
+            continue
+        g = gauge_of(raw)
         for da, db in ((0, 0), (2, 0), (0, 3), (1, 2)):
             a_new, b_new = g.a - da, g.b + db
             assert extend_window(g, a_new, b_new) == old_extend_window(g, a_new, b_new)

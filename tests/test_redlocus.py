@@ -452,8 +452,27 @@ def test_cohomology_trusts_a_constructed_gauge(monkeypatch, rng):
     for g in gauges:
         reduced_syntomic_cohomology(g)
     assert calls == []
-    bk_reduced(1, P)  # a construction does run both, so the counters work
-    assert "laws" in calls and "theta" in calls
+    g = bk_reduced(1, P)  # a construction checks the laws, so the counters work
+    restrict_HTc_to_dR(g.htc)
+    assert calls == ["laws", "theta"]
+
+
+def test_gluing_reads_the_de_rham_operator_without_a_theta_module(monkeypatch, rng):
+    # Theta = xD cannot break its law once Dx - xD = 1 holds, so building a
+    # glued gauge makes no ThetaModule; the restriction and the flag read the
+    # same operator
+    built = []
+    post = ThetaModule.__post_init__
+    monkeypatch.setattr(ThetaModule, "__post_init__", lambda m: built.append(m) or post(m))
+    gauges = [bk_reduced(n, p) for p in (3, 5) for n in range(-p, p + 1)]
+    gauges += [rand_glued(rng, rng.choice([3, 5])) for _ in range(10)]
+    assert built == []
+    for g in gauges:
+        n = g.htc.stable_level()
+        theta = restrict_HTc_to_dR(g.htc).theta
+        assert g.htc.de_rham_theta == theta == g.htc.x_at(n - 1) @ g.htc.d_at(n)
+        assert A1Flag.from_module(g.htc).operator == theta
+    assert len(built) == len(gauges)
 
 
 def test_drplus_hodge_restriction_is_built_once_per_module(monkeypatch, rng):
