@@ -16,8 +16,10 @@ must be nonzero.
 
 ``fm_fibre`` computes the fibre of Fil^0 --(1 - tau)--> underlying space,
 the Frobenius-twisted de Rham fibre sequence at the point.  It must agree
-with ``rhom_mfphi`` but is deliberately implemented on its own elimination
-routine; the agreement is a theorem, and the tests treat it as one.
+with ``rhom_mfphi``.  It shares QMat's integer products with it (the
+differential ``iota - phi @ iota`` and the H0 images ``iota @ K``) but no
+elimination: its one elimination is its own Fraction routine, never a QMat
+method.  The agreement is a theorem, and the tests treat it as one.
 """
 
 from __future__ import annotations
@@ -74,10 +76,11 @@ class SquareData:
 
     def corner_dims(self) -> dict[str, tuple[int, int]]:
         """(h0, h1) of each corner complex."""
+        r_a, r_c = self.d_a.rank(), self.d_c.rank()
         return {
-            "A": (self.a0_dim - self.d_a.rank(), self.under_dim - self.d_a.rank()),
+            "A": (self.a0_dim - r_a, self.under_dim - r_a),
             "B": (self.b_dim, 0),
-            "C": (self.under_dim - self.d_c.rank(), self.under_dim - self.d_c.rank()),
+            "C": (self.under_dim - r_c, self.under_dim - r_c),
             "D": (self.under_dim, 0),
         }
 
@@ -149,7 +152,7 @@ def verify_cartesian(s: SquareData) -> CartesianResidual:
 # ---------------------------------------------------------------------------
 
 
-def _rank_and_kernel(rows: list[list[Fraction]], ncols: int):
+def _rank_and_kernel(rows: tuple[tuple[Fraction, ...], ...], ncols: int):
     """Self-contained fraction elimination; deliberately not QMat.rref."""
     mat = [list(r) for r in rows]
     nrows = len(mat)
@@ -199,26 +202,13 @@ class FMFibre:
 def fm_fibre(d: FilteredPhiModule) -> FMFibre:
     """Fibre of Fil^0 --(1 - tau)--> underlying, tau the crystalline Frobenius.
 
-    Shares no elimination code with :func:`gaugeworks.filphi.rhom_mfphi`;
-    the two are compared, not unified.
+    Multiplies through QMat's integer ``@`` but eliminates only with
+    ``_rank_and_kernel``: it shares no elimination code with
+    :func:`gaugeworks.filphi.rhom_mfphi`, and the two are compared, not unified.
     """
     n = d.dim
     iota = d.fil0_iota()
-    phi = d.frobenius
-    diff_rows = []
-    for i in range(n):
-        row = []
-        for j in range(iota.ncols):
-            acc = iota[i, j]
-            for k in range(n):
-                acc -= phi[i, k] * iota[k, j]
-            row.append(acc)
-        diff_rows.append(row)
-    rank, kernel_cols = _rank_and_kernel(diff_rows, iota.ncols)
-    h0 = len(kernel_cols)
-    h1 = n - rank
-    images = []
-    for v in kernel_cols:
-        images.append([sum(iota[i, j] * v[j] for j in range(iota.ncols))
-                       for i in range(n)])
-    return FMFibre(h0=h0, h1=h1, h0_in_underlying=QMat.from_cols(images, n))
+    diff = iota - d.frobenius @ iota
+    rank, kernel_cols = _rank_and_kernel(diff.rows, iota.ncols)
+    images = iota @ QMat.from_cols(kernel_cols, iota.ncols)
+    return FMFibre(h0=len(kernel_cols), h1=n - rank, h0_in_underlying=images)

@@ -5,9 +5,10 @@ and supply the field: entry reduction in ``__init__``, ``_entry`` on
 scalars, ``_key`` for equality, the kernels ``rref``, ``det`` and ``@``
 (over Z for ``QMat``, mod p for ``FpMat``) and, over F_p, the prime check
 ``_check``.  Everything here (shapes, ``+``/``-``, ``scale``, stacking,
-``power``, and ``rank``/``kernel``/``solve``/``inverse``/
-``column_space_basis`` read off ``self.rref()``) is written once for both
-fields.
+``power``, ``kernel``/``solve``/``inverse`` read off ``self.rref()``, and
+``rank``/``column_space_basis`` read off the pivot columns ``_pivots()``)
+is written once for both fields.  ``_pivots`` defaults to the pivots of
+``rref``; ``QMat`` reads them off its integer forward sweep instead.
 
 A matrix is built by one of two paths.  The public constructors,
 ``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols)``, are checked: they
@@ -158,8 +159,12 @@ class DenseMat:
 
     # -- elimination -------------------------------------------------------
 
+    def _pivots(self) -> list[int]:
+        """Pivot columns of the echelon form (``QMat`` reads them without ``rref``)."""
+        return self.rref()[1]
+
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._pivots())
 
     def kernel(self):
         """Basis of the right null space, as columns (ncols x nullity)."""
@@ -191,8 +196,7 @@ class DenseMat:
         return self._like(tuple(xrows), target.ncols)
 
     def column_space_basis(self):
-        red, pivots = self.rref()
-        return self.take_cols(pivots)
+        return self.take_cols(self._pivots())
 
     def inverse(self):
         if self.nrows != self.ncols:

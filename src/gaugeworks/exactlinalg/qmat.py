@@ -2,17 +2,22 @@
 
 A :class:`QMat` is an immutable matrix of :class:`~fractions.Fraction`
 entries with explicit shape (so zero-row and zero-column matrices behave).
-Elimination (``rref``, hence ``rank``/``kernel``/``solve``/``inverse``, and
-``det``) and products run over the integers: each row (or column) is
+Elimination and products run over the integers: each row (or column) is
 scaled by the lcm of its denominators once, and Fractions are built only
-for the result.  Every other dense operation comes from
-:class:`~.dense.DenseMat`, shared with :class:`~.fpmat.FpMat`.  Everything
-is exact; nothing here ever touches a float.
+for the result.  There are two eliminations.  The forward sweep
+``_sweep`` finds the pivots without back-substitution or Fraction output;
+``rank``, ``column_space_basis`` (hence ``is_invertible`` and the span
+helpers below) and ``det`` read it.  Gauss--Jordan ``rref`` serves only
+where reduced rows are read: ``kernel``, ``solve`` and ``inverse``.  Every
+other dense operation comes from :class:`~.dense.DenseMat`, shared with
+:class:`~.fpmat.FpMat`.  Everything is exact; nothing here ever touches a
+float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -28,9 +33,48 @@ def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _primitive(xs: list[int]) -> tuple[list[int], int]:
-    """``xs`` divided by the gcd g of its entries, and g (1 for a zero row)."""
-    g = gcd(*xs) or 1
+    """``xs`` divided by the gcd g of its entries, and g (0 for a zero row)."""
+    g = gcd(*xs)
     return ([x // g for x in xs] if g > 1 else xs), g
+
+
+def _sweep(rows: list[list[int]]):
+    """The integer forward sweep: the pivots of the echelon form, column by column.
+
+    ``rows`` are cleared, primitive integer rows.  At pivot column c only
+    the row tails from column c on are kept.  The first row with a nonzero
+    head ``pv`` is swapped to the top.  Each row below with a nonzero head f
+    becomes ``pv*tail - f*pivot_tail`` with its content g divided out
+    (cf. Bareiss, Math. Comp. 22, 1968), and is dropped when that is zero.
+    There is no back-substitution and no Fraction.  Yields, for each pivot
+    column c in turn, ``(c, pv, swapped, contents, updated)``: ``contents``
+    is the product of the g of the ``updated`` rows kept, which ``det``
+    reads.
+    """
+    rows = [r for r in rows if any(r)]
+    for c in count():
+        if not rows:
+            return
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:
+            rows = [row[1:] for row in rows]
+            continue
+        prow = rows[i]
+        rows[i] = rows[0]
+        pv, ptail = prow[0], prow[1:]
+        contents, updated, below = 1, 0, []
+        for row in rows[1:]:
+            f = row[0]
+            if not f:
+                below.append(row[1:])
+                continue
+            new, g = _primitive([pv * x - f * y for x, y in zip(row[1:], ptail)])
+            if g:
+                below.append(new)
+                contents *= g
+                updated += 1
+        yield c, pv, i != 0, contents, updated
+        rows = below
 
 
 class QMat(DenseMat):
@@ -98,11 +142,15 @@ class QMat(DenseMat):
         zero_row = (Fraction(0),) * self.ncols
         return QMat._made(tuple(red) + (zero_row,) * (self.nrows - r), self.ncols), pivots
 
+    def _pivots(self) -> list[int]:
+        """Pivot columns of the echelon form, read off the integer forward sweep."""
+        rows = [_primitive(_cleared(r)[0])[0] for r in self.rows]
+        return [c for c, *_ in _sweep(rows)]
+
     def det(self) -> Fraction:
-        """Determinant by the integer forward sweep, as one Fraction."""
+        """Determinant read off the integer forward sweep, reduced once per pivot column."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
         # det(self) = det(rows) * num / den throughout
         rows, num, den = [], 1, 1
         for r in self.rows:
@@ -111,26 +159,15 @@ class QMat(DenseMat):
             rows.append(xs)
             num *= g
             den *= d
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c]), None)
-            if pivot is None:
-                return Fraction(0)
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                num = -num
-            prow = rows[c]
-            pv = prow[c]
-            # this column's factors, folded into num and den once
-            contents, updated = pv, 0
-            for i in range(c + 1, n):
-                f = rows[i][c]
-                if f:
-                    rows[i], g = _primitive([pv * x - f * y for x, y in zip(rows[i], prow)])
-                    contents *= g
-                    updated += 1
-            num *= contents
-            den *= pv ** updated
-        return Fraction(num, den)
+        found = 0
+        for found, (_, pv, swapped, contents, updated) in enumerate(_sweep(rows), 1):
+            # pv on the diagonal, and g / pv for each updated row
+            num *= -contents * pv if swapped else contents * pv
+            if updated:
+                den *= pv ** updated
+                g = gcd(num, den)
+                num, den = num // g, den // g
+        return Fraction(num, den) if found == self.nrows else Fraction(0)
 
     # -- constructors ------------------------------------------------------
 

@@ -6,9 +6,10 @@ from conftest import oracle_q_rank, qmat_rows, rand_filtered_phi
 from gaugeworks.beilinson import (corners, corrupt_drop_corner_b, fm_fibre,
                                   verify_cartesian)
 from gaugeworks.errors import LawViolation
-from gaugeworks.exactlinalg import QMat
+from gaugeworks.exactlinalg import QMat, qmat
 from gaugeworks.filphi import (FilteredPhiModule, FilteredSpace, rhom_mfphi,
                                tate)
+from test_acceptance import _tate_oracle
 
 
 def test_corner_dims_for_unit_twist():
@@ -91,6 +92,19 @@ def test_fm_fibre_agrees_with_rhom(rng, trial):
     assert oracle_q_rank(qmat_rows(joint)) == \
         oracle_q_rank(qmat_rows(fm.h0_in_underlying)) == \
         oracle_q_rank(qmat_rows(r.h0_in_underlying))
+
+
+def test_fm_fibre_runs_no_qmat_elimination(rng, monkeypatch):
+    modules = [rand_filtered_phi(rng, rng.choice([3, 5])) for _ in range(40)]
+    modules += [tate(n, 3) for n in (-1, 0, 1)]
+
+    def refuse(*args):
+        raise AssertionError("QMat elimination called")
+    for name in ("rref", "kernel", "solve", "_pivots"):
+        monkeypatch.setattr(QMat, name, refuse)
+    monkeypatch.setattr(qmat, "_sweep", refuse)
+    for d in modules:
+        assert fm_fibre(d).dims == _tate_oracle(d)
 
 
 @pytest.mark.parametrize("n", range(-3, 4))

@@ -725,6 +725,81 @@ def test_qmat_kernels_match_fraction_oracles(rng, kind, trial):
                 a.inverse()
 
 
+def conjugated_twists(rng, n, p, shift=0):
+    """A D A^-1 - shift, D = diag(p^-t) with t in -3..3: q-dense's Frobenius shape."""
+    while True:
+        a = [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5, 7))) for _ in range(n)]
+             for _ in range(n)]
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        red, pivots = oracle_q_rref([r + e for r, e in zip(a, ident)], 2 * n)
+        if pivots == list(range(n)):
+            break
+    diag = [[Fraction(p) ** -rng.randint(-3, 3) - shift if i == j else 0 for j in range(n)]
+            for i in range(n)]
+    return oracle_q_matmul(oracle_q_matmul(a, diag, n), [r[n:] for r in red], n)
+
+
+def sweep_case(rng, kind):
+    """Rows and width of one input to the forward sweep."""
+    def entry():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+    if kind.startswith("conjugated"):
+        n = int(kind.split("-")[1])
+        # shift 1 gives phi - 1, singular exactly when a twist is 0
+        rows = conjugated_twists(rng, n, rng.choice([3, 5, 7]), shift=rng.randint(0, 1))
+        return rows, n
+    m, n = {"empty": rng.choice([(0, 0), (0, 4), (4, 0)]),
+            "zero": (rng.randint(1, 6), rng.randint(1, 6)),
+            "tall": (rng.randint(7, 12), rng.randint(1, 6)),
+            "wide": (rng.randint(1, 6), rng.randint(7, 12)),
+            "square": (rng.randint(1, 8),) * 2,
+            "rank_deficient": (rng.randint(2, 10),) * 2}[kind]
+    if kind == "zero":
+        return [[0] * n for _ in range(m)], n
+    if kind == "rank_deficient":
+        k = rng.randint(0, m - 1)
+        left = [[entry() for _ in range(k)] for _ in range(m)]
+        right = [[entry() for _ in range(n)] for _ in range(k)]
+        return oracle_q_matmul(left, right, n), n
+    return [[entry() for _ in range(n)] for _ in range(m)], n
+
+
+SWEEP_KINDS = ["empty", "zero", "tall", "wide", "square", "rank_deficient",
+               "conjugated-16", "conjugated-24"]
+
+
+@pytest.mark.parametrize("kind", SWEEP_KINDS)
+@pytest.mark.parametrize("trial", range(3))
+def test_qmat_sweep_matches_fraction_oracles(rng, kind, trial):
+    reseed(rng, "sweep", kind, trial)
+    rows, n = sweep_case(rng, kind)
+    a = QMat(rows, ncols=n)
+    _, pivots = oracle_q_rref(rows, n)
+    assert a.rank() == oracle_q_rank(rows) == len(pivots)
+    # the basis is the oracle's pivot columns, so printed bases cannot change
+    assert a.column_space_basis() == QMat([[r[c] for c in pivots] for r in rows],
+                                          ncols=len(pivots))
+    assert a.is_invertible() == (len(rows) == n == len(pivots))
+    if len(rows) == n:
+        assert a.det() == oracle_q_det(rows)
+
+
+def test_qmat_rank_det_and_basis_need_no_rref(rng, monkeypatch):
+    cases = [sweep_case(rng, kind) for kind in SWEEP_KINDS[:-1] for _ in range(2)]
+    mats = [QMat(rows, ncols=n) for rows, n in cases]
+
+    def refuse(self):
+        raise AssertionError("rref called")
+    monkeypatch.setattr(QMat, "rref", refuse)
+    for (rows, n), a in zip(cases, mats):
+        _, pivots = oracle_q_rref(rows, n)
+        assert a.rank() == len(pivots)
+        assert a.column_space_basis() == a.take_cols(pivots)
+        assert a.is_invertible() == (len(rows) == n == len(pivots))
+        if len(rows) == n:
+            assert a.det() == oracle_q_det(rows)
+
+
 def test_qmat_wraps_only_entries_that_are_not_fractions():
     third = Fraction(1, 3)
     a = QMat([[third, 2], [True, Fraction(4, 6)]])
