@@ -4,26 +4,28 @@ A module is stored in Smith normal form: a free rank plus a weakly
 increasing list of torsion exponents e_i (the module is free^rank + sum of
 cyclics of order p^{e_i}).  Equality of modules is equality of this data.
 Maps carry a chosen presentation: a matrix in the standard generators, free
-generators first, then torsion generators.
-
-Throughout, ``homology_two_term`` computes kernels and cokernels of such
-maps exactly; the results are again in Smith normal form, so dimensions and
-exponents are independent of any choices made along the way.
+generators first, then torsion generators, stored in one form only: integer
+rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  Every
+decision about that form lives here: chain products, differences, block
+sums, "c times the identity as a map", and the Smith exponents and kernels
+of ``homology_two_term``, which read N as it is (scaling by the p-unit D
+changes no exponent and no kernel).  Fractions are built only for the
+read-only ``matrix`` and for ``rational_matrix``.  Homology comes out in
+Smith normal form again, so it does not depend on the presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
 from .qmat import QMat
-from .rationals import check_prime, format_rational, vp
-from .snf import kernel_over_zp, smith_exponents
+from .rationals import check_prime, format_rational
+from .snf import _eliminate, _v_columns
 
 
 @dataclass(frozen=True)
@@ -57,15 +59,6 @@ class FGModule:
             return None
         return self.torsion[i - self.free_rank]
 
-    def relation_matrix(self) -> QMat:
-        """Presentation relations: columns p^{e_i} * (torsion basis vector)."""
-        cols = []
-        for k, e in enumerate(self.torsion):
-            v = [Fraction(0)] * self.ngens
-            v[self.free_rank + k] = Fraction(self.prime) ** e
-            cols.append(v)
-        return QMat.from_cols(cols, self.ngens)
-
     def direct_sum(self, other: "FGModule") -> "FGModule":
         if self.prime != other.prime:
             raise PrimeMismatchError(self.prime, other.prime)
@@ -83,9 +76,10 @@ def zero_module(p: int) -> FGModule:
     return FGModule(p, 0, ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ModuleMap:
-    """A map of presented modules, as a matrix in the standard generators.
+    """A map of presented modules, as a matrix ``rows / den`` in the standard
+    generators.
 
     The matrix must respect torsion: the image of a generator of order p^e
     has order dividing p^e in the target.
@@ -93,18 +87,19 @@ class ModuleMap:
 
     source: FGModule
     target: FGModule
-    matrix: QMat
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
-    def __post_init__(self):
-        if self.source.prime != self.target.prime:
-            raise PrimeMismatchError(self.source.prime, self.target.prime)
-        if self.matrix.shape != (self.target.ngens, self.source.ngens):
+    def __init__(self, source: FGModule, target: FGModule, matrix: QMat):
+        if source.prime != target.prime:
+            raise PrimeMismatchError(source.prime, target.prime)
+        if matrix.shape != (target.ngens, source.ngens):
             raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{self.target.ngens} target x {self.source.ngens} source generators")
-        p = self.prime
-        for i, row in enumerate(self.matrix.rows):
-            f = self.target.order_exponent(i)
+                f"matrix shape {matrix.shape} does not match "
+                f"{target.ngens} target x {source.ngens} source generators")
+        p = source.prime
+        for i, row in enumerate(matrix.rows):
+            f = target.order_exponent(i)
             for j, x in enumerate(row):
                 if not x:
                     continue
@@ -113,7 +108,7 @@ class ModuleMap:
                     raise LawViolation(
                         "module map entries must lie in Z_(p)",
                         f"entry ({i},{j}) = {format_rational(x)}")
-                e = self.source.order_exponent(j)
+                e = source.order_exponent(j)
                 if e is None:
                     continue
                 if f is None:
@@ -121,85 +116,99 @@ class ModuleMap:
                         "image of a torsion generator must be torsion",
                         f"entry ({i},{j}) = {format_rational(x)} maps order p^{e} "
                         "into a free factor")
-                # the denominator is a p-unit: vp(x) >= f - e exactly when
-                # p^(f - e) divides the numerator, one division at any size
-                if f > e and x.numerator % p ** (f - e):
+                # the denominator is a p-unit, so vp(x) >= f - e exactly when
+                # p^(f - e) divides the numerator; a nonzero multiple of p^k
+                # has more than k bits, so p^k is built only below that size
+                k = f - e
+                if k > 0 and (k >= x.numerator.bit_length() or x.numerator % p ** k):
                     raise LawViolation(
                         "matrix must respect torsion orders",
                         f"entry ({i},{j}) = {format_rational(x)} needs valuation "
-                        f">= {f - e}")
+                        f">= {k}")
+        # lowest-terms entries over their lcm: gcd(N, D) = 1 already
+        d = lcm(*(x.denominator for r in matrix.rows for x in r))
+        vars(self).update(source=source, target=target, den=d, rows=tuple(
+            [tuple([x.numerator * (d // x.denominator) for x in r]) for r in matrix.rows]))
+
+    @classmethod
+    def _made(cls, source: FGModule, target: FGModule, rows: tuple,
+              den: int) -> "ModuleMap":
+        """The trusted twin of ``ModuleMap(source, target, rows / den)``, with no
+        law check, for lawful maps already in the stored form."""
+        new = object.__new__(cls)
+        vars(new).update(source=source, target=target, rows=rows, den=den)
+        return new
+
+    @classmethod
+    def diagonal(cls, m: FGModule, entries: Sequence[int]) -> "ModuleMap":
+        """The self-map of ``m`` with the integers ``entries`` on the diagonal."""
+        n = m.ngens
+        return cls._made(m, m, tuple([tuple([entries[i] if i == j else 0 for j in range(n)])
+                                      for i in range(n)]), 1)
 
     @property
     def prime(self) -> int:
         return self.source.prime
 
-    @classmethod
-    def _made(cls, source: FGModule, target: FGModule, matrix: QMat) -> "ModuleMap":
-        """The trusted twin of ``ModuleMap(source, target, matrix)``: no law check.
+    @property
+    def matrix(self) -> QMat:
+        """The matrix as Fractions (read-only; the map keeps ``rows / den``)."""
+        return self._fractions(self.target.ngens, self.source.ngens)
 
-        Only for maps lawful by construction: zero maps, diagonal self-maps
-        over Z_(p), and composites, differences and block sums of lawful maps.
-        """
-        new = object.__new__(cls)
-        object.__setattr__(new, "source", source)
-        object.__setattr__(new, "target", target)
-        object.__setattr__(new, "matrix", matrix)
-        return new
+    def rational_matrix(self) -> QMat:
+        """The induced map on (-) tensor Q: the free-by-free block."""
+        return self._fractions(self.target.free_rank, self.source.free_rank)
 
-    @classmethod
-    def identity(cls, m: FGModule) -> "ModuleMap":
-        return cls._made(m, m, QMat.identity(m.ngens))
-
-    @classmethod
-    def scalar(cls, m: FGModule, c) -> "ModuleMap":
-        mat = QMat.scalar(m.ngens, c)
-        if m.ngens and mat.rows[0][0].denominator % m.prime == 0:
-            return cls(m, m, mat)  # raises the checked path's LawViolation
-        return cls._made(m, m, mat)
-
-    @classmethod
-    def zero(cls, source: FGModule, target: FGModule) -> "ModuleMap":
-        if source.prime != target.prime:
-            raise PrimeMismatchError(source.prime, target.prime)
-        return cls._made(source, target, QMat.zeros(target.ngens, source.ngens))
-
-    def compose(self, first: "ModuleMap") -> "ModuleMap":
-        """self after first."""
-        if first.target != self.source:
-            raise ValueError("composition mismatch")
-        # a product of torsion-respecting matrices respects torsion: the
-        # valuations of the two factors add up along each path
-        return ModuleMap._made(first.source, self.target, self.matrix @ first.matrix)
+    def _fractions(self, nrows: int, ncols: int) -> QMat:
+        """The top-left ``nrows x ncols`` block of the matrix, as Fractions."""
+        d = self.den
+        frac = Fraction if d == 1 else lambda x: Fraction(x, d)
+        return QMat._made(tuple([tuple(map(frac, r[:ncols])) for r in self.rows[:nrows]]), ncols)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:
             raise ValueError("can only subtract parallel maps")
         # both maps are p-integral, and valuations >= f - e survive subtraction
-        return ModuleMap._made(self.source, self.target, self.matrix - other.matrix)
+        d1, d2 = self.den, other.den
+        return _lowest(self.source, self.target, [[x * d2 - y * d1 for x, y in zip(r1, r2)]
+                                                  for r1, r2 in zip(self.rows, other.rows)],
+                       d1 * d2)
 
-    def equals_as_map(self, other: "ModuleMap") -> bool:
-        """Equality modulo the target's relations (entrywise mod p^f)."""
-        if self.source != other.source or self.target != other.target:
+    def direct_sum(self, other: "ModuleMap") -> "ModuleMap":
+        """The block sum, with generators in the order of :meth:`FGModule.direct_sum`."""
+        # each block keeps gcd 1 with its own den, hence with their lcm
+        d = lcm(self.den, other.den)
+        s1, s2 = d // self.den, d // other.den
+        rows = [[s1 * x for x in r] + [0] * other.source.ngens for r in self.rows] + \
+               [[0] * self.source.ngens + [s2 * x for x in r] for r in other.rows]
+        cols = _sum_order(self.source, other.source)
+        return ModuleMap._made(self.source.direct_sum(other.source),
+                               self.target.direct_sum(other.target),
+                               tuple([tuple([rows[i][j] for j in cols])
+                                      for i in _sum_order(self.target, other.target)]), d)
+
+    def is_scalar(self, c: int) -> bool:
+        """``self`` is c times the identity as a map.
+
+        N - c D I must be 0 in each free row and 0 mod p^f in each row of
+        order p^f, since D is a p-unit.
+        """
+        if self.source != self.target:
             return False
-        p = self.prime
-        diff = self.matrix - other.matrix
-        for i in range(self.target.ngens):
+        cd = c * self.den
+        for i, row in enumerate(self.rows):
+            xs = [x for x in row[:i] + (row[i] - cd,) + row[i + 1:] if x]
+            if not xs:
+                continue
             f = self.target.order_exponent(i)
-            for j in range(self.source.ngens):
-                x = diff[i, j]
-                if x == 0:
-                    continue
-                if f is None or vp(x, p) < f:
-                    return False
+            # a nonzero multiple of p^f has more than f bits, so p^f is built
+            # only below the size of the entries
+            if f is None or f >= min(x.bit_length() for x in xs):
+                return False
+            q = self.prime ** f
+            if any(x % q for x in xs):
+                return False
         return True
-
-    @cached_property
-    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Integer rows N and the lcm D of the entries' denominators: matrix = N / D."""
-        rows = self.matrix.rows
-        d = lcm(*(x.denominator for r in rows for x in r))
-        return tuple([tuple([x.numerator * (d // x.denominator) for x in r])
-                      for r in rows]), d
 
     def is_isomorphism(self) -> bool:
         # isomorphic modules have equal normal forms, and a surjective
@@ -207,11 +216,15 @@ class ModuleMap:
         # (Vasconcelos 1969)
         return self.source == self.target and cokernel(self).is_zero()
 
-    def rational_matrix(self) -> QMat:
-        """The induced map on (-) tensor Q: the free-by-free block."""
-        rows = list(range(self.target.free_rank))
-        cols = list(range(self.source.free_rank))
-        return self.matrix.take_rows(rows).take_cols(cols)
+
+def _sum_order(m1: FGModule, m2: FGModule) -> list[int]:
+    """Block positions of the generators of m1 (+) m2, in direct_sum order.
+
+    Free generators come first, then torsion by exponent; the sort is
+    stable, so ties keep m1's generators before m2's.
+    """
+    exps = (0,) * m1.free_rank + m1.torsion + (0,) * m2.free_rank + m2.torsion
+    return sorted(range(len(exps)), key=exps.__getitem__)
 
 
 def _int_product(start: FGModule, maps: Sequence[ModuleMap],
@@ -219,20 +232,17 @@ def _int_product(start: FGModule, maps: Sequence[ModuleMap],
     """Integer rows N and a denominator D with c maps[-1] o ... o maps[0] = N / D.
 
     ``maps[0]`` has source ``start``, and each map's target is the next one's
-    source; an empty chain is c times the identity of ``start``.  Each factor
-    is cleared once by the lcm of its denominators (a map keeps its cleared
-    rows) and the product runs over the integers.  Every entry of a
-    :class:`ModuleMap` lies in Z_(p), so D is a p-unit.
-    :meth:`ModuleMap.compose` stays on the Fraction route, as the reference
-    that the integer route is tested against.
+    source; an empty chain is c times the identity of ``start``.  The stored
+    rows of the factors are multiplied over the integers, and D, the product
+    of their denominators, is a p-unit.
     """
     n = start.ngens
     if not maps:
         return [[c if i == j else 0 for j in range(n)] for i in range(n)], 1
     cols, den = None, 1
     for f in maps:
-        rows, d = f._cleared
-        den *= d
+        rows = f.rows
+        den *= f.den
         if cols is None:  # the first factor, times c, as columns
             cols = [[c * r[j] for r in rows] for j in range(n)]
         else:
@@ -241,50 +251,76 @@ def _int_product(start: FGModule, maps: Sequence[ModuleMap],
     return [[col[i] for col in cols] for i in range(m)], den
 
 
-def _composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
-               c: int = 1) -> ModuleMap:
-    """c maps[-1] o ... o maps[0]: source -> target, by :func:`_int_product`."""
-    rows, den = _int_product(source, maps, c)
-    if den == 1:
-        mat = tuple([tuple(map(Fraction, r)) for r in rows])
-    else:
-        mat = tuple([tuple([Fraction(x, den) for x in r]) for r in rows])
-    # a composite of lawful maps is lawful (see ``compose``)
-    return ModuleMap._made(source, target, QMat._made(mat, source.ngens))
+def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
+              c: int = 1) -> ModuleMap:
+    """c maps[-1] o ... o maps[0]: source -> target, by one integer product.
+
+    A product of torsion-respecting matrices respects torsion: the
+    valuations of the factors add up along each path.
+    """
+    return _lowest(source, target, *_int_product(source, maps, c))
 
 
-def _module_from_exponents(p: int, ngens: int, exps: tuple[int, ...]) -> FGModule:
-    """Cokernel of a relation matrix with the given Smith exponents."""
-    return FGModule(p, ngens - len(exps), tuple(sorted(e for e in exps if e > 0)))
+def _lowest(source: FGModule, target: FGModule, rows, den: int) -> ModuleMap:
+    """The lawful map ``rows / den`` (den a positive p-unit), gcd(rows, den) divided out."""
+    g = gcd(den, *(x for r in rows for x in r)) if den > 1 else 1
+    if g > 1:
+        rows, den = [[x // g for x in r] for r in rows], den // g
+    return ModuleMap._made(source, target, tuple(map(tuple, rows)), den)
+
+
+def _quotient(p: int, rows: list[list[int]]) -> FGModule:
+    """Z_(p)^len(rows) modulo the columns of the integer matrix ``rows``."""
+    n = len(rows)
+    exps = [e for e, *_ in _eliminate(rows, p)]
+    return FGModule(p, n - len(exps), tuple(sorted(e for e in exps if e > 0)))
+
+
+def _kernel_columns(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
+    """A Z_(p)-kernel basis of an integer matrix, each column scaled by a p-unit."""
+    exps, vcols = _v_columns(rows, ncols, p)
+    return [w for w, _ in vcols[len(exps):]]
+
+
+def _with_relations(rows: Sequence[Sequence[int]], m: FGModule) -> list[list[int]]:
+    """``rows``, one per generator of ``m``, then the relation columns of ``m``:
+    p^{e_k} times torsion basis vector k."""
+    k = len(m.torsion)
+    return [list(r) + [0] * k for r in rows[:m.free_rank]] + \
+           [list(r) + [0] * j + [m.prime ** e] + [0] * (k - 1 - j)
+            for j, (r, e) in enumerate(zip(rows[m.free_rank:], m.torsion))]
 
 
 def cokernel(d: ModuleMap) -> FGModule:
     """coker(d) = target / (image of d + relations of target)."""
-    p = d.prime
-    rel = d.matrix.hstack(d.target.relation_matrix())
-    return _module_from_exponents(p, d.target.ngens, smith_exponents(rel, p))
+    return _quotient(d.prime, _with_relations(d.rows, d.target))
 
 
 def kernel(d: ModuleMap) -> FGModule:
     """ker(d) in Smith normal form.
 
     Generators: lifts g with d(g) in the target's relation lattice, found as
-    the projection of the free kernel of [matrix | -relations]; relations:
+    the projection of the free kernel of [matrix | relations]; relations:
     coefficient vectors landing in the source's relation lattice.
     """
-    p = d.prime
-    a = d.matrix
-    r_src = d.source.relation_matrix()
-    r_tgt = d.target.relation_matrix()
-    lifts = kernel_over_zp(a.hstack(r_tgt.scale(-1)), p)
-    gens = lifts.take_rows(list(range(d.source.ngens)))
-    if gens.ncols == 0:
+    p, src, tgt = d.prime, d.source, d.target
+    n = src.ngens
+    lifts = _kernel_columns(_with_relations(d.rows, tgt), n + len(tgt.torsion), p)
+    if not lifts:
         return zero_module(p)
-    rels = kernel_over_zp(gens.hstack(r_src.scale(-1)), p)
-    relations = rels.take_rows(list(range(gens.ncols)))
-    return _module_from_exponents(p, gens.ncols, smith_exponents(relations, p))
+    k = len(lifts)
+    rels = _kernel_columns(_with_relations([[w[i] for w in lifts] for i in range(n)], src),
+                           k + len(src.torsion), p)
+    return _quotient(p, [[w[i] for w in rels] for i in range(k)])
 
 
 def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
     """(H0, H1) = (kernel, cokernel) of  source --d--> target  in degrees 0 -> 1."""
     return kernel(d), cokernel(d)
+
+
+def reduced_cokernel_dim(target: FGModule, maps: Sequence[ModuleMap]) -> int:
+    """dim over F_p of target / (p target + the images of ``maps``): the number
+    of generators of the quotient by the images alone (relations vanish mod p)."""
+    rows = [[x for f in maps for x in f.rows[i]] for i in range(target.ngens)]
+    return _quotient(target.prime, rows).ngens

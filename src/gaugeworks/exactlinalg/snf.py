@@ -18,10 +18,11 @@ unimodular over Z_(p).  The pivot is the first entry of least valuation in
 row-major order of the trailing block, exactly as in Fraction elimination,
 and is swapped to the front of the live rows and columns, as there.
 
-Every entry point reads that one elimination.  :func:`smith_exponents` takes
-the exponents alone.  :func:`smith_normal_form` and :func:`kernel_over_zp`
-also build V, equal to that of plain Fraction elimination: V depends only on
-the ratios a_kj / a_kk within pivot rows, which row scaling leaves unchanged.
+Every entry point reads that one elimination on integer rows, which the
+module maps of :mod:`.modules` hand over as stored.  :func:`smith_exponents`
+takes the exponents alone.  :func:`smith_normal_form` and
+:func:`kernel_over_zp` also build V, equal to that of plain Fraction
+elimination: V depends only on the ratios a_kj / a_kk within pivot rows.
 No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
 a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
 from M V.
@@ -56,6 +57,7 @@ class SNF:
 
 def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
     """The rows of p^K W m as ints, and K."""
+    check_prime(p)
     lcms = [lcm(*(x.denominator for x in r)) for r in m.rows]
     ks = [vp_int(d, p) for d in lcms]
     big = max(ks, default=0)
@@ -88,15 +90,14 @@ def _combine(row: list[int], prow: list[int], unit: int, q: int, p: int) -> list
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(m: QMat, p: int):
-    """Yield (exponent, j, pivot row, p^e, unit) for each pivot of ``m``.
+def _eliminate(rows: list[list[int]], p: int):
+    """Yield (e, j, pivot row, p^e, unit) for each pivot of the integer ``rows``.
 
-    The live rows and columns are positions k, k+1, ... of the Fraction
-    routine at step k.  ``j`` is the live column swapped to the front, and
-    the pivot row is yielded in the swapped order, pivot p^e * unit first.
+    ``rows`` are consumed.  The live rows and columns are positions k, k+1,
+    ... of the Fraction routine at step k.  ``j`` is the live column swapped
+    to the front, and the pivot row is yielded in the swapped order, pivot
+    p^e * unit first.
     """
-    check_prime(p)
-    rows, shift = _integral_rows(m, p)
     while (best := _pivot(rows, p)) is not None:
         e, bi, bj = best
         rows[0], rows[bi] = rows[bi], rows[0]
@@ -109,7 +110,7 @@ def _eliminate(m: QMat, p: int):
         for i, row in enumerate(rows):
             q = row[0] // pe
             rows[i] = (_combine(row, prow, unit, q, p) if q else row)[1:]
-        yield e - shift, bj, prow, pe, unit
+        yield e, bj, prow, pe, unit
 
 
 def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
@@ -119,18 +120,19 @@ def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
     >>> smith_exponents(QMat([[2, 3], [3, 9]]), 3)
     (0, 2)
     """
-    return tuple(e for e, *_ in _eliminate(m, p))
+    rows, shift = _integral_rows(m, p)
+    return tuple(e - shift for e, *_ in _eliminate(rows, p))
 
 
-def _v_columns(m: QMat, p: int):
-    """Exponents and V's columns for ``m``.
+def _v_columns(rows: list[list[int]], nc: int, p: int):
+    """Exponents and V's columns for the integer ``rows`` with ``nc`` columns.
 
-    A column of V is a pair (integer column w, denominator t), meaning w / t.
+    A column of V is a pair (integer column w, denominator t), meaning w / t;
+    t is a p-unit.
     """
-    nc = m.ncols
     vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
     exps, v_done = [], []
-    for e, bj, prow, pe, unit in _eliminate(m, p):
+    for e, bj, prow, pe, unit in _eliminate(rows, p):
         vcols[0], vcols[bj] = vcols[bj], vcols[0]
         # column j of V gains -(a_kj / a_kk) times the pivot column
         w0, t0 = vcols.pop(0)
@@ -160,8 +162,9 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
     >>> smith_normal_form(QMat([[2, 3], [3, 9]]), 3).exponents
     (0, 2)
     """
-    exps, vcols = _v_columns(m, p)
-    return SNF(prime=p, v=_from_cols(vcols, m.ncols), exponents=exps)
+    rows, shift = _integral_rows(m, p)
+    exps, vcols = _v_columns(rows, m.ncols, p)
+    return SNF(p, _from_cols(vcols, m.ncols), tuple(e - shift for e in exps))
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -170,7 +173,7 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    exps, vcols = _v_columns(m, p)
+    exps, vcols = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
     return _from_cols(vcols[len(exps):], m.ncols)
 
 

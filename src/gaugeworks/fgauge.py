@@ -29,11 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LawViolation, PrimeMismatchError
-from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, block_diag,
-                          check_prime, homology_two_term, is_p_local,
-                          kernel_over_zp, smith_exponents, smith_normal_form,
-                          zero_module)
-from .exactlinalg.modules import _composite, _int_product
+from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, check_prime,
+                          homology_two_term, is_p_local, kernel_over_zp,
+                          smith_exponents, smith_normal_form, zero_module)
+from .exactlinalg.modules import composite, reduced_cokernel_dim
 from .filphi import PhiModule
 
 
@@ -94,16 +93,16 @@ class FpGauge:
         """
         a, b = self.window
         maps = [self.t[i - a - 1] for i in range(min(top, b), max(bottom, a), -1)]
-        return _composite(self.module_at(top), self.module_at(bottom), maps,
-                          self.prime ** (max(top, b) - max(bottom, b)))
+        return composite(self.module_at(top), self.module_at(bottom), maps,
+                         self.prime ** (max(top, b) - max(bottom, b)))
 
     def u_composite(self, bottom: int, top: int) -> ModuleMap:
         """Composite of u's from M^bottom up to M^top (bottom <= top).
 
         The u's at or below a are p, those above b the identity.
         """
-        return _composite(self.module_at(bottom), self.module_at(top),
-                          *self._u_chain(bottom, top))
+        return composite(self.module_at(bottom), self.module_at(top),
+                         *self._u_chain(bottom, top))
 
     def _u_chain(self, bottom: int, top: int) -> tuple[list[ModuleMap], int]:
         """The window's u's from M^bottom up to M^top, first applied first,
@@ -119,51 +118,32 @@ def validate(g: FpGauge) -> None:
     """Raise the first violated gauge law: ut = tu = p index by index, then tau."""
     for k, (t, u) in enumerate(zip(g.t, g.u)):
         i = g.a + 1 + k
-        if not _is_p(g.modules[k + 1], *_int_product(g.modules[k + 1], (t, u))):
+        if not composite(g.modules[k + 1], g.modules[k + 1], (t, u)).is_scalar(g.prime):
             raise LawViolation(f"ut = tu = p failed at index {i} (ut != p)")
-        if not _is_p(g.modules[k], *_int_product(g.modules[k], (u, t))):
+        if not composite(g.modules[k], g.modules[k], (u, t)).is_scalar(g.prime):
             raise LawViolation(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         raise LawViolation("tau must be an isomorphism M^b -> M^a")
 
 
-def _is_p(m: FGModule, rows: list[list[int]], den: int) -> bool:
-    """``rows / den`` is multiplication by p on ``m``, as a map; consumes ``rows``.
-
-    That is :meth:`ModuleMap.equals_as_map` against p: N - p D I is 0 in each
-    free row and 0 mod p^f in each row of order p^f, since D is a p-unit.
-    """
-    p = m.prime
-    for i, row in enumerate(rows):
-        row[i] -= p * den
-        xs = [x for x in row if x]
-        if not xs:
-            continue
-        f = m.order_exponent(i)
-        # a nonzero multiple of p^f has more than f bits, so p^f is built
-        # only below the size of the entries
-        if f is None or f >= min(x.bit_length() for x in xs):
-            return False
-        q = p ** f
-        if any(x % q for x in xs):
-            return False
-    return True
+def _window_maps(g: FpGauge, a_new: int, b_new: int):
+    """The modules, t's and u's of ``g`` on the larger window [a_new, b_new]."""
+    a, b = g.window
+    if a_new > a or b_new < b:
+        raise ValueError("window can only grow")
+    modules = tuple(g.module_at(i) for i in range(a_new, b_new + 1))
+    below, above = range(a_new + 1, a + 1), range(b + 1, b_new + 1)
+    # outside the window each one-step composite is the bare scalar
+    ts = tuple(g.t_composite(i, i - 1) for i in below) + tuple(g.t) + \
+        tuple(g.t_composite(i, i - 1) for i in above)
+    us = tuple(g.u_composite(i - 1, i) for i in below) + tuple(g.u) + \
+        tuple(g.u_composite(i - 1, i) for i in above)
+    return modules, ts, us
 
 
 def extend_window(g: FpGauge, a_new: int, b_new: int) -> FpGauge:
     """Enlarge the window by the declared-constant data; the gauge is unchanged."""
-    a, b = g.window
-    if a_new > a or b_new < b:
-        raise ValueError("window can only grow")
-    modules = [g.module_at(i) for i in range(a_new, b_new + 1)]
-    below, above = range(a_new + 1, a + 1), range(b + 1, b_new + 1)
-    # outside the window each one-step composite is the bare scalar
-    ts = [g.t_composite(i, i - 1) for i in below] + list(g.t) + \
-         [g.t_composite(i, i - 1) for i in above]
-    us = [g.u_composite(i - 1, i) for i in below] + list(g.u) + \
-         [g.u_composite(i - 1, i) for i in above]
-    return FpGauge(g.prime, (a_new, b_new), tuple(modules), tuple(ts),
-                   tuple(us), g.tau)
+    return FpGauge(g.prime, (a_new, b_new), *_window_maps(g, a_new, b_new), g.tau)
 
 
 def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
@@ -179,7 +159,7 @@ def syntomic_cohomology(g: FpGauge) -> tuple[FGModule, FGModule]:
         return zero_module(g.prime), zero_module(g.prime)
     down = g.t_composite(0, g.a)
     maps, c = g._u_chain(0, g.b)
-    up = _composite(g.module_at(0), g.tau.target, maps + [g.tau], c)
+    up = composite(g.module_at(0), g.tau.target, maps + [g.tau], c)
     return homology_two_term(down - up)
 
 
@@ -190,13 +170,13 @@ def rational_realization(g: FpGauge) -> PhiModule:
     multiplication by p, so the automorphism is p^b tau (t-composite)^{-1}
     read through the structural identifications; the result does not depend
     on the window (enlarging it multiplies and divides by the same power).
+    Since ut = p, the inverse of the t-composite M^b -> M^a is the
+    u-composite M^a -> M^b over p^(b - a), so the automorphism is the free
+    block of p^a tau (u-composite): one integer product, and no inverse.
     """
-    a, b = g.window
-    if g.modules[0].free_rank == 0:
-        return PhiModule(g.prime, QMat.zeros(0, 0))
-    # ut = p makes every t invertible after inverting p
-    inv = g.t_composite(b, a).rational_matrix().inverse()
-    return PhiModule(g.prime, g.tau.rational_matrix().scale(Fraction(g.prime) ** b) @ inv)
+    maps, _ = g._u_chain(g.a, g.b)
+    up = composite(g.modules[0], g.modules[0], maps + [g.tau])
+    return PhiModule(g.prime, up.rational_matrix().scale(Fraction(g.prime) ** g.a))
 
 
 def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
@@ -205,30 +185,13 @@ def direct_sum(g1: FpGauge, g2: FpGauge) -> FpGauge:
         raise PrimeMismatchError(g1.prime, g2.prime)
     a = min(g1.a, g2.a)
     b = max(g1.b, g2.b)
-    g1, g2 = extend_window(g1, a, b), extend_window(g2, a, b)
-
-    def sum_map(m1: ModuleMap, m2: ModuleMap) -> ModuleMap:
-        src = m1.source.direct_sum(m2.source)
-        tgt = m1.target.direct_sum(m2.target)
-        mat = block_diag(m1.matrix, m2.matrix)
-        return ModuleMap._made(src, tgt, mat.take_rows(_sum_order(m1.target, m2.target))
-                               .take_cols(_sum_order(m1.source, m2.source)))
-
-    modules = tuple(x.direct_sum(y) for x, y in zip(g1.modules, g2.modules))
-    ts = tuple(sum_map(x, y) for x, y in zip(g1.t, g2.t))
-    us = tuple(sum_map(x, y) for x, y in zip(g1.u, g2.u))
-    tau = sum_map(g1.tau, g2.tau)
-    return FpGauge(g1.prime, (a, b), modules, ts, us, tau)
-
-
-def _sum_order(m1: FGModule, m2: FGModule) -> list[int]:
-    """Block positions of the generators of m1 (+) m2, in direct_sum order.
-
-    Free generators come first, then torsion by exponent; the sort is
-    stable, so ties keep m1's generators before m2's.
-    """
-    exps = (0,) * m1.free_rank + m1.torsion + (0,) * m2.free_rank + m2.torsion
-    return sorted(range(len(exps)), key=exps.__getitem__)
+    # the aligned maps are not checked as two gauges: the sum's own
+    # constructor checks the laws once
+    (m1, t1, u1), (m2, t2, u2) = _window_maps(g1, a, b), _window_maps(g2, a, b)
+    return FpGauge(g1.prime, (a, b), tuple(x.direct_sum(y) for x, y in zip(m1, m2)),
+                   tuple(x.direct_sum(y) for x, y in zip(t1, t2)),
+                   tuple(x.direct_sum(y) for x, y in zip(u1, u2)),
+                   g1.tau.direct_sum(g2.tau))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +246,7 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     p = c.prime
     if c.rank == 0:
         m = zero_module(p)
-        return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.identity(m))
+        return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.diagonal(m, ()))
     s = smith_normal_form(c.tau_crys, p)
     exps = s.exponents  # tau is invertible, so all r exponents are present
     a, b = min(exps), max(exps)
@@ -292,8 +255,8 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     ts, us = [], []
     for i in range(a + 1, b + 1):
         # t_i is p where d_j < i and 1 elsewhere, u_i = p / t_i: lawful as built
-        ts.append(ModuleMap._made(free, free, QMat.diagonal([p if d < i else 1 for d in exps])))
-        us.append(ModuleMap._made(free, free, QMat.diagonal([1 if d < i else p for d in exps])))
+        ts.append(ModuleMap.diagonal(free, [p if d < i else 1 for d in exps]))
+        us.append(ModuleMap.diagonal(free, [1 if d < i else p for d in exps]))
     # in the bases B_i = V diag(p^{max(i - d_j, 0)}), tau of the gauge is
     # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} tau_crys V diag(p^{-d_j}), which
     # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular (checked)
@@ -363,16 +326,9 @@ def hodge_tate_weights(g: FpGauge) -> dict[int, int]:
     """
     out: dict[int, int] = {}
     for k, m in enumerate(g.modules):
-        # The quotient has dimension ngens minus the number of unit invariant
-        # factors of [p I | u_i | t_{i+1} | relations].  The p I and relation
-        # columns vanish mod p, so they never change that number: the Smith
-        # exponents of [u_i | t_{i+1}] alone count the same units.  The end
-        # maps u_a = p and t_{b+1} = p vanish mod p too, so only the window's
-        # own maps are stacked: u_i for i > a and t_{i+1} for i < b.
-        stacked = QMat.zeros(m.ngens, 0)
-        for f in g.u[k - 1:k] + g.t[k:k + 1]:
-            stacked = stacked.hstack(f.matrix)
-        dim = m.ngens - smith_exponents(stacked, g.prime).count(0)
+        # The end maps u_a = p and t_{b+1} = p vanish mod p, so only the
+        # window's own maps count: u_i for i > a and t_{i+1} for i < b.
+        dim = reduced_cokernel_dim(m, g.u[k - 1:k] + g.t[k:k + 1])
         if dim:
             out[g.a + k] = dim
     return out

@@ -15,6 +15,7 @@ import os
 import random
 import signal
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -100,9 +101,14 @@ def recheck_trusted_constructions(request, monkeypatch):
         assert_same_matrix(made, rebuilt, Fraction)
         return made
 
-    def map_checked(source, target, matrix):
-        made = map_made(source, target, matrix)
+    def map_checked(source, target, rows, den):
+        made = map_made(source, target, rows, den)
+        # the one stored form: int tuple rows over a positive p-unit, gcd 1
+        assert type(rows) is tuple and all(type(r) is tuple for r in rows)
+        assert all(type(x) is int for r in rows for x in r) and type(den) is int
+        assert den > 0 and den % source.prime and gcd(den, *(x for r in rows for x in r)) == 1
         rebuilt = object.__new__(ModuleMap)
+        matrix = QMat([[Fraction(x, den) for x in r] for r in rows], ncols=source.ngens)
         map_init(rebuilt, source, target, matrix)  # raises on a broken law
         assert made == rebuilt
         return made
@@ -333,6 +339,45 @@ def constant_gauge(p, module, window, t, u, tau, make=FpGauge):
                    ModuleMap(module, module, QMat(tau)))
 
 
+def compose(second: ModuleMap, first: ModuleMap) -> ModuleMap:
+    """``second`` after ``first``, by the Fraction triple sum and the checked
+    constructor: the reference the integer composites are tested against."""
+    if first.target != second.source:
+        raise ValueError("composition mismatch")
+    n = first.source.ngens
+    rows = oracle_q_matmul(qmat_rows(second.matrix), qmat_rows(first.matrix), n)
+    return ModuleMap(first.source, second.target, QMat(rows, ncols=n))
+
+
+def scalar(m, c) -> ModuleMap:
+    """c times the identity of ``m``, through the checked constructor."""
+    return ModuleMap(m, m, QMat.scalar(m.ngens, c))
+
+
+def equals_as_map(f: ModuleMap, g: ModuleMap) -> bool:
+    """Equality modulo the target's relations (entrywise mod p^f), over Fractions."""
+    if f.source != g.source or f.target != g.target:
+        return False
+    diff = f.matrix - g.matrix
+    for i in range(f.target.ngens):
+        e = f.target.order_exponent(i)
+        for j in range(f.source.ngens):
+            x = diff[i, j]
+            if x != 0 and (e is None or vp(x, f.prime) < e):
+                return False
+    return True
+
+
+def relation_matrix(m) -> QMat:
+    """The presentation relations of ``m``: columns p^{e_i} (torsion basis vector)."""
+    cols = []
+    for k, e in enumerate(m.torsion):
+        v = [Fraction(0)] * m.ngens
+        v[m.free_rank + k] = Fraction(m.prime) ** e
+        cols.append(v)
+    return QMat.from_cols(cols, m.ngens)
+
+
 def oracle_t_at(g, i: int) -> ModuleMap:
     """t_i: M^i -> M^{i-1} at one index: identity at or below a, p above b.
 
@@ -342,8 +387,8 @@ def oracle_t_at(g, i: int) -> ModuleMap:
     if a < i <= b:
         return g.t[i - a - 1]
     if i <= a:
-        return ModuleMap.identity(g.modules[0])
-    return ModuleMap.scalar(g.modules[-1], g.prime)
+        return scalar(g.modules[0], 1)
+    return scalar(g.modules[-1], g.prime)
 
 
 def oracle_u_at(g, i: int) -> ModuleMap:
@@ -352,8 +397,8 @@ def oracle_u_at(g, i: int) -> ModuleMap:
     if a < i <= b:
         return g.u[i - a - 1]
     if i <= a:
-        return ModuleMap.scalar(g.modules[0], g.prime)
-    return ModuleMap.identity(g.modules[-1])
+        return scalar(g.modules[0], g.prime)
+    return scalar(g.modules[-1], 1)
 
 
 def oracle_rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:

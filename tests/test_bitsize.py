@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (HangGuard, constant_gauge, oracle_t_at, oracle_u_at,
-                      rand_fcrystal, rand_filtered_phi)
+from conftest import (HangGuard, compose, constant_gauge, oracle_t_at, oracle_u_at,
+                      rand_fcrystal, rand_filtered_phi, scalar)
 from gaugeworks.cli import run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
@@ -115,6 +115,15 @@ def test_fgauge_job_with_a_window_at_the_digit_limit(n):
         {"valid": True, "violations": [], "h0": zero, "h1": zero, "weights": {str(n): 1}}
 
 
+def test_torsion_law_fails_without_building_the_power_of_p():
+    # an entry of 1 bit cannot have valuation 10^60 - 1: the law fails
+    # without building p^(10^60 - 1)
+    with HangGuard(60), pytest.raises(LawViolation) as err:
+        ModuleMap(FGModule(3, 0, (1,)), FGModule(3, 0, (10 ** 60,)), QMat([[1]]))
+    assert str(err.value) == ("matrix must respect torsion orders "
+                              f"[entry (0,0) = 1 needs valuation >= {10 ** 60 - 1}]")
+
+
 def test_gauge_laws_and_cohomology_at_a_large_torsion_exponent():
     # exponent 5000 and 2000-digit p-unit denominators: the law check builds
     # p^f once per row and divides once per entry
@@ -142,16 +151,16 @@ def test_gauge_laws_and_cohomology_at_a_large_torsion_exponent():
 
 
 def old_t_composite(g: FpGauge, top: int, bottom: int) -> ModuleMap:
-    acc = ModuleMap.identity(g.module_at(bottom))
+    acc = scalar(g.module_at(bottom), 1)
     for i in range(bottom + 1, top + 1):
-        acc = acc.compose(oracle_t_at(g, i))
+        acc = compose(acc, oracle_t_at(g, i))
     return acc
 
 
 def old_u_composite(g: FpGauge, bottom: int, top: int) -> ModuleMap:
-    acc = ModuleMap.identity(g.module_at(bottom))
+    acc = scalar(g.module_at(bottom), 1)
     for i in range(bottom + 1, top + 1):
-        acc = oracle_u_at(g, i).compose(acc)
+        acc = compose(oracle_u_at(g, i), acc)
     return acc
 
 

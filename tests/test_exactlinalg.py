@@ -10,7 +10,8 @@ from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
                       oracle_fp_matmul, oracle_fp_rank, oracle_fp_rref,
                       oracle_fp_two_term, oracle_q_det, oracle_q_matmul,
                       oracle_q_rank, oracle_q_rref, oracle_snf, qmat_rows,
-                      rand_fcrystal, rand_unimodular)
+                      compose, rand_fcrystal, rand_unimodular, relation_matrix,
+                      scalar)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     check_prime, format_rational,
@@ -19,6 +20,7 @@ from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     smith_exponents, smith_normal_form, vp,
                                     zero_module)
 from gaugeworks.exactlinalg import rationals
+from gaugeworks.exactlinalg.modules import composite
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +229,7 @@ def _snf_input(rng, p, family) -> QMat:
         target = FGModule(p, rng.randint(0, 3), torsion)
         image = QMat([[entry() for _ in range(nc)] for _ in range(target.ngens)],
                      ncols=nc)
-        return image.hstack(target.relation_matrix().scale(rng.choice([1, -1])))
+        return image.hstack(relation_matrix(target).scale(rng.choice([1, -1])))
     if family == "negative":
         return QMat([[entry(-4, 2) for _ in range(nc)] for _ in range(nr)], ncols=nc)
     if family == "zero-lines":
@@ -280,7 +282,7 @@ def test_homology_zero_map_returns_source_and_target_verbatim():
     p = 3
     m = FGModule(p, 1)
     n = FGModule(p, 2, (1, 2))
-    h0, h1 = homology_two_term(ModuleMap.zero(m, n))
+    h0, h1 = homology_two_term(ModuleMap(m, n, QMat.zeros(n.ngens, m.ngens)))
     assert h0 == m and h1 == n
 
 
@@ -1010,24 +1012,6 @@ def test_public_qmat_constructor_wraps_and_checks():
         QMat([[1, 2]], ncols=1)
 
 
-def test_lawful_by_construction_maps_keep_the_checks_they_need(monkeypatch):
-    # the public ModuleMap(...) laws are pinned by test_torsion_respect_is_enforced
-    # and test_module_map_entries_must_be_p_local; here the recheck fixture's
-    # rebuild would raise the same LawViolation as the path under test, so
-    # take its wrappers off
-    monkeypatch.undo()
-    p = 3
-    free, t1 = FGModule(p, 1), FGModule(p, 0, (1,))
-    with pytest.raises(LawViolation) as err:
-        ModuleMap.scalar(free, Fraction(1, 3))
-    assert str(err.value) == "module map entries must lie in Z_(p) [entry (0,0) = 1/3]"
-    assert ModuleMap.scalar(zero_module(p), Fraction(1, 3)).matrix.shape == (0, 0)
-    with pytest.raises(PrimeMismatchError):
-        ModuleMap.zero(free, FGModule(5, 1))
-    with pytest.raises(ValueError, match="composition mismatch"):
-        ModuleMap.identity(free).compose(ModuleMap.identity(t1))
-
-
 def lawful_map(rng, p, src, tgt):
     """A random map ``src -> tgt`` whose matrix respects the torsion orders."""
     rows = []
@@ -1056,10 +1040,34 @@ def test_trusted_module_maps_pass_the_public_laws(rng, p, trial):
                                                            for _ in range(rng.randint(0, 3)))))
     a, b, c = module(), module(), module()
     f, g = lawful_map(rng, p, a, b), lawful_map(rng, p, b, c)
-    c_unit = Fraction(rng.randint(-9, 9) * p ** rng.randint(0, 2), 1 if p == 2 else 2)
-    for got in (g.compose(f), ModuleMap.identity(a), ModuleMap.scalar(b, c_unit),
-                ModuleMap.zero(a, c)):
+    f2 = lawful_map(rng, p, a, b)
+    k = rng.randint(-9, 9) * p ** rng.randint(0, 2)
+    made = (composite(a, c, (f, g), k), composite(a, a, (), k),
+            ModuleMap.diagonal(a, [1] * a.ngens),
+            ModuleMap.diagonal(b, [rng.randint(-9, 9) for _ in range(b.ngens)]),
+            f - f2, f - f, f.direct_sum(g))
+    for got in made:
         assert got == ModuleMap(got.source, got.target, got.matrix)
+    # against the Fraction route: the composite, the difference, the block sum
+    assert made[0] == compose(scalar(c, k), compose(g, f))
+    assert made[4].matrix == f.matrix - f2.matrix and made[5].matrix.is_zero()
+    rf, rg = _sum_positions(b, c)
+    cf, cg = _sum_positions(a, b)
+    m = made[6].matrix
+    assert m.take_rows(rf).take_cols(cf) == f.matrix and m.take_rows(rg).take_cols(cg) == g.matrix
+    assert m.take_rows(rf).take_cols(cg).is_zero() and m.take_rows(rg).take_cols(cf).is_zero()
+
+
+def _sum_positions(m1, m2):
+    """Where the generators of m1 and of m2 sit in m1 (+) m2: the free ones
+    first, m1's before m2's, then the torsion ones by exponent, m1's first
+    on ties."""
+    free = m1.free_rank + m2.free_rank
+    tors = sorted([(e, 0, k) for k, e in enumerate(m1.torsion)] +
+                  [(e, 1, k) for k, e in enumerate(m2.torsion)])
+    at = {(w, k): free + n for n, (_, w, k) in enumerate(tors)}
+    return (list(range(m1.free_rank)) + [at[0, k] for k in range(len(m1.torsion))],
+            list(range(m1.free_rank, free)) + [at[1, k] for k in range(len(m2.torsion))])
 
 
 @pytest.mark.parametrize("p", FIELDS)

@@ -8,8 +8,9 @@ from unittest import mock
 
 import pytest
 
-from conftest import (constant_gauge, oracle_snf, oracle_t_at, oracle_u_at,
-                      rand_fcrystal, raw_gauge)
+from conftest import (compose, constant_gauge, equals_as_map, oracle_q_det,
+                      oracle_snf, oracle_t_at, oracle_u_at, qmat_rows,
+                      rand_fcrystal, raw_gauge, relation_matrix, scalar)
 from gaugeworks import cli, fgauge
 from gaugeworks.cli import build_fgauge, run_job
 from gaugeworks.errors import LawViolation
@@ -23,7 +24,9 @@ from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                gauge_from_fcrystal, hodge_tate_weights,
                                rational_realization, snf_weight_multiset,
                                syntomic_cohomology, twist_gauge, validate)
+from gaugeworks.exactlinalg.modules import composite
 from gaugeworks.filphi import rhom_phi
+from test_bitsize import old_t_composite, old_u_composite
 
 
 def cyclic(p, e=1):
@@ -137,7 +140,7 @@ def test_far_window_cohomology_vanishes_as_the_explicit_composites_say(rng):
     assert any(g.modules[0].torsion for g in gauges)
     for g in gauges:
         down = g.t_composite(0, min(g.a, 0))
-        up = g.tau.compose(g.u_composite(0, max(g.b, 0)))
+        up = compose(g.tau, g.u_composite(0, max(g.b, 0)))
         explicit = homology_two_term(down - up)
         zero = (zero_module(g.prime), zero_module(g.prime))
         assert explicit == zero
@@ -216,6 +219,62 @@ def test_rational_comparison_with_derived_invariants(rng, trial):
     h0, h1 = syntomic_cohomology(g)
     r = rhom_phi(rational_realization(g))
     assert (h0.free_rank, h1.free_rank) == r.dims
+
+
+def rand_isogeny(rng, p: int, n: int) -> QMat:
+    """An integer n x n matrix with entries in [-7, 7] whose determinant is a
+    nonzero multiple of p."""
+    while True:
+        h = QMat([[rng.randint(-7, 7) for _ in range(n)] for _ in range(n)])
+        d = oracle_q_det(qmat_rows(h))
+        if d and d.numerator % p == 0:
+            return h
+
+
+def char_values(a: QMat) -> list[Fraction]:
+    """det(x I - a) at x = 0, ..., n: the characteristic polynomial, by values."""
+    n = a.nrows
+    return [oracle_q_det([[x * (i == j) - a[i, j] for j in range(n)] for i in range(n)])
+            for x in range(n + 1)]
+
+
+def composites_match_the_oracle(g: FpGauge) -> None:
+    """t_composite, u_composite and the syntomic map against the Fraction
+    ``compose`` oracle, with the syntomic homology read off the oracle's map."""
+    lo, hi = min(g.a, 0), max(g.b, 0)
+    down, up = old_t_composite(g, 0, lo), old_u_composite(g, 0, hi)
+    assert g.t_composite(0, lo) == down and g.u_composite(0, hi) == up
+    assert g.t_composite(g.b, g.a) == old_t_composite(g, g.b, g.a)
+    want = ModuleMap(down.source, down.target, down.matrix - compose(g.tau, up).matrix)
+    got = g.t_composite(0, lo) - composite(up.source, g.tau.target, (g.u_composite(0, hi),
+                                                                       g.tau))
+    assert got == want
+    assert syntomic_cohomology(g) == homology_two_term(want)
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_isogenous_crystals_agree_after_inverting_p(rng, trial):
+    # tau' = h^-1 tau h with p | det h is another lattice in the same
+    # isocrystal, so the two gauges are isogenous: their rational
+    # realizations are similar, and their syntomic cohomology has the same
+    # free ranks while the torsion may differ
+    torsion_differs = 0
+    for _ in range(50):
+        p = rng.choice([3, 5])
+        c = rand_fcrystal(rng, p)
+        h = rand_isogeny(rng, p, c.rank)
+        c2 = FCrystalPoint(p, c.rank, h.inverse() @ c.tau_crys @ h)
+        g, g2 = gauge_from_fcrystal(c), gauge_from_fcrystal(c2)
+        phi, phi2 = (qmat_rows(rational_realization(x).frobenius) for x in (g, g2))
+        assert oracle_q_det(phi) == oracle_q_det(phi2)
+        assert sum(r[i] for i, r in enumerate(phi)) == sum(r[i] for i, r in enumerate(phi2))
+        assert char_values(QMat(phi)) == char_values(QMat(phi2))
+        h_c, h_c2 = syntomic_cohomology(g), syntomic_cohomology(g2)
+        assert [x.free_rank for x in h_c] == [x.free_rank for x in h_c2]
+        torsion_differs += [x.torsion for x in h_c] != [x.torsion for x in h_c2]
+        for x in (g, g2):
+            composites_match_the_oracle(x)
+    assert torsion_differs >= 5
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +443,7 @@ def four_block_weights(g):
     for i in range(a, b + 1):
         m = g.module_at(i)
         stacked = (QMat.scalar(m.ngens, g.prime).hstack(oracle_u_at(g, i).matrix)
-                   .hstack(oracle_t_at(g, i + 1).matrix).hstack(m.relation_matrix()))
+                   .hstack(oracle_t_at(g, i + 1).matrix).hstack(relation_matrix(m)))
         units = sum(1 for e in smith_normal_form(stacked, g.prime).exponents if e == 0)
         if m.ngens - units:
             out[i] = m.ngens - units
@@ -474,6 +533,20 @@ def test_weights_match_the_four_block_formula(rng):
             assert hodge_tate_weights(g) == four_block_weights(g)
 
 
+def test_realization_is_the_former_inverse_formula(rng):
+    # p^b tau (t-composite)^{-1} on the free blocks, over Fractions, on
+    # every lawful gauge of the corpus: torsion, p-unit denominators, sums
+    for raw in gauge_corpus(rng):
+        if old_validate(raw):
+            continue
+        g = gauge_of(raw)
+        free = list(range(g.modules[0].free_rank))
+        t = old_t_composite(g, g.b, g.a).matrix.take_rows(free).take_cols(free)
+        tau = g.tau.matrix.take_rows(free).take_cols(free)
+        want = tau.scale(Fraction(g.prime) ** g.b) @ t.inverse() if free else tau
+        assert rational_realization(g).frobenius == want
+
+
 def _count_calls(monkeypatch, fn, calls):
     """Wrap ``fn`` at every gaugeworks module that binds it; calls go to ``calls``."""
     def wrapper(*args, **kwargs):
@@ -515,6 +588,17 @@ def test_a_gauge_job_checks_its_laws_once(monkeypatch, name):
     assert calls == ["validate"]
 
 
+def test_direct_sum_checks_the_gauge_laws_once(monkeypatch):
+    # the windows are aligned without two intermediate gauges, so the sum's
+    # own constructor is its only law check
+    g1, g2 = twist_gauge(2, 3), twist_gauge(-2, 3)
+    calls = []
+    _count_calls(monkeypatch, validate, calls)
+    g = direct_sum(g1, g2)
+    assert calls == ["validate"]
+    assert g.window == (-2, 2) and hodge_tate_weights(g) == {-2: 1, 2: 1}
+
+
 # ---------------------------------------------------------------------------
 # the window readers against the per-index readers they replaced
 # ---------------------------------------------------------------------------
@@ -527,9 +611,9 @@ def old_validate(g) -> tuple[str, ...]:
     bad = []
     for i in range(a + 1, b + 1):
         t, u = oracle_t_at(g, i), oracle_u_at(g, i)
-        if not u.compose(t).equals_as_map(ModuleMap.scalar(g.modules[i - a], g.prime)):
+        if not equals_as_map(compose(u, t), scalar(g.modules[i - a], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (ut != p)")
-        if not t.compose(u).equals_as_map(ModuleMap.scalar(g.modules[i - 1 - a], g.prime)):
+        if not equals_as_map(compose(t, u), scalar(g.modules[i - 1 - a], g.prime)):
             bad.append(f"ut = tu = p failed at index {i} (tu != p)")
     if not g.tau.is_isomorphism():
         bad.append("tau must be an isomorphism M^b -> M^a")
