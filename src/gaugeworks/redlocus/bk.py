@@ -15,6 +15,18 @@ product and dual are flag convolution / flag annihilator with the Leibniz
 and negated-transpose operators; this is the engine behind the group law
 of the twist family and the randomized glued generators in the test suite.
 
+Jump lemma.  Level k of a convolution is the sum over i of G_i (x) G'_{k-i}.
+If G_i = G_{i-1} in an increasing flag, term i lies inside term i-1; if
+Fil^i = Fil^{i+1} in a decreasing one, term i lies inside term i+1 (the
+constant ends included: G_i = 0 below the window and V above it).  So only
+the j jumps of the first factor contribute, and a level is summed again
+only where the second factor's flags at those jumps change, at most
+j j' + 1 times for j' jumps of the second factor.  A tensor of windows of
+widths w and w' thus makes O(j^2 j') Kronecker products and O(j j')
+eliminations, and compares O(j (w + w')) flag bases; the sum over every
+index made (w + w') w products and w + w' eliminations of w blocks each.
+Dual and the flag laws are solved once per run of equal bases.
+
 The n-th twist object ``bk_reduced(n)``: one-dimensional everywhere, flag
 jumping at -n, E = n on the Hodge--Tate side; filtration jumping at -n with
 Theta = n on the de Rham+ side; identity gluing.  The operator on the
@@ -31,7 +43,7 @@ from dataclasses import dataclass, field
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, block_diag, check_prime, fp_kron,
                            fp_span_union)
-from .components import A1Module, FilThetaModule
+from .components import A1Module, FilThetaModule, per_index
 from .gluing import ReducedFGauge
 
 
@@ -39,8 +51,9 @@ from .gluing import ReducedFGauge
 class A1Flag:
     """Flag presentation (V, G_., E) of an x-injective stabilized module.
 
-    ``bases[k]`` is a column basis of G_{lo+k}; G_{hi} must be all of V in
-    the standard basis (the identity matrix), G_i = 0 below lo.
+    ``bases[k]`` is a column basis of G_{lo+k} (independent columns, checked);
+    G_{hi} must be all of V in the standard basis (the identity matrix),
+    G_i = 0 below lo.
     """
 
     prime: int
@@ -60,22 +73,35 @@ class A1Flag:
         if self.bases[-1] != FpMat.identity(self.prime, self.dim):
             raise ValueError("the top flag must be the identity basis")
         # the law checks' solutions are the x and D maps of the module
-        xs, ds = [], []
-        for k in range(len(self.bases) - 1):
-            xs.append(self.bases[k + 1].solve(self.bases[k]))
-            if xs[-1] is None:
+        p = self.prime
+        xs = []
+        for x in per_index(zip(self.bases[1:], self.bases), FpMat.solve):
+            if x is None:
                 raise LawViolation("the flag must be increasing")
+            xs.append(x)
+        independent = per_index(((b,) for b in self.bases), lambda b: b.rank() == b.ncols)
+        for i, ok in enumerate(independent, self.lo):
+            if not ok:
+                raise LawViolation("flag bases must be independent columns", f"index {i}")
         if self.operator.shape != (self.dim, self.dim):
             raise ValueError("operator must act on V")
+        ds = []
         for i in range(self.lo, self.hi + 1):
-            shifted = self.operator + FpMat.scalar(self.prime, self.dim, i)
-            ds.append(self.basis_at(i - 1).solve(shifted @ self.basis_at(i)))
+            below, fil = self.basis_at(i - 1), self.basis_at(i)
+            if i - 2 >= self.lo and self.bases[i - 2 - self.lo] == below == fil:
+                # on a constant stretch G X = (E + i) G is the previous system
+                # plus G X = G, whose solution is x_{i-1}; solve is linear in
+                # its target, so this is the solve's own answer
+                ds.append(ds[-1] + xs[i - 1 - self.lo])
+                continue
+            shifted = self.operator + FpMat.scalar(p, self.dim, i)
+            ds.append(below.solve(shifted @ fil))
             if ds[-1] is None:
                 raise LawViolation("(E + i) must carry G_i into G_{i-1}",
                                    f"failed at i = {i}")
         dims = tuple(b.ncols for b in self.bases)
         object.__setattr__(self, "_module", A1Module(
-            self.prime, self.lo, self.hi, dims, tuple(xs), tuple(ds[1:])))
+            p, self.lo, self.hi, dims, tuple(xs), tuple(ds[1:])))
 
     def basis_at(self, i: int) -> FpMat:
         if i < self.lo:
@@ -90,19 +116,12 @@ class A1Flag:
 
     @classmethod
     def from_module(cls, m: A1Module) -> "A1Flag":
-        """Inverse of :meth:`to_module`; requires all x maps injective."""
-        p = m.prime
-        n_level = m.stable_level()
-        dim = m.dim_at(n_level)
-        bases = []
-        for i in range(m.lo, m.hi + 1):
-            comp = m.x_composite(i, n_level)
-            if comp.rank() != m.dim_at(i):
-                raise LawViolation("flag presentation needs injective x maps",
-                                   f"x out of level {i} drops rank")
-            bases.append(comp)  # independent columns; the identity at i = hi
-        # x D at the stable level is E + n_level, and n_level = 0 mod p
-        return cls(p, dim, m.lo, m.hi, tuple(bases), m.de_rham_theta)
+        """Inverse of :meth:`to_module`; requires all x maps injective, which
+        the constructor checks as the independence of the flag bases."""
+        # the bases are the x composites to the stable level, the identity at
+        # i = hi; x D at the stable level is E + n_level, and n_level = 0 mod p
+        bases = tuple(m.to_stable(i) for i in range(m.lo, m.hi + 1))
+        return cls(m.prime, m.dims[-1], m.lo, m.hi, bases, m.de_rham_theta)
 
     def tensor(self, other: "A1Flag") -> "A1Flag":
         """Flag convolution with the Leibniz operator E (x) 1 + 1 (x) E."""
@@ -111,9 +130,10 @@ class A1Flag:
         p = self.prime
         dim = self.dim * other.dim
         lo, hi = self.lo + other.lo, self.hi + other.hi
-        bases = [fp_span_union(p, dim, [fp_kron(self.basis_at(i), other.basis_at(k - i))
-                                        for i in range(self.lo, self.hi + 1)])
-                 for k in range(lo, hi + 1)]
+        jumps = [i for i in range(self.lo, self.hi + 1)
+                 if self.basis_at(i).ncols > self.basis_at(i - 1).ncols]
+        bases = _convolve(p, dim, lo, hi, [self.basis_at(i) for i in jumps],
+                          lambda k: tuple(other.basis_at(k - i) for i in jumps))
         bases[-1] = FpMat.identity(p, dim)
         op = (fp_kron(self.operator, FpMat.identity(p, other.dim))
               + fp_kron(FpMat.identity(p, self.dim), other.operator))
@@ -124,7 +144,7 @@ class A1Flag:
         p = self.prime
         lo, hi = -self.hi, -self.lo
         # at i = hi the kernel of the 0 x dim transpose is the identity
-        bases = [self.basis_at(-i - 1).transpose().kernel() for i in range(lo, hi + 1)]
+        bases = per_index(((self.basis_at(-i - 1),) for i in range(lo, hi + 1)), _annihilator)
         return A1Flag(p, self.dim, lo, hi, tuple(bases), -self.operator.transpose())
 
 
@@ -158,13 +178,26 @@ def bk_reduced(n: int, p: int) -> ReducedFGauge:
 # ---------------------------------------------------------------------------
 
 
+def _convolve(p: int, dim: int, lo: int, hi: int, firsts, seconds_at) -> list[FpMat]:
+    """Levels lo..hi of a flag convolution: level k spans the products of
+    ``firsts`` with the tuple ``seconds_at(k)``, summed again only where
+    that tuple changes."""
+    def level(*seconds):
+        return fp_span_union(p, dim, [fp_kron(a, b) for a, b in zip(firsts, seconds)])
+    return list(per_index((seconds_at(k) for k in range(lo, hi + 1)), level))
+
+
+def _annihilator(basis: FpMat) -> FpMat:
+    return basis.transpose().kernel()
+
+
 def _convolve_flags(d1: FilThetaModule, d2: FilThetaModule) -> FilThetaModule:
     p = d1.prime
     dim = d1.dim * d2.dim
     lo, hi = d1.lo + d2.lo, d1.hi + d2.hi
-    flags = [fp_span_union(p, dim, [fp_kron(d1.flag_at(i), d2.flag_at(k - i))
-                                    for i in range(d1.lo, d1.hi + 1)])
-             for k in range(lo, hi + 1)]
+    jumps = [i for i in range(d1.lo, d1.hi + 1) if d1.fil_dim(i) > d1.fil_dim(i + 1)]
+    flags = _convolve(p, dim, lo, hi, [d1.flag_at(i) for i in jumps],
+                      lambda k: tuple(d2.flag_at(k - i) for i in jumps))
     theta = (fp_kron(d1.theta, FpMat.identity(p, d2.dim))
              + fp_kron(FpMat.identity(p, d1.dim), d2.theta))
     return FilThetaModule(p, dim, lo, hi, tuple(flags), theta)
@@ -173,7 +206,7 @@ def _convolve_flags(d1: FilThetaModule, d2: FilThetaModule) -> FilThetaModule:
 def _dual_filtheta(d: FilThetaModule) -> FilThetaModule:
     p = d.prime
     lo, hi = -d.hi, -d.lo
-    flags = [d.flag_at(1 - i).transpose().kernel() for i in range(lo, hi + 1)]
+    flags = per_index(((d.flag_at(1 - i),) for i in range(lo, hi + 1)), _annihilator)
     return FilThetaModule(p, d.dim, lo, hi, tuple(flags), -d.theta.transpose())
 
 
@@ -186,8 +219,8 @@ def _block_iso(d1, d2, dt, basis_at):
     the coordinates of ``dt``.  Returns a map degree -> (iso matrix, list of
     (i, j)).
     """
-    lifts1 = {i: d1.lift(i) for i in range(d1.lo, d1.hi + 1)}
-    lifts2 = {j: d2.lift(j) for j in range(d2.lo, d2.hi + 1)}
+    lifts1 = {i: d1.lift(i) for i in range(d1.lo, d1.hi + 1) if d1.gr(i)[0].nrows}
+    lifts2 = {j: d2.lift(j) for j in range(d2.lo, d2.hi + 1) if d2.gr(j)[0].nrows}
     out = {}
     for k in range(dt.lo, dt.hi + 1):
         pi_k = dt.gr(k)[0]
@@ -197,7 +230,7 @@ def _block_iso(d1, d2, dt, basis_at):
         layout = []
         for i in sorted(lifts1):
             lift1, lift2 = lifts1[i], lifts2.get(k - i)
-            if lift2 is None or lift1.ncols == 0 or lift2.ncols == 0:
+            if lift2 is None:
                 continue
             # the product of the lifts lies in level k of the tensor's flag
             coords = basis_at(k).solve(fp_kron(lift1, lift2))

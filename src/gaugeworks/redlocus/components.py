@@ -20,6 +20,15 @@ passing to the x-stable range in a degree divisible by p and taking
 Theta = x D, and to Hodge by taking the associated graded with Theta = D^p
 (which descends because D^p commutes with x mod p).  The filtered de Rham
 stratum restricts by forgetting the filtration and by taking gr.
+
+Cost per window.  A flag is constant between its jumps, and the inclusion
+solves, rank checks and Theta solves of a filtration, and the graded
+pieces of both filtered strata, read the bases or maps of one or two
+neighbouring indices.  Each module computes them once per run of equal
+inputs (:func:`per_index`, one ``==`` per index), so a window of width w
+whose flag jumps j times costs O(j) eliminations and O(w) comparisons.
+The x composites to the stable level take one product per index, built
+once top-down; the relation Dx - xD = 1 is still checked level by level.
 """
 
 from __future__ import annotations
@@ -30,6 +39,20 @@ from functools import cached_property
 from ..errors import LawViolation
 from ..exactlinalg import (FpMat, check_prime, fp_homology_two_term,
                            quotient_projection)
+
+
+def per_index(inputs, compute):
+    """Yield ``compute(*args)`` for each tuple ``args`` in ``inputs``.
+
+    The value is computed again only when ``args`` differ from the previous
+    index's, tested with one ``==``; otherwise the previous value is yielded.
+    Lazy, so a caller that raises at a failed law stops the loop there.
+    """
+    last = value = None
+    for args in inputs:
+        if args != last:
+            last, value = args, compute(*args)
+        yield value
 
 
 @dataclass(frozen=True)
@@ -158,15 +181,21 @@ class A1Module:
         return (self.x_at(self.hi - 1) @ self.d_at(self.hi)
                 + FpMat.scalar(self.prime, self.dims[-1], i - self.hi))
 
-    def x_composite(self, bottom: int, top: int) -> FpMat:
-        """x_{top-1} ... x_bottom: Fil_bottom -> Fil_top; zero from below the window,
-        and the factors from ``hi`` upward are identities."""
-        if bottom < self.lo:
-            return FpMat.zeros(self.prime, self.dim_at(top), 0)
-        acc = FpMat.identity(self.prime, self.dim_at(bottom))
-        for i in range(bottom, min(top, self.hi)):
-            acc = self.x_at(i) @ acc
-        return acc
+    @cached_property
+    def _composites(self) -> list[FpMat]:
+        """Entry k is x_{hi-1} ... x_{hi-k}: Fil_{hi-k} -> Fil_hi, grown
+        top-down by :meth:`to_stable`, one product per index."""
+        return [FpMat.identity(self.prime, self.dims[-1])]
+
+    def to_stable(self, i: int) -> FpMat:
+        """The x composite Fil_i -> the stable space (x is the identity from
+        ``hi`` upward): zero from below the window, the identity above it."""
+        if i < self.lo:
+            return FpMat.zeros(self.prime, self.dims[-1], 0)
+        comps = self._composites
+        while len(comps) <= self.hi - i:
+            comps.append(comps[-1] @ self.x[self.hi - len(comps) - self.lo])
+        return comps[max(self.hi - i, 0)]
 
     def d_composite(self, top: int, bottom: int) -> FpMat:
         """D_{bottom+1} ... D_top: Fil_top -> Fil_bottom; zero below the window."""
@@ -206,13 +235,20 @@ class A1Module:
                 bad.append(f"Dx - xD = 1 failed on Fil_{i}")
         return tuple(bad)
 
+    @cached_property
+    def _graded(self) -> tuple[tuple[FpMat, FpMat], ...]:
+        return tuple(per_index(((self.x_at(i - 1),) for i in range(self.lo, self.hi + 1)),
+                               quotient_projection))
+
     def gr(self, i: int) -> tuple[FpMat, FpMat]:
         """Projection Fil_i -> gr_i = coker(x_{i-1}) and a section of it."""
+        if self.lo <= i <= self.hi:
+            return self._graded[i - self.lo]
         return quotient_projection(self.x_at(i - 1))
 
     def lift(self, i: int) -> FpMat:
         """A basis of gr_i lifted into the stable space (columns)."""
-        return self.x_composite(i, self.stable_level()) @ self.gr(i)[1]
+        return self.to_stable(i) @ self.gr(i)[1]
 
 
 @dataclass(frozen=True)
@@ -242,10 +278,11 @@ class FilThetaModule:
         if self.flags[0].shape != (self.dim, self.dim) or \
                 self.flags[0].rank() != self.dim:
             raise LawViolation("Fil^lo must be the whole space")
-        # each system is solved once: gr and theta_in_flag read these
+        # each system is solved once per run of equal flags: gr and
+        # theta_in_flag read these
         inclusions = []
-        for k in range(len(self.flags) - 1):
-            inc = self.flags[k].solve(self.flags[k + 1])
+        pairs = zip(self.flags, self.flags[1:])
+        for k, inc in enumerate(per_index(pairs, FpMat.solve)):
             if inc is None:
                 raise LawViolation("the filtration must be decreasing",
                                    f"Fil^{self.lo + k + 1} not inside Fil^{self.lo + k}")
@@ -253,8 +290,9 @@ class FilThetaModule:
         inclusions.append(FpMat.zeros(self.prime, self.flags[-1].ncols, 0))  # Fil^{hi+1} = 0
         object.__setattr__(self, "_inclusions", tuple(inclusions))
         # Fil^lo is square of full rank already
-        for k, f in enumerate(self.flags[1:], 1):
-            if f.rank() != f.ncols:
+        independent = per_index(((f,) for f in self.flags[1:]), lambda f: f.rank() == f.ncols)
+        for k, ok in enumerate(independent, 1):
+            if not ok:
                 raise LawViolation("flag bases must be independent columns",
                                    f"index {self.lo + k}")
         if self.theta.shape != (self.dim, self.dim):
@@ -263,8 +301,9 @@ class FilThetaModule:
         if not frob.is_nilpotent():
             raise LawViolation("Theta^p - Theta must act nilpotently on the underlying space")
         thetas = []
-        for i in range(self.lo, self.hi + 1):
-            sol = self._solve_theta(i)
+        pairs = ((self.flag_at(i - self.prime), self.flag_at(i))
+                 for i in range(self.lo, self.hi + 1))
+        for i, sol in enumerate(per_index(pairs, self._solve_theta), self.lo):
             if sol is None:
                 raise LawViolation("Theta must carry Fil^i into Fil^{i-p}",
                                    f"failed at i = {i}")
@@ -281,8 +320,9 @@ class FilThetaModule:
     def fil_dim(self, i: int) -> int:
         return self.flag_at(i).ncols
 
-    def _solve_theta(self, i: int) -> FpMat | None:
-        return self.flag_at(i - self.prime).solve(self.theta @ self.flag_at(i))
+    def _solve_theta(self, below: FpMat, fil: FpMat) -> FpMat | None:
+        """Theta on the span of ``fil`` in the coordinates of ``below``."""
+        return below.solve(self.theta @ fil)
 
     def theta_in_flag(self, i: int) -> FpMat:
         """Theta as a map Fil^i -> Fil^{i-p} in flag coordinates."""
@@ -290,12 +330,16 @@ class FilThetaModule:
             return self._thetas[i - self.lo]
         # outside the window the solve is against the identity (i < lo) or
         # for a 0-column target (i > hi), so it always succeeds
-        return self._solve_theta(i)
+        return self._solve_theta(self.flag_at(i - self.prime), self.flag_at(i))
+
+    @cached_property
+    def _graded(self) -> tuple[tuple[FpMat, FpMat], ...]:
+        return tuple(per_index(((inc,) for inc in self._inclusions), quotient_projection))
 
     def gr(self, i: int) -> tuple[FpMat, FpMat]:
         """Projection Fil^i -> gr^i in flag coordinates and a section of it."""
         if self.lo <= i <= self.hi:
-            return quotient_projection(self._inclusions[i - self.lo])
+            return self._graded[i - self.lo]
         return quotient_projection(self.flag_at(i).solve(self.flag_at(i + 1)))
 
     def lift(self, i: int) -> FpMat:

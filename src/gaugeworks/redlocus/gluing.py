@@ -94,15 +94,6 @@ class ReducedCohomology:
     h: tuple[int, int, int]
     components: dict  # "dRplus" / "HTc" / "dR" / "Hod" -> (h0, h1)
 
-    @property
-    def euler(self) -> int:
-        return self.h[0] - self.h[1] + self.h[2]
-
-    def component_euler(self) -> int:
-        c = self.components
-        chi = lambda t: t[0] - t[1]
-        return chi(c["dRplus"]) + chi(c["HTc"]) - chi(c["dR"]) - chi(c["Hod"])
-
 
 def reduced_syntomic_cohomology(g: ReducedFGauge) -> ReducedCohomology:
     """Total complex of the gluing fibre; amplitude [0, 2].
@@ -125,11 +116,10 @@ def reduced_syntomic_cohomology(g: ReducedFGauge) -> ReducedCohomology:
     d_hod = proj_p @ d_drp @ sigma0           # gr^0 -> gr^{-p}
 
     # restriction chain maps (degree 0 and 1 components)
-    n_level = htc.stable_level()
     incl0 = drp.flag_at(0)                    # Fil^0 -> V
     incl1 = drp.flag_at(-p)                   # Fil^{-p} -> V
-    b0_dr = g.alpha_dr @ htc.x_composite(0, n_level)
-    b1_dr = g.alpha_dr @ htc.x_composite(-1, n_level)
+    b0_dr = g.alpha_dr @ htc.to_stable(0)
+    b1_dr = g.alpha_dr @ htc.to_stable(-1)
     n_v, g0, gp = drp.dim, proj0.nrows, proj_p.nrows
     a_hod0 = g.alpha_hod.get(0)
     a_hodp = g.alpha_hod.get(-p)

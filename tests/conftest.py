@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 import pytest
 
-from gaugeworks.exactlinalg import FpMat, ModuleMap, QMat
+from gaugeworks.exactlinalg import FpMat, ModuleMap, QMat, fp_kron, fp_span_union
 from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
@@ -525,6 +526,66 @@ def oracle_gauge_violations(g) -> list[str]:
         if a_j @ hod_htc.theta_at(i) != hod_drp.theta_at(i) @ a_i:
             bad.append(f"alpha_Hod must commute with Theta (degree {i})")
     return bad
+
+
+def oracle_euler(r) -> int:
+    """Euler characteristic of a :class:`ReducedCohomology`'s glued total complex."""
+    return r.h[0] - r.h[1] + r.h[2]
+
+
+def oracle_component_euler(r) -> int:
+    """The same Euler characteristic read off the four component fibres:
+    dRplus + HTc - dR - Hod, each as h0 - h1."""
+    c = r.components
+    chi = lambda t: t[0] - t[1]
+    return chi(c["dRplus"]) + chi(c["HTc"]) - chi(c["dR"]) - chi(c["Hod"])
+
+
+def oracle_flag_tensor_bases(f1, f2) -> list[FpMat]:
+    """Levels of ``A1Flag.tensor`` summed over every index of f1's window,
+    the jumps and the indices between them alike."""
+    p, dim = f1.prime, f1.dim * f2.dim
+    bases = [fp_span_union(p, dim, [fp_kron(f1.basis_at(i), f2.basis_at(k - i))
+                                    for i in range(f1.lo, f1.hi + 1)])
+             for k in range(f1.lo + f2.lo, f1.hi + f2.hi + 1)]
+    bases[-1] = FpMat.identity(p, dim)
+    return bases
+
+
+def oracle_convolved_flags(d1, d2) -> list[FpMat]:
+    """Levels of the tensor filtration of two ``FilThetaModule``s, summed
+    over every index of d1's window."""
+    p, dim = d1.prime, d1.dim * d2.dim
+    return [fp_span_union(p, dim, [fp_kron(d1.flag_at(i), d2.flag_at(k - i))
+                                   for i in range(d1.lo, d1.hi + 1)])
+            for k in range(d1.lo + d2.lo, d1.hi + d2.hi + 1)]
+
+
+def same_span(a: FpMat, b: FpMat) -> bool:
+    """Column spans equal, by the test-local rank of a, b and [a | b]."""
+    ranks = [oracle_fp_rank(a.p, fpmat_rows(m)) for m in (a, b, a.hstack(b))]
+    return ranks[0] == ranks[1] == ranks[2]
+
+
+@contextmanager
+def count_calls(owner, name: str):
+    """Count the calls of ``owner.name`` made inside the block.
+
+    Yields a list that gets one entry per call; the attribute is restored
+    on exit.
+    """
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counted)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, original)
 
 
 def qmat_rows(m: QMat):

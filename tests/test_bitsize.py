@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (HangGuard, compose, constant_gauge, oracle_t_at, oracle_u_at,
-                      rand_fcrystal, rand_filtered_phi, scalar)
+                      rand_fcrystal, rand_filtered_phi, rand_glued, scalar)
 from gaugeworks.cli import run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
@@ -21,6 +21,7 @@ from gaugeworks.fgauge import (FpGauge, direct_sum, extend_window,
                                gauge_from_fcrystal, hodge_tate_weights,
                                syntomic_cohomology, twist_gauge)
 from gaugeworks.filphi import FilteredSpace
+from gaugeworks.redlocus import dual_reduced, reduced_syntomic_cohomology, tensor_reduced
 
 BIG = 10 ** 6
 
@@ -79,6 +80,19 @@ def test_bk_twist_at_a_large_prime(n):
     # p divides neither twist, so the values are those at p = 7
     assert results("reduced", {"bk": n}, p=10 ** 7 + 19) == \
         results("reduced", {"bk": n}, p=7)
+
+
+def test_tensor_and_dual_of_glued_data_at_a_large_prime(rng):
+    # rank-2 sums of twists on windows of width p, so the tensor's window has
+    # width 2p - 1; its levels are summed over the two jumps of the first
+    # factor and solved once per run of equal flags
+    p = 1009
+    with HangGuard(60):
+        g1 = rand_glued(rng, p, twists=[0, p - 1], perturb=False)
+        g2 = rand_glued(rng, p, twists=[1, p - 2], perturb=False)
+        # twists 1, p - 2, p and 2p - 3; then 0 and 1 - p
+        assert reduced_syntomic_cohomology(tensor_reduced(g1, g2)).h == (0, 2, 0)
+        assert reduced_syntomic_cohomology(dual_reduced(g1)).h == (1, 1, 0)
 
 
 def test_higgs_check_with_many_directions_and_no_fields():

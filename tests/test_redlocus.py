@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (fpmat_rows, oracle_a1_violations, oracle_fp_rank,
+from conftest import (count_calls, fpmat_rows, oracle_a1_violations,
+                      oracle_component_euler, oracle_convolved_flags,
+                      oracle_euler, oracle_flag_tensor_bases, oracle_fp_rank,
                       oracle_fp_two_term, oracle_gauge_violations, rand_fpmat,
-                      rand_glued)
+                      rand_glued, same_span)
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
-from gaugeworks.redlocus import components, gluing
+from gaugeworks.redlocus import bk, components, gluing
 from gaugeworks.redlocus import (A1Flag, A1Module, FilThetaModule,
                                  GradedThetaModule, ReducedFGauge,
                                  ThetaModule, bk_filtheta, bk_flag,
@@ -413,7 +415,7 @@ def test_random_glued_euler_relation(rng, trial):
     p = rng.choice([3, 5])
     g = rand_glued(rng, p)
     r = reduced_syntomic_cohomology(g)
-    assert r.euler == r.component_euler()
+    assert oracle_euler(r) == oracle_component_euler(r)
     assert r.h == oracle_reduced(g)
 
 
@@ -717,10 +719,113 @@ def test_tensor_and_dual_on_random_glued(rng, trial):
     g2 = rand_glued(rng, 3, max_rank=2)
     t = tensor_reduced(g1, g2)
     r = reduced_syntomic_cohomology(t)
-    assert r.euler == r.component_euler()
+    assert oracle_euler(r) == oracle_component_euler(r)
     d = dual_reduced(g1)
     rd = reduced_syntomic_cohomology(d)
-    assert rd.euler == rd.component_euler()
+    assert oracle_euler(rd) == oracle_component_euler(rd)
+
+
+# ---------------------------------------------------------------------------
+# flag jumps: convolutions over the jumps, work once per run of equal inputs
+# ---------------------------------------------------------------------------
+
+
+def _assert_convolutions_match(f1, f2, d1, d2):
+    """Both halves' convolutions against the sums over every window index.
+
+    A dropped term of the increasing flag comes after the term that holds
+    it, so the tensor's bases are the very matrices; the decreasing
+    filtration's dropped term comes before, so only the spans agree.
+    """
+    ft = f1.tensor(f2)
+    assert list(ft.bases) == oracle_flag_tensor_bases(f1, f2)
+    assert ft.to_module() == old_to_module(ft)
+    conv = bk._convolve_flags(d1, d2)
+    want = oracle_convolved_flags(d1, d2)
+    assert len(conv.flags) == len(want)
+    assert all(same_span(a, b) for a, b in zip(conv.flags, want))
+    full = FilThetaModule(conv.prime, conv.dim, conv.lo, conv.hi, tuple(want), conv.theta)
+    assert full.hodge.dims == conv.hodge.dims
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_convolutions_over_the_jumps_match_the_full_window(rng, p, rank):
+    for _ in range(3):
+        gs = []
+        for _ in range(2):
+            base = rng.randint(-2, 2)
+            twists = [rng.randint(base, base + p - 1) for _ in range(rank)]
+            gs.append(rand_glued(rng, p, twists=twists, perturb=rng.random() < 0.5))
+        f1, f2 = (A1Flag.from_module(g.htc) for g in gs)
+        _assert_convolutions_match(f1, f2, gs[0].drp, gs[1].drp)
+
+
+def _one_jump(p: int, dim: int, lo: int, hi: int, jump: int):
+    """``dim`` copies of the twist -jump on the window [lo, hi]: the flag
+    and the filtration each jump at ``jump`` only."""
+    zero, ident = FpMat.zeros(p, dim, 0), FpMat.identity(p, dim)
+    e = FpMat.scalar(p, dim, -jump)
+    flag = A1Flag(p, dim, lo, hi, tuple(ident if i >= jump else zero
+                                        for i in range(lo, hi + 1)), e)
+    fil = FilThetaModule(p, dim, lo, hi, tuple(ident if i <= jump else zero
+                                               for i in range(lo, hi + 1)), e)
+    return flag, fil
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_convolutions_of_flags_that_jump_at_an_end(p):
+    # jumps at lo (all flags V: all equal) or at hi (all filtration steps V),
+    # and one-level windows
+    windows = [(0, 0), (2, 2), (-1, 1), (-3, 0), (1, 4)]
+    halves = [_one_jump(p, dim, lo, hi, jump) for lo, hi in windows
+              for jump in sorted({lo, hi}) for dim in (1, 2)]
+    for f1, d1 in halves:
+        for f2, d2 in halves:
+            _assert_convolutions_match(f1, f2, d1, d2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_dual_then_tensor_matches_the_full_window(rng, p):
+    for _ in range(4):
+        g1 = rand_glued(rng, p, max_rank=2)
+        g2 = rand_glued(rng, p, max_rank=2)
+        f1 = A1Flag.from_module(g1.htc)
+        fd = f1.dual()
+        assert list(fd.bases) == [f1.basis_at(-i - 1).transpose().kernel()
+                                  for i in range(fd.lo, fd.hi + 1)]
+        dual = dual_reduced(g1)
+        assert list(dual.drp.flags) == [g1.drp.flag_at(1 - i).transpose().kernel()
+                                        for i in range(dual.drp.lo, dual.drp.hi + 1)]
+        _assert_convolutions_match(fd, A1Flag.from_module(g2.htc), dual.drp, g2.drp)
+        t = tensor_reduced(dual, g2)
+        assert reduced_syntomic_cohomology(t).h == oracle_reduced(t)
+
+
+def test_filtration_work_does_not_grow_with_the_window(rng):
+    # the inclusion solves, rank checks, Theta solves and graded pieces of a
+    # filtration with two jumps are solved once per run of equal flags
+    counts = []
+    for p in (101, 211):
+        d = rand_glued(rng, p, twists=[0, p - 1], perturb=False).drp
+        with count_calls(FpMat, "rref") as calls:
+            FilThetaModule(p, d.dim, d.lo, d.hi, d.flags, d.theta).hodge
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_flag_presentation_products_grow_linearly_with_the_window(rng):
+    # the x composites to the stable level are built top-down once, so
+    # from_module makes one product per index plus a constant
+    counts = {}
+    for p in (53, 101, 211):
+        m = rand_glued(rng, p, twists=[0, p - 1], perturb=False).htc
+        fresh = A1Module(p, m.lo, m.hi, m.dims, m.x, m.d)
+        with count_calls(FpMat, "__matmul__") as calls:
+            A1Flag.from_module(fresh)
+        counts[p] = len(calls)
+        assert counts[p] <= 2 * p
+    assert (counts[211] - counts[101]) * (101 - 53) == (counts[101] - counts[53]) * (211 - 101)
 
 
 def _count_bk_work(monkeypatch, cases):
