@@ -88,7 +88,7 @@ class SquareData:
 def corners(d: FilteredPhiModule) -> SquareData:
     """Assemble the forgetful square for one filtered phi-module."""
     n = d.dim
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     f0 = d.fil0_dim()
     d_c = QMat.identity(n) - d.frobenius
     return SquareData(prime=d.prime, under_dim=n, a0_dim=f0, b_dim=f0,
@@ -207,7 +207,7 @@ def fm_fibre(d: FilteredPhiModule) -> FMFibre:
     :func:`gaugeworks.filphi.rhom_mfphi`, and the two are compared, not unified.
     """
     n = d.dim
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     diff = iota - d.frobenius @ iota
     rank, kernel_cols = _rank_and_kernel(diff.rows, iota.ncols)
     images = iota @ QMat.from_cols(kernel_cols, iota.ncols)

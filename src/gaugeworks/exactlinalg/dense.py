@@ -1,27 +1,29 @@
 """Immutable dense matrices with explicit shape: the field-independent part.
 
-:class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`
-and supply the field: entry reduction in ``__init__``, ``_entry`` on
-scalars, ``_key`` for equality, the kernels ``rref``, ``det`` and ``@``
-(over Z for ``QMat``, mod p for ``FpMat``) and, over F_p, the prime check
-``_check``.  Everything here (shapes, ``+``/``-``, ``scale``, stacking,
-``power``, ``kernel``/``solve``/``inverse`` read off ``self.rref()``, and
-``rank``/``column_space_basis`` read off the pivot columns ``_pivots()``)
-is written once for both fields.  ``_pivots`` defaults to the pivots of
-``rref``; ``QMat`` reads them off its integer forward sweep instead.
+:class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`.
+Each field owns its kernels ``rref``, ``det`` and ``@``.  What reads no
+entry is written here once for both: shapes, equality and hashing through
+the field's ``_key``, ``power``, ``rank`` and ``column_space_basis`` read off
+the pivot columns ``_pivots()`` (the pivots of ``rref`` unless the field
+reads them otherwise), and ``inverse`` read off ``rref``.  The entry-level
+operations here (``+``/``-``, ``scale``, stacking, ``take_*``,
+``transpose``, block sums, ``kron``, and ``kernel``/``solve`` read off
+``rref``) work on rows of normalised entries, which is how ``FpMat`` stores
+a matrix: ints in [0, p).  ``QMat`` stores integer rows over one
+denominator instead, and overrides each of them to work on that form.
 
 A matrix is built by one of two paths.  The public constructors,
 ``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols)``, are checked: they
-reduce every entry (mod p, or to a ``Fraction``), reject ragged rows and
-check ``ncols``.  The private ``_made`` classmethod of each field, with the
-same arguments, is trusted: it stores ``rows`` as given.  Every result the
-library builds itself goes through ``_made``, directly or through the two
-hooks each field supplies: ``_like(rows, ncols)`` (``_made`` over the
-field of ``self``) and ``_reduced(rows, ncols)`` (entries reduced mod p, or
-kept as the ``Fraction``s they are, then ``_made``).  A kernel hands the
-trusted path a tuple of row tuples, each of length ``ncols``, holding only
-normalised entries: ints in [0, p) over F_p, ``Fraction``s over Q (never an
-int zero or one; ``_entry(0)`` and ``_entry(1)`` are the field's own).
+reduce every entry (mod p, or to a ``Fraction`` and then over the lcm of
+the denominators), reject ragged rows and check ``ncols``.  The private
+``_made`` classmethod of each field is trusted and stores its arguments as
+given: ``FpMat._made(p, rows, ncols)`` a tuple of row tuples of ints in
+[0, p), each ``ncols`` long, and ``QMat._made(num, den, ncols)`` such a
+tuple of ints over ``den`` with den > 0 and gcd(num, den) = 1 (``QMat._lowest``
+divides that gcd out first).  Every result the library builds itself goes
+through ``_made``; here through the hooks ``_like(rows, ncols)`` (``_made``
+over the field of ``self``) and ``_reduced(rows, ncols)`` (entries reduced
+mod p, then ``_made``), with ``_entry`` for scalars.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class DenseMat:
         self._store(rows, ncols)
 
     def _store(self, rows: tuple, ncols: int):
-        """Store rows of the given width as they are; both paths end here."""
+        """Store rows of the given width as they are."""
         _set_rows(self, rows)
         _set_nrows(self, len(rows))
         _set_ncols(self, ncols)
@@ -152,6 +154,12 @@ class DenseMat:
         rows = self.rows
         return self._like(tuple([rows[i] for i in idx]), self.ncols)
 
+    def _block_diag(self, other):
+        zero = self._entry(0)
+        right, left = (zero,) * other.ncols, (zero,) * self.ncols
+        return self._like(tuple([r + right for r in self.rows] + [left + r for r in other.rows]),
+                          self.ncols + other.ncols)
+
     def _eye(self, n: int):
         zero, one = self._entry(0), self._entry(1)
         return self._like(tuple([tuple([one if i == j else zero for j in range(n)])
@@ -246,7 +254,4 @@ def span_union(empty: DenseMat, mats: Iterable[DenseMat]) -> DenseMat:
 def block_diag(a: DenseMat, b: DenseMat) -> DenseMat:
     """The block matrix [[a, 0], [0, b]]."""
     a._check(b)
-    zero = a._entry(0)
-    right, left = (zero,) * b.ncols, (zero,) * a.ncols
-    return a._like(tuple([r + right for r in a.rows] + [left + r for r in b.rows]),
-                   a.ncols + b.ncols)
+    return a._block_diag(b)

@@ -9,15 +9,16 @@ rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  Every
 decision about that form lives here: chain products, differences, block
 sums, "c times the identity as a map", and the Smith exponents and kernels
 of ``homology_two_term``, which read N as it is (scaling by the p-unit D
-changes no exponent and no kernel).  Fractions are built only for the
-read-only ``matrix`` and for ``rational_matrix``.  Homology comes out in
-Smith normal form again, so it does not depend on the presentation.
+changes no exponent and no kernel).  A :class:`~.qmat.QMat` stores the
+same form, so the constructor reads N and D off the matrix it is given,
+and the read-only ``matrix`` and ``rational_matrix`` hand them back without
+building a Fraction.  Homology comes out in Smith normal form again, so it
+does not depend on the presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -97,38 +98,39 @@ class ModuleMap:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match "
                 f"{target.ngens} target x {source.ngens} source generators")
-        p = source.prime
-        for i, row in enumerate(matrix.rows):
+        p, d = source.prime, matrix.den
+        # the entries lie in Z_(p) exactly when their lcm denominator d does
+        local = d % p != 0
+        for i, row in enumerate(matrix.num):
             f = target.order_exponent(i)
-            for j, x in enumerate(row):
-                if not x:
+            for j, n in enumerate(row):
+                if not n:
                     continue
-                # QMat entries are Fractions in lowest terms
-                if x.denominator % p == 0:
-                    raise LawViolation(
-                        "module map entries must lie in Z_(p)",
-                        f"entry ({i},{j}) = {format_rational(x)}")
+                if not local:
+                    g = gcd(n, d)
+                    if d // g % p == 0:
+                        raise LawViolation(
+                            "module map entries must lie in Z_(p)",
+                            f"entry ({i},{j}) = {format_rational(matrix[i, j])}")
+                    n //= g  # the entry's numerator in lowest terms
                 e = source.order_exponent(j)
                 if e is None:
                     continue
                 if f is None:
                     raise LawViolation(
                         "image of a torsion generator must be torsion",
-                        f"entry ({i},{j}) = {format_rational(x)} maps order p^{e} "
-                        "into a free factor")
-                # the denominator is a p-unit, so vp(x) >= f - e exactly when
-                # p^(f - e) divides the numerator; a nonzero multiple of p^k
-                # has more than k bits, so p^k is built only below that size
+                        f"entry ({i},{j}) = {format_rational(matrix[i, j])} maps "
+                        f"order p^{e} into a free factor")
+                # n is the numerator times a p-unit, so vp(entry) >= f - e exactly
+                # when p^(f - e) divides n; a nonzero multiple of p^k has more
+                # than k bits, so p^k is built only below that size
                 k = f - e
-                if k > 0 and (k >= x.numerator.bit_length() or x.numerator % p ** k):
+                if k > 0 and (k >= n.bit_length() or n % p ** k):
                     raise LawViolation(
                         "matrix must respect torsion orders",
-                        f"entry ({i},{j}) = {format_rational(x)} needs valuation "
-                        f">= {k}")
-        # lowest-terms entries over their lcm: gcd(N, D) = 1 already
-        d = lcm(*(x.denominator for r in matrix.rows for x in r))
-        vars(self).update(source=source, target=target, den=d, rows=tuple(
-            [tuple([x.numerator * (d // x.denominator) for x in r]) for r in matrix.rows]))
+                        f"entry ({i},{j}) = {format_rational(matrix[i, j])} needs "
+                        f"valuation >= {k}")
+        vars(self).update(source=source, target=target, rows=matrix.num, den=d)
 
     @classmethod
     def _made(cls, source: FGModule, target: FGModule, rows: tuple,
@@ -152,18 +154,13 @@ class ModuleMap:
 
     @property
     def matrix(self) -> QMat:
-        """The matrix as Fractions (read-only; the map keeps ``rows / den``)."""
-        return self._fractions(self.target.ngens, self.source.ngens)
+        """The matrix ``rows / den`` as a QMat, which stores the same form."""
+        return QMat._made(self.rows, self.den, self.source.ngens)
 
     def rational_matrix(self) -> QMat:
         """The induced map on (-) tensor Q: the free-by-free block."""
-        return self._fractions(self.target.free_rank, self.source.free_rank)
-
-    def _fractions(self, nrows: int, ncols: int) -> QMat:
-        """The top-left ``nrows x ncols`` block of the matrix, as Fractions."""
-        d = self.den
-        frac = Fraction if d == 1 else lambda x: Fraction(x, d)
-        return QMat._made(tuple([tuple(map(frac, r[:ncols])) for r in self.rows[:nrows]]), ncols)
+        nc = self.source.free_rank
+        return QMat._lowest([r[:nc] for r in self.rows[:self.target.free_rank]], self.den, nc)
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
         if self.source != other.source or self.target != other.target:

@@ -1,49 +1,62 @@
 """Dense exact matrices over the rationals.
 
-A :class:`QMat` is an immutable matrix of :class:`~fractions.Fraction`
-entries with explicit shape (so zero-row and zero-column matrices behave).
-Elimination and products run over the integers: each row (or column) is
-scaled by the lcm of its denominators once, and Fractions are built only
-for the result.  There are two eliminations.  The forward sweep
-``_sweep`` finds the pivots without back-substitution or Fraction output;
-``rank``, ``column_space_basis`` (hence ``is_invertible`` and the span
-helpers below) and ``det`` read it.  Gauss--Jordan ``rref`` serves only
-where reduced rows are read: ``kernel``, ``solve`` and ``inverse``.  Every
-other dense operation comes from :class:`~.dense.DenseMat`, shared with
+A :class:`QMat` is an immutable matrix with explicit shape (so zero-row and
+zero-column matrices behave), stored in one form only: integer rows
+``num`` over one denominator ``den``, with ``den > 0`` and
+gcd(num, den) = 1, so a zero or empty matrix has ``den == 1``.  Equality
+and hashing read (shape, num, den).  Every operation reads and writes
+``num``: ``@`` is N1 N2 over D1 D2, sums, stacks and block sums first bring
+both numerators over the lcm of the two denominators, and one gcd keeps a
+result canonical where entries can share a factor with its denominator.
+A :class:`~fractions.Fraction` is built only when ``rows`` or ``m[i, j]``
+is read, once per matrix; the public constructor keeps the Fractions it
+was handed for that.
+
+There are two eliminations, both on the primitive rows of ``num`` (scaling
+a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
+without back-substitution; ``rank``, ``column_space_basis`` (hence
+``is_invertible`` and the span helpers below) and ``det``, which is
+det(num) / den^n, read it.  Gauss--Jordan ``rref`` serves where reduced rows
+are read: ``kernel``, ``solve`` and ``inverse``.  Shapes, ``power`` and the
+rest that reads no entry come from :class:`~.dense.DenseMat`, shared with
 :class:`~.fpmat.FpMat`.  Everything is exact; nothing here ever touches a
 float.
+
+>>> a = QMat([[1, "1/2"], [0, "1/3"]])
+>>> a.num, a.den
+(((6, 3), (0, 2)), 6)
+>>> (a @ a).num, (a @ a).den
+(((9, 6), (0, 1)), 9)
+>>> a.det(), (a - a).den
+(Fraction(1, 3), 1)
+>>> (a @ a)[0, 1]
+Fraction(2, 3)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import dense
 from .dense import DenseMat, rows_from_cols
 
 
-def _cleared(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``xs`` times the lcm ``d`` of its denominators, as ints, and ``d``."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
-def _primitive(xs: list[int]) -> tuple[list[int], int]:
+def _primitive(xs: Sequence[int]) -> tuple[Sequence[int], int]:
     """``xs`` divided by the gcd g of its entries, and g (0 for a zero row)."""
     g = gcd(*xs)
     return ([x // g for x in xs] if g > 1 else xs), g
 
 
-def _sweep(rows: list[list[int]]):
+def _sweep(rows: list):
     """The integer forward sweep: the pivots of the echelon form, column by column.
 
-    ``rows`` are cleared, primitive integer rows.  At pivot column c only
-    the row tails from column c on are kept.  The first row with a nonzero
-    head ``pv`` is swapped to the top.  Each row below with a nonzero head f
+    ``rows`` are primitive integer rows.  At pivot column c only the row
+    tails from column c on are kept.  The first row with a nonzero head
+    ``pv`` is swapped to the top.  Each row below with a nonzero head f
     becomes ``pv*tail - f*pivot_tail`` with its content g divided out
     (cf. Bareiss, Math. Comp. 22, 1968), and is dropped when that is zero.
     There is no back-substitution and no Fraction.  Yields, for each pivot
@@ -77,49 +90,157 @@ def _sweep(rows: list[list[int]]):
         rows = below
 
 
+def _fraction_rows(num: tuple, den: int) -> tuple:
+    """``num / den`` as rows of Fractions: the one place a QMat builds them."""
+    frac = Fraction if den == 1 else lambda x: Fraction(x, den)
+    return tuple([tuple(map(frac, r)) for r in num])
+
+
+def _scaled(num: tuple, s: int) -> tuple:
+    return num if s == 1 else tuple([tuple([s * x for x in r]) for r in num])
+
+
 class QMat(DenseMat):
-    __slots__ = ()
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        self._set(tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
-                        for r in rows), ncols)
+        fracs = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
+                      for r in rows)
+        self._set(fracs, ncols)  # the Fractions stay as the ``rows`` read
+        # lowest-terms entries over their lcm: gcd(num, den) = 1 already
+        d = lcm(*(x.denominator for r in fracs for x in r))
+        _set_num(self, tuple([tuple([x.numerator * (d // x.denominator) for x in r])
+                              for r in fracs]))
+        _set_den(self, d)
 
     @classmethod
-    def _made(cls, rows: tuple, ncols: int) -> "QMat":
-        """The trusted twin of ``QMat(rows, ncols)``: rows stored as given."""
-        return object.__new__(cls)._store(rows, ncols)
+    def _made(cls, num: tuple, den: int, ncols: int) -> "QMat":
+        """The trusted twin of the constructor: ``num / den`` stored as given.
 
-    def _like(self, rows: tuple, ncols: int) -> "QMat":
-        return QMat._made(rows, ncols)
+        ``num`` must be a tuple of int tuples, each ``ncols`` long, and
+        already canonical with ``den``.
+        """
+        new = object.__new__(cls)
+        _set_num(new, num)
+        _set_den(new, den)
+        _set_nrows(new, len(num))
+        _set_ncols(new, ncols)
+        return new
 
-    def _reduced(self, rows, ncols: int) -> "QMat":
-        return QMat._made(tuple(map(tuple, rows)), ncols)
+    @classmethod
+    def _lowest(cls, num, den: int, ncols: int) -> "QMat":
+        """``num / den`` (den > 0, rows of ints) with gcd(num, den) divided out."""
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g > 1:
+                return cls._made(tuple([tuple([x // g for x in r]) for r in num]),
+                                 den // g, ncols)
+        return cls._made(tuple(map(tuple, num)), den, ncols)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as Fractions, built on the first read."""
+        try:
+            return _get_rows(self)
+        except AttributeError:
+            rows = _fraction_rows(self.num, self.den)
+            _set_rows(self, rows)
+            return rows
 
     def _key(self):
-        return (self.shape, self.rows)
+        return (self.shape, self.num, self.den)
 
-    _entry = staticmethod(Fraction)
+    def is_zero(self) -> bool:
+        return not any(map(any, self.num))
 
-    # -- integer kernels ---------------------------------------------------
+    def _aligned(self, other: "QMat") -> tuple[tuple, tuple, int]:
+        """Both numerators over the lcm d of the denominators, and d.
+
+        Each keeps gcd 1 with d: a prime's full power in d comes from a
+        denominator whose numerator has an entry that it does not divide.
+        """
+        d = lcm(self.den, other.den)
+        return _scaled(self.num, d // self.den), _scaled(other.num, d // other.den), d
+
+    # -- arithmetic on the numerators ----------------------------------------
+
+    def _combine(self, other: "QMat", op) -> "QMat":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        a, b, d = self._aligned(other)
+        return QMat._lowest([list(map(op, r1, r2)) for r1, r2 in zip(a, b)], d, self.ncols)
+
+    def __add__(self, other: "QMat") -> "QMat":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "QMat") -> "QMat":
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "QMat":
+        return QMat._made(tuple([tuple([-x for x in r]) for r in self.num]), self.den,
+                          self.ncols)
+
+    def scale(self, c) -> "QMat":
+        c = c if isinstance(c, Fraction) else Fraction(c)
+        n = c.numerator
+        return QMat._lowest([[n * x for x in r] for r in self.num], self.den * c.denominator,
+                            self.ncols)
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        rows = [_cleared(r) for r in self.rows]
-        cols = [_cleared([r[j] for r in other.rows]) for j in range(other.ncols)]
-        return QMat._made(tuple([tuple([Fraction(sum(map(mul, xs, ys)), da * db)
-                                        for ys, db in cols]) for xs, da in rows]),
-                          other.ncols)
+        # an inner dimension of 0 leaves zip nothing to transpose
+        cols = list(zip(*other.num)) or [()] * other.ncols
+        return QMat._lowest([[sum(map(mul, r, c)) for c in cols] for r in self.num],
+                            self.den * other.den, other.ncols)
+
+    def transpose(self) -> "QMat":
+        # zip has no rows to read the width off when there are none
+        return QMat._made(tuple(zip(*self.num)) if self.nrows else ((),) * self.ncols,
+                          self.den, self.nrows)
+
+    def hstack(self, other: "QMat") -> "QMat":
+        if self.nrows != other.nrows:
+            raise ValueError("hstack: row count mismatch")
+        a, b, d = self._aligned(other)
+        return QMat._made(tuple([r1 + r2 for r1, r2 in zip(a, b)]), d,
+                          self.ncols + other.ncols)
+
+    def vstack(self, other: "QMat") -> "QMat":
+        if self.ncols != other.ncols:
+            raise ValueError("vstack: column count mismatch")
+        a, b, d = self._aligned(other)
+        return QMat._made(a + b, d, self.ncols)
+
+    def _block_diag(self, other: "QMat") -> "QMat":
+        a, b, d = self._aligned(other)
+        right, left = (0,) * other.ncols, (0,) * self.ncols
+        return QMat._made(tuple([r + right for r in a] + [left + r for r in b]), d,
+                          self.ncols + other.ncols)
+
+    def take_cols(self, idx: Sequence[int]) -> "QMat":
+        return QMat._lowest([[r[j] for j in idx] for r in self.num], self.den, len(idx))
+
+    def take_rows(self, idx: Sequence[int]) -> "QMat":
+        num = self.num
+        return QMat._lowest([num[i] for i in idx], self.den, self.ncols)
+
+    def _eye(self, n: int) -> "QMat":
+        return QMat.identity(n)
+
+    # -- elimination on the numerators ---------------------------------------
 
     def rref(self) -> tuple["QMat", list[int]]:
         """Reduced row echelon form; returns (R, pivot_columns).
 
-        Gauss--Jordan over Z on rows with cleared denominators: each update
+        Gauss--Jordan over Z on the primitive rows of ``num``: each update
         is ``pv*row_i - f*row_r`` with the row's content divided out, which
         keeps entries near the size of the minors (cf. Bareiss, Math. Comp.
-        22, 1968).  Row r of R is the r-th integer row over its pivot.
+        22, 1968).  Row r of R is the r-th integer row over its pivot, so R
+        is those rows over the lcm of the pivots; the rows are primitive,
+        hence R is canonical without a gcd.
         """
-        rows = [_primitive(_cleared(r)[0])[0] for r in self.rows]
+        rows = [_primitive(r)[0] for r in self.num]
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -138,27 +259,28 @@ class QMat(DenseMat):
             if r == self.nrows:
                 break
         # rows past the rank are zero
-        red = [tuple([Fraction(x, row[c]) for x in row]) for row, c in zip(rows, pivots)]
-        zero_row = (Fraction(0),) * self.ncols
-        return QMat._made(tuple(red) + (zero_row,) * (self.nrows - r), self.ncols), pivots
+        d = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        red = [tuple([x * (d // row[c]) for x in row]) for row, c in zip(rows, pivots)]
+        return QMat._made(tuple(red) + ((0,) * self.ncols,) * (self.nrows - r), d,
+                          self.ncols), pivots
 
     def _pivots(self) -> list[int]:
         """Pivot columns of the echelon form, read off the integer forward sweep."""
-        rows = [_primitive(_cleared(r)[0])[0] for r in self.rows]
-        return [c for c, *_ in _sweep(rows)]
+        return [c for c, *_ in _sweep([_primitive(r)[0] for r in self.num])]
 
     def det(self) -> Fraction:
-        """Determinant read off the integer forward sweep, reduced once per pivot column."""
+        """det(num) / den^n, read off the integer forward sweep, reduced once per pivot column."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        # det(self) = det(rows) * num / den throughout
-        rows, num, den = [], 1, 1
-        for r in self.rows:
-            xs, d = _cleared(r)
-            xs, g = _primitive(xs)
+        # det(self) = det(rows) * num / den throughout; row i of self is
+        # g/d times a primitive row, with g/d in lowest terms
+        rows, num, den, d = [], 1, 1, self.den
+        for r in self.num:
+            xs, g = _primitive(r)
+            h = gcd(g, d)
             rows.append(xs)
-            num *= g
-            den *= d
+            num *= g // h
+            den *= d // h
         found = 0
         for found, (_, pv, swapped, contents, updated) in enumerate(_sweep(rows), 1):
             # pv on the diagonal, and g / pv for each updated row
@@ -169,11 +291,36 @@ class QMat(DenseMat):
                 num, den = num // g, den // g
         return Fraction(num, den) if found == self.nrows else Fraction(0)
 
+    def kernel(self) -> "QMat":
+        """Basis of the right null space, as columns (ncols x nullity)."""
+        red, pivots = self.rref()
+        d = red.den
+        free = [j for j in range(self.ncols) if j not in pivots]
+        # column f is e_f minus R[r, f] at each pivot column pc, times d
+        rows = [[d if j == f else 0 for f in free] for j in range(self.ncols)]
+        for r, pc in enumerate(pivots):
+            rows[pc] = [-red.num[r][f] for f in free]
+        return QMat._lowest(rows, d, len(free))
+
+    def solve(self, target: "QMat") -> "QMat | None":
+        """One solution X of ``self @ X = target``, or None if inconsistent."""
+        if target.nrows != self.nrows:
+            raise ValueError("solve: row count mismatch")
+        red, pivots = self.hstack(target).rref()
+        n = self.ncols
+        if pivots and pivots[-1] >= n:
+            return None
+        # row pc of X is the target part of the echelon row with pivot pc
+        xrows = [(0,) * target.ncols] * n
+        for r, pc in enumerate(pivots):
+            xrows[pc] = red.num[r][n:]
+        return QMat._lowest(xrows, red.den, target.ncols)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "QMat":
-        return cls.diagonal((), m, n)
+        return cls._made(((0,) * n,) * m, 1, n)
 
     @classmethod
     def identity(cls, n: int) -> "QMat":
@@ -181,7 +328,7 @@ class QMat(DenseMat):
 
     @classmethod
     def scalar(cls, n: int, c) -> "QMat":
-        return cls.diagonal([Fraction(c)] * n)
+        return cls.diagonal([c] * n)
 
     @classmethod
     def from_cols(cls, cols: Iterable[Sequence], nrows: int) -> "QMat":
@@ -190,15 +337,15 @@ class QMat(DenseMat):
 
     @classmethod
     def diagonal(cls, entries: Sequence, m: int | None = None, n: int | None = None) -> "QMat":
-        entries = list(entries)
+        entries = [x if isinstance(x, Fraction) else Fraction(x) for x in entries]
         m = len(entries) if m is None else m
         n = len(entries) if n is None else n
-        zero = Fraction(0)  # shared: no Fraction is built off the diagonal
-        rows = [[zero] * n for _ in range(m)]
-        for i in range(min(len(entries), m, n)):
-            x = entries[i]
-            rows[i][i] = x if isinstance(x, Fraction) else Fraction(x)
-        return cls._made(tuple(map(tuple, rows)), n)
+        entries = entries[:min(m, n)]
+        d = lcm(*(x.denominator for x in entries))
+        rows = [[0] * n for _ in range(m)]
+        for i, x in enumerate(entries):
+            rows[i][i] = x.numerator * (d // x.denominator)
+        return cls._made(tuple(map(tuple, rows)), d, n)
 
     def __repr__(self):
         if self.nrows == 0 or self.ncols == 0:
@@ -219,11 +366,20 @@ class QMat(DenseMat):
         return self.solve(target) is not None
 
 
+# ``__setattr__`` keeps matrices immutable; construction writes the slots
+# through their descriptors.  The base class's ``rows`` slot holds the
+# Fractions once they are read.
+_set_num, _set_den = QMat.num.__set__, QMat.den.__set__
+_get_rows, _set_rows = DenseMat.rows.__get__, DenseMat.rows.__set__
+_set_nrows, _set_ncols = DenseMat.nrows.__set__, DenseMat.ncols.__set__
+
+
 # kron and span_union stay distinct function objects from fp_kron and
 # fp_span_union: bench/tracer.py rebinds module functions by identity.
 def kron(a: QMat, b: QMat) -> QMat:
     """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
-    return dense.kron(a, b)
+    return QMat._lowest([[x * y for x in ra for y in rb] for ra in a.num for rb in b.num],
+                        a.den * b.den, a.ncols * b.ncols)
 
 
 def span_union(nrows: int, mats: Iterable[QMat]) -> QMat:

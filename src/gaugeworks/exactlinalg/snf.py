@@ -7,13 +7,12 @@ rational matrices; for inputs with entries in Z_(p) the exponents are >= 0,
 and for general rational inputs (used for Frobenius matrices of F-crystals)
 they may be negative.
 
-Elimination runs over the integers (cf. Cohen, GTM 138, 2.4).  Row i is
-scaled by the lcm p^{k_i} w_i of its denominators (w_i a p-unit) and then by
-p^{K - k_i}, K = max k_i, so the integer matrix is p^K W M with W a diagonal
-of units: valuations keep their order and every exponent is an integer
-pivot's valuation minus K.  With pivot p^e u, row i becomes
-``u*row_i - (a_ik / p^e)*row_k`` and is then divided by the p-unit part of
-its gcd (the content step of Bareiss, Math. Comp. 22, 1968); both steps are
+Elimination runs over the integers (cf. Cohen, GTM 138, 2.4).  A QMat is
+stored as integer rows over one denominator p^K w (w a p-unit), so those
+rows are p^K W M with W = w I a diagonal of units: valuations keep their
+order and every exponent is an integer pivot's valuation minus K.  With
+pivot p^e u, row i becomes ``u*row_i - (a_ik / p^e)*row_k`` and is then
+divided by the p-unit part of its gcd (the content step of Bareiss, Math. Comp. 22, 1968); both steps are
 unimodular over Z_(p).  The pivot is the first entry of least valuation in
 row-major order of the trailing block, exactly as in Fraction elimination,
 and is swapped to the front of the live rows and columns, as there.
@@ -31,7 +30,6 @@ from M V.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .qmat import QMat
@@ -56,15 +54,10 @@ class SNF:
 
 
 def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
-    """The rows of p^K W m as ints, and K."""
+    """The rows of p^K W m as ints, and K: the stored numerator of ``m`` and
+    the valuation of its denominator p^K w, so W = w I."""
     check_prime(p)
-    lcms = [lcm(*(x.denominator for x in r)) for r in m.rows]
-    ks = [vp_int(d, p) for d in lcms]
-    big = max(ks, default=0)
-    scales = [d * p ** (big - k) for d, k in zip(lcms, ks)]
-    rows = [[x.numerator * (s // x.denominator) for x in r]
-            for r, s in zip(m.rows, scales)]
-    return rows, big
+    return [list(r) for r in m.num], vp_int(m.den, p)
 
 
 def _pivot(rows: list[list[int]], p: int):
@@ -152,7 +145,8 @@ def _v_columns(rows: list[list[int]], nc: int, p: int):
 
 def _from_cols(cols, n: int) -> QMat:
     """The QMat whose columns are the pairs (w, t) read as w / t."""
-    return QMat([[Fraction(w[i], t) for w, t in cols] for i in range(n)], ncols=len(cols))
+    d = lcm(*(t for _, t in cols))
+    return QMat._lowest([[w[i] * (d // t) for w, t in cols] for i in range(n)], d, len(cols))
 
 
 def smith_normal_form(m: QMat, p: int) -> SNF:

@@ -102,8 +102,11 @@ class FilteredSpace:
         """Composite structural map space_i -> space_lo (the underlying space)."""
         if i > self.hi:
             return QMat.zeros(self.dims[0], 0)
-        acc = QMat.identity(self.dim_at(i))
-        for t in reversed(self.transitions[:max(i - self.lo, 0)]):
+        if i <= self.lo:
+            return QMat.identity(self.dims[0])
+        ts = self.transitions[:i - self.lo]
+        acc = ts[-1]
+        for t in reversed(ts[:-1]):
             acc = t @ acc
         return acc
 
@@ -163,7 +166,9 @@ class FilteredPhiModule:
     def fil0_dim(self) -> int:
         return self.filtration.dim_at(0)
 
+    @cached_property
     def fil0_iota(self) -> QMat:
+        """The structural map Fil^0 -> underlying, computed once."""
         return self.filtration.iota(0)
 
     def direct_sum(self, other: "FilteredPhiModule") -> "FilteredPhiModule":
@@ -218,7 +223,7 @@ def rhom_mfphi(d: FilteredPhiModule) -> RHom:
     """
     n = d.dim
     f0 = d.fil0_dim()
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     phi = d.frobenius
     one = QMat.identity(n)
     # degree 0: underlying + Fil^0, degree 1: underlying + underlying
@@ -243,7 +248,7 @@ def rhom_mfphi_two_term(d: FilteredPhiModule) -> RHom:
     routes; do not merge the implementations.
     """
     n = d.dim
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     diff = iota - d.frobenius @ iota
     ker = diff.kernel()
     return RHom(h0=ker.ncols, h1=n - diff.rank(), h0_basis=ker,

@@ -77,9 +77,9 @@ def recheck_trusted_constructions(request, monkeypatch):
     """Rebuild each ``_made`` result of ``FpMat``, ``QMat`` and ``ModuleMap`` publicly.
 
     The trusted path stores its arguments as given, so a kernel that hands
-    it an unreduced entry, an int in a ``QMat``, a list row or a wrong width,
-    or a map that breaks a torsion law, fails the first test that builds
-    one.  The rebuild calls the ``__init__`` captured here, so tests that
+    it an unreduced entry, a ``QMat`` numerator that is not in lowest terms
+    with its denominator, a list row or a wrong width, or a map that breaks
+    a torsion law, fails the first test that builds one.  The rebuild calls the ``__init__`` captured here, so tests that
     count constructions see only their own.
     """
     if request.path.stem not in RECHECKED_MODULES:
@@ -95,11 +95,16 @@ def recheck_trusted_constructions(request, monkeypatch):
         assert_same_matrix(made, rebuilt, int)
         return made
 
-    def q_checked(rows, ncols):
-        made = q_made(rows, ncols)
+    def q_checked(num, den, ncols):
+        made = q_made(num, den, ncols)
+        # the one stored form: int tuple rows, each ncols long, over den > 0, gcd 1
+        assert type(num) is tuple and all(type(r) is tuple and len(r) == ncols for r in num)
+        assert all(type(x) is int for r in num for x in r) and type(den) is int
+        assert den > 0 and gcd(den, *(x for r in num for x in r)) == 1
         rebuilt = object.__new__(QMat)
-        q_init(rebuilt, rows, ncols)
-        assert_same_matrix(made, rebuilt, Fraction)
+        q_init(rebuilt, [[Fraction(x, den) for x in r] for r in num], ncols)
+        assert made.shape == rebuilt.shape
+        assert made.num == rebuilt.num and made.den == rebuilt.den and made == rebuilt
         return made
 
     def map_checked(source, target, rows, den):

@@ -33,7 +33,7 @@ from test_redlocus import oracle_reduced
 
 def _tate_oracle(d):
     """Independent brute-force kernel/cokernel of the defining two-term map."""
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     phi = d.frobenius
     rows = [[iota[i, j] - sum(phi[i, k] * iota[k, j] for k in range(d.dim))
              for j in range(iota.ncols)] for i in range(d.dim)]

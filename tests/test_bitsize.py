@@ -3,15 +3,17 @@
 Each probe runs at full size under a generous alarm, a guard against hangs
 and not a timing.  The composites whose cost once grew with the distance of
 a window from 0 are compared with the per-index loops they replaced, which
-are kept here as oracles.
+are kept here as oracles.  The probes of a QMat's one denominator run where
+that form costs most: every entry with a prime denominator of its own.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from conftest import (HangGuard, compose, constant_gauge, oracle_t_at, oracle_u_at,
-                      rand_fcrystal, rand_filtered_phi, rand_glued, scalar)
+from conftest import (HangGuard, compose, constant_gauge, oracle_q_det, oracle_t_at,
+                      oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued, scalar)
 from gaugeworks.cli import run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
@@ -265,3 +267,66 @@ def test_crystal_gauge_extends_to_the_former_widened_gauge(rng):
             assert g.window == (min(exps), max(exps))
             assert extend_window(g, min(g.a, 0), max(g.b, 0)) == \
                 widened_gauge_from_fcrystal(c)
+
+
+# ---------------------------------------------------------------------------
+# one denominator per QMat
+# ---------------------------------------------------------------------------
+
+
+def primes_above(start: int, k: int) -> list[int]:
+    """The k smallest primes above ``start`` (at most about 10^6), by trial division."""
+    small = [q for q in range(2, 1100) if all(q % d for d in range(2, isqrt(q) + 1))]
+    out, x = [], start
+    while len(out) < k:
+        x += 1
+        if all(x % q for q in small if q * q <= x):
+            out.append(x)
+    return out
+
+
+def distinct_denominators(rng, n: int) -> tuple[QMat, QMat]:
+    """Two n x n matrices whose 2n^2 entries have distinct prime denominators near 10^6."""
+    ps = primes_above(BIG, 2 * n * n)
+
+    def mat(first):
+        return QMat([[Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), ps[first + i * n + j])
+                      for j in range(n)] for i in range(n)])
+    return mat(0), mat(n * n)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_one_denominator_with_a_prime_per_entry(rng, n):
+    # each numerator entry carries the n^2 - 1 primes of the other entries,
+    # so @ multiplies integers about n times longer than per-row clearing did
+    a, b = distinct_denominators(rng, n)
+    with HangGuard({16: 60, 32: 600}[n]):
+        product = a @ b
+        # in entry (i, j) the n terms have coprime denominators, so all stay
+        assert product.den == a.den * b.den
+        assert a.rank() == b.rank() == n
+        assert a.det() != 0
+        assert product.rank() == n
+
+
+def test_qmat_products_sweeps_and_sums_build_no_fraction(rng, monkeypatch):
+    from gaugeworks.exactlinalg import qmat
+    a, b = distinct_denominators(rng, 5)
+
+    def refuse(num, den):
+        raise AssertionError("a QMat built its Fraction rows")
+    monkeypatch.setattr(qmat, "_fraction_rows", refuse)
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kw: built.append(args) or new(cls, *args, **kw)))
+    rank = (a @ b).rank()
+    diff, wide = a - b, a.hstack(b)
+    assert built == []
+    det = a.det()
+    assert len(built) == 1  # the determinant itself
+    monkeypatch.undo()
+    assert rank == 5 and det == oracle_q_det(a.rows)
+    assert diff.rows == tuple(tuple(x - y for x, y in zip(r1, r2))
+                              for r1, r2 in zip(a.rows, b.rows))
+    assert wide.rows == tuple(r1 + r2 for r1, r2 in zip(a.rows, b.rows))

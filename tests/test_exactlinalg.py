@@ -2,7 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -830,6 +830,136 @@ def test_qmat_constructors_match_the_old_ones_and_hold_fractions():
     for new, old in built:
         assert new == old and new.shape == old.shape
         assert all(type(x) is Fraction for r in new.rows for x in r)
+
+
+# ---------------------------------------------------------------------------
+# QMat's one stored form (integer rows over one denominator) against Fractions
+# ---------------------------------------------------------------------------
+
+HUGE_DENOMINATORS = [10 ** 40 + 1, 3 * 10 ** 41 + 7, 2 ** 140 - 1, 7 ** 50, 10 ** 40 * 6]
+
+
+def form_rows(rng, kind, m, n):
+    """Fraction rows of an m x n matrix of one input family."""
+    if kind == "zero":
+        return [[Fraction(0)] * n for _ in range(m)]
+    if kind == "huge_denominators":
+        def entry():
+            if rng.random() < 0.2:
+                return Fraction(rng.randint(-3, 3))
+            return Fraction(rng.randint(-10 ** 45, 10 ** 45), rng.choice(HUGE_DENOMINATORS))
+    elif kind == "negative":
+        def entry():
+            return Fraction(rng.randint(-9, -1), rng.randint(1, 9)) if rng.random() < 0.7 else \
+                Fraction(0)
+    else:
+        def entry():
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6, 10 ** 40 + 1]))
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:  # rank below min(m, n)
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+FORM_KINDS = ["mixed", "negative", "huge_denominators", "zero"]
+
+
+def assert_holds(got, want_rows, ncols):
+    """``got`` is the matrix of the Fraction rows ``want_rows``, in canonical form."""
+    want = QMat(want_rows, ncols=ncols)
+    assert got.shape == (len(want_rows), ncols)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got == want and hash(got) == hash(want)
+    assert got.den > 0 and gcd(got.den, *(x for r in got.num for x in r)) == 1
+    assert got.rows == tuple(map(tuple, want_rows))
+
+
+def columns_as_rows(cols, nrows):
+    return [[c[i] for c in cols] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("kind", FORM_KINDS)
+@pytest.mark.parametrize("trial", range(8))
+def test_qmat_stored_form_matches_fraction_oracles(rng, kind, trial):
+    from gaugeworks.exactlinalg import block_diag, kron
+    reseed(rng, "form", kind, trial)
+    m, n, w = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 4)
+    m, n = [(0, n), (m, 0), (0, 0)][trial] if trial < 3 else (m, n)
+    A, B = form_rows(rng, kind, m, n), form_rows(rng, kind, m, n)
+    C, R, V = form_rows(rng, kind, n, w), form_rows(rng, kind, m, w), form_rows(rng, kind, w, n)
+    S = form_rows(rng, kind, n, n)
+    a, b, c, s = (QMat(A, ncols=n), QMat(B, ncols=n), QMat(C, ncols=w), QMat(S, ncols=n))
+    k = rng.choice([Fraction(0), Fraction(-1), Fraction(rng.randint(-9, 9), 10 ** 40 + 1), 3])
+    cols = [rng.randrange(n) for _ in range(rng.randint(0, 4))] if n else []
+    picked = [rng.randrange(m) for _ in range(rng.randint(0, 4))] if m else []
+
+    assert_holds(a @ c, oracle_q_matmul(A, C, w), w)
+    assert_holds(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)], n)
+    assert_holds(a - b, [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(A, B)], n)
+    assert_holds(a - a, [[0] * n for _ in A], n)
+    assert_holds(-a, [[-x for x in r] for r in A], n)
+    assert_holds(a.scale(k), [[k * x for x in r] for r in A], n)
+    assert_holds(a.hstack(QMat(R, ncols=w)), [r1 + r2 for r1, r2 in zip(A, R)], n + w)
+    assert_holds(a.vstack(QMat(V, ncols=n)), A + V, n)
+    assert_holds(a.take_rows(picked), [A[i] for i in picked], n)
+    assert_holds(a.take_cols(cols), [[r[j] for j in cols] for r in A], len(cols))
+    assert_holds(a.transpose(), [[r[j] for r in A] for j in range(n)], m)
+    assert_holds(kron(a, c), [[x * y for x in ra for y in rc] for ra in A for rc in C], n * w)
+    assert_holds(block_diag(a, c), [r + [0] * w for r in A] + [[0] * n + r for r in C], n + w)
+
+    red, pivots = oracle_q_rref(A, n)
+    got, got_pivots = a.rref()
+    assert got_pivots == pivots
+    assert_holds(got, red, n)
+    assert a.rank() == len(pivots)
+    assert_holds(a.column_space_basis(), [[r[j] for j in pivots] for r in A], len(pivots))
+    assert_holds(a.kernel(), columns_as_rows(oracle_kernel(red, pivots, n), n),
+                 n - len(pivots))
+    for target in (oracle_q_matmul(A, C, w), R):
+        joined, jpivots = oracle_q_rref([r + t for r, t in zip(A, target)], n + w)
+        got = a.solve(QMat(target, ncols=w))
+        if jpivots and jpivots[-1] >= n:
+            assert got is None and target is R
+            continue
+        want = [[0] * w for _ in range(n)]
+        for r, c_ in enumerate(jpivots):
+            want[c_] = joined[r][n:]
+        assert_holds(got, want, w)
+
+    assert s.det() == oracle_q_det(S)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv, ipivots = oracle_q_rref([r + e for r, e in zip(S, ident)], 2 * n)
+    if ipivots[:n] == list(range(n)):
+        assert_holds(s.inverse(), [r[n:] for r in inv], n)
+    else:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            s.inverse()
+
+
+@pytest.mark.parametrize("kind", FORM_KINDS)
+def test_qmat_equality_and_hash_agree_with_fraction_rows(rng, kind):
+    reseed(rng, "equality", kind)
+    for _ in range(20):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        A = form_rows(rng, kind, m, n)
+        a = QMat(A, ncols=n)
+        # the same entries by other routes
+        routes = [a.scale(3).scale(Fraction(1, 3)), a + QMat.zeros(m, n), -(-a),
+                  a.transpose().transpose(), QMat.identity(m) @ a, a @ QMat.identity(n),
+                  a.hstack(QMat.zeros(m, 0)), QMat.zeros(0, n).vstack(a),
+                  a.take_cols(range(n)), QMat([[str(x) for x in r] for r in A], ncols=n)]
+        for other in routes:
+            assert other == a and hash(other) == hash(a) and other.rows == a.rows
+        # the same shape with entries drawn from a small set, so that some agree
+        B = [[rng.choice([x, x + 1, Fraction(1, 2)]) for x in r] for r in A]
+        b = QMat(B, ncols=n)
+        assert (a == b) == (A == B)
+        assert (a != b) == (A != B)
+        if A == B:
+            assert hash(a) == hash(b)
+    for m, n in [(0, 2), (2, 0), (1, 1)]:
+        assert QMat.zeros(m, n) != QMat.zeros(m + 1, n) and QMat.zeros(m, n) != QMat.zeros(m, n + 1)
+    assert QMat([[Fraction(1, 2)]]) != QMat([[Fraction(1, 3)]]) != QMat([[1]])
 
 
 # ---------------------------------------------------------------------------

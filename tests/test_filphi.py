@@ -19,7 +19,7 @@ from gaugeworks.filphi import (Admissibility, FilteredPhiModule,
 
 def two_term_oracle(d: FilteredPhiModule):
     """Brute-force kernel/cokernel of Fil^0 -> underlying, (1 - phi) iota."""
-    iota = d.fil0_iota()
+    iota = d.fil0_iota
     phi = d.frobenius
     rows = [[iota[i, j] - sum(phi[i, k] * iota[k, j] for k in range(d.dim))
              for j in range(iota.ncols)] for i in range(d.dim)]
