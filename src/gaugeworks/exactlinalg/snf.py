@@ -12,10 +12,11 @@ stored as integer rows over one denominator p^K w (w a p-unit), so those
 rows are p^K W M with W = w I a diagonal of units: valuations keep their
 order and every exponent is an integer pivot's valuation minus K.  With
 pivot p^e u, row i becomes ``u*row_i - (a_ik / p^e)*row_k`` and is then
-divided by the p-unit part of its gcd (the content step of Bareiss, Math. Comp. 22, 1968); both steps are
-unimodular over Z_(p).  The pivot is the first entry of least valuation in
-row-major order of the trailing block, exactly as in Fraction elimination,
-and is swapped to the front of the live rows and columns, as there.
+divided by the p-unit part of its gcd (the content step of Bareiss, Math.
+Comp. 22, 1968); both steps are unimodular over Z_(p).  The pivot is the
+first entry of least valuation in row-major order of the trailing block,
+exactly as in Fraction elimination, and is swapped to the front of the live
+rows and columns, as there.
 
 Every entry point reads that one elimination on integer rows, which the
 module maps of :mod:`.modules` hand over as stored.  :func:`smith_exponents`
