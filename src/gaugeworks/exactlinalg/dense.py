@@ -1,16 +1,16 @@
 """Immutable dense matrices with explicit shape: the field-independent part.
 
 :class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`.
-Each field owns its kernels ``rref``, ``det`` and ``@``.  What reads no
-entry is written here once for both: shapes, equality and hashing through
-the field's ``_key``, ``power``, ``rank`` and ``column_space_basis`` read off
-the pivot columns ``_pivots()`` (the pivots of ``rref`` unless the field
-reads them otherwise), and ``inverse`` read off ``rref``.  The entry-level
-operations here (``+``/``-``, ``scale``, stacking, ``take_*``,
-``transpose``, block sums, ``kron``, and ``kernel``/``solve`` read off
-``rref``) work on rows of normalised entries, which is how ``FpMat`` stores
-a matrix: ints in [0, p).  ``QMat`` stores integer rows over one
-denominator instead, and overrides each of them to work on that form.
+Each field owns its kernels ``rref``, ``det``, ``@`` and the pivot columns
+``_pivots()`` of its forward sweep.  What reads no entry is written here
+once for both: shapes, equality and hashing through the field's ``_key``,
+``power``, ``rank`` and ``column_space_basis`` read off ``_pivots()``, and
+``inverse`` read off ``rref``.  The entry-level operations here
+(``+``/``-``, ``scale``, stacking, ``take_*``, ``transpose``, block sums,
+``kron``, and ``kernel``/``solve`` read off ``rref``) work on rows of
+normalised entries, which is how ``FpMat`` stores a matrix: ints in
+[0, p).  ``QMat`` stores integer rows over one denominator instead, and
+overrides each of them to work on that form.
 
 A matrix is built by one of two paths.  The public constructors,
 ``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols)``, are checked: they
@@ -166,10 +166,6 @@ class DenseMat:
                                  for i in range(n)]), n)
 
     # -- elimination -------------------------------------------------------
-
-    def _pivots(self) -> list[int]:
-        """Pivot columns of the echelon form (``QMat`` reads them without ``rref``)."""
-        return self.rref()[1]
 
     def rank(self) -> int:
         return len(self._pivots())

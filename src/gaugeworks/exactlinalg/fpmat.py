@@ -1,8 +1,12 @@
 """Dense matrices over the prime field F_p.
 
-Entries are ints reduced to [0, p).  The kernels ``rref`` (hence ``rank``,
-``kernel``, ``solve``, ``inverse`` and ``column_space_basis``), ``det`` and
-``@`` are plain mod-p code here, reducing inside each row update; the
+Entries are ints reduced to [0, p).  The kernels are plain mod-p code here,
+reducing inside each row update: the forward sweep :func:`mod_pivots`
+(hence ``rank``, ``column_space_basis``, ``is_invertible`` and ``det``),
+Gauss--Jordan ``rref`` (hence ``kernel``, ``solve`` and ``inverse``) and
+``@``.  The sweep is a module function on integer rows, so it also answers
+questions modulo a prime about matrices stored elsewhere: ranks of module
+maps mod p, and full rank of a rational matrix mod a large prime.  The
 field-independent operations come from :class:`~.dense.DenseMat`, shared
 with :class:`~.qmat.QMat`, so the same explicit-shape discipline applies and
 empty matrices compose correctly.  This module also supplies the reduction
@@ -85,28 +89,21 @@ class FpMat(DenseMat):
                 break
         return FpMat._made(p, tuple(map(tuple, rows)), self.ncols), pivots
 
+    def _pivots(self) -> list[int]:
+        """Pivot columns of the echelon form, read off the forward sweep."""
+        return [c for c, *_ in mod_pivots(self.rows, self.p)]
+
     def det(self) -> int:
         """Determinant by the forward sweep, in [0, p)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        p, n = self.p, self.nrows
-        rows = [list(r) for r in self.rows]
-        det = 1
-        for c in range(n):
-            pivot = next((i for i in range(c, n) if rows[i][c]), None)
-            if pivot is None:
+        p, det, found = self.p, 1, 0
+        for c, pv, swapped in mod_pivots(self.rows, p):
+            if c != found:  # column ``found`` has no pivot
                 return 0
-            if pivot != c:
-                rows[c], rows[pivot] = rows[pivot], rows[c]
-                det = -det
-            prow = rows[c]
-            det = det * prow[c] % p
-            inv = pow(prow[c], -1, p)
-            for i in range(c + 1, n):
-                f = rows[i][c] * inv % p
-                if f:
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        return det
+            det = (-det if swapped else det) * pv % p
+            found += 1
+        return det if found == self.nrows else 0
 
     # -- constructors ------------------------------------------------------
 
@@ -137,6 +134,44 @@ class FpMat(DenseMat):
 
 
 _set_p = FpMat.p.__set__
+
+
+def mod_pivots(rows: Iterable[Sequence[int]], q: int):
+    """The forward sweep over F_q: the pivots of the integer ``rows`` mod the prime q.
+
+    The rows are reduced mod q once.  At column c the first row at or
+    below the pivot rows found so far with a nonzero entry ``pv`` there is
+    swapped up to join them, and each row below it with a nonzero entry f
+    in column c has ``f/pv`` times the pivot row subtracted from column
+    c + 1 on.  There is no back-substitution.  Yields ``(c, pv, swapped)``
+    for each pivot column c in turn; the updates keep the determinant,
+    which is the product of the ``pv`` with one sign change per swap.
+    """
+    rows = [[x % q for x in row] for row in rows]
+    r, m = 0, len(rows)
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(r, m) if rows[i][c]), None)
+        if i is None:
+            continue
+        prow = rows[i]
+        rows[i] = rows[r]
+        rows[r] = prow
+        pv, ptail = prow[c], prow[c + 1:]
+        inv = pow(pv, -1, q)
+        for row in rows[r + 1:]:
+            f = row[c]
+            if f:
+                f = f * inv % q
+                row[c + 1:] = [(x - f * y) % q for x, y in zip(row[c + 1:], ptail)]
+        yield c, pv, i != r
+        r += 1
+        if r == m:
+            return
+
+
+def rank_mod(rows: Iterable[Sequence[int]], q: int) -> int:
+    """The rank of the integer ``rows`` mod the prime q."""
+    return sum(1 for _ in mod_pivots(rows, q))
 
 
 # fp_kron and fp_span_union stay distinct function objects from kron and

@@ -6,14 +6,20 @@ cyclics of order p^{e_i}).  Equality of modules is equality of this data.
 Maps carry a chosen presentation: a matrix in the standard generators, free
 generators first, then torsion generators, stored in one form only: integer
 rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  Every
-decision about that form lives here: chain products, differences, block
-sums, "c times the identity as a map", and the Smith exponents and kernels
-of ``homology_two_term``, which read N as it is (scaling by the p-unit D
-changes no exponent and no kernel).  A :class:`~.qmat.QMat` stores the
-same form, so the constructor reads N and D off the matrix it is given,
-and the read-only ``matrix`` and ``rational_matrix`` hand them back without
-building a Fraction.  Homology comes out in Smith normal form again, so it
-does not depend on the presentation.
+decision about that form lives here: chain products (a diagonal factor
+scales, a dense one multiplies), differences, block sums, "c times the
+identity as a map", the Smith exponents and kernels of
+``homology_two_term``, and the ranks mod p behind ``is_isomorphism`` and
+``reduced_cokernel_dim``.  All of them read N as it is: scaling by the
+p-unit D changes no exponent, no kernel and no rank mod p.  The two
+questions about the reduction mod p need no Smith form: relations vanish
+mod p, so M / pM is F_p^ngens and N mod p is the map on it, and by
+Nakayama a map is onto exactly when it is onto mod p.  A
+:class:`~.qmat.QMat` stores the same form, so the constructor reads N and
+D off the matrix it is given, and the read-only ``matrix`` and
+``rational_matrix`` hand them back without building a Fraction.  Homology
+comes out in Smith normal form again, so it does not depend on the
+presentation.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from operator import mul
 from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
+from .fpmat import rank_mod
 from .qmat import QMat
 from .rationals import check_prime, format_rational
 from .snf import _eliminate, _v_columns
@@ -210,8 +217,10 @@ class ModuleMap:
     def is_isomorphism(self) -> bool:
         # isomorphic modules have equal normal forms, and a surjective
         # endomorphism of a finitely generated module is injective
-        # (Vasconcelos 1969)
-        return self.source == self.target and cokernel(self).is_zero()
+        # (Vasconcelos 1969); it is onto exactly when N mod p has full rank,
+        # since its cokernel vanishes exactly when it does mod p (Nakayama)
+        return self.source == self.target and \
+            rank_mod(self.rows, self.prime) == self.source.ngens
 
 
 def _sum_order(m1: FGModule, m2: FGModule) -> list[int]:
@@ -230,8 +239,9 @@ def _int_product(start: FGModule, maps: Sequence[ModuleMap],
 
     ``maps[0]`` has source ``start``, and each map's target is the next one's
     source; an empty chain is c times the identity of ``start``.  The stored
-    rows of the factors are multiplied over the integers, and D, the product
-    of their denominators, is a p-unit.
+    rows of the factors are multiplied over the integers, a diagonal factor
+    by scaling each row, and D, the product of their denominators, is a
+    p-unit.
     """
     n = start.ngens
     if not maps:
@@ -242,10 +252,23 @@ def _int_product(start: FGModule, maps: Sequence[ModuleMap],
         den *= f.den
         if cols is None:  # the first factor, times c, as columns
             cols = [[c * r[j] for r in rows] for j in range(n)]
+        elif (diag := _diagonal(rows)) is not None:
+            cols = [list(map(mul, diag, col)) for col in cols]
         else:
             cols = [[sum(map(mul, r, col)) for r in rows] for col in cols]
     m = maps[-1].target.ngens
     return [[col[i] for col in cols] for i in range(m)], den
+
+
+def _diagonal(rows: tuple) -> list[int] | None:
+    """The diagonal of the square integer ``rows``, or None if an entry off it is nonzero."""
+    n = len(rows)
+    if n and len(rows[0]) != n:
+        return None
+    diag = [r[i] for i, r in enumerate(rows)]
+    # no rows: the empty diagonal maps each column to (), as a product does
+    off = n * n - n + diag.count(0) - sum(r.count(0) for r in rows)
+    return None if off else diag
 
 
 def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
@@ -318,6 +341,7 @@ def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
 
 def reduced_cokernel_dim(target: FGModule, maps: Sequence[ModuleMap]) -> int:
     """dim over F_p of target / (p target + the images of ``maps``): the number
-    of generators of the quotient by the images alone (relations vanish mod p)."""
+    of generators less the rank mod p of the maps side by side (relations
+    vanish mod p)."""
     rows = [[x for f in maps for x in f.rows[i]] for i in range(target.ngens)]
-    return _quotient(target.prime, rows).ngens
+    return target.ngens - rank_mod(rows, target.prime)

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .errors import LawViolation, PrimeMismatchError
 from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, check_prime,
                           homology_two_term, is_p_local, kernel_over_zp,
-                          smith_exponents, smith_normal_form, zero_module)
+                          smith_normal_form, zero_module)
 from .exactlinalg.modules import composite, reduced_cokernel_dim
 from .filphi import PhiModule
 
@@ -211,7 +211,7 @@ class FCrystalPoint:
         check_prime(self.prime)
         if self.tau_crys.shape != (self.rank, self.rank):
             raise ValueError("tau_crys must be rank x rank")
-        if self.rank > 0 and self.tau_crys.det() == 0:
+        if not self.tau_crys.is_invertible():
             raise LawViolation("tau_crys must be invertible over the rationals")
 
 
@@ -331,16 +331,4 @@ def hodge_tate_weights(g: FpGauge) -> dict[int, int]:
         dim = reduced_cokernel_dim(m, g.u[k - 1:k] + g.t[k:k + 1])
         if dim:
             out[g.a + k] = dim
-    return out
-
-
-def snf_weight_multiset(c: FCrystalPoint) -> dict[int, int]:
-    """Valuations of the Smith diagonal of tau_crys, with multiplicity.
-
-    For diag(p^{-n_1}, ..., p^{-n_r}) this is the multiset {-n_j}: the twist
-    exponents negated; it must match :func:`hodge_tate_weights` of the gauge.
-    """
-    out: dict[int, int] = {}
-    for e in smith_exponents(c.tau_crys, c.prime):
-        out[e] = out.get(e, 0) + 1
     return out

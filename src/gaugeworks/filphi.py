@@ -41,7 +41,7 @@ class PhiModule:
         check_prime(self.prime)
         if self.frobenius.nrows != self.frobenius.ncols:
             raise ValueError("frobenius must be square")
-        if self.dim > 0 and self.frobenius.det() == 0:
+        if not self.frobenius.is_invertible():
             raise LawViolation("the Frobenius matrix must be invertible",
                                "determinant is zero")
 

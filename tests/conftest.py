@@ -22,7 +22,9 @@ from typing import NamedTuple
 
 import pytest
 
-from gaugeworks.exactlinalg import FpMat, ModuleMap, QMat, fp_kron, fp_span_union
+from gaugeworks.exactlinalg import (FpMat, ModuleMap, QMat, cokernel, fp_kron,
+                                    fp_span_union, smith_exponents)
+from gaugeworks.exactlinalg.modules import _quotient
 from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
@@ -325,6 +327,32 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
             exps.append(vp(a[i][i], p))
     return OracleSNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
+
+
+def oracle_is_isomorphism(m: ModuleMap) -> bool:
+    """The former route of ``ModuleMap.is_isomorphism``: the full Smith form of
+    the cokernel, against the rank mod p that the library reads."""
+    return m.source == m.target and cokernel(m).is_zero()
+
+
+def oracle_reduced_cokernel_dim(target, maps) -> int:
+    """The former route of ``reduced_cokernel_dim``: the number of generators of
+    the Smith-form quotient of ``target`` by the images of ``maps``."""
+    rows = [[x for f in maps for x in f.rows[i]] for i in range(target.ngens)]
+    return _quotient(target.prime, rows).ngens
+
+
+def oracle_snf_weights(c: FCrystalPoint) -> dict[int, int]:
+    """Valuations of the Smith diagonal of tau_crys, with multiplicity.
+
+    For diag(p^{-n_1}, ..., p^{-n_r}) this is the multiset {-n_j}: the twist
+    exponents negated; it must match ``hodge_tate_weights`` of the gauge,
+    which reads ranks mod p instead of a Smith form.
+    """
+    out: dict[int, int] = {}
+    for e in smith_exponents(c.tau_crys, c.prime):
+        out[e] = out.get(e, 0) + 1
+    return out
 
 
 def raw_gauge(prime, window, modules, t, u, tau) -> SimpleNamespace:

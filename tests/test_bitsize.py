@@ -7,6 +7,9 @@ are kept here as oracles.  The probes of a QMat's one denominator run where
 that form costs most: every entry with a prime denominator of its own.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import isqrt
 
@@ -14,7 +17,7 @@ import pytest
 
 from conftest import (HangGuard, compose, constant_gauge, oracle_q_det, oracle_t_at,
                       oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued, scalar)
-from gaugeworks.cli import run_job
+from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
                                     smith_normal_form, zero_module)
@@ -138,6 +141,23 @@ def test_torsion_law_fails_without_building_the_power_of_p():
         ModuleMap(FGModule(3, 0, (1,)), FGModule(3, 0, (10 ** 60,)), QMat([[1]]))
     assert str(err.value) == ("matrix must respect torsion orders "
                               f"[entry (0,0) = 1 needs valuation >= {10 ** 60 - 1}]")
+
+
+def test_fgauge_job_at_a_torsion_exponent_of_10_to_the_60(tmp_path):
+    # tau's law and the weights are read mod p, where the relations p^e
+    # vanish, so p^(10^60) is never built
+    m = {"free": 0, "torsion": [10 ** 60]}
+    doc = {"format": 1, "prime": 3, "kind": "fgauge",
+           "payload": {"window": [-1, 0], "modules": [m, m], "t": [[["1"]]],
+                       "u": [[["3"]]], "tau": [["1"]]},
+           "outputs": ["validate", "weights"]}
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = io.StringIO()
+    with HangGuard(60), redirect_stdout(out):
+        code = main(["compute", str(path)])
+    assert code == 0
+    assert out.getvalue().splitlines()[-2:] == ["valid: true", "hodge-tate weights: 0:1"]
 
 
 def test_gauge_laws_and_cohomology_at_a_large_torsion_exponent():

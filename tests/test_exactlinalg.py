@@ -6,10 +6,11 @@ from math import gcd, isqrt
 
 import pytest
 
-from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
+from conftest import (HangGuard, assert_same_matrix, count_calls, oracle_fp_det,
                       oracle_fp_matmul, oracle_fp_rank, oracle_fp_rref,
-                      oracle_fp_two_term, oracle_q_det, oracle_q_matmul,
-                      oracle_q_rank, oracle_q_rref, oracle_snf, qmat_rows,
+                      oracle_fp_two_term, oracle_is_isomorphism, oracle_q_det,
+                      oracle_q_matmul, oracle_q_rank, oracle_q_rref,
+                      oracle_reduced_cokernel_dim, oracle_snf, qmat_rows,
                       compose, rand_fcrystal, rand_unimodular, relation_matrix,
                       scalar)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
@@ -20,7 +21,8 @@ from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     smith_exponents, smith_normal_form, vp,
                                     zero_module)
 from gaugeworks.exactlinalg import rationals
-from gaugeworks.exactlinalg.modules import composite
+from gaugeworks.exactlinalg.fpmat import rank_mod
+from gaugeworks.exactlinalg.modules import _diagonal, composite, reduced_cokernel_dim
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +392,121 @@ def test_is_isomorphism_matches_the_homology_definition(rng):
     # modules both onto and not onto
     assert {(True, True, True), (True, False, False),
             (False, False, True), (False, False, False)} <= seen
+
+
+MOD_P_MODULES = [(0, ()), (1, ()), (2, ()), (0, (1,)), (1, (1,)), (0, (1, 2)),
+                 (1, (2,)), (2, (1, 1, 3))]
+
+
+def rand_unit_map(rng, p, src: FGModule, tgt: FGModule) -> ModuleMap:
+    """:func:`rand_module_map` with each entry times a p-unit fraction, so D != 1."""
+    units = [Fraction(u, v) for u in (1, 2, -1) for v in (1, 2, 5, 7) if u % p and v % p]
+    d = rand_module_map(rng, p, src, tgt)
+    rows = [[x * rng.choice(units) for x in r] for r in d.matrix.rows]
+    return ModuleMap(src, tgt, QMat(rows, ncols=src.ngens))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_mod_p_routes_match_the_smith_oracles(rng, p):
+    # is_isomorphism and reduced_cokernel_dim read ranks mod p; the oracles
+    # run the full Smith form over Z_(p)
+    mods = [FGModule(p, r, t) for r, t in MOD_P_MODULES]
+    seen = set()
+    for _ in range(300):
+        src = rng.choice(mods)
+        tgt = src if rng.random() < 0.5 else rng.choice(mods)
+        d = rand_unit_map(rng, p, src, tgt)
+        want = oracle_is_isomorphism(d)
+        assert d.is_isomorphism() == want
+        other = rand_unit_map(rng, p, rng.choice(mods), tgt)
+        for maps in ([], [d], [d, other]):
+            assert reduced_cokernel_dim(tgt, maps) == oracle_reduced_cokernel_dim(tgt, maps)
+        seen.add((src == tgt, want, d.den > 1, src.ngens != tgt.ngens,
+                  src.is_zero() or tgt.is_zero()))
+    # isomorphisms and not, with D = 1 and D != 1, maps of unequal shape and
+    # maps from or to the zero module
+    assert {(True, True, False), (True, True, True), (True, False, False),
+            (True, False, True)} <= {k[:3] for k in seen}
+    assert any(k[3] for k in seen) and any(k[4] for k in seen)
+
+
+def test_rank_mod_reads_unreduced_integer_rows(rng):
+    for p in (2, 3, 101, 2 ** 61 - 1):
+        for _ in range(40):
+            m, n = rng.randint(0, 6), rng.randint(0, 6)
+            rows = [[rng.choice([0, 0, 1, -1, p, -p, rng.randint(-10 ** 30, 10 ** 30)])
+                     for _ in range(n)] for _ in range(m)]
+            assert rank_mod(rows, p) == oracle_fp_rank(p, [[x % p for x in r] for r in rows])
+
+
+def chain_factor(rng, p, src: FGModule, tgt: FGModule) -> ModuleMap:
+    """A dense map, or on a self-map sometimes a diagonal one, D != 1 at times."""
+    if src != tgt or rng.random() < 0.4:
+        return rand_unit_map(rng, p, src, tgt)
+    entries = [Fraction(rng.choice([1, -1, 2, p, p + 1]), rng.choice([1, 2, 7]))
+               for _ in range(src.ngens)]
+    return ModuleMap(src, tgt, QMat.diagonal(entries))
+
+
+def test_composite_matches_the_fraction_composition(rng):
+    p = 3
+    mods = [FGModule(p, r, t) for r, t in MOD_P_MODULES]
+    kinds = set()
+    for _ in range(200):
+        chain = [rng.choice(mods)]
+        for _ in range(rng.randint(0, 4)):
+            chain.append(chain[-1] if rng.random() < 0.6 else rng.choice(mods))
+        maps = [chain_factor(rng, p, s, t) for s, t in zip(chain, chain[1:])]
+        c = rng.choice([1, p, -2])
+        want = scalar(chain[0], c)
+        for f in maps:
+            want = compose(f, want)
+        assert composite(chain[0], chain[-1], maps, c) == want
+        for f in maps[1:]:
+            diag = _diagonal(f.rows)
+            kinds.add("diagonal" if diag is not None and f.source.ngens else
+                      "empty" if not f.source.ngens or not f.target.ngens else
+                      "square" if f.source.ngens == f.target.ngens else "non-square")
+    assert kinds == {"diagonal", "square", "non-square", "empty"}
+
+
+def test_diagonal_reads_only_square_rows_with_nothing_off_the_diagonal():
+    assert _diagonal(((2, 0), (0, 0))) == [2, 0]
+    assert _diagonal(((2, 0), (1, 3))) is None
+    assert _diagonal(((2, 0, 0), (0, 3, 0))) is None
+    assert _diagonal(()) == []
+
+
+def test_qmat_is_invertible_matches_the_determinant(rng):
+    for _ in range(200):
+        n, k = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3])) for _ in range(k)]
+                for _ in range(n)]
+        if rng.random() < 0.5 and n:  # rank at most k
+            right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+            rows = oracle_q_matmul(rows, right, n)
+        a = QMat(rows, ncols=len(rows[0]) if rows else k)
+        assert a.is_invertible() == (a.nrows == a.ncols and oracle_q_det(rows) != 0)
+
+
+def test_qmat_is_invertible_falls_back_when_the_prime_divides_the_determinant():
+    q = 2 ** 61 - 1
+    # a dense unimodular conjugate of diag(1, 1, q): det q, so singular mod q
+    left = QMat([[1, 0, 0], [2, 1, 0], [3, -4, 1]])
+    right = QMat([[1, 5, -2], [0, 1, 7], [0, 0, 1]])
+    dense = left @ QMat([[1, 0, 0], [0, 1, 0], [0, 0, q]]) @ right
+    assert all(dense.num[i][j] for i in range(3) for j in range(3))
+    assert oracle_q_det(qmat_rows(dense)) == q
+    singular = QMat([[1, 2, 3], [q, 2 * q, 3 * q + 1], [2, 4, 6]])
+    for a, want in ((QMat.diagonal([q, 1]), True), (dense, True),
+                    (QMat([[q, 0], [0, Fraction(1, 2)]]), True), (singular, False),
+                    (QMat([[1, 2], [2, 4]]), False)):
+        with count_calls(QMat, "rank") as calls:
+            assert a.is_invertible() is want
+        assert len(calls) == 1  # the exact sweep decided
+    with count_calls(QMat, "rank") as calls:
+        assert QMat([[1, 2], [3, 4]]).is_invertible()
+    assert calls == []
 
 
 @pytest.mark.parametrize("trial", range(30))
