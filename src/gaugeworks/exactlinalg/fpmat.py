@@ -5,9 +5,8 @@ reducing inside each row update: the forward sweep :func:`mod_pivots`
 (hence ``rank``, ``column_space_basis``, ``is_invertible`` and ``det``),
 Gauss--Jordan ``rref`` (hence ``kernel``, ``solve`` and ``inverse``) and
 ``@``.  The sweep is a module function on integer rows, so it also answers
-questions modulo a prime about matrices stored elsewhere: ranks of module
-maps mod p, and full rank of a rational matrix mod a large prime.  The
-field-independent operations come from :class:`~.dense.DenseMat`, shared
+questions modulo a prime about matrices stored elsewhere: the ranks mod p
+of module maps.  The field-independent operations come from :class:`~.dense.DenseMat`, shared
 with :class:`~.qmat.QMat`, so the same explicit-shape discipline applies and
 empty matrices compose correctly.  This module also supplies the reduction
 mod p, the prime-mismatch check and the F_p-only helpers.

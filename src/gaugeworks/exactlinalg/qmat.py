@@ -14,16 +14,13 @@ was handed for that.
 
 There are two eliminations, both on the primitive rows of ``num`` (scaling
 a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
-without back-substitution; ``rank``, ``column_space_basis`` (hence the span
-helpers below) and ``det``, which is det(num) / den^n, read it.
-Gauss--Jordan ``rref`` serves where reduced rows are read: ``kernel``,
-``solve`` and ``inverse``.  ``is_invertible`` first runs the mod-q sweep of
-:mod:`.fpmat` on ``num`` for the prime q = 2^61 - 1: a minor that is
-nonzero mod q is nonzero, so full rank mod q proves full rank, and only
-otherwise does the exact sweep decide.  Shapes, ``power`` and the
-rest that reads no entry come from :class:`~.dense.DenseMat`, shared with
-:class:`~.fpmat.FpMat`.  Everything is exact; nothing here ever touches a
-float.
+without back-substitution; ``rank`` (hence ``is_invertible``),
+``column_space_basis`` (hence the span helpers below) and ``det``, which is
+det(num) / den^n, read it.  Gauss--Jordan ``rref`` serves where reduced
+rows are read: ``kernel``, ``solve`` and ``inverse``.  Shapes, ``power``
+and the rest that reads no entry come from :class:`~.dense.DenseMat`,
+shared with :class:`~.fpmat.FpMat`.  Everything is exact; nothing here
+ever touches a float.
 
 >>> a = QMat([[1, "1/2"], [0, "1/3"]])
 >>> a.num, a.den
@@ -46,11 +43,6 @@ from typing import Iterable, Sequence
 
 from . import dense
 from .dense import DenseMat, rows_from_cols
-from .fpmat import rank_mod
-
-# the prime of is_invertible's first check; any prime would do, and a large
-# one divides the determinant of few matrices
-_CHECK_PRIME = 2 ** 61 - 1
 
 
 def _primitive(xs: Sequence[int]) -> tuple[Sequence[int], int]:
@@ -298,11 +290,6 @@ class QMat(DenseMat):
                 g = gcd(num, den)
                 num, den = num // g, den // g
         return Fraction(num, den) if found == self.nrows else Fraction(0)
-
-    def is_invertible(self) -> bool:
-        """Full rank mod 2^61 - 1, or else by the exact sweep."""
-        n = self.nrows
-        return n == self.ncols and (rank_mod(self.num, _CHECK_PRIME) == n or self.rank() == n)
 
     def kernel(self) -> "QMat":
         """Basis of the right null space, as columns (ncols x nullity)."""

@@ -22,9 +22,11 @@ Every entry point reads that one elimination on integer rows, which module
 ``kernel`` and ``cokernel`` in :mod:`.modules` hand over as stored.  The
 questions about the reduction mod p there, whether a map is an isomorphism
 and the dimensions behind the Hodge--Tate weights, read a rank mod p and
-never come here.  :func:`smith_exponents` takes the exponents alone.
-:func:`smith_normal_form` and :func:`kernel_over_zp` also build V, equal to that of plain Fraction
-elimination: V depends only on the ratios a_kj / a_kk within pivot rows.
+never come here.  :func:`smith_exponents` takes the exponents alone; no
+route in the package calls it, and it is kept as library API.
+:func:`smith_normal_form` and :func:`kernel_over_zp` also build V, equal to
+that of plain Fraction elimination: V depends only on the ratios
+a_kj / a_kk within pivot rows.
 No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
 a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
 from M V.
