@@ -25,13 +25,13 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .beilinson import corners, fm_fibre, verify_cartesian
 from .errors import LawViolation, SchemaError
 from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
-                          format_rational, parse_rational)
+                          format_rational, rational_pair)
 from .fgauge import (FCrystalPoint, FpGauge, gauge_from_fcrystal,
                      hodge_tate_weights, rational_realization,
                      syntomic_cohomology, twist_gauge)
@@ -118,42 +118,47 @@ def _schema(path: str):
         raise SchemaError(path, str(err)) from None
 
 
-def _rational_entry(value, path: str) -> Fraction:
-    if isinstance(value, str):
-        try:  # not _schema: this runs once per matrix entry
-            return parse_rational(value)
-        except ValueError as err:
-            raise SchemaError(path, str(err)) from None
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise SchemaError(path, f"expected a rational string, got {value!r}")
-
-
-def _int_entry(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, "expected an integer mod p")
-    return value
-
-
-def _rows(data, rows: int, cols: int, path: str, entry) -> list[list]:
-    """A ``rows`` x ``cols`` list of rows; row i's length, then its entries."""
+def _rows(data, rows: int, cols: int, path: str):
+    """The rows of a ``rows`` x ``cols`` list of rows, as ``(i, row)``, each
+    checked for its length before it is yielded."""
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows")
-    out = []
     for i, row in enumerate(data):
-        at = f"{path}[{i}]"
         if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(at, f"expected a row of length {cols}")
-        out.append([entry(x, f"{at}[{j}]") for j, x in enumerate(row)])
-    return out
+            raise SchemaError(f"{path}[{i}]", f"expected a row of length {cols}")
+        yield i, row
+
+
+def _rational_entry(value, path: str) -> None:
+    """Raise the schema error of a bad rational entry: the slow path, for its message."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(path, f"expected a rational string, got {value!r}")
+    with _schema(path):
+        rational_pair(value)
 
 
 def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
-    return QMat(_rows(data, rows, cols, path, _rational_entry), ncols=cols)
+    """Integer rows over the lcm of the entries' reduced denominators, with no
+    Fraction; an entry's path is built only to name a bad one."""
+    pairs = []
+    for i, row in _rows(data, rows, cols, path):
+        try:
+            pairs.append([(x, 1) if type(x) is int else rational_pair(x) for x in row])
+        except ValueError:
+            for j, x in enumerate(row):
+                _rational_entry(x, f"{path}[{i}][{j}]")
+            raise
+    den = lcm(*{d for r in pairs for _, d in r})
+    return QMat([[n * (den // d) for n, d in r] for r in pairs], cols, den=den)
 
 
 def _int_matrix(p: int, data, rows: int, cols: int, path: str) -> FpMat:
-    return FpMat(p, _rows(data, rows, cols, path, _int_entry), ncols=cols)
+    """The matrix of JSON ints mod p; an entry's path is built only to name a bad one."""
+    for i, row in _rows(data, rows, cols, path):
+        if not all(type(x) is int for x in row):
+            j = next(j for j, x in enumerate(row) if type(x) is not int)
+            raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
+    return FpMat(p, data, ncols=cols)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,12 @@ from .modules import (FGModule, ModuleMap, cokernel, homology_two_term, kernel,
                       zero_module)
 from .qmat import QMat, intersect_spans, kron, span_union
 from .rationals import (INF, check_prime, format_rational, is_p_local,
-                        parse_rational, unit_part, vp)
+                        parse_rational, rational_pair, unit_part, vp)
 from .snf import SNF, kernel_over_zp, smith_exponents, smith_normal_form
 
 __all__ = [
     "INF", "vp", "is_p_local", "unit_part",
-    "check_prime", "parse_rational", "format_rational",
+    "check_prime", "parse_rational", "rational_pair", "format_rational",
     "block_diag", "QMat", "kron", "span_union", "intersect_spans",
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",
     "quotient_projection",

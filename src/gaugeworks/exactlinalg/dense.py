@@ -13,9 +13,13 @@ normalised entries, which is how ``FpMat`` stores a matrix: ints in
 overrides each of them to work on that form.
 
 A matrix is built by one of two paths.  The public constructors,
-``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols)``, are checked: they
-reduce every entry (mod p, or to a ``Fraction`` and then over the lcm of
-the denominators), reject ragged rows and check ``ncols``.  The private
+``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols, den=None)``, are checked:
+they reject ragged rows and check ``ncols`` (:func:`width`), and bring every
+entry to the stored form.  ``FpMat`` reduces it mod p.  ``QMat`` reads an
+int or a ``Fraction`` as it is and anything else through ``Fraction``, over
+the lcm of the denominators; given ``den``, it takes rows of ints over that
+denominator.  Either way it divides out the one gcd that makes the form
+canonical, and keeps none of the entries it was handed.  The private
 ``_made`` classmethod of each field is trusted and stores its arguments as
 given: ``FpMat._made(p, rows, ncols)`` a tuple of row tuples of ints in
 [0, p), each ``ncols`` long, and ``QMat._made(num, den, ncols)`` such a
@@ -43,19 +47,6 @@ class DenseMat:
         for name, value in vars(DenseMat).items():
             if callable(value) and name not in vars(cls) and name != "__init_subclass__":
                 setattr(cls, name, value)
-
-    def _set(self, rows: tuple, ncols: int | None):
-        """The checked path: store already-normalised rows, checking and fixing the shape."""
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"ncols={ncols} but rows have width {width}")
-            ncols = width
-        elif ncols is None:
-            ncols = 0
-        self._store(rows, ncols)
 
     def _store(self, rows: tuple, ncols: int):
         """Store rows of the given width as they are."""
@@ -218,6 +209,19 @@ class DenseMat:
 # through their descriptors
 _set_rows, _set_nrows, _set_ncols = (DenseMat.rows.__set__, DenseMat.nrows.__set__,
                                      DenseMat.ncols.__set__)
+
+
+def width(rows: Sequence[Sequence], ncols: int | None) -> int:
+    """The common length of ``rows``, checked against ``ncols`` when given (0 if no rows)."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError("ragged rows")
+    if not widths:
+        return 0 if ncols is None else ncols
+    n = widths.pop()
+    if ncols is not None and ncols != n:
+        raise ValueError(f"ncols={ncols} but rows have width {n}")
+    return n
 
 
 def rows_from_cols(cols: Iterable[Sequence], nrows: int) -> tuple[list, int]:

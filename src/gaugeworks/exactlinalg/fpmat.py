@@ -27,7 +27,8 @@ class FpMat(DenseMat):
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
         _set_p(self, p)
-        self._set(tuple(tuple(int(x) % p for x in r) for r in rows), ncols)
+        rows = tuple([tuple([int(x) % p for x in r]) for r in rows])
+        self._store(rows, dense.width(rows, ncols))
 
     @classmethod
     def _made(cls, p: int, rows: tuple, ncols: int) -> "FpMat":

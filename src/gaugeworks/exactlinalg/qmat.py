@@ -9,8 +9,10 @@ and hashing read (shape, num, den).  Every operation reads and writes
 both numerators over the lcm of the two denominators, and one gcd keeps a
 result canonical where entries can share a factor with its denominator.
 A :class:`~fractions.Fraction` is built only when ``rows`` or ``m[i, j]``
-is read, once per matrix; the public constructor keeps the Fractions it
-was handed for that.
+is read, once per matrix.  The public constructor reads ints and Fractions
+through their numerator and denominator and keeps none of them;
+``QMat(num, ncols, den=d)`` takes the stored form itself, rows of ints over
+one denominator, and divides out their common gcd.
 
 There are two eliminations, both on the primitive rows of ``num`` (scaling
 a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
@@ -96,6 +98,15 @@ def _fraction_rows(num: tuple, den: int) -> tuple:
     return tuple([tuple(map(frac, r)) for r in num])
 
 
+def _canonical(num, den: int) -> tuple[tuple, int]:
+    """Rows of ints over ``den`` > 0 as int tuples, with gcd(num, den) divided out."""
+    if den > 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            return tuple([tuple([x // g for x in r]) for r in num]), den // g
+    return tuple(map(tuple, num)), den
+
+
 def _scaled(num: tuple, s: int) -> tuple:
     return num if s == 1 else tuple([tuple([s * x for x in r]) for r in num])
 
@@ -103,19 +114,30 @@ def _scaled(num: tuple, s: int) -> tuple:
 class QMat(DenseMat):
     __slots__ = ("num", "den")
 
-    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        fracs = tuple(tuple(x if isinstance(x, Fraction) else Fraction(x) for x in r)
-                      for r in rows)
-        self._set(fracs, ncols)  # the Fractions stay as the ``rows`` read
-        # lowest-terms entries over their lcm: gcd(num, den) = 1 already
-        d = lcm(*(x.denominator for r in fracs for x in r))
-        _set_num(self, tuple([tuple([x.numerator * (d // x.denominator) for x in r])
-                              for r in fracs]))
-        _set_den(self, d)
+    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None, *,
+                 den: int | None = None):
+        if den is None:
+            # ints and Fractions both carry .numerator and .denominator
+            rows = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r]
+                    for r in rows]
+            den = lcm(*(x.denominator for r in rows for x in r))
+            num = tuple([tuple([x.numerator * (den // x.denominator) for x in r])
+                         for r in rows])
+        else:
+            num = tuple(map(tuple, rows))
+            if (type(den) is not int or den < 1
+                    or not set(map(type, chain.from_iterable(num))) <= {int}):
+                raise ValueError("den= takes rows of ints over an int den >= 1")
+        ncols = dense.width(num, ncols)
+        num, den = _canonical(num, den)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_nrows(self, len(num))
+        _set_ncols(self, ncols)
 
     @classmethod
     def _made(cls, num: tuple, den: int, ncols: int) -> "QMat":
-        """The trusted twin of the constructor: ``num / den`` stored as given.
+        """The trusted twin of ``QMat(num, ncols, den=den)``: ``num / den`` stored as given.
 
         ``num`` must be a tuple of int tuples, each ``ncols`` long, and
         already canonical with ``den``.
@@ -130,12 +152,7 @@ class QMat(DenseMat):
     @classmethod
     def _lowest(cls, num, den: int, ncols: int) -> "QMat":
         """``num / den`` (den > 0, rows of ints) with gcd(num, den) divided out."""
-        if den > 1:
-            g = gcd(den, *chain.from_iterable(num))
-            if g > 1:
-                return cls._made(tuple([tuple([x // g for x in r]) for r in num]),
-                                 den // g, ncols)
-        return cls._made(tuple(map(tuple, num)), den, ncols)
+        return cls._made(*_canonical(num, den), ncols)
 
     @property
     def rows(self) -> tuple:

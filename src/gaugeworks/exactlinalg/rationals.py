@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class _Infinity:
@@ -55,7 +55,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -164,20 +164,34 @@ def unit_part(x, p: int) -> Fraction:
     return x / Fraction(p) ** vp(x, p)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the bit-exact rational syntax ``[-]digits[/digits]``.
+def rational_pair(text: str) -> tuple[int, int]:
+    """The value of the literal ``[-]digits[/digits]`` as ``(num, den)`` in lowest terms.
 
-    Raises ValueError on anything else (including whitespace and zero
-    denominators); rationals must never pass through floating point.
+    Digits are ASCII 0-9 and the whole string must match: whitespace, a
+    trailing newline or any other character raises ValueError, and so do a
+    zero denominator and a part past the interpreter's digit limit for
+    ``int``.  ``den > 0``, and an integer literal has ``den == 1``.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    m = _RATIONAL_RE.fullmatch(text) if isinstance(text, str) else None
+    if m is None:
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, den = m.groups()
+    if den is None:
+        return int(num), 1
+    den = int(den)  # before num: of two parts past the digit limit, den is named
+    if not den:
+        raise ValueError(f"zero denominator: {text!r}")
+    num = int(num)
+    g = gcd(num, den)
+    return (num, den) if g == 1 else (num // g, den // g)
+
+
+def parse_rational(text: str) -> Fraction:
+    """The :class:`Fraction` of a literal read by :func:`rational_pair`.
+
+    Rationals must never pass through floating point.
+    """
+    return Fraction(*rational_pair(text))
 
 
 def format_rational(x) -> str:

@@ -223,17 +223,17 @@ class A1Module:
         n = self.stable_level()
         return self.x_at(n - 1) @ self.d_at(n)
 
-    def violations(self) -> tuple[str, ...]:
-        """Check the algebra relation on levels lo..hi-1; at hi both sides
-        are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}."""
-        bad = []
+    def check_relation(self) -> None:
+        """Raise at the first level lo..hi-1 where Dx - xD = 1 fails; at hi both
+        sides are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}."""
+        p = self.prime
         for i in range(self.lo, self.hi):
-            lhs = self.d_at(i + 1) @ self.x_at(i)
-            rhs = (self.x_at(i - 1) @ self.d_at(i)
-                   + FpMat.identity(self.prime, self.dim_at(i)))
-            if lhs != rhs:
-                bad.append(f"Dx - xD = 1 failed on Fil_{i}")
-        return tuple(bad)
+            dx = (self.d_at(i + 1) @ self.x_at(i)).rows
+            xd = (self.x_at(i - 1) @ self.d_at(i)).rows
+            # entries lie in [0, p): off the diagonal Dx = xD, on it Dx = xD + 1
+            if any(a[:j] != b[:j] or a[j] != (b[j] + 1) % p or a[j + 1:] != b[j + 1:]
+                   for j, (a, b) in enumerate(zip(dx, xd))):
+                raise LawViolation(f"Dx - xD = 1 failed on Fil_{i}")
 
     @cached_property
     def _graded(self) -> tuple[tuple[FpMat, FpMat], ...]:

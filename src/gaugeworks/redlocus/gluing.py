@@ -55,9 +55,7 @@ def _check_gluing(g: ReducedFGauge) -> None:
     """Raise the first violated gluing law.  Once Dx - xD = 1 holds, Theta = xD
     needs no check of its own: (xD)^p - xD = x^p D^p, with x^p and D^p central,
     so its k-th power x^{pk} D^{pk} factors through a level below the window."""
-    bad = g.htc.violations()
-    if bad:
-        raise LawViolation(bad[0])
+    g.htc.check_relation()
     theta = g.htc.de_rham_theta
     if g.alpha_dr.shape != (g.drp.dim, theta.nrows):
         raise LawViolation("alpha_dR must map the Hodge--Tate de Rham restriction "

@@ -25,7 +25,7 @@ import pytest
 from gaugeworks.exactlinalg import (FpMat, ModuleMap, QMat, cokernel, fp_kron,
                                     fp_span_union, smith_exponents)
 from gaugeworks.exactlinalg.modules import _quotient
-from gaugeworks.exactlinalg.rationals import check_prime, unit_part, vp
+from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
@@ -501,6 +501,13 @@ def oracle_rational_roots(coeffs: list[Fraction]) -> dict[Fraction, int]:
             out[k - 1] = acc
         cs = out
     return roots
+
+
+def oracle_rational_matrix(data, ncols: int) -> QMat:
+    """A job file's rational matrix by the former route: one Fraction per
+    entry, through ``parse_rational`` for a string, then the constructor."""
+    return QMat([[parse_rational(x) if isinstance(x, str) else Fraction(x) for x in r]
+                 for r in data], ncols=ncols)
 
 
 def oracle_a1_violations(m) -> list[str]:

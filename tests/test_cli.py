@@ -7,11 +7,14 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from decimal import Decimal
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import HangGuard
-from gaugeworks.cli import main
+from conftest import HangGuard, oracle_rational_matrix
+from gaugeworks.cli import _int_matrix, _rational_matrix, main
+from gaugeworks.exactlinalg import FpMat
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 JOBS = sorted((FIXTURES / "jobs").glob("*.json"))
@@ -379,6 +382,87 @@ def test_check_reports_a_malformed_job_as_compute_does(capsys, job):
     assert capsys.readouterr().err == err
 
 
+def _digit_limit_message() -> str:
+    try:
+        int("1" * 4301)
+    except ValueError as err:
+        return str(err)
+    raise AssertionError("int() read a 4301-digit string")
+
+
+def _with_rows(name: str, field: tuple, edit):
+    """The fixture job ``name`` after ``edit`` of the matrix at ``payload`` + ``field``."""
+    doc = json.loads((FIXTURES / "jobs" / name).read_text(encoding="utf-8"))
+    mat = doc["payload"]
+    for key in field:
+        mat = mat[key]
+    edit(mat)
+    return doc
+
+
+def _with_entry(name: str, field: tuple, value):
+    """The fixture job ``name`` with the matrix entry at ``field`` set to ``value``."""
+    *at, i, j = field
+    return _with_rows(name, tuple(at), lambda mat: mat[i].__setitem__(j, value))
+
+
+FROB = ("frobenius", 0, 1)  # in filphi_explicit.json
+THETA = ("drp", "theta", 0, 0)  # in reduced_explicit.json
+ENTRY_MESSAGES = [
+    (_with_entry("filphi_explicit.json", FROB, "1.5"),
+     "payload.frobenius[0][1]: not a rational literal: '1.5'"),
+    (_with_entry("filphi_explicit.json", FROB, "1/0"),
+     "payload.frobenius[0][1]: zero denominator: '1/0'"),
+    (_with_entry("filphi_explicit.json", FROB, " 1"),
+     "payload.frobenius[0][1]: not a rational literal: ' 1'"),
+    (_with_entry("filphi_explicit.json", FROB, "1" * 4301),
+     f"payload.frobenius[0][1]: {_digit_limit_message()}"),
+    (_with_entry("filphi_explicit.json", FROB, "1/" + "1" * 4301),
+     f"payload.frobenius[0][1]: {_digit_limit_message()}"),
+    # accepted before the grammar matched the whole string in ASCII digits
+    (_with_entry("filphi_explicit.json", FROB, "3\n"),
+     "payload.frobenius[0][1]: not a rational literal: '3\\n'"),
+    (_with_entry("filphi_explicit.json", FROB, "1/2\n"),
+     "payload.frobenius[0][1]: not a rational literal: '1/2\\n'"),
+    (_with_entry("filphi_explicit.json", FROB, "٣"),
+     "payload.frobenius[0][1]: not a rational literal: '٣'"),
+    (_with_entry("filphi_explicit.json", FROB, True),
+     "payload.frobenius[0][1]: expected a rational string, got True"),
+    (_with_entry("filphi_explicit.json", FROB, None),
+     "payload.frobenius[0][1]: expected a rational string, got None"),
+    (_with_entry("filphi_explicit.json", FROB, [1]),
+     "payload.frobenius[0][1]: expected a rational string, got [1]"),
+    (_with_entry("filphi_explicit.json", FROB, 2.5),
+     "payload.frobenius[0][1]: expected a rational string, got 2.5"),
+    (_with_entry("reduced_explicit.json", THETA, "1"),
+     "payload.drp.theta[0][0]: expected an integer mod p"),
+    (_with_entry("reduced_explicit.json", THETA, 1.5),
+     "payload.drp.theta[0][0]: expected an integer mod p"),
+    (_with_entry("reduced_explicit.json", THETA, True),
+     "payload.drp.theta[0][0]: expected an integer mod p"),
+    (_with_entry("reduced_explicit.json", THETA, None),
+     "payload.drp.theta[0][0]: expected an integer mod p"),
+    (_with_rows("filphi_explicit.json", ("frobenius",), list.pop),
+     "payload.frobenius: expected 2 rows"),
+    (_with_rows("filphi_explicit.json", ("frobenius", 1), lambda r: r.append("0")),
+     "payload.frobenius[1]: expected a row of length 2"),
+    (_with_rows("reduced_explicit.json", ("drp", "theta"), lambda m: m.append([0])),
+     "payload.drp.theta: expected 1 rows"),
+    (_with_rows("reduced_explicit.json", ("alpha_dr", 0), list.pop),
+     "payload.alpha_dr[0]: expected a row of length 1"),
+]
+
+
+@pytest.mark.parametrize("doc, message", ENTRY_MESSAGES,
+                         ids=[m.split(": ", 1)[1][:40] for _, m in ENTRY_MESSAGES])
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_matrix_entry_schema_messages_are_pinned(tmp_path, capsys, doc, message, verb):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli([verb, str(path)]) == (1, "")
+    assert capsys.readouterr().err == f"{path}: schema error: {message}\n"
+
+
 def test_parallel_compute_keeps_a_bad_file_out_of_stdout():
     good = str(FIXTURES / "jobs" / "tate1.json")
     bad = str(FIXTURES / "malformed" / "bad_row.json")
@@ -392,3 +476,54 @@ def test_parallel_compute_keeps_a_bad_file_out_of_stdout():
     assert par.stderr.count("\n") == 1
     assert (seq.returncode, seq.stdout, seq.stderr) == (par.returncode, par.stdout,
                                                         par.stderr)
+
+
+# ---------------------------------------------------------------------------
+# the matrix reader against the Fraction route
+# ---------------------------------------------------------------------------
+
+LONG = "9" * 4300  # the longest part a literal may have
+
+
+def _rand_literal(rng):
+    """A rational entry as a job file may spell it: reduced or not, with
+    leading zeros, signed zero, JSON ints and parts of 4300 digits."""
+    num, den = rng.randint(-30, 30), rng.randint(1, 30)
+    return rng.choice([
+        num, f"{num}", f"{num}/{den}", f"{2 * num}/{2 * den}", f"-0/{den}",
+        f"{abs(num):03d}/{den:03d}", f"{LONG}/{den}", f"{num}/{LONG}", f"-{LONG}/{LONG}",
+        rng.choice(["4/6", "007/014", "-0/7", "1/1"])])
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_rational_matrix_matches_the_fraction_route(rng, trial):
+    for _ in range(40):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        data = [[_rand_literal(rng) for _ in range(cols)] for _ in range(rows)]
+        if rows and rng.random() < 0.3:  # an all-integer row
+            data[0] = [rng.randint(-9, 9) for _ in range(cols)]
+        got = _rational_matrix(data, rows, cols, "m")
+        assert got == oracle_rational_matrix(data, cols) and got.shape == (rows, cols)
+        assert type(got.den) is int and got.den > 0
+        assert gcd(got.den, *(x for r in got.num for x in r)) == 1
+        assert all(type(x) is Fraction for r in got.rows for x in r)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_matrices_read_with_their_shape(shape):
+    rows, cols = shape
+    data = [[] for _ in range(rows)]
+    got = _rational_matrix(data, rows, cols, "m")
+    assert got.shape == shape and got.den == 1 and got == oracle_rational_matrix(data, cols)
+    assert _int_matrix(5, data, rows, cols, "m") == FpMat(5, data, ncols=cols)
+
+
+def test_int_matrix_reduces_any_int_mod_p(rng):
+    for p in (2, 3, 7, 2 ** 61 - 1):
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            data = [[rng.choice([rng.randint(-3 * p, 3 * p), -1, p, p + 1, -p, 10 ** 40])
+                     for _ in range(cols)] for _ in range(rows)]
+            got = _int_matrix(p, data, rows, cols, "m")
+            assert got == FpMat(p, data) and got.shape == (rows, cols)
+            assert got.rows == tuple(tuple(x % p for x in r) for r in data)

@@ -18,8 +18,8 @@ from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     check_prime, format_rational,
                                     fp_homology_two_term, homology_two_term,
                                     is_p_local, kernel_over_zp, parse_rational,
-                                    smith_exponents, smith_normal_form, vp,
-                                    zero_module)
+                                    rational_pair, smith_exponents,
+                                    smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
 from gaugeworks.exactlinalg.modules import _diagonal, composite, reduced_cokernel_dim
@@ -119,12 +119,19 @@ def test_check_prime_decides_large_primes_and_remembers_them():
 
 def test_rational_parsing_is_exact():
     assert parse_rational("-4/6") == Fraction(-2, 3)
+    assert rational_pair("-4/6") == (-2, 3) and rational_pair("007/014") == (1, 2)
+    assert rational_pair("-0/7") == (0, 1) and rational_pair("007") == (7, 1)
     with pytest.raises(ValueError):
         parse_rational("1.5")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational(" 1")
+    # the whole string, in ASCII digits: no whitespace, trailing newline
+    # included, and no other script's digits
+    for bad in (" 1", "3\n", "1/2\n", "\u0663", "1/\u0663", "+1", "1_0", "1/-2", ""):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+        with pytest.raises(ValueError, match="not a rational literal"):
+            rational_pair(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -907,12 +914,35 @@ def test_qmat_rank_det_and_basis_need_no_rref(rng, monkeypatch):
             assert a.det() == oracle_q_det(rows)
 
 
-def test_qmat_wraps_only_entries_that_are_not_fractions():
+def test_qmat_reads_fractions_off_its_integer_form():
+    # the constructor keeps no entry it was handed: the Fractions of ``rows``
+    # are built from num / den on the first read
     third = Fraction(1, 3)
     a = QMat([[third, 2], [True, Fraction(4, 6)]])
-    assert a.rows[0][0] is third
-    assert all(type(x) is Fraction for r in a.rows for x in r)
+    assert a.num == ((1, 6), (3, 2)) and a.den == 3
+    assert all(type(x) is Fraction for r in a.rows for x in r) and a.rows is a.rows
     assert a == QMat([[Fraction(1, 3), 2], [1, Fraction(2, 3)]])
+
+
+def test_qmat_den_keyword_takes_the_stored_form(rng):
+    for _ in range(200):
+        m, n = rng.randint(0, 4), rng.randint(0, 4)
+        den = rng.choice([1, 2, 6, 12, 3 ** 40])
+        num = [[rng.randint(-20, 20) * rng.choice([1, 2, 3]) for _ in range(n)]
+               for _ in range(m)]
+        a = QMat(num, n, den=den)
+        assert a == QMat([[Fraction(x, den) for x in r] for r in num], ncols=n)
+        assert a.shape == (m, n) and a.den > 0
+        assert gcd(a.den, *(x for r in a.num for x in r)) == 1
+        assert type(a.num) is tuple and all(type(r) is tuple for r in a.num)
+    for num, ncols, den, message in [
+            ([[1, 2]], None, 0, "den="), ([[1, 2]], None, -3, "den="),
+            ([[1, 2]], None, True, "den="), ([[1, 2]], None, 2.0, "den="),
+            ([[1, Fraction(1, 2)]], None, 2, "den="), ([[1, True]], None, 2, "den="),
+            ([["1", 2]], None, 2, "den="), ([[1, 2], [3]], None, 2, "ragged rows"),
+            ([[1, 2]], 3, 2, "ncols=3")]:
+        with pytest.raises(ValueError, match=message):
+            QMat(num, ncols, den=den)
 
 
 def test_qmat_constructors_match_the_old_ones_and_hold_fractions():

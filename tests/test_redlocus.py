@@ -81,14 +81,14 @@ def test_coh_drplus_twist_family():
 
 def test_a1_relation_holds_on_twist_modules():
     for n in range(-4, 5):
-        assert bk_flag(n, P).to_module().violations() == ()
+        bk_flag(n, P).to_module().check_relation()
 
 
 def test_a1_relation_negative_control():
     # same shapes as the unit twist but D forced to zero out of level 1
     m = A1Module(P, 0, 1, (1, 1), (FpMat(P, [[1]]),), (FpMat(P, [[0]]),))
-    bad = m.violations()
-    assert bad and "Dx - xD = 1" in bad[0]
+    with pytest.raises(LawViolation, match="Dx - xD = 1 failed on Fil_0"):
+        m.check_relation()
 
 
 def test_torsion_a1_module():
@@ -99,7 +99,7 @@ def test_torsion_a1_module():
     ds = tuple(FpMat(P, [[(k + 1) % P]]) if k < P - 1 else FpMat.zeros(P, 1, 0)
                for k in range(P))
     m = A1Module(P, 0, P, dims, xs, ds)
-    assert m.violations() == ()
+    m.check_relation()
     assert coh_HTc(m) == (1, 0)  # Fil_{-1} = 0
 
 
@@ -128,7 +128,7 @@ def test_a1_relation_holds_above_the_window(rng, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_relation_at_the_window_top_is_the_recursion(rng, p):
     # at hi both sides are x_{hi-1} D_hi + 1, so checking lo..hi-1 reports
-    # what the full range reports, lawless modules included
+    # the first failure of the full range, lawless modules included
     modules = [rand_glued(rng, p).htc for _ in range(20)]
     for _ in range(200):
         lo = rng.randint(-4, 2)
@@ -141,7 +141,12 @@ def test_relation_at_the_window_top_is_the_recursion(rng, p):
     for m in modules:
         full = oracle_a1_violations(m)
         assert f"Dx - xD = 1 failed on Fil_{m.hi}" not in full
-        assert list(m.violations()) == full
+        if full:
+            with pytest.raises(LawViolation) as err:
+                m.check_relation()
+            assert str(err.value) == full[0]
+        else:
+            m.check_relation()
         lawless += bool(full)
     assert 0 < lawless < len(modules)
 
