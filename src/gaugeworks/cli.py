@@ -129,12 +129,13 @@ def _rows(data, rows: int, cols: int, path: str):
         yield i, row
 
 
-def _rational_entry(value, path: str) -> None:
-    """Raise the schema error of a bad rational entry: the slow path, for its message."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise SchemaError(path, f"expected a rational string, got {value!r}")
-    with _schema(path):
-        rational_pair(value)
+def _pair(value) -> tuple[int, int]:
+    """A rational entry as ``(num, den)``: a JSON int, or a literal string."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        return rational_pair(value)
+    raise ValueError(f"expected a rational string, got {value!r}")
 
 
 def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
@@ -143,10 +144,11 @@ def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
     pairs = []
     for i, row in _rows(data, rows, cols, path):
         try:
-            pairs.append([(x, 1) if type(x) is int else rational_pair(x) for x in row])
+            pairs.append(list(map(_pair, row)))
         except ValueError:
             for j, x in enumerate(row):
-                _rational_entry(x, f"{path}[{i}][{j}]")
+                with _schema(f"{path}[{i}][{j}]"):
+                    _pair(x)
             raise
     den = lcm(*{d for r in pairs for _, d in r})
     return QMat([[n * (den // d) for n, d in r] for r in pairs], cols, den=den)

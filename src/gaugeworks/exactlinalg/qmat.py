@@ -121,6 +121,7 @@ class QMat(DenseMat):
             rows = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r]
                     for r in rows]
             den = lcm(*(x.denominator for r in rows for x in r))
+            # lowest-terms entries over the lcm of their denominators: canonical
             num = tuple([tuple([x.numerator * (den // x.denominator) for x in r])
                          for r in rows])
         else:
@@ -128,8 +129,8 @@ class QMat(DenseMat):
             if (type(den) is not int or den < 1
                     or not set(map(type, chain.from_iterable(num))) <= {int}):
                 raise ValueError("den= takes rows of ints over an int den >= 1")
+            num, den = _canonical(num, den)
         ncols = dense.width(num, ncols)
-        num, den = _canonical(num, den)
         _set_num(self, num)
         _set_den(self, den)
         _set_nrows(self, len(num))

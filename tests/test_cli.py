@@ -434,6 +434,16 @@ ENTRY_MESSAGES = [
      "payload.frobenius[0][1]: expected a rational string, got [1]"),
     (_with_entry("filphi_explicit.json", FROB, 2.5),
      "payload.frobenius[0][1]: expected a rational string, got 2.5"),
+    # a JSON int before the bad entry in its row
+    (_with_rows("filphi_explicit.json", ("frobenius",),
+                lambda m: m.__setitem__(0, [1, "1.5"])),
+     "payload.frobenius[0][1]: not a rational literal: '1.5'"),
+    (_with_rows("filphi_explicit.json", ("frobenius",),
+                lambda m: m.__setitem__(0, [0, True])),
+     "payload.frobenius[0][1]: expected a rational string, got True"),
+    (_with_rows("filphi_explicit.json", ("frobenius",),
+                lambda m: m.__setitem__(1, [3, "1/0"])),
+     "payload.frobenius[1][1]: zero denominator: '1/0'"),
     (_with_entry("reduced_explicit.json", THETA, "1"),
      "payload.drp.theta[0][0]: expected an integer mod p"),
     (_with_entry("reduced_explicit.json", THETA, 1.5),
