@@ -4,7 +4,8 @@ Public surface: rational matrices (:class:`QMat`), prime-field matrices
 (:class:`FpMat`), Smith normal form over Z_(p), finitely generated modules
 in normal form, and homology of two-term complexes of such modules.
 ``QMat`` and ``FpMat`` share the field-independent dense code
-(``dense.DenseMat``); each owns its ``rref``, ``det`` and ``@``.
+(``dense.DenseMat``); each owns its ``rref`` and ``@``, and ``QMat`` its
+``det``.
 """
 
 from .dense import block_diag

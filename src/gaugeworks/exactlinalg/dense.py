@@ -1,11 +1,12 @@
 """Immutable dense matrices with explicit shape: the field-independent part.
 
 :class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`.
-Each field owns its kernels ``rref``, ``det``, ``@`` and the pivot columns
-``_pivots()`` of its forward sweep.  What reads no entry is written here
-once for both: shapes, equality and hashing through the field's ``_key``,
-``power``, ``rank`` and ``column_space_basis`` read off ``_pivots()``, and
-``inverse`` read off ``rref``.  The entry-level operations here
+Each field owns its kernels ``rref``, ``@`` and the pivot columns
+``_pivots()`` of its forward sweep (``QMat`` also ``det`` and its own
+``rank``).  What reads no entry is written here once for both: shapes,
+equality and hashing through the field's ``_key``, ``power``, ``rank`` and
+``column_space_basis`` read off ``_pivots()``, and ``inverse`` read off
+``rref``.  The entry-level operations here
 (``+``/``-``, ``scale``, stacking, ``take_*``, ``transpose``, block sums,
 ``kron``, and ``kernel``/``solve`` read off ``rref``) work on rows of
 normalised entries, which is how ``FpMat`` stores a matrix: ints in

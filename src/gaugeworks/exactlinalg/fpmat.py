@@ -2,11 +2,13 @@
 
 Entries are ints reduced to [0, p).  The kernels are plain mod-p code here,
 reducing inside each row update: the forward sweep :func:`mod_pivots`
-(hence ``rank``, ``column_space_basis``, ``is_invertible`` and ``det``),
+(hence ``rank``, ``column_space_basis`` and ``is_invertible``),
 Gauss--Jordan ``rref`` (hence ``kernel``, ``solve`` and ``inverse``) and
-``@``.  The sweep is a module function on integer rows, so it also answers
+``@``.  An ``FpMat`` has no ``det``: nothing in the package asks for one.
+The sweep is a module function on integer rows, so it also answers
 questions modulo a prime about matrices stored elsewhere: the ranks mod p
-of module maps.  The field-independent operations come from :class:`~.dense.DenseMat`, shared
+of module maps, and the first reading of a ``QMat``'s rank.  The
+field-independent operations come from :class:`~.dense.DenseMat`, shared
 with :class:`~.qmat.QMat`, so the same explicit-shape discipline applies and
 empty matrices compose correctly.  This module also supplies the reduction
 mod p, the prime-mismatch check and the F_p-only helpers.
@@ -91,19 +93,7 @@ class FpMat(DenseMat):
 
     def _pivots(self) -> list[int]:
         """Pivot columns of the echelon form, read off the forward sweep."""
-        return [c for c, *_ in mod_pivots(self.rows, self.p)]
-
-    def det(self) -> int:
-        """Determinant by the forward sweep, in [0, p)."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        p, det, found = self.p, 1, 0
-        for c, pv, swapped in mod_pivots(self.rows, p):
-            if c != found:  # column ``found`` has no pivot
-                return 0
-            det = (-det if swapped else det) * pv % p
-            found += 1
-        return det if found == self.nrows else 0
+        return list(mod_pivots(self.rows, self.p))
 
     # -- constructors ------------------------------------------------------
 
@@ -143,9 +133,8 @@ def mod_pivots(rows: Iterable[Sequence[int]], q: int):
     below the pivot rows found so far with a nonzero entry ``pv`` there is
     swapped up to join them, and each row below it with a nonzero entry f
     in column c has ``f/pv`` times the pivot row subtracted from column
-    c + 1 on.  There is no back-substitution.  Yields ``(c, pv, swapped)``
-    for each pivot column c in turn; the updates keep the determinant,
-    which is the product of the ``pv`` with one sign change per swap.
+    c + 1 on.  There is no back-substitution.  Yields each pivot column c
+    in turn.
     """
     rows = [[x % q for x in row] for row in rows]
     r, m = 0, len(rows)
@@ -163,7 +152,7 @@ def mod_pivots(rows: Iterable[Sequence[int]], q: int):
             if f:
                 f = f * inv % q
                 row[c + 1:] = [(x - f * y) % q for x, y in zip(row[c + 1:], ptail)]
-        yield c, pv, i != r
+        yield c
         r += 1
         if r == m:
             return

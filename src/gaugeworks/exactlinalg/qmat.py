@@ -16,10 +16,15 @@ one denominator, and divides out their common gcd.
 
 There are two eliminations, both on the primitive rows of ``num`` (scaling
 a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
-without back-substitution; ``rank`` (hence ``is_invertible``),
-``column_space_basis`` (hence the span helpers below) and ``det``, which is
-det(num) / den^n, read it.  Gauss--Jordan ``rref`` serves where reduced
-rows are read: ``kernel``, ``solve`` and ``inverse``.  Shapes, ``power``
+without back-substitution; ``column_space_basis`` (hence the span helpers
+below) and ``det``, which is det(num) / den^n, read it.  Gauss--Jordan
+``rref`` serves where reduced rows are read: ``kernel``, ``solve`` and
+``inverse``.  ``rank`` (hence ``is_invertible``) first reads the rank of
+``num`` modulo the word prime ``RANK_PRIME``: that rank is never above the
+rank over Q, so when it is full it is the answer, and only otherwise does
+``rank`` run ``_sweep``.  The pivot columns modulo a prime can differ from
+those over Q even at equal rank, so every routine that reads pivots keeps
+the exact sweeps.  Shapes, ``power``
 and the rest that reads no entry come from :class:`~.dense.DenseMat`,
 shared with :class:`~.fpmat.FpMat`.  Everything is exact; nothing here
 ever touches a float.
@@ -45,6 +50,11 @@ from typing import Iterable, Sequence
 
 from . import dense
 from .dense import DenseMat, rows_from_cols
+from .fpmat import rank_mod
+
+# A prime below 2^30: the rank of ``num`` modulo it is a lower bound on the
+# rank over Q, read with word-size residues
+RANK_PRIME = 1073741789
 
 
 def _primitive(xs: Sequence[int]) -> tuple[Sequence[int], int]:
@@ -281,6 +291,17 @@ class QMat(DenseMat):
         red = [tuple([x * (d // row[c]) for x in row]) for row, c in zip(rows, pivots)]
         return QMat._made(tuple(red) + ((0,) * self.ncols,) * (self.nrows - r), d,
                           self.ncols), pivots
+
+    def rank(self) -> int:
+        """The rank over Q: full if it is full modulo ``RANK_PRIME``, else the exact sweep's.
+
+        Reduction mod q is a ring map, so a nonzero r x r minor mod q is a
+        nonzero minor over Q: the rank mod q is never above the rank over Q.
+        """
+        full = min(self.nrows, self.ncols)
+        if rank_mod(self.num, RANK_PRIME) == full:
+            return full
+        return len(self._pivots())
 
     def _pivots(self) -> list[int]:
         """Pivot columns of the echelon form, read off the integer forward sweep."""

@@ -19,7 +19,10 @@ exactly as in Fraction elimination, and is swapped to the front of the live
 rows and columns, as there.
 
 Every entry point reads that one elimination on integer rows, which module
-``kernel`` and ``cokernel`` in :mod:`.modules` hand over as stored.  The
+``kernel`` and ``cokernel`` in :mod:`.modules` hand over as stored, except
+:func:`exponents_mod_power`: the same elimination on the rows reduced
+modulo a word-size p^k, with no gcd, which proves its exponents when it
+finds them all below k (see there).  The
 questions about the reduction mod p there, whether a map is an isomorphism
 and the dimensions behind the Hodge--Tate weights, read a rank mod p and
 never come here.  :func:`smith_exponents` takes the exponents alone; no
@@ -88,13 +91,14 @@ def _combine(row: list[int], prow: list[int], unit: int, q: int, p: int) -> list
     return [x // g for x in row] if g > 1 else row
 
 
-def _eliminate(rows: list[list[int]], p: int):
+def _eliminate(rows: list[list[int]], p: int, pk: int | None = None):
     """Yield (e, j, pivot row, p^e, unit) for each pivot of the integer ``rows``.
 
     ``rows`` are consumed.  The live rows and columns are positions k, k+1,
     ... of the Fraction routine at step k.  ``j`` is the live column swapped
     to the front, and the pivot row is yielded in the swapped order, pivot
-    p^e * unit first.
+    p^e * unit first.  Given ``pk`` = p^k, the ``rows`` are residues mod p^k
+    and each row update is reduced mod p^k instead of divided by its content.
     """
     while (best := _pivot(rows, p)) is not None:
         e, bi, bj = best
@@ -107,7 +111,10 @@ def _eliminate(rows: list[list[int]], p: int):
         unit = prow[0] // pe
         for i, row in enumerate(rows):
             q = row[0] // pe
-            rows[i] = (_combine(row, prow, unit, q, p) if q else row)[1:]
+            if q:
+                row = (_combine(row, prow, unit, q, p) if pk is None
+                       else [(unit * x - q * y) % pk for x, y in zip(row, prow)])
+            rows[i] = row[1:]
         yield e, bj, prow, pe, unit
 
 
@@ -120,6 +127,52 @@ def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
     """
     rows, shift = _integral_rows(m, p)
     return tuple(e - shift for e, *_ in _eliminate(rows, p))
+
+
+def exponents_mod_power(rows, p: int) -> list[int]:
+    """The pivot valuations of the integer ``rows`` swept mod p^k, k largest with p^k < 2^62.
+
+    This is :func:`_eliminate` on the rows reduced mod p^k: the pivot is the
+    first entry of least valuation in the trailing block, and with pivot
+    p^e u (u prime to p) a row with head a becomes u*row - (a / p^e)*pivot
+    row, reduced mod p^k, with no gcd and no inverse.  A zero residue has no
+    valuation below k and is never a pivot.
+
+    Lemma.  Let N be a square integer matrix of size n, with Smith exponents
+    e_1 <= ... <= e_n over Z_(p) (e_i = oo for a zero diagonal entry).  If
+    the sweep finds n pivots, of valuations f_1, ..., f_n (each below k, by
+    the previous remark), then {e_i} = {f_i} as multisets; hence det N != 0
+    and v_p(det N) = f_1 + ... + f_n.
+
+    Proof.  Write N = U diag(p^e_i) V with U, V invertible over Z_(p).
+    Reduced mod p^k, where Z_(p)/p^k = Z/p^k, this is
+    N = U diag(p^min(e_i, k)) V, with U, V invertible over Z/p^k, so the
+    cokernel of N on (Z/p^k)^n is the direct sum of the Z/p^min(e_i, k).
+    The sweep's swaps and row updates (a unit times the row, minus a
+    multiple of the pivot row) are invertible over Z/p^k too.  They
+    end in an upper triangular matrix whose row i has diagonal entry p^f_i
+    u_i and every other entry divisible by p^f_i, because the pivot has the
+    least valuation of its block and the row updates keep that bound.
+    Column operations over Z/p^k then clear each row right of its diagonal,
+    and the units u_i scale away, so the same cokernel is the direct sum of
+    the Z/p^f_i.  A finite abelian p-group determines the multiset of
+    orders of its nonzero cyclic summands, and both lists have n terms, so
+    {min(e_i, k)} = {f_i}.  Every f_i is below k, hence every e_i is, and
+    e_i = min(e_i, k).  Then det N = det U * p^(e_1 + ... + e_n) * det V
+    with det U, det V units of Z_(p).
+
+    Fewer than n pivots means some e_i >= k, or N singular; the sweep
+    decides nothing then, and a caller falls back to an exact route.
+
+    >>> exponents_mod_power([[2, 3], [3, 9]], 3)
+    [0, 2]
+    >>> exponents_mod_power([[3 ** 39, 0], [0, 1]], 3)
+    [0]
+    """
+    pk = 1
+    while pk * p < 1 << 62:
+        pk *= p
+    return [e for e, *_ in _eliminate([[x % pk for x in r] for r in rows], p, pk)]
 
 
 def _v_columns(rows: list[list[int]], nc: int, p: int):
@@ -176,4 +229,5 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     return _from_cols(vcols[len(exps):], m.ncols)
 
 
-__all__ = ["SNF", "smith_normal_form", "smith_exponents", "kernel_over_zp"]
+__all__ = ["SNF", "smith_normal_form", "smith_exponents", "exponents_mod_power",
+           "kernel_over_zp"]

@@ -14,11 +14,19 @@ the total complex of the fibre of (derived phi-invariants) -> (underlying
 space modulo Fil^0).  The equivalent two-term formula Fil^0 -> underlying
 with differential (1 - phi) after the structural map is exposed separately
 so the agreement of the two routes can be tested rather than assumed.
+
+A FilteredPhiModule computes its Newton number v_p(det phi) once, when it is
+built, from the Smith exponents of the integer rows N of phi = N / D swept
+modulo a word-size p^k (:func:`~.exactlinalg.snf.exponents_mod_power`):
+when all n exponents are found, each below k, they prove det N != 0 and
+give v_p(det phi) = sum e_i - n v_p(D).  Otherwise (an exponent >= k, or phi
+singular) the exact determinant decides.  A PhiModule checks invertibility
+by rank.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -28,6 +36,8 @@ from .errors import (LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError)
 from .exactlinalg import (QMat, block_diag, check_prime, intersect_spans,
                           kron, span_union, vp)
+from .exactlinalg.rationals import vp_int
+from .exactlinalg.snf import exponents_mod_power
 
 
 @dataclass(frozen=True)
@@ -138,6 +148,19 @@ class FilteredSpace:
         return cls(lo, hi, dims, tuple(transitions))
 
 
+def _newton(phi: QMat, p: int) -> int:
+    """v_p(det phi) for a square ``phi``; raises ``LawViolation`` if phi is singular."""
+    n = phi.nrows
+    exps = exponents_mod_power(phi.num, p)
+    if len(exps) == n:
+        return sum(exps) - n * vp_int(phi.den, p)
+    det = phi.det()
+    if det == 0:
+        raise LawViolation("the Frobenius matrix must be invertible",
+                           "determinant is zero")
+    return vp(det, p)
+
+
 @dataclass(frozen=True)
 class FilteredPhiModule:
     """A filtration diagram plus a Frobenius on the underlying space."""
@@ -145,23 +168,17 @@ class FilteredPhiModule:
     prime: int
     filtration: FilteredSpace
     frobenius: QMat
+    newton: int = field(init=False, repr=False, compare=False)  # v_p(det phi)
 
     def __post_init__(self):
         check_prime(self.prime)
         if self.frobenius.shape != (self.dim, self.dim):
             raise ValueError("frobenius must act on the underlying space")
-        if self.dim > 0 and self.det == 0:
-            raise LawViolation("the Frobenius matrix must be invertible",
-                               "determinant is zero")
+        object.__setattr__(self, "newton", _newton(self.frobenius, self.prime))
 
     @property
     def dim(self) -> int:
         return self.filtration.underlying_dim
-
-    @cached_property
-    def det(self) -> Fraction:
-        """det(phi), computed once."""
-        return self.frobenius.det()
 
     def fil0_dim(self) -> int:
         return self.filtration.dim_at(0)
@@ -273,10 +290,8 @@ def tate(n: int, p: int) -> FilteredPhiModule:
 
 
 def newton_number(d: FilteredPhiModule) -> int:
-    """p-adic valuation of det(phi)."""
-    if d.dim == 0:
-        return 0
-    return vp(d.det, d.prime)
+    """p-adic valuation of det(phi), as computed when ``d`` was built."""
+    return d.newton
 
 
 def hodge_number(d: FilteredPhiModule) -> int:

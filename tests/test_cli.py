@@ -224,6 +224,26 @@ def test_lawless_gauge_exits_2_whatever_the_outputs(tmp_path, capsys, outputs, v
         assert capsys.readouterr().err == f"{path}: law violated: {law}\n"
 
 
+@pytest.mark.parametrize("frobenius", [
+    [["1", "2"], ["2", "4"]],          # singular, every exponent below k
+    [["3", "0"], ["0", "0"]],          # a zero row
+    [["1/9", "2/27"], ["3", "2"]],     # denominator divisible by p
+    [[str(3 ** 45), "0"], ["0", "0"]],  # an entry past the sweep's modulus 3^39
+])
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_singular_frobenius_exits_2(tmp_path, capsys, frobenius, verb):
+    doc = {"format": 1, "prime": 3, "kind": "filphi",
+           "payload": {"dim": 2, "frobenius": frobenius,
+                       "filtration": {"window": [0, 0], "dims": [2]}}}
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = run_cli([verb, str(path)])
+    assert code == 2
+    assert out == ""
+    assert capsys.readouterr().err == (f"{path}: law violated: the Frobenius matrix "
+                                       "must be invertible [determinant is zero]\n")
+
+
 def test_check_verb_reports_per_file(capsys):
     good = str(FIXTURES / "jobs" / "tate1.json")
     bad = str(FIXTURES / "malformed" / "bad_ut.json")

@@ -20,7 +20,7 @@ from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     is_p_local, kernel_over_zp, parse_rational,
                                     rational_pair, smith_exponents,
                                     smith_normal_form, vp, zero_module)
-from gaugeworks.exactlinalg import rationals
+from gaugeworks.exactlinalg import fpmat, qmat, rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
 from gaugeworks.exactlinalg.modules import _diagonal, composite, reduced_cokernel_dim
 
@@ -658,23 +658,23 @@ def test_dense_inverse_and_det(rng, p, trial):
     rows = rand_rows(rng, p, n, n)
     a = mat(p, rows, ncols=n)
     full = oracle_rank(p, rows) == n
-    det = a.det()
-    assert (det == 0) == (not full)
-    if p is None:
-        assert isinstance(det, Fraction)
-    else:
-        assert isinstance(det, int) and 0 <= det < p
+    assert a.is_invertible() == full
+    if p is None:  # an FpMat has no det
+        det = a.det()
+        assert isinstance(det, Fraction) and (det == 0) == (not full)
     if full:
         inv = a.inverse()
         assert a @ inv == eye(p, n) and inv @ a == eye(p, n)
-        assert (a @ a).det() == mat(p, [[det * det]]).rows[0][0]
+        if p is None:
+            assert (a @ a).det() == det * det
     else:
         with pytest.raises(ValueError, match="matrix is singular"):
             a.inverse()
     with pytest.raises(ValueError, match="non-square"):
         mat(p, [[1, 0]]).inverse()
-    with pytest.raises(ValueError, match="non-square"):
-        mat(p, [[1, 0]]).det()
+    if p is None:
+        with pytest.raises(ValueError, match="non-square"):
+            mat(p, [[1, 0]]).det()
 
 
 @pytest.mark.parametrize("p", FIELDS)
@@ -708,7 +708,8 @@ def test_dense_empty_shapes(p):
     assert eye(p, 3).take_cols([]) == e30 and eye(p, 3).take_rows([]) == e03
     assert e03.rank() == e30.rank() == e00.rank() == 0
     assert e03.kernel() == eye(p, 3) and e30.kernel().shape == (0, 0)
-    assert e00.inverse() == e00 and e00.det() == 1 and e00.is_invertible()
+    assert e00.inverse() == e00 and e00.is_invertible()
+    assert p is not None or e00.det() == 1
     assert e30.solve(mat(p, [[1]] * 3)) is None
     assert e03.solve(e00) == e30
     assert block_diag(e00, eye(p, 2)) == eye(p, 2)
@@ -912,6 +913,61 @@ def test_qmat_rank_det_and_basis_need_no_rref(rng, monkeypatch):
         assert a.is_invertible() == (len(rows) == n == len(pivots))
         if len(rows) == n:
             assert a.det() == oracle_q_det(rows)
+
+
+Q = qmat.RANK_PRIME
+# matrices whose rank mod the word prime q is below their rank over Q
+UNLUCKY = {
+    "diag(q, 1)": [[Q, 0], [0, 1]],
+    "dense, det q": [[1, 1, 1], [1, 2, 3], [1, 3, Q + 5]],
+    "column 0 mod q": [[Q, 1, 2], [-2 * Q, 3, 5], [5 * Q, 4, 1]],
+    "denominator q": [[Fraction(1, Q), 1], [0, 1]],
+    "rank deficient": [[1, 2, 3], [1, 2 + Q, 3 + Q], [2, 4 + Q, 6 + Q]],
+    "wide": [[Q, 2 * Q, 0, 1], [0, 0, Q, 1]],
+    "tall": [[Q, 0], [2 * Q, 0], [0, 7 * Q], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("name", UNLUCKY)
+def test_qmat_rank_at_an_unlucky_word_prime(monkeypatch, name):
+    rows = UNLUCKY[name]
+    a = QMat(rows)
+    assert rank_mod(a.num, Q) < oracle_q_rank(rows)
+    sweeps = []
+    sweep = qmat._sweep
+    monkeypatch.setattr(qmat, "_sweep", lambda rows: sweeps.append(1) or sweep(rows))
+    assert a.rank() == oracle_q_rank(rows)
+    assert sweeps == [1]  # the exact sweep decided
+    assert a.transpose().rank() == oracle_q_rank(rows)
+    assert a.is_invertible() == (len(rows) == len(rows[0]) == oracle_q_rank(rows))
+
+
+def test_qmat_rank_runs_the_exact_sweep_only_below_full_rank_mod_q(monkeypatch, rng):
+    cases = [rand_rows(rng, None, m, n) for m in range(4) for n in range(4)]
+    cases += [[[rng.choice([0, 1, -1, Q, -Q, 2 * Q, Q + 1, Fraction(1, Q), Fraction(Q, 7),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                for _ in range(n)] for _ in range(m)]
+              for m in range(5) for n in range(5) for _ in range(6)]
+    sweep = qmat._sweep
+    for rows in cases:
+        n = len(rows[0]) if rows else rng.randint(0, 3)
+        a = QMat(rows, ncols=n)
+        sweeps = []
+        monkeypatch.setattr(qmat, "_sweep", lambda r: sweeps.append(1) or sweep(r))
+        assert a.rank() == oracle_q_rank(rows)
+        full = min(a.nrows, a.ncols)
+        assert len(sweeps) == (0 if rank_mod(a.num, Q) == full else 1)
+
+
+@pytest.mark.parametrize("rows, pivots", [([[Q, 1]], [0]),
+                                          ([[Q, 1, 0], [0, 0, 1]], [0, 2]),
+                                          ([[1, 1, 0], [1, 1 + Q, 1]], [0, 1])])
+def test_column_space_basis_keeps_the_pivots_over_q(rows, pivots):
+    # wide matrices: the rank mod q is full, but its pivot columns are not those over Q
+    a = QMat(rows)
+    assert rank_mod(a.num, Q) == min(a.shape) == a.rank() == len(pivots)
+    assert list(fpmat.mod_pivots(a.num, Q)) != pivots == oracle_q_rref(rows, a.ncols)[1]
+    assert a.column_space_basis() == a.take_cols(pivots)
 
 
 def test_qmat_reads_fractions_off_its_integer_form():
@@ -1159,7 +1215,7 @@ def test_fpmat_kernels_match_int_oracles(rng, p, trial):
     assert (a.solve(FpMat.identity(p, m)) is None) == (len(pivots) < m)
 
     if m == n:
-        assert a.det() == oracle_fp_det(p, rows)
+        assert a.is_invertible() == (oracle_fp_det(p, rows) != 0)
         if len(pivots) == n:
             ident = [[int(i == j) for j in range(n)] for i in range(n)]
             inv, _ = oracle_fp_rref(p, [r + e for r, e in zip(rows, ident)], 2 * n)
@@ -1168,8 +1224,7 @@ def test_fpmat_kernels_match_int_oracles(rng, p, trial):
             with pytest.raises(ValueError, match="matrix is singular"):
                 a.inverse()
     else:
-        with pytest.raises(ValueError, match="determinant of a non-square matrix"):
-            a.det()
+        assert not a.is_invertible()
         with pytest.raises(ValueError, match="inverse of a non-square matrix"):
             a.inverse()
 
@@ -1364,9 +1419,9 @@ def test_power_uses_at_most_two_products_per_bit(monkeypatch, p):
 SHARED_METHODS = [
     "transpose", "__add__", "__sub__", "__neg__", "scale", "__matmul__",
     "hstack", "vstack", "take_cols", "take_rows", "rref", "rank", "kernel",
-    "solve", "column_space_basis", "inverse", "is_invertible", "det", "power",
+    "solve", "column_space_basis", "inverse", "is_invertible", "power",
     "__eq__", "__hash__",
-]
+]  # QMat's own det is guarded by test_tracer_names
 
 
 @pytest.mark.parametrize("cls", [QMat, FpMat])

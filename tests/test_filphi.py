@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_q_rank, oracle_q_two_term, oracle_rational_roots,
-                      qmat_rows, rand_filtered_phi)
-from gaugeworks.errors import NonHonestFiltrationError
-from gaugeworks.exactlinalg import QMat, kron, span_union
+from conftest import (oracle_q_det, oracle_q_rank, oracle_q_two_term,
+                      oracle_rational_roots, oracle_snf, qmat_rows, rand_filtered_phi)
+from gaugeworks.errors import LawViolation, NonHonestFiltrationError
+from gaugeworks.exactlinalg import QMat, kron, span_union, vp
 from gaugeworks import filphi
 from gaugeworks.filphi import (Admissibility, FilteredPhiModule,
                                FilteredSpace, PhiModule, dual, hodge_number,
@@ -295,19 +295,91 @@ def test_tensor_newton_number(rng, trial):
                                + d1.dim * hodge_number(d2))
 
 
-def test_frobenius_determinant_is_computed_once(monkeypatch, rng):
-    # the invertibility check and newton_number read one cached value
+def word_exponent(p: int) -> int:
+    """The largest k with p^k < 2^62: the modulus p^k of the Newton sweep."""
+    k = 0
+    while p ** (k + 1) < 2 ** 62:
+        k += 1
+    return k
+
+
+def flat(frob: QMat, p: int) -> FilteredPhiModule:
+    return FilteredPhiModule(p, FilteredSpace(0, 0, (frob.nrows,)), frob)
+
+
+def rand_frobenius(rng, p: int, n: int) -> QMat:
+    """An invertible n x n rational matrix whose denominator p divides."""
+    while True:
+        rows = [[Fraction(rng.randint(-9, 9), rng.choice((1, 2, p, p * p)))
+                 * Fraction(p) ** rng.randint(-2, 3) for _ in range(n)] for _ in range(n)]
+        frob = QMat(rows)
+        if frob.den % p == 0 and oracle_q_det(rows) != 0:
+            return frob
+
+
+def past_the_word_power(p: int, rng) -> list[QMat]:
+    """Frobenius matrices near and past the sweep's modulus p^k.
+
+    tate(k + 3) carries p^(k+3) in its denominator over an exponent-0
+    numerator, so it needs no fallback; the last one has an exponent near k.
+    """
+    k = word_exponent(p)
+    dense = rand_frobenius(rng, p, 3)
+    return [tate(-(k + 3), p).frobenius, tate(k + 3, p).frobenius,
+            QMat.diagonal([p ** k, 1]), dense.scale(Fraction(p) ** (k + 1)),
+            QMat.diagonal([p ** (k - 1), 1, 1]) @ dense]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("trial", range(8))
+def test_newton_number_matches_the_determinant_oracle(rng, p, trial):
+    frob = rand_frobenius(rng, p, rng.randint(1, 6))
+    assert newton_number(flat(frob, p)) == vp(oracle_q_det(qmat_rows(frob)), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2 ** 64 - 59])
+def test_newton_number_past_the_word_power(rng, p):
+    for frob in past_the_word_power(p, rng) if p < 2 ** 62 else [rand_frobenius(rng, p, 3)]:
+        assert newton_number(flat(frob, p)) == vp(oracle_q_det(qmat_rows(frob)), p)
+    k = word_exponent(p)
+    assert newton_number(tate(k + 3, p)) == -(k + 3)
+    assert newton_number(tate(-(k + 3), p)) == k + 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_newton_builds_an_exact_det_only_for_an_exponent_past_the_word_power(
+        monkeypatch, rng, p):
+    # construction and two reads of newton_number: no exact det when every
+    # Smith exponent of phi's integer rows is below k, exactly one otherwise
     calls = []
     det = QMat.det
     monkeypatch.setattr(QMat, "det", lambda m: calls.append(m) or det(m))
-    for _ in range(10):
-        d = rand_filtered_phi(rng, 3, max_dim=4)
-        if d.dim == 0:
-            continue
+    frobs = [rand_filtered_phi(rng, p, max_dim=4).frobenius for _ in range(6)]
+    frobs += [rand_frobenius(rng, p, 4)] + past_the_word_power(p, rng)
+    past = 0
+    for frob in frobs:
+        exps = oracle_snf(QMat(frob.num), p).exponents
         calls.clear()
-        d = FilteredPhiModule(d.prime, d.filtration, d.frobenius)
+        d = flat(frob, p)
         assert newton_number(d) == newton_number(d)
-        assert len(calls) == 1
+        assert len(calls) == (1 if exps and max(exps) >= word_exponent(p) else 0)
+        past += len(calls)
+    assert past >= 3  # tate(-(k + 3)), diag(p^k, 1) and the dense one times p^(k + 1)
+
+
+SINGULAR = [[[0]], [[1, 2], [2, 4]], [[3, 0], [0, 0]], [["1/9", "2/27"], [3, 2]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]
+
+
+@pytest.mark.parametrize("rows", SINGULAR)
+@pytest.mark.parametrize("p", [3, 2 ** 64 - 59])
+def test_singular_frobenius_is_a_law_violation(rows, p):
+    frob = QMat(rows)
+    with pytest.raises(LawViolation) as err:
+        flat(frob, p)
+    assert str(err.value) == "the Frobenius matrix must be invertible [determinant is zero]"
+    with pytest.raises(LawViolation, match="determinant is zero"):
+        flat(frob.scale(p ** 40), p)  # no residue mod p^k is left: the exact det decides
 
 
 @pytest.mark.parametrize("trial", range(10))
