@@ -18,14 +18,15 @@ must be nonzero.
 the Frobenius-twisted de Rham fibre sequence at the point.  It must agree
 with ``rhom_mfphi``.  It shares QMat's integer products with it (the
 differential ``iota - phi @ iota`` and the H0 images ``iota @ K``) but no
-elimination: its one elimination is its own Fraction routine, never a QMat
-method.  The agreement is a theorem, and the tests treat it as one.
+elimination: its one elimination is its own fraction-free Gauss--Jordan,
+never a QMat method.  The agreement is a theorem, and the tests treat it as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import LawViolation
 from .exactlinalg import QMat
@@ -129,22 +130,24 @@ class CartesianResidual:
 def verify_cartesian(s: SquareData) -> CartesianResidual:
     """Total complex of A -> (B + C) -> D; all-zero residual iff cartesian.
 
-    Degree 0: A^0.  Degree 1: A^1 + B^0 + C^0.  Degree 2: C^1 + D^0.
-    The internal differential of C enters degree-1 with a sign so the total
-    differential squares to zero on commuting input.
+    Degree 0: A^0.  Degree 1: A^1 + B^0 + C^0.  Degree 2: C^1 + D^0, with
+    d0 = [d_a ; f_ab ; f_ac] and d1 = [[1, 0, -d_c], [0, f_bd, -1]] (C's own
+    differential enters with a sign so that d1 d0 = 0 on commuting input).
+    Only rank d0 is computed:
+
+    * rank d1 = 2n on every square: its first and last column blocks form
+      [[1, -d_c], [0, -1]], of determinant (-1)^n.  So h1 = b0 - rank d0
+      and h2 = 0.
+    * d1 d0 = [d_a - d_c f_ac ; f_bd f_ab - f_ac], zero by the two laws
+      ``SquareData`` checks on construction.  So the defect is 0 unless
+      ``s.corrupted``, and for a negative control it is the rank of those
+      two blocks stacked.
     """
-    n, a0, b0 = s.under_dim, s.a0_dim, s.b_dim
-    one = QMat.identity(n)
-    d0 = s.d_a.vstack(s.f_ab).vstack(s.f_ac)
-    top = one.hstack(QMat.zeros(n, b0)).hstack(-s.d_c)
-    bot = QMat.zeros(n, n).hstack(s.f_bd).hstack(-one)
-    d1 = top.vstack(bot)
-    defect = (d1 @ d0).rank()
-    r0, r1 = d0.rank(), d1.rank()
-    h0 = a0 - r0
-    h1 = (n + b0 + n - r1) - r0
-    h2 = (n + n) - r1
-    return CartesianResidual((h0, h1, h2), chain_defect=defect)
+    r0 = s.d_a.vstack(s.f_ab).vstack(s.f_ac).rank()
+    defect = 0
+    if s.corrupted:
+        defect = (s.d_a - s.d_c @ s.f_ac).vstack(s.f_bd @ s.f_ab - s.f_ac).rank()
+    return CartesianResidual((s.a0_dim - r0, s.b_dim - r0, 0), chain_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -152,38 +155,50 @@ def verify_cartesian(s: SquareData) -> CartesianResidual:
 # ---------------------------------------------------------------------------
 
 
-def _rank_and_kernel(rows: tuple[tuple[Fraction, ...], ...], ncols: int):
-    """Self-contained fraction elimination; deliberately not QMat.rref."""
-    mat = [list(r) for r in rows]
+def _rank_and_kernel(rows, ncols: int):
+    """Rank and kernel basis of rational ``rows``; deliberately not QMat.rref.
+
+    Each row is scaled by the lcm of its own denominators, and then a
+    one-step fraction-free Gauss--Jordan runs on the integer rows: at a pivot
+    ``pv`` every other row becomes ``(pv*row_i - f*prow) // prev``, with f its
+    entry in the pivot column and ``prev`` the pivot before (1 at first).
+    The division is exact (Bareiss, Math. Comp. 22, 1968): after k pivots an
+    entry of a later row is a (k+1)-minor of the scaled input and an entry
+    of a pivot row a k-minor, so entries stay within Hadamard's bound, and
+    every pivot row ends with the last pivot in its pivot column.  A kernel
+    column's entries are the reduced row echelon form's, read as
+    ``Fraction(-R[r][f], R[r][pc])``.
+    """
+    mat = []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (scale // x.denominator) for x in row])
     nrows = len(mat)
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
-        hit = None
-        for i in range(r, nrows):
-            if mat[i][c] != 0:
-                hit = i
-                break
+        r = len(pivots)
+        if r == nrows:
+            break
+        hit = next((i for i in range(r, nrows) if mat[i][c]), None)
         if hit is None:
             continue
         mat[r], mat[hit] = mat[hit], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [inv * x for x in mat[r]]
+        prow = mat[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
+            if i != r:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [(pv * x - f * y) // prev for x, y in zip(mat[i], prow)]
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        prev = pv
     kernel_cols = []
     free = [c for c in range(ncols) if c not in pivots]
     for fcol in free:
         v = [Fraction(0)] * ncols
         v[fcol] = Fraction(1)
         for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fcol]
+            v[pc] = Fraction(-mat[rr][fcol], mat[rr][pc])
         kernel_cols.append(v)
     return len(pivots), kernel_cols
 
@@ -203,12 +218,14 @@ def fm_fibre(d: FilteredPhiModule) -> FMFibre:
     """Fibre of Fil^0 --(1 - tau)--> underlying, tau the crystalline Frobenius.
 
     Multiplies through QMat's integer ``@`` but eliminates only with
-    ``_rank_and_kernel``: it shares no elimination code with
-    :func:`gaugeworks.filphi.rhom_mfphi`, and the two are compared, not unified.
+    ``_rank_and_kernel``, on the differential's integer rows ``num`` (a
+    positive multiple of it, with the same rank and kernel): it shares no
+    elimination code with :func:`gaugeworks.filphi.rhom_mfphi`, and the two
+    are compared, not unified.
     """
     n = d.dim
     iota = d.fil0_iota
     diff = iota - d.frobenius @ iota
-    rank, kernel_cols = _rank_and_kernel(diff.rows, iota.ncols)
+    rank, kernel_cols = _rank_and_kernel(diff.num, iota.ncols)
     images = iota @ QMat.from_cols(kernel_cols, iota.ncols)
     return FMFibre(h0=len(kernel_cols), h1=n - rank, h0_in_underlying=images)

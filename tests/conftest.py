@@ -64,7 +64,8 @@ class HangGuard:
 
 
 # Test modules in which every trusted construction is rebuilt and compared.
-RECHECKED_MODULES = {"test_exactlinalg", "test_redlocus", "test_higgs", "test_fgauge"}
+RECHECKED_MODULES = {"test_exactlinalg", "test_redlocus", "test_higgs", "test_fgauge",
+                     "test_beilinson"}
 
 
 def assert_same_matrix(made, rebuilt, entry_type):
@@ -185,6 +186,28 @@ def oracle_q_two_term(rows, nrows: int, ncols: int) -> tuple[int, int]:
     """(kernel dim, cokernel dim) of a rational matrix, by brute elimination."""
     r = oracle_q_rank(rows) if rows else 0
     return (ncols - r, nrows - r)
+
+
+class OracleResidual(NamedTuple):
+    h: tuple[int, int, int]
+    chain_defect: int
+    rank_d1: int
+
+
+def oracle_cartesian_residual(s) -> OracleResidual:
+    """The total complex of a square built in full, ranked by the oracle.
+
+    d0 = [d_a ; f_ab ; f_ac] and d1 = [[1, 0, -d_c], [0, f_bd, -1]] as
+    Fraction rows; the defect is the rank of the product d1 d0.
+    """
+    n, a0, b0 = s.under_dim, s.a0_dim, s.b_dim
+    d0 = qmat_rows(s.d_a) + qmat_rows(s.f_ab) + qmat_rows(s.f_ac)
+    unit = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    d1 = ([u + [Fraction(0)] * b0 + [-x for x in c] for u, c in zip(unit, qmat_rows(s.d_c))]
+          + [[Fraction(0)] * n + f + [-x for x in u] for u, f in zip(unit, qmat_rows(s.f_bd))])
+    r0, r1 = oracle_q_rank(d0), oracle_q_rank(d1)
+    defect = oracle_q_rank(oracle_q_matmul(d1, d0, a0))
+    return OracleResidual((a0 - r0, (n + b0 + n - r1) - r0, (n + n) - r1), defect, r1)
 
 
 def oracle_fp_rref(p: int, rows, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -705,6 +728,72 @@ def rand_filtered_phi(rng: random.Random, p: int, max_dim: int = 6,
                             for k in range(len(dims) - 1))
         fs = FilteredSpace(lo, hi, tuple(dims), transitions)
     return FilteredPhiModule(p, fs, rand_invertible_q(rng, p, n))
+
+
+def conjugated_twist_sum(rng: random.Random, p: int,
+                         n: int) -> tuple[QMat, list[list[Fraction]], list[int]]:
+    """A Frobenius A diag(p^-t_i) A^-1, the matrix A and the twists t_i.
+
+    The twists cycle through -3..3.  A is a rational diagonal times 8n
+    integer shears; A^-1 undoes the same steps in reverse, so nothing is
+    inverted.
+    """
+    twists = [i % 7 - 3 for i in range(n)]
+    rng.shuffle(twists)
+    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a_inv = [row[:] for row in a]
+    for _ in range(8 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in a:  # A <- A (1 + c e_ij): column j gains c times column i
+            row[j] += c * row[i]
+        a_inv[i] = [x - c * y for x, y in zip(a_inv[i], a_inv[j])]
+    for i in range(n):  # A <- diag(s) A
+        s = Fraction(rng.choice((1, 2, 5)), rng.choice((1, 7)))
+        a[i] = [x * s for x in a[i]]
+        for row in a_inv:
+            row[i] /= s
+    frob = QMat(a) @ QMat.diagonal([Fraction(p) ** -t for t in twists]) @ QMat(a_inv)
+    return frob, a, twists
+
+
+def job_strings(rows) -> list[list[str]]:
+    return [[str(x) for x in row] for row in rows]
+
+
+def twist_sum_square(rng: random.Random, p: int, n: int, honest: bool) -> tuple[dict, dict]:
+    """A ``square`` job payload on a conjugated sum of n twists, and its results.
+
+    Fil^i is spanned by the columns j of A with -t_j >= i.  A filtration
+    that is not honest has its window raised by one at the top and one junk
+    direction at each index above the bottom, which the transitions send to
+    zero in the underlying space, so the junk at index 0 adds to h0 of
+    corner A and of the twisted fibre.  The results add up the one-twist
+    table: t = 0 gives (1, 1), t > 0 gives (0, 1) and t < 0 gives (0, 0).
+    """
+    frob, a, twists = conjugated_twist_sum(rng, p, n)
+    lo, hi = min(-t for t in twists), max(-t for t in twists) + (not honest)
+    levels = range(lo, hi + 1)
+    cols = {i: [j for j in range(n) if -twists[j] >= i] for i in levels}
+    junk = {i: int(not honest and i > lo) for i in levels}
+    transitions = []
+    for i in levels[:-1]:
+        src, pad = cols[i + 1], [0] * junk[i + 1]
+        if i == lo:
+            rows = [[a[r][j] for j in src] + pad for r in range(n)]
+        else:
+            rows = [[int(r == c) for c in src] + pad for r in cols[i]]
+            rows += [[0] * len(src) + [1]] * junk[i]
+        transitions.append(job_strings(rows))
+    payload = {"dim": n, "frobenius": job_strings(frob.rows),
+               "filtration": {"window": [lo, hi], "dims": [len(cols[i]) + junk[i] for i in levels],
+                              "transitions": transitions}}
+    zero = twists.count(0)
+    h0, h1 = zero + junk.get(0, 0), sum(t >= 0 for t in twists)
+    f0 = n if 0 < lo else 0 if 0 > hi else len(cols[0]) + junk[0]
+    want = {"corners": {"A": [h0, h1], "B": [f0, 0], "C": [zero, zero], "D": [n, 0]},
+            "residual": [0, 0, 0, 0], "fm_h0": h0, "fm_h1": h1}
+    return payload, want
 
 
 def rand_fcrystal(rng: random.Random, p: int, max_rank: int = 4,

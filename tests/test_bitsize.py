@@ -15,8 +15,9 @@ from math import isqrt
 
 import pytest
 
-from conftest import (HangGuard, compose, constant_gauge, oracle_q_det, oracle_t_at,
-                      oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued, scalar)
+from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge, job_strings,
+                      oracle_q_det, oracle_t_at, oracle_u_at, rand_fcrystal, rand_filtered_phi,
+                      rand_glued, scalar, twist_sum_square)
 from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
@@ -329,42 +330,35 @@ def test_one_denominator_with_a_prime_per_entry(rng, n):
         assert product.rank() == n
 
 
-def conjugated_twist_sum(rng, p: int, n: int) -> tuple[list[list[str]], int]:
-    """A Frobenius A diag(p^-t_i) A^-1 as job strings, and its Newton number -sum t_i.
-
-    The twists cycle through -3..3.  A is a rational diagonal times 8n
-    integer shears; A^-1 undoes the same steps in reverse, so nothing is
-    inverted.
-    """
-    twists = [i % 7 - 3 for i in range(n)]
-    rng.shuffle(twists)
-    a = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    a_inv = [row[:] for row in a]
-    for _ in range(8 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-3, -2, -1, 1, 2, 3))
-        for row in a:  # A <- A (1 + c e_ij): column j gains c times column i
-            row[j] += c * row[i]
-        a_inv[i] = [x - c * y for x, y in zip(a_inv[i], a_inv[j])]
-    for i in range(n):  # A <- diag(s) A
-        s = Fraction(rng.choice((1, 2, 5)), rng.choice((1, 7)))
-        a[i] = [x * s for x in a[i]]
-        for row in a_inv:
-            row[i] /= s
-    frob = QMat(a) @ QMat.diagonal([Fraction(p) ** -t for t in twists]) @ QMat(a_inv)
-    return [[str(x) for x in row] for row in frob.rows], -sum(twists)
-
-
 @pytest.mark.parametrize("n", [48, 64])
 def test_newton_of_a_conjugated_twist_sum_at_the_north_star_sizes(rng, monkeypatch, n):
-    frob, newton = conjugated_twist_sum(rng, 5, n)
+    frob, _, twists = conjugated_twist_sum(rng, 5, n)
     dets = []
     det = QMat.det
     monkeypatch.setattr(QMat, "det", lambda m: dets.append(m) or det(m))
-    payload = {"dim": n, "frobenius": frob, "filtration": {"window": [0, 0], "dims": [n]}}
+    payload = {"dim": n, "frobenius": job_strings(frob.rows),
+               "filtration": {"window": [0, 0], "dims": [n]}}
     with HangGuard(60):
-        assert results("filphi", payload, ["newton"], p=5) == {"newton": newton}
+        assert results("filphi", payload, ["newton"], p=5) == {"newton": -sum(twists)}
     assert dets == []  # every exponent is below k: no exact determinant
+
+
+@pytest.mark.parametrize("honest", [True, False], ids=["honest", "junk"])
+@pytest.mark.parametrize("n", [48, 64])
+def test_square_of_a_conjugated_twist_sum_at_the_north_star_sizes(rng, tmp_path, n, honest):
+    payload, want = twist_sum_square(rng, 5, n, honest)
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"format": 1, "prime": 5, "kind": "square", "payload": payload}),
+                    encoding="utf-8")
+    out = io.StringIO()
+    with HangGuard(60), redirect_stdout(out):
+        code = main(["compute", str(path)])
+    assert code == 0
+    assert out.getvalue().splitlines()[1:] == [
+        "kind: square", "prime: 5",
+        *(f"corner {k} h0 h1: {h0} {h1}" for k, (h0, h1) in sorted(want["corners"].items())),
+        "cartesian residual: 0 0 0 defect 0",
+        f"twisted fibre h0 h1: {want['fm_h0']} {want['fm_h1']}"]
 
 
 def test_qmat_products_sweeps_and_sums_build_no_fraction(rng, monkeypatch):
