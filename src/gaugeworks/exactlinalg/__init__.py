@@ -2,10 +2,13 @@
 
 Public surface: rational matrices (:class:`QMat`), prime-field matrices
 (:class:`FpMat`), Smith normal form over Z_(p), finitely generated modules
-in normal form, and homology of two-term complexes of such modules.
-``QMat`` and ``FpMat`` share the field-independent dense code
-(``dense.DenseMat``); each owns its ``rref`` and ``@``, and ``QMat`` its
-``det``.
+in normal form, and homology of two-term complexes of such modules.  Each
+stored form has one owner.  ``FpMat`` owns rows of ints mod p and ``QMat``
+owns integer rows over one denominator, with every method that reads or
+writes an entry; ``ModuleMap`` stores the ``QMat`` form and takes its
+canonical step, differences and block sums from ``QMat``.  ``dense.DenseMat``
+holds what reads no entry, and ``dense.kernel_rows``/``dense.solve_rows``
+the one rule that reads a kernel or a solution off an RREF.
 """
 
 from .dense import block_diag

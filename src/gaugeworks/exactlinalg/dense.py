@@ -1,39 +1,22 @@
-"""Immutable dense matrices with explicit shape: the field-independent part.
+"""Immutable dense matrices with explicit shape: what reads no entry.
 
-:class:`~.qmat.QMat` and :class:`~.fpmat.FpMat` subclass :class:`DenseMat`.
-Each field owns its kernels ``rref``, ``@`` and the pivot columns
-``_pivots()`` of its forward sweep (``QMat`` also ``det`` and its own
-``rank``).  What reads no entry is written here once for both: shapes,
+:class:`~.fpmat.FpMat` (rows of ints in [0, p)) and :class:`~.qmat.QMat`
+(integer rows over one denominator) subclass :class:`DenseMat`, and each
+owns its stored form: every method that reads or writes an entry, a checked
+public constructor (rows checked by :func:`width`) and a trusted ``_made``
+that stores its arguments as given, through which every result the library
+builds goes.  Written here once for both is what reads no entry: shapes,
 equality and hashing through the field's ``_key``, ``power``, ``rank`` and
-``column_space_basis`` read off ``_pivots()``, and ``inverse`` read off
-``rref``.  The entry-level operations here
-(``+``/``-``, ``scale``, stacking, ``take_*``, ``transpose``, block sums,
-``kron``, and ``kernel``/``solve`` read off ``rref``) work on rows of
-normalised entries, which is how ``FpMat`` stores a matrix: ints in
-[0, p).  ``QMat`` stores integer rows over one denominator instead, and
-overrides each of them to work on that form.
-
-A matrix is built by one of two paths.  The public constructors,
-``FpMat(p, rows, ncols)`` and ``QMat(rows, ncols, den=None)``, are checked:
-they reject ragged rows and check ``ncols`` (:func:`width`), and bring every
-entry to the stored form.  ``FpMat`` reduces it mod p.  ``QMat`` reads an
-int or a ``Fraction`` as it is and anything else through ``Fraction``, over
-the lcm of the denominators; given ``den``, it takes rows of ints over that
-denominator.  Either way it divides out the one gcd that makes the form
-canonical, and keeps none of the entries it was handed.  The private
-``_made`` classmethod of each field is trusted and stores its arguments as
-given: ``FpMat._made(p, rows, ncols)`` a tuple of row tuples of ints in
-[0, p), each ``ncols`` long, and ``QMat._made(num, den, ncols)`` such a
-tuple of ints over ``den`` with den > 0 and gcd(num, den) = 1 (``QMat._lowest``
-divides that gcd out first).  Every result the library builds itself goes
-through ``_made``; here through the hooks ``_like(rows, ncols)`` (``_made``
-over the field of ``self``) and ``_reduced(rows, ncols)`` (entries reduced
-mod p, then ``_made``), with ``_entry`` for scalars.
+``column_space_basis`` read off the field's ``_pivots()``, and ``inverse``
+read off its ``rref``.  So is the one rule that reads a kernel or a
+solution off a reduced row echelon form, :func:`kernel_rows` and
+:func:`solve_rows`, on integer rows whose pivot entries all equal one
+integer (1 over F_p, the stored denominator over Q); each field brings
+their result to its own form.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
 from typing import Iterable, Sequence
 
 
@@ -49,20 +32,8 @@ class DenseMat:
             if callable(value) and name not in vars(cls) and name != "__init_subclass__":
                 setattr(cls, name, value)
 
-    def _store(self, rows: tuple, ncols: int):
-        """Store rows of the given width as they are."""
-        _set_rows(self, rows)
-        _set_nrows(self, len(rows))
-        _set_ncols(self, ncols)
-        return self
-
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _check(self, other: "DenseMat"):
-        """Raise when ``other`` lives over a different field (F_p only)."""
-
-    # -- basics ------------------------------------------------------------
 
     @property
     def shape(self):
@@ -77,37 +48,6 @@ class DenseMat:
 
     def __hash__(self):
         return hash(self._key())
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
-
-    def transpose(self):
-        # zip has no rows to read the width off when there are none
-        return self._like(tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols,
-                          self.nrows)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _paired_rows(self, other):
-        self._check(other)
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return zip(self.rows, other.rows)
-
-    def __add__(self, other):
-        return self._reduced([list(map(add, r1, r2)) for r1, r2 in self._paired_rows(other)],
-                             self.ncols)
-
-    def __sub__(self, other):
-        return self._reduced([list(map(sub, r1, r2)) for r1, r2 in self._paired_rows(other)],
-                             self.ncols)
-
-    def __neg__(self):
-        return self._reduced([[-a for a in r] for r in self.rows], self.ncols)
-
-    def scale(self, c):
-        c = self._entry(c)
-        return self._reduced([[c * a for a in r] for r in self.rows], self.ncols)
 
     def power(self, k: int):
         """``self`` to the k-th power by repeated squaring (identity for k <= 0)."""
@@ -126,70 +66,8 @@ class DenseMat:
         """Checked by raising to the dimension, never beyond."""
         return self.power(max(self.nrows, 1)).is_zero()
 
-    def hstack(self, other):
-        self._check(other)
-        if self.nrows != other.nrows:
-            raise ValueError("hstack: row count mismatch")
-        return self._like(tuple([r1 + r2 for r1, r2 in zip(self.rows, other.rows)]),
-                          self.ncols + other.ncols)
-
-    def vstack(self, other):
-        self._check(other)
-        if self.ncols != other.ncols:
-            raise ValueError("vstack: column count mismatch")
-        return self._like(self.rows + other.rows, self.ncols)
-
-    def take_cols(self, idx: Sequence[int]):
-        return self._like(tuple([tuple([r[j] for j in idx]) for r in self.rows]), len(idx))
-
-    def take_rows(self, idx: Sequence[int]):
-        rows = self.rows
-        return self._like(tuple([rows[i] for i in idx]), self.ncols)
-
-    def _block_diag(self, other):
-        zero = self._entry(0)
-        right, left = (zero,) * other.ncols, (zero,) * self.ncols
-        return self._like(tuple([r + right for r in self.rows] + [left + r for r in other.rows]),
-                          self.ncols + other.ncols)
-
-    def _eye(self, n: int):
-        zero, one = self._entry(0), self._entry(1)
-        return self._like(tuple([tuple([one if i == j else zero for j in range(n)])
-                                 for i in range(n)]), n)
-
-    # -- elimination -------------------------------------------------------
-
     def rank(self) -> int:
         return len(self._pivots())
-
-    def kernel(self):
-        """Basis of the right null space, as columns (ncols x nullity)."""
-        red, pivots = self.rref()
-        zero, one = self._entry(0), self._entry(1)
-        free = [j for j in range(self.ncols) if j not in pivots]
-        cols = []
-        for f in free:
-            v = [zero] * self.ncols
-            v[f] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.rows[r][f]
-            cols.append(v)
-        return self._reduced(*rows_from_cols(cols, self.ncols))
-
-    def solve(self, target):
-        """One solution X of ``self @ X = target``, or None if inconsistent."""
-        self._check(target)
-        if target.nrows != self.nrows:
-            raise ValueError("solve: row count mismatch")
-        red, pivots = self.hstack(target).rref()
-        n = self.ncols
-        if pivots and pivots[-1] >= n:
-            return None
-        # row pc of X is the target part of the echelon row with pivot pc
-        xrows = [(self._entry(0),) * target.ncols] * n
-        for r, pc in enumerate(pivots):
-            xrows[pc] = red.rows[r][n:]
-        return self._like(tuple(xrows), target.ncols)
 
     def column_space_basis(self):
         return self.take_cols(self._pivots())
@@ -206,10 +84,36 @@ class DenseMat:
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
-# ``__setattr__`` keeps matrices immutable; construction writes the slots
-# through their descriptors
-_set_rows, _set_nrows, _set_ncols = (DenseMat.rows.__set__, DenseMat.nrows.__set__,
-                                     DenseMat.ncols.__set__)
+def kernel_rows(red: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int,
+                one: int) -> tuple[list, int]:
+    """Rows and column count of a right null space basis read off an RREF, over ``one``.
+
+    Row r of ``red`` has ``one`` at column ``pivots[r]``.  The basis column
+    of each free column f is ``one`` at f and ``-red[r][f]`` at ``pivots[r]``.
+    """
+    free = [j for j in range(ncols) if j not in pivots]
+    rows = [None] * ncols
+    for k, f in enumerate(free):
+        rows[f] = row = [0] * len(free)
+        row[k] = one
+    for r, pc in enumerate(pivots):
+        rows[pc] = [-red[r][f] for f in free]
+    return rows, len(free)
+
+
+def solve_rows(red: Sequence[Sequence[int]], pivots: Sequence[int], n: int,
+               tcols: int) -> list | None:
+    """The rows of X with A X = B, over the pivot entry of the RREF ``red`` of [A | B].
+
+    A has ``n`` columns and B ``tcols``.  Row pc of X is the B part of the
+    echelon row with pivot pc; a pivot in B means no X exists (None).
+    """
+    if pivots and pivots[-1] >= n:
+        return None
+    xrows = [(0,) * tcols] * n
+    for r, pc in enumerate(pivots):
+        xrows[pc] = red[r][n:]
+    return xrows
 
 
 def width(rows: Sequence[Sequence], ncols: int | None) -> int:
@@ -234,16 +138,6 @@ def rows_from_cols(cols: Iterable[Sequence], nrows: int) -> tuple[list, int]:
     return [[c[i] for c in cols] for i in range(nrows)], len(cols)
 
 
-def kron(a: DenseMat, b: DenseMat) -> DenseMat:
-    """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
-    a._check(b)
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append([x * y for x in ra for y in rb])
-    return a._reduced(rows, a.ncols * b.ncols)
-
-
 def span_union(empty: DenseMat, mats: Iterable[DenseMat]) -> DenseMat:
     """Basis (as columns) of the sum of ``empty`` and the spans of ``mats``."""
     combined = empty
@@ -254,5 +148,4 @@ def span_union(empty: DenseMat, mats: Iterable[DenseMat]) -> DenseMat:
 
 def block_diag(a: DenseMat, b: DenseMat) -> DenseMat:
     """The block matrix [[a, 0], [0, b]]."""
-    a._check(b)
     return a._block_diag(b)

@@ -1,48 +1,43 @@
 """Dense matrices over the prime field F_p.
 
-Entries are ints reduced to [0, p).  The kernels are plain mod-p code here,
-reducing inside each row update: the forward sweep :func:`mod_pivots`
-(hence ``rank``, ``column_space_basis`` and ``is_invertible``),
-Gauss--Jordan ``rref`` (hence ``kernel``, ``solve`` and ``inverse``) and
-``@``.  An ``FpMat`` has no ``det``: nothing in the package asks for one.
-The sweep is a module function on integer rows, so it also answers
-questions modulo a prime about matrices stored elsewhere: the ranks mod p
-of module maps, and the first reading of a ``QMat``'s rank.  The
-field-independent operations come from :class:`~.dense.DenseMat`, shared
-with :class:`~.qmat.QMat`, so the same explicit-shape discipline applies and
-empty matrices compose correctly.  This module also supplies the reduction
-mod p, the prime-mismatch check and the F_p-only helpers.
+An ``FpMat`` stores rows of ints in [0, p), and this module owns that form:
+every method that reads or writes an entry is written here on ``self.p``
+and ``FpMat._made``, and mixing two primes raises
+:class:`~gaugeworks.errors.PrimeMismatchError`.  The kernels reduce inside
+each row update: the forward sweep :func:`mod_pivots` (hence ``rank``,
+``column_space_basis`` and ``is_invertible``), Gauss--Jordan ``rref``
+(hence ``kernel`` and ``solve`` by the rule shared with ``QMat``,
+``inverse`` and :func:`quotient_projection`) and ``@``.  There is no
+``det``: nothing in the package asks for one.  The sweep is a module
+function on integer rows, so it also gives the ranks mod p of module maps
+and the first reading of a ``QMat``'s rank.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from ..errors import PrimeMismatchError
 from . import dense
-from .dense import DenseMat, rows_from_cols
+from .dense import DenseMat, kernel_rows, rows_from_cols, solve_rows
 
 
 class FpMat(DenseMat):
     __slots__ = ("p",)
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        _set_p(self, p)
         rows = tuple([tuple([int(x) % p for x in r]) for r in rows])
-        self._store(rows, dense.width(rows, ncols))
+        _fill(self, p, rows, dense.width(rows, ncols))
 
     @classmethod
     def _made(cls, p: int, rows: tuple, ncols: int) -> "FpMat":
-        """The trusted twin of ``FpMat(p, rows, ncols)``: rows stored as given."""
-        new = object.__new__(cls)
-        _set_p(new, p)
-        return new._store(rows, ncols)
-
-    def _like(self, rows: tuple, ncols: int) -> "FpMat":
-        return FpMat._made(self.p, rows, ncols)
+        """The trusted twin of ``FpMat(p, rows, ncols)``: a tuple of int tuples in
+        [0, p), each ``ncols`` long, stored as given."""
+        return _fill(object.__new__(cls), p, rows, ncols)
 
     def _reduced(self, rows, ncols: int) -> "FpMat":
+        """Integer ``rows`` reduced mod p, over the prime of ``self``."""
         p = self.p
         return FpMat._made(p, tuple([tuple([x % p for x in r]) for r in rows]), ncols)
 
@@ -53,8 +48,66 @@ class FpMat(DenseMat):
         if self.p != other.p:
             raise PrimeMismatchError(self.p, other.p)
 
-    def _entry(self, x) -> int:
-        return int(x) % self.p
+    def is_zero(self) -> bool:
+        return not any(map(any, self.rows))
+
+    def transpose(self) -> "FpMat":
+        # zip has no rows to read the width off when there are none
+        return FpMat._made(self.p, tuple(zip(*self.rows)) if self.nrows else ((),) * self.ncols,
+                           self.nrows)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _combine(self, other: "FpMat", op) -> "FpMat":
+        self._check(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return self._reduced([map(op, r1, r2) for r1, r2 in zip(self.rows, other.rows)],
+                             self.ncols)
+
+    def __add__(self, other: "FpMat") -> "FpMat":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "FpMat") -> "FpMat":
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "FpMat":
+        return self._reduced([[-x for x in r] for r in self.rows], self.ncols)
+
+    def scale(self, c) -> "FpMat":
+        c = int(c) % self.p
+        return self._reduced([[c * x for x in r] for r in self.rows], self.ncols)
+
+    def hstack(self, other: "FpMat") -> "FpMat":
+        self._check(other)
+        if self.nrows != other.nrows:
+            raise ValueError("hstack: row count mismatch")
+        return FpMat._made(self.p, tuple([r1 + r2 for r1, r2 in zip(self.rows, other.rows)]),
+                           self.ncols + other.ncols)
+
+    def vstack(self, other: "FpMat") -> "FpMat":
+        self._check(other)
+        if self.ncols != other.ncols:
+            raise ValueError("vstack: column count mismatch")
+        return FpMat._made(self.p, self.rows + other.rows, self.ncols)
+
+    def take_cols(self, idx: Sequence[int]) -> "FpMat":
+        return FpMat._made(self.p, tuple([tuple([r[j] for j in idx]) for r in self.rows]),
+                           len(idx))
+
+    def take_rows(self, idx: Sequence[int]) -> "FpMat":
+        rows = self.rows
+        return FpMat._made(self.p, tuple([rows[i] for i in idx]), self.ncols)
+
+    def _block_diag(self, other: "FpMat") -> "FpMat":
+        self._check(other)
+        right, left = (0,) * other.ncols, (0,) * self.ncols
+        return FpMat._made(self.p, tuple([r + right for r in self.rows]
+                                         + [left + r for r in other.rows]),
+                           self.ncols + other.ncols)
+
+    def _eye(self, n: int) -> "FpMat":
+        return FpMat.identity(self.p, n)
 
     # -- mod-p kernels -----------------------------------------------------
 
@@ -95,6 +148,21 @@ class FpMat(DenseMat):
         """Pivot columns of the echelon form, read off the forward sweep."""
         return list(mod_pivots(self.rows, self.p))
 
+    def kernel(self) -> "FpMat":
+        """Basis of the right null space, as columns (ncols x nullity)."""
+        red, pivots = self.rref()
+        return self._reduced(*kernel_rows(red.rows, pivots, self.ncols, 1))
+
+    def solve(self, target: "FpMat") -> "FpMat | None":
+        """One solution X of ``self @ X = target``, or None if inconsistent."""
+        self._check(target)
+        if target.nrows != self.nrows:
+            raise ValueError("solve: row count mismatch")
+        red, pivots = self.hstack(target).rref()
+        xrows = solve_rows(red.rows, pivots, self.ncols, target.ncols)
+        # the rows of an RREF over F_p are reduced already
+        return None if xrows is None else FpMat._made(self.p, tuple(xrows), target.ncols)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -123,7 +191,19 @@ class FpMat(DenseMat):
         return f"FpMat(p={self.p})[{body}]"
 
 
+# ``__setattr__`` keeps matrices immutable; construction writes the slots
+# through their descriptors
 _set_p = FpMat.p.__set__
+_set_rows, _set_nrows, _set_ncols = (DenseMat.rows.__set__, DenseMat.nrows.__set__,
+                                     DenseMat.ncols.__set__)
+
+
+def _fill(m: FpMat, p: int, rows: tuple, ncols: int) -> FpMat:
+    _set_p(m, p)
+    _set_rows(m, rows)
+    _set_nrows(m, len(rows))
+    _set_ncols(m, ncols)
+    return m
 
 
 def mod_pivots(rows: Iterable[Sequence[int]], q: int):
@@ -163,13 +243,15 @@ def rank_mod(rows: Iterable[Sequence[int]], q: int) -> int:
     return sum(1 for _ in mod_pivots(rows, q))
 
 
-# fp_kron and fp_span_union stay distinct function objects from kron and
-# span_union: bench/tracer.py rebinds module functions by identity.
 def fp_kron(a: FpMat, b: FpMat) -> FpMat:
     """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
-    return dense.kron(a, b)
+    a._check(b)
+    return a._reduced([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows],
+                      a.ncols * b.ncols)
 
 
+# fp_span_union stays a function object of its own, apart from qmat's
+# span_union: bench/tracer.py rebinds module functions by identity.
 def fp_span_union(p: int, nrows: int, mats: Iterable[FpMat]) -> FpMat:
     """Basis (as columns) of the sum of the column spans of ``mats``."""
     return dense.span_union(FpMat.zeros(p, nrows, 0), mats)
@@ -188,23 +270,17 @@ def quotient_projection(basis: FpMat) -> tuple[FpMat, FpMat]:
     """Projection pi and section sigma for ``F_p^m / span(columns of basis)``.
 
     Returns (pi, sigma) with ``pi: F_p^m -> F_p^q`` of full row rank,
-    ``ker pi = column span``, and ``pi @ sigma = identity``.
+    ``ker pi = column span``, and ``pi @ sigma = identity``.  pi is the
+    transpose of the kernel of basis^T: its row k reads off the k-th
+    non-pivot coordinate after clearing the pivot ones.  sigma keeps the
+    kernel's rows at the non-pivot coordinates, the unit vectors, and is
+    zero at the pivot ones.
     """
     p, m = basis.p, basis.nrows
     red, pivots = basis.transpose().rref()
-    # rows of `red` up to rank(basis) are an echelon basis of the span,
-    # with leading ones in the pivot coordinates.
-    echelon = [red.rows[r] for r in range(len(pivots))]
-    free = [j for j in range(m) if j not in pivots]
-    proj_rows = []
-    for f in free:
-        # functional reading off coordinate f after clearing pivot coords
-        row = [0] * m
-        row[f] = 1
-        for r, pc in enumerate(pivots):
-            row[pc] = (-echelon[r][f]) % p
-        proj_rows.append(row)
-    pi = FpMat._made(p, tuple(map(tuple, proj_rows)), m)
-    sigma = FpMat._made(p, tuple([tuple([int(i == f) for f in free]) for i in range(m)]),
-                        len(free))
+    cols, q = kernel_rows(red.rows, pivots, m, 1)
+    pi = FpMat._made(p, tuple([tuple([x % p for x in row]) for row in zip(*cols)]), m)
+    zero = (0,) * q
+    sigma = FpMat._made(p, tuple([zero if i in pivots else tuple(cols[i]) for i in range(m)]),
+                        q)
     return pi, sigma

@@ -5,33 +5,33 @@ increasing list of torsion exponents e_i (the module is free^rank + sum of
 cyclics of order p^{e_i}).  Equality of modules is equality of this data.
 Maps carry a chosen presentation: a matrix in the standard generators, free
 generators first, then torsion generators, stored in one form only: integer
-rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  Every
-decision about that form lives here: chain products (a diagonal factor
-scales, a dense one multiplies), differences, block sums, "c times the
-identity as a map", the Smith exponents and kernels of
+rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  That is
+the form a :class:`~.qmat.QMat` stores, so the canonical step, differences
+and block sums are ``QMat``'s.  What is decided here reads N as it is:
+chain products (a diagonal factor scales, a dense one multiplies), "c times
+the identity as a map", the Smith exponents and kernels of
 ``homology_two_term``, and the ranks mod p behind ``is_isomorphism`` and
-``reduced_cokernel_dim``.  All of them read N as it is: scaling by the
-p-unit D changes no exponent, no kernel and no rank mod p.  The two
-questions about the reduction mod p need no Smith form: relations vanish
-mod p, so M / pM is F_p^ngens and N mod p is the map on it, and by
-Nakayama a map is onto exactly when it is onto mod p.  A
-:class:`~.qmat.QMat` stores the same form, so the constructor reads N and
-D off the matrix it is given, and the read-only ``matrix`` and
-``rational_matrix`` hand them back without building a Fraction.  Homology
-comes out in Smith normal form again, so it does not depend on the
-presentation.
+``reduced_cokernel_dim``; scaling by the p-unit D changes no exponent, no
+kernel and no rank mod p.  The two questions about the reduction mod p need
+no Smith form: relations vanish mod p, so M / pM is F_p^ngens and N mod p
+is the map on it, and by Nakayama a map is onto exactly when it is onto mod
+p.  The constructor reads N and D off the ``QMat`` it is given, and the
+read-only ``matrix`` and ``rational_matrix`` hand them back without
+building a Fraction.  Homology comes out in Smith normal form again, so it
+does not depend on the presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
+from .dense import block_diag
 from .fpmat import rank_mod
-from .qmat import QMat
+from .qmat import QMat, _canonical
 from .rationals import check_prime, format_rational
 from .snf import _eliminate, _v_columns
 
@@ -173,23 +173,18 @@ class ModuleMap:
         if self.source != other.source or self.target != other.target:
             raise ValueError("can only subtract parallel maps")
         # both maps are p-integral, and valuations >= f - e survive subtraction
-        d1, d2 = self.den, other.den
-        return _lowest(self.source, self.target, [[x * d2 - y * d1 for x, y in zip(r1, r2)]
-                                                  for r1, r2 in zip(self.rows, other.rows)],
-                       d1 * d2)
+        d = self.matrix - other.matrix
+        return ModuleMap._made(self.source, self.target, d.num, d.den)
 
     def direct_sum(self, other: "ModuleMap") -> "ModuleMap":
         """The block sum, with generators in the order of :meth:`FGModule.direct_sum`."""
-        # each block keeps gcd 1 with its own den, hence with their lcm
-        d = lcm(self.den, other.den)
-        s1, s2 = d // self.den, d // other.den
-        rows = [[s1 * x for x in r] + [0] * other.source.ngens for r in self.rows] + \
-               [[0] * self.source.ngens + [s2 * x for x in r] for r in other.rows]
-        cols = _sum_order(self.source, other.source)
+        m = block_diag(self.matrix, other.matrix)
+        rows, cols = m.num, _sum_order(self.source, other.source)
+        # permuting rows and columns keeps the form canonical
         return ModuleMap._made(self.source.direct_sum(other.source),
                                self.target.direct_sum(other.target),
                                tuple([tuple([rows[i][j] for j in cols])
-                                      for i in _sum_order(self.target, other.target)]), d)
+                                      for i in _sum_order(self.target, other.target)]), m.den)
 
     def is_scalar(self, c: int) -> bool:
         """``self`` is c times the identity as a map.
@@ -278,15 +273,7 @@ def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
     A product of torsion-respecting matrices respects torsion: the
     valuations of the factors add up along each path.
     """
-    return _lowest(source, target, *_int_product(source, maps, c))
-
-
-def _lowest(source: FGModule, target: FGModule, rows, den: int) -> ModuleMap:
-    """The lawful map ``rows / den`` (den a positive p-unit), gcd(rows, den) divided out."""
-    g = gcd(den, *(x for r in rows for x in r)) if den > 1 else 1
-    if g > 1:
-        rows, den = [[x // g for x in r] for r in rows], den // g
-    return ModuleMap._made(source, target, tuple(map(tuple, rows)), den)
+    return ModuleMap._made(source, target, *_canonical(*_int_product(source, maps, c)))
 
 
 def _quotient(p: int, rows: list[list[int]]) -> FGModule:

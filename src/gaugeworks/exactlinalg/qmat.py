@@ -3,13 +3,16 @@
 A :class:`QMat` is an immutable matrix with explicit shape (so zero-row and
 zero-column matrices behave), stored in one form only: integer rows
 ``num`` over one denominator ``den``, with ``den > 0`` and
-gcd(num, den) = 1, so a zero or empty matrix has ``den == 1``.  Equality
-and hashing read (shape, num, den).  Every operation reads and writes
-``num``: ``@`` is N1 N2 over D1 D2, sums, stacks and block sums first bring
-both numerators over the lcm of the two denominators, and one gcd keeps a
-result canonical where entries can share a factor with its denominator.
-A :class:`~fractions.Fraction` is built only when ``rows`` or ``m[i, j]``
-is read, once per matrix.  The public constructor reads ints and Fractions
+gcd(num, den) = 1, so a zero or empty matrix has ``den == 1``.  This module
+owns that form: every method that reads or writes an entry is written here
+on ``num`` and ``den``, and :func:`_canonical` is the one step that divides
+gcd(num, den) out, for :class:`~.modules.ModuleMap` too, which stores the
+same form.  Equality and hashing read (shape, num, den).  ``@`` is N1 N2
+over D1 D2; sums, stacks and block sums first bring both numerators over
+the lcm of the two denominators, and one gcd keeps a result canonical where
+entries can share a factor with its denominator.  A
+:class:`~fractions.Fraction` is built only when ``rows`` or ``m[i, j]`` is
+read, once per matrix.  The public constructor reads ints and Fractions
 through their numerator and denominator and keeps none of them;
 ``QMat(num, ncols, den=d)`` takes the stored form itself, rows of ints over
 one denominator, and divides out their common gcd.
@@ -18,16 +21,17 @@ There are two eliminations, both on the primitive rows of ``num`` (scaling
 a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
 without back-substitution; ``column_space_basis`` (hence the span helpers
 below) and ``det``, which is det(num) / den^n, read it.  Gauss--Jordan
-``rref`` serves where reduced rows are read: ``kernel``, ``solve`` and
-``inverse``.  ``rank`` (hence ``is_invertible``) first reads the rank of
-``num`` modulo the word prime ``RANK_PRIME``: that rank is never above the
-rank over Q, so when it is full it is the answer, and only otherwise does
-``rank`` run ``_sweep``.  The pivot columns modulo a prime can differ from
-those over Q even at equal rank, so every routine that reads pivots keeps
-the exact sweeps.  Shapes, ``power``
-and the rest that reads no entry come from :class:`~.dense.DenseMat`,
-shared with :class:`~.fpmat.FpMat`.  Everything is exact; nothing here
-ever touches a float.
+``rref`` serves where reduced rows are read: ``kernel`` and ``solve``, by
+the rule shared with ``FpMat`` (:func:`~.dense.kernel_rows`,
+:func:`~.dense.solve_rows`), and ``inverse``.  ``rank`` (hence
+``is_invertible``) first reads the rank of ``num`` modulo the word prime
+``RANK_PRIME``: that rank is never above the rank over Q, so when it is
+full it is the answer, and only otherwise does ``rank`` run ``_sweep``.
+The pivot columns modulo a prime can differ from those over Q even at equal
+rank, so every routine that reads pivots keeps the exact sweeps.  What
+reads no entry (shapes, ``power``, ``inverse``) comes from
+:class:`~.dense.DenseMat`.  Everything is exact; nothing here ever touches
+a float.
 
 >>> a = QMat([[1, "1/2"], [0, "1/3"]])
 >>> a.num, a.den
@@ -49,7 +53,7 @@ from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from . import dense
-from .dense import DenseMat, rows_from_cols
+from .dense import DenseMat, kernel_rows, rows_from_cols, solve_rows
 from .fpmat import rank_mod
 
 # A prime below 2^30: the rank of ``num`` modulo it is a lower bound on the
@@ -333,27 +337,16 @@ class QMat(DenseMat):
     def kernel(self) -> "QMat":
         """Basis of the right null space, as columns (ncols x nullity)."""
         red, pivots = self.rref()
-        d = red.den
-        free = [j for j in range(self.ncols) if j not in pivots]
-        # column f is e_f minus R[r, f] at each pivot column pc, times d
-        rows = [[d if j == f else 0 for f in free] for j in range(self.ncols)]
-        for r, pc in enumerate(pivots):
-            rows[pc] = [-red.num[r][f] for f in free]
-        return QMat._lowest(rows, d, len(free))
+        rows, n = kernel_rows(red.num, pivots, self.ncols, red.den)
+        return QMat._lowest(rows, red.den, n)
 
     def solve(self, target: "QMat") -> "QMat | None":
         """One solution X of ``self @ X = target``, or None if inconsistent."""
         if target.nrows != self.nrows:
             raise ValueError("solve: row count mismatch")
         red, pivots = self.hstack(target).rref()
-        n = self.ncols
-        if pivots and pivots[-1] >= n:
-            return None
-        # row pc of X is the target part of the echelon row with pivot pc
-        xrows = [(0,) * target.ncols] * n
-        for r, pc in enumerate(pivots):
-            xrows[pc] = red.num[r][n:]
-        return QMat._lowest(xrows, red.den, target.ncols)
+        xrows = solve_rows(red.num, pivots, self.ncols, target.ncols)
+        return None if xrows is None else QMat._lowest(xrows, red.den, target.ncols)
 
     # -- constructors ------------------------------------------------------
 
@@ -413,14 +406,14 @@ _get_rows, _set_rows = DenseMat.rows.__get__, DenseMat.rows.__set__
 _set_nrows, _set_ncols = DenseMat.nrows.__set__, DenseMat.ncols.__set__
 
 
-# kron and span_union stay distinct function objects from fp_kron and
-# fp_span_union: bench/tracer.py rebinds module functions by identity.
 def kron(a: QMat, b: QMat) -> QMat:
     """Kronecker product; basis e_i (x) f_j maps to index i*b.nrows + j."""
     return QMat._lowest([[x * y for x in ra for y in rb] for ra in a.num for rb in b.num],
                         a.den * b.den, a.ncols * b.ncols)
 
 
+# span_union stays a function object of its own, apart from fpmat's
+# fp_span_union: bench/tracer.py rebinds module functions by identity.
 def span_union(nrows: int, mats: Iterable[QMat]) -> QMat:
     """Basis (as columns) of the sum of the column spans of ``mats``."""
     mats = list(mats)

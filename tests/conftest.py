@@ -65,7 +65,7 @@ class HangGuard:
 
 # Test modules in which every trusted construction is rebuilt and compared.
 RECHECKED_MODULES = {"test_exactlinalg", "test_redlocus", "test_higgs", "test_fgauge",
-                     "test_beilinson"}
+                     "test_beilinson", "test_filphi", "test_acceptance"}
 
 
 def assert_same_matrix(made, rebuilt, entry_type):

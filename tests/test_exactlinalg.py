@@ -2,7 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -11,8 +11,8 @@ from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
                       oracle_fp_two_term, oracle_is_isomorphism, oracle_q_det,
                       oracle_q_matmul, oracle_q_rank, oracle_q_rref,
                       oracle_reduced_cokernel_dim, oracle_snf, qmat_rows,
-                      compose, rand_fcrystal, rand_unimodular, relation_matrix,
-                      scalar)
+                      compose, rand_fcrystal, rand_fp_invertible, rand_unimodular,
+                      relation_matrix, scalar)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     check_prime, format_rational,
@@ -1435,3 +1435,160 @@ def test_module_level_matrix_functions_are_distinct_objects():
     # the benchmark tracer rebinds module functions by identity
     from gaugeworks.exactlinalg import fp_kron, fp_span_union, kron, span_union
     assert kron is not fp_kron and span_union is not fp_span_union
+
+
+# ---------------------------------------------------------------------------
+# quotient projections, QMat's vector helpers, and module map sums
+# ---------------------------------------------------------------------------
+
+
+def quotient_basis(rng, p, trial):
+    """An m x k basis over F_p: m = 0, k = 0, full rank, or dependent columns."""
+    m = 0 if trial == 0 else rng.randint(1, 6)
+    if trial == 1:
+        return FpMat(p, [[]] * m, ncols=0)
+    if trial == 2:
+        return rand_fp_invertible(rng, p, m)
+    rows = rand_rows(rng, p, m, rng.randint(1, 6))
+    for row in rows:  # one more column, the sum of the first two
+        row.append(row[0] + row[min(1, len(row) - 1)])
+    return FpMat(p, rows)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+@pytest.mark.parametrize("trial", range(10))
+def test_quotient_projection_meets_its_contract(rng, p, trial):
+    from gaugeworks.exactlinalg import quotient_projection
+    reseed(rng, "quotient", p, trial)
+    basis = quotient_basis(rng, p, trial)
+    m, k = basis.shape
+    rows = [list(r) for r in basis.rows]
+    r = oracle_fp_rank(p, rows)
+    pi, sigma = quotient_projection(basis)
+    q = m - r
+    assert pi.shape == (q, m) and sigma.shape == (m, q)
+    pi_rows, sigma_rows = [list(x) for x in pi.rows], [list(x) for x in sigma.rows]
+    assert oracle_fp_matmul(p, pi_rows, rows, k) == [[0] * k] * q
+    assert oracle_fp_rank(p, pi_rows) == q
+    assert oracle_fp_matmul(p, pi_rows, sigma_rows, q) == [[int(i == j) for j in range(q)]
+                                                           for i in range(q)]
+    _, pivots = oracle_fp_rref(p, [list(c) for c in zip(*rows)], m)
+    for j in range(q):
+        col = [row[j] for row in sigma_rows]
+        assert sorted(col) == [0] * (m - 1) + [1]
+        assert col.index(1) not in pivots
+    if trial == 2:
+        assert q == 0
+
+
+def frac_vector(rng, n):
+    return [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7])) for _ in range(n)]
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_qmat_apply_matches_the_fraction_sum(rng, trial):
+    reseed(rng, "apply", trial)
+    m, n = rng.randint(0, 5), rng.randint(0, 5) if trial else 0
+    rows = [frac_vector(rng, n) for _ in range(m)]
+    a, v = QMat(rows, ncols=n), frac_vector(rng, n)
+    want = tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in rows)
+    assert a.apply(v) == want
+    assert a.apply([str(x) for x in v]) == want
+    with pytest.raises(ValueError, match="vector of wrong length"):
+        a.apply(v + [1])
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_qmat_in_column_span_matches_the_oracle_rank(rng, trial):
+    reseed(rng, "span", trial)
+    m, n = rng.randint(1, 5), rng.randint(0, 4) if trial else 0
+    rows = rand_rows(rng, None, m, n)
+    a = QMat(rows, ncols=n)
+    inside = [x[0] for x in oracle_q_matmul(rows, [[x] for x in frac_vector(rng, n)], 1)]
+    assert a.in_column_span(inside)
+    assert a.in_column_span([0] * m)
+    v = frac_vector(rng, m)
+    r = oracle_q_rank(rows)
+    assert a.in_column_span(v) == (oracle_q_rank([row + [x] for row, x in zip(rows, v)]) == r)
+    if r < m:
+        # e_f at a non-pivot coordinate f of rref(a^T) is zero at every pivot
+        # coordinate, so it is off the row space of a^T, the span of a
+        _, pivots = oracle_q_rref([list(c) for c in zip(*rows)], m)
+        f = next(j for j in range(m) if j not in pivots)
+        assert not a.in_column_span([int(j == f) for j in range(m)])
+    with pytest.raises(ValueError):
+        a.in_column_span([0] * (m + 1))
+
+
+def map_over(rng, p, src, tgt, den):
+    """A lawful map ``src -> tgt`` stored over exactly ``den``: entry (0, 0) is free
+    to free and has ``den`` as its denominator."""
+    rows = []
+    for i in range(tgt.ngens):
+        f = tgt.order_exponent(i)
+        row = []
+        for j in range(src.ngens):
+            e = src.order_exponent(j)
+            x = Fraction(rng.randint(-20, 20), den)
+            if e is not None and f is None:
+                x = 0
+            elif e is not None and f > e:
+                x *= p ** (f - e)
+            row.append(x)
+        rows.append(row)
+    rows[0][0] = Fraction(rng.randint(-20, 20) * den + 1, den)
+    got = ModuleMap(src, tgt, QMat(rows, ncols=src.ngens))
+    assert got.den == den
+    return got
+
+
+def map_fractions(f):
+    return [[Fraction(x, f.den) for x in r] for r in f.rows]
+
+
+def assert_canonical(f, want):
+    """``f`` holds the Fraction rows ``want`` in the one stored form."""
+    assert map_fractions(f) == want
+    assert f.den == lcm(*(x.denominator for r in want for x in r))
+    assert gcd(f.den, *(x for r in f.rows for x in r)) == 1
+
+
+# p-unit denominators whose lcm is below their product
+UNIT_DENS = [(5, 6, 21), (7, 10, 15), (2, 15, 35)]
+
+
+@pytest.mark.parametrize("p, d1, d2", UNIT_DENS)
+@pytest.mark.parametrize("trial", range(4))
+def test_module_map_difference_matches_fraction_oracles(rng, p, d1, d2, trial):
+    reseed(rng, "mapsub", p, trial)
+    src, tgt = FGModule(p, 1 + trial % 2, (1, 2)), FGModule(p, 2, (1,) * (trial % 3))
+    f, g = map_over(rng, p, src, tgt, d1), map_over(rng, p, src, tgt, d2)
+    want = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(map_fractions(f),
+                                                               map_fractions(g))]
+    diff = f - g
+    assert (diff.source, diff.target) == (src, tgt)
+    assert_canonical(diff, want)
+    assert (f - f).den == 1 and not any(map(any, (f - f).rows))
+    other = FGModule(p, 3, (2,))  # neither src nor tgt
+    for h in (map_over(rng, p, other, tgt, d2), map_over(rng, p, src, other, d2)):
+        with pytest.raises(ValueError, match="can only subtract parallel maps"):
+            f - h
+
+
+@pytest.mark.parametrize("p, d1, d2", UNIT_DENS)
+@pytest.mark.parametrize("trial", range(4))
+def test_module_map_block_sum_matches_fraction_oracles(rng, p, d1, d2, trial):
+    reseed(rng, "mapsum", p, trial)
+    a, b = FGModule(p, 1, (2,) * (trial % 2) + (3,)), FGModule(p, 1 + trial % 2, (1, 3))
+    c, d = FGModule(p, 2, (1,)), FGModule(p, 1, (2,) * (trial % 3))
+    f, g = map_over(rng, p, a, b, d1), map_over(rng, p, c, d, d2)
+    total = f.direct_sum(g)
+    assert (total.source, total.target) == (a.direct_sum(c), b.direct_sum(d))
+    want = [[Fraction(0)] * total.source.ngens for _ in range(total.target.ngens)]
+    for h, (rs, cs) in ((f, (_sum_positions(b, d)[0], _sum_positions(a, c)[0])),
+                        (g, (_sum_positions(b, d)[1], _sum_positions(a, c)[1]))):
+        for i, row in zip(rs, map_fractions(h)):
+            for j, x in zip(cs, row):
+                want[i][j] = x
+    assert_canonical(total, want)
+    assert total.den == lcm(d1, d2)
