@@ -32,6 +32,7 @@ from .beilinson import corners, fm_fibre, verify_cartesian
 from .errors import LawViolation, SchemaError
 from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
                           format_rational, rational_pair)
+from .exactlinalg.rationals import format_ratio
 from .fgauge import (FCrystalPoint, FpGauge, gauge_from_fcrystal,
                      hodge_tate_weights, rational_realization,
                      syntomic_cohomology, twist_gauge)
@@ -385,8 +386,9 @@ def run_job(doc: dict, prime_flag: int | None):
         if "realization" in outputs:
             phi = rational_realization(g)
             results["realization_dim"] = phi.dim
-            results["realization_frobenius"] = [[num(x) for x in row]
-                                                for row in phi.frobenius.rows]
+            f = phi.frobenius
+            results["realization_frobenius"] = [[format_ratio(x, f.den) for x in row]
+                                                for row in f.num]
             lines.append(f"rational realization dim: {num(phi.dim)}")
 
     elif kind == "reduced":

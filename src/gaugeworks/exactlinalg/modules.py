@@ -279,14 +279,12 @@ def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
 def _quotient(p: int, rows: list[list[int]]) -> FGModule:
     """Z_(p)^len(rows) modulo the columns of the integer matrix ``rows``."""
     n = len(rows)
-    exps = [e for e, *_ in _eliminate(rows, p)]
+    return _module(p, n, [e for e, *_ in _eliminate(rows, p)])
+
+
+def _module(p: int, n: int, exps) -> FGModule:
+    """Z_(p)^n modulo a matrix with Smith exponents ``exps``."""
     return FGModule(p, n - len(exps), tuple(sorted(e for e in exps if e > 0)))
-
-
-def _kernel_columns(rows: list[list[int]], ncols: int, p: int) -> list[list[int]]:
-    """A Z_(p)-kernel basis of an integer matrix, each column scaled by a p-unit."""
-    exps, vcols = _v_columns(rows, ncols, p)
-    return [w for w, _ in vcols[len(exps):]]
 
 
 def _with_relations(rows: Sequence[Sequence[int]], m: FGModule) -> list[list[int]]:
@@ -304,26 +302,38 @@ def cokernel(d: ModuleMap) -> FGModule:
 
 
 def kernel(d: ModuleMap) -> FGModule:
-    """ker(d) in Smith normal form.
-
-    Generators: lifts g with d(g) in the target's relation lattice, found as
-    the projection of the free kernel of [matrix | relations]; relations:
-    coefficient vectors landing in the source's relation lattice.
-    """
-    p, src, tgt = d.prime, d.source, d.target
-    n = src.ngens
-    lifts = _kernel_columns(_with_relations(d.rows, tgt), n + len(tgt.torsion), p)
-    if not lifts:
-        return zero_module(p)
-    k = len(lifts)
-    rels = _kernel_columns(_with_relations([[w[i] for w in lifts] for i in range(n)], src),
-                           k + len(src.torsion), p)
-    return _quotient(p, [[w[i] for w in rels] for i in range(k)])
+    """ker(d) in Smith normal form, read off the sweep of :func:`homology_two_term`."""
+    return homology_two_term(d)[0]
 
 
 def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
-    """(H0, H1) = (kernel, cokernel) of  source --d--> target  in degrees 0 -> 1."""
-    return kernel(d), cokernel(d)
+    """(H0, H1) = (kernel, cokernel) of  source --d--> target  in degrees 0 -> 1.
+
+    One Smith sweep of [N | relations of the target] gives both.  Its
+    exponents present the cokernel.  The columns of V over its zero
+    diagonal are a basis of the free kernel of that matrix; their first
+    ngens(source) coordinates are lifts g with d(g) in the target's relation
+    lattice, and they generate ker(d).  The lifts are independent: a
+    combination of the basis whose lifts part vanishes is (0, y) with the
+    relations times y zero, and the relation columns p^e e_k are injective,
+    so y = 0.  Out of a torsion-free source the kernel is therefore free of
+    rank the nullity of the swept matrix, and the sweep need not build V.
+    Otherwise the kernel's relations are the coefficient vectors whose lift
+    lands in the source's relation lattice, the kernel of [lifts | relations
+    of the source], and its exponents come from a last sweep.
+    """
+    p, src, tgt = d.prime, d.source, d.target
+    rows = _with_relations(d.rows, tgt)
+    ncols = src.ngens + len(tgt.torsion)
+    if not src.torsion:
+        exps = [e for e, *_ in _eliminate(rows, p)]
+        return FGModule(p, ncols - len(exps)), _module(p, tgt.ngens, exps)
+    exps, vcols, _ = _v_columns(rows, ncols, p)
+    k = ncols - len(exps)
+    lifts = [[w[i] for w, _ in vcols[len(exps):]] for i in range(src.ngens)]
+    rexps, rcols, _ = _v_columns(_with_relations(lifts, src), k + len(src.torsion), p)
+    rels = [w for w, _ in rcols[len(rexps):]]
+    return _quotient(p, [[w[i] for w in rels] for i in range(k)]), _module(p, tgt.ngens, exps)
 
 
 def reduced_cokernel_dim(target: FGModule, maps: Sequence[ModuleMap]) -> int:

@@ -197,11 +197,27 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x) -> str:
     """Inverse of :func:`parse_rational`; integers print without a slash.
 
-    Exact at any size: ``Decimal`` prints an int in full, where ``str``
-    stops at the interpreter's 4300-digit limit.
+    Exact at any size, through :func:`format_ratio`.
     """
     x = Fraction(x)
-    num = str(Decimal(x.numerator))
-    if x.denominator == 1:
-        return num
-    return f"{num}/{Decimal(x.denominator)}"
+    return format_ratio(x.numerator, x.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """``num / den`` (den > 0) in lowest terms, as :func:`format_rational` prints it.
+
+    One gcd, and no Fraction.  Each part is ``str`` of an int, or past the
+    interpreter's 4300-digit limit, where ``str`` raises, ``Decimal``'s
+    exact print of it.
+    """
+    g = gcd(num, den)
+    if g > 1:
+        num, den = num // g, den // g
+    return _digits(num) if den == 1 else f"{_digits(num)}/{_digits(den)}"
+
+
+def _digits(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # past the digit limit
+        return str(Decimal(n))

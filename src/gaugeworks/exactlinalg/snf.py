@@ -29,10 +29,13 @@ never come here.  :func:`smith_exponents` takes the exponents alone; no
 route in the package calls it, and it is kept as library API.
 :func:`smith_normal_form` and :func:`kernel_over_zp` also build V, equal to
 that of plain Fraction elimination: V depends only on the ratios
-a_kj / a_kk within pivot rows.
+a_kj / a_kk within pivot rows.  :func:`smith_normal_form` reads V^{-1} off
+the same rows, with no inversion: row k of V^{-1} is the k-th pivot row over
+its pivot, each entry at its column's original index, and the rows past the
+rank are unit rows at the columns that never pivoted (proved at :class:`SNF`).
 No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
 a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
-from M V.
+from M V, and V^{-1} U^{-1} as V^{-1} (M V) D^{-1}.
 """
 
 from __future__ import annotations
@@ -46,14 +49,34 @@ from .rationals import check_prime, vp_int
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V = D with U, V invertible over Z_(p); only V is kept.
+    """U @ M @ V = D with U, V invertible over Z_(p); V and V^{-1} are kept.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries of D,
     weakly increasing; the remaining diagonal of D is zero.
+
+    Lemma.  Row k < r of ``v_inv`` (r the rank) is the k-th pivot row of the
+    sweep divided by its pivot, each live column's entry at that column's
+    original index and 0 at the columns pivoted before; row r + i is the
+    unit row at the original index of the i-th column that never pivoted.
+
+    Proof.  Label each live column by its original index; swaps move labels
+    with the columns.  At step k the sweep's only column operations replace
+    each later live column c by c - (a_kj / a_kk) c_k, where c_k is the
+    pivot column, from then on V's column k.  So the column that carries
+    label L before step k equals the one after it plus (a_kj / a_kk) times
+    V's column k, and the pivot column itself is V's column k, with ratio 1.
+    Starting from e_L and ending in V's column for L, this gives
+    e_L = sum over k of (a_kj / a_kk) V e_k, one term per pivot row that met
+    L live, plus V's column for L itself when L never pivoted.  Row k of
+    the matrix named above holds exactly those coefficients, so V times it
+    is the identity.  The sweep's row operations (swaps, unit scalings and
+    content division of whole rows) leave every ratio within a row as it
+    is, so the integer rows give the same ratios as M itself.
     """
 
     prime: int
     v: QMat
+    v_inv: QMat
     exponents: tuple[int, ...]
 
     @property
@@ -176,20 +199,26 @@ def exponents_mod_power(rows, p: int) -> list[int]:
 
 
 def _v_columns(rows: list[list[int]], nc: int, p: int):
-    """Exponents and V's columns for the integer ``rows`` with ``nc`` columns.
+    """Exponents, V's columns and V^{-1}'s rows for the integer ``rows`` with ``nc`` columns.
 
-    A column of V is a pair (integer column w, denominator t), meaning w / t;
-    t is a p-unit.
+    A column of V or a row of V^{-1} is a pair (integer vector w, p-unit t),
+    meaning w / t.  Row k of V^{-1} is the k-th pivot row over its pivot
+    p^e u, placed at the live columns' original indices (see :class:`SNF`).
     """
     vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
-    exps, v_done = [], []
+    labels = list(range(nc))
+    exps, v_done, v_inv = [], [], []
     for e, bj, prow, pe, unit in _eliminate(rows, p):
         vcols[0], vcols[bj] = vcols[bj], vcols[0]
+        labels[0], labels[bj] = labels[bj], labels[0]
         # column j of V gains -(a_kj / a_kk) times the pivot column
         w0, t0 = vcols.pop(0)
+        inv = [0] * nc
+        inv[labels.pop(0)] = unit
         for j, a in enumerate(prow[1:]):
             q = a // pe
             if q:
+                inv[labels[j]] = q
                 w, t = vcols[j]
                 c = unit * t0
                 w = [c * x - q * t * y for x, y in zip(w, w0)]
@@ -197,26 +226,32 @@ def _v_columns(rows: list[list[int]], nc: int, p: int):
                 g = gcd(*w, t)
                 vcols[j] = ([x // g for x in w], t // g) if g > 1 else (w, t)
         v_done.append((w0, t0))
+        v_inv.append((inv, unit))
         exps.append(e)
-    return tuple(exps), v_done + vcols
+    v_inv += [([1 if i == j else 0 for i in range(nc)], 1) for j in labels]
+    return tuple(exps), v_done + vcols, v_inv
 
 
-def _from_cols(cols, n: int) -> QMat:
-    """The QMat whose columns are the pairs (w, t) read as w / t."""
-    d = lcm(*(t for _, t in cols))
-    return QMat._lowest([[w[i] * (d // t) for w, t in cols] for i in range(n)], d, len(cols))
+def _from_rows(rows, n: int) -> QMat:
+    """The QMat whose rows, each ``n`` long, are the pairs (w, t) read as w / t."""
+    d = lcm(*(t for _, t in rows))
+    return QMat._lowest([[x * (d // t) for x in w] for w, t in rows], d, n)
 
 
 def smith_normal_form(m: QMat, p: int) -> SNF:
     """Diagonalize ``m`` by unimodular row and column operations over Z_(p).
 
     >>> from .qmat import QMat
-    >>> smith_normal_form(QMat([[2, 3], [3, 9]]), 3).exponents
+    >>> s = smith_normal_form(QMat([[2, 3], [3, 9]]), 3)
+    >>> s.exponents
     (0, 2)
+    >>> s.v_inv @ s.v == QMat.identity(2)
+    True
     """
     rows, shift = _integral_rows(m, p)
-    exps, vcols = _v_columns(rows, m.ncols, p)
-    return SNF(p, _from_cols(vcols, m.ncols), tuple(e - shift for e in exps))
+    exps, vcols, v_inv = _v_columns(rows, m.ncols, p)
+    return SNF(p, _from_rows(vcols, m.ncols).transpose(), _from_rows(v_inv, m.ncols),
+               tuple(e - shift for e in exps))
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -225,8 +260,8 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    exps, vcols = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
-    return _from_cols(vcols[len(exps):], m.ncols)
+    exps, vcols, _ = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
+    return _from_rows(vcols[len(exps):], m.ncols).transpose()
 
 
 __all__ = ["SNF", "smith_normal_form", "smith_exponents", "exponents_mod_power",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import LawViolation, PrimeMismatchError
 from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, check_prime,
@@ -259,9 +260,14 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
         us.append(ModuleMap.diagonal(free, [1 if d < i else p for d in exps]))
     # in the bases B_i = V diag(p^{max(i - d_j, 0)}), tau of the gauge is
     # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} tau_crys V diag(p^{-d_j}), which
-    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular (checked)
-    unscale = QMat.diagonal([Fraction(p) ** -d for d in exps])
-    tau = ModuleMap(free, free, s.v.solve(c.tau_crys @ s.v @ unscale))
+    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular (checked).
+    # V^{-1} comes with the Smith form, and diag(p^{-d_j}) scales columns:
+    # column j of N / D becomes N p^(top - d_j) / (D p^top)
+    tv = s.v_inv @ (c.tau_crys @ s.v)
+    top = max(b, 0)
+    scale = [p ** (top - d) for d in exps]
+    tau = ModuleMap(free, free, QMat._lowest([list(map(mul, r, scale)) for r in tv.num],
+                                             tv.den * p ** top, c.rank))
     return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
 
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import pytest
 
-from gaugeworks.exactlinalg import (FpMat, ModuleMap, QMat, cokernel, fp_kron,
+from gaugeworks.exactlinalg import (FGModule, FpMat, ModuleMap, QMat, cokernel, fp_kron,
                                     fp_span_union, smith_exponents)
 from gaugeworks.exactlinalg.modules import _quotient
 from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
@@ -356,6 +356,29 @@ def oracle_is_isomorphism(m: ModuleMap) -> bool:
     """The former route of ``ModuleMap.is_isomorphism``: the full Smith form of
     the cokernel, against the rank mod p that the library reads."""
     return m.source == m.target and cokernel(m).is_zero()
+
+
+def oracle_module_kernel(d: ModuleMap) -> FGModule:
+    """The former route of ``kernel``, with its second elimination always run.
+
+    The lifts are the Z_(p)-kernel of [matrix | relations of the target],
+    projected to the source's generators; the relations step then takes the
+    kernel of [lifts | relations of the source] and presents the quotient.
+    Every step is a Fraction Smith form (:func:`oracle_snf`), also out of a
+    torsion-free source, where the library reads a free kernel off the lifts
+    alone.
+    """
+    p, src, n = d.prime, d.source, d.source.ngens
+
+    def kernel_cols(m: QMat, rows: int) -> QMat:
+        o = oracle_snf(m, p)
+        return o.v.take_cols(list(range(o.rank, m.ncols))).take_rows(list(range(rows)))
+
+    lifts = kernel_cols(d.matrix.hstack(relation_matrix(d.target)), n)
+    k = lifts.ncols
+    rels = kernel_cols(lifts.hstack(relation_matrix(src)), k)
+    exps = oracle_snf(rels, p).exponents
+    return FGModule(p, k - len(exps), tuple(sorted(e for e in exps if e > 0)))
 
 
 def oracle_reduced_cokernel_dim(target, maps) -> int:

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge, job_strings,
                       oracle_q_det, oracle_t_at, oracle_u_at, rand_fcrystal, rand_filtered_phi,
-                      rand_glued, scalar, twist_sum_square)
+                      rand_glued, rand_unimodular, scalar, twist_sum_square)
 from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
@@ -359,6 +359,31 @@ def test_square_of_a_conjugated_twist_sum_at_the_north_star_sizes(rng, tmp_path,
         *(f"corner {k} h0 h1: {h0} {h1}" for k, (h0, h1) in sorted(want["corners"].items())),
         "cartesian residual: 0 0 0 defect 0",
         f"twisted fibre h0 h1: {want['fm_h0']} {want['fm_h1']}"]
+
+
+@pytest.mark.parametrize("n", [32, 48])
+def test_fcrystal_job_at_the_north_star_sizes(rng, tmp_path, n):
+    # tau = U diag(p^e) U^-1 splits into twists: syntomic H0 = H1 = free of
+    # rank #{e = 0}, and e has weight #{e}
+    p = 5
+    exps = [i % 7 - 3 for i in range(n)]
+    rng.shuffle(exps)
+    # two draws of 2n shears each fill U about as densely as the bench's crystals
+    u = rand_unimodular(rng, p, n) @ rand_unimodular(rng, p, n)
+    tau = u @ QMat.diagonal([Fraction(p) ** e for e in exps]) @ u.inverse()
+    path = tmp_path / "fcrystal.json"
+    path.write_text(json.dumps({"format": 1, "prime": p, "kind": "fgauge", "payload": {
+        "fcrystal": {"rank": n, "tau": job_strings(tau.rows)}}}), encoding="utf-8")
+    out = io.StringIO()
+    with HangGuard(60), redirect_stdout(out):
+        code = main(["compute", str(path)])
+    assert code == 0
+    free = f"Z({p})^{exps.count(0)}"
+    weights = ", ".join(f"{e}:{exps.count(e)}" for e in sorted(set(exps)))
+    assert out.getvalue().splitlines()[1:] == [
+        "kind: fgauge", f"prime: {p}", "valid: true", f"syntomic h0: {free}",
+        f"syntomic h1: {free}", f"hodge-tate weights: {weights}",
+        f"rational realization dim: {n}"]
 
 
 def test_qmat_products_sweeps_and_sums_build_no_fraction(rng, monkeypatch):

@@ -9,14 +9,14 @@ import pytest
 from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
                       oracle_fp_matmul, oracle_fp_rank, oracle_fp_rref,
                       oracle_fp_two_term, oracle_is_isomorphism, oracle_q_det,
-                      oracle_q_matmul, oracle_q_rank, oracle_q_rref,
-                      oracle_reduced_cokernel_dim, oracle_snf, qmat_rows,
+                      oracle_module_kernel, oracle_q_matmul, oracle_q_rank,
+                      oracle_q_rref, oracle_reduced_cokernel_dim, oracle_snf, qmat_rows,
                       compose, rand_fcrystal, rand_fp_invertible, rand_unimodular,
                       relation_matrix, scalar)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
-                                    check_prime, format_rational,
-                                    fp_homology_two_term, homology_two_term,
+                                    check_prime, cokernel, format_rational,
+                                    fp_homology_two_term, homology_two_term, kernel,
                                     is_p_local, kernel_over_zp, parse_rational,
                                     rational_pair, smith_exponents,
                                     smith_normal_form, vp, zero_module)
@@ -275,6 +275,51 @@ def test_snf_matches_fraction_oracle(rng, family, p):
         assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, m.ncols)))
 
 
+def _v_inv_input(rng, p, shape) -> QMat:
+    """A matrix of the named shape whose entries carry p in numerators and denominators."""
+    n = rng.randint(1, 6)
+
+    def entry():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        return Fraction(_unit(rng, p) * p ** rng.randint(0, 3),
+                        _unit(rng, p) * p ** rng.randint(0, 2))
+
+    def mat(nr, nc):
+        return [[entry() for _ in range(nc)] for _ in range(nr)]
+
+    nr, nc = {"square": (n, n), "wide": (n, n + rng.randint(1, 3)),
+              "tall": (n + rng.randint(1, 3), n), "0xk": (0, n), "kx0": (n, 0),
+              "zero": (n, rng.randint(1, 6)), "deficient": (n + 1, rng.randint(2, 6))}[shape]
+    if shape == "square":
+        while oracle_q_det(rows := mat(n, n)) == 0:
+            pass
+    elif shape == "zero":
+        rows = [[0] * nc for _ in range(nr)]
+    elif shape == "deficient":  # a product through rank at most min(nr, nc) - 1
+        k = rng.randint(0, min(nr, nc) - 1)
+        rows = oracle_q_matmul(mat(nr, k), mat(k, nc), nc)
+    else:
+        rows = mat(nr, nc)
+    return QMat(rows, ncols=nc)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("shape", ["square", "wide", "tall", "deficient", "zero", "0xk", "kx0"])
+def test_snf_v_inv_is_the_inverse_of_v(rng, shape, p):
+    # V^{-1} read off the pivot rows against Fraction Gauss--Jordan on [V | I]
+    for _ in range(15):
+        m = _v_inv_input(rng, p, shape)
+        s = smith_normal_form(m, p)
+        n = m.ncols
+        assert s.v.shape == s.v_inv.shape == (n, n)
+        red, pivots = oracle_q_rref([list(r) + [int(i == j) for j in range(n)]
+                                     for i, r in enumerate(s.v.rows)], 2 * n)
+        assert pivots == list(range(n))
+        assert s.v_inv == QMat([r[n:] for r in red], ncols=n)
+        assert all(is_p_local(x, p) for r in s.v_inv.rows for x in r)
+
+
 def test_smith_exponents_of_an_empty_or_zero_matrix():
     assert smith_exponents(QMat.zeros(0, 3), 3) == ()
     assert smith_exponents(QMat.zeros(3, 0), 3) == ()
@@ -530,6 +575,25 @@ def test_homology_presentation_independence(rng, trial):
     right = rand_unimodular(rng, p, src.ngens)
     d2 = ModuleMap(src, tgt, left @ mat @ right)
     assert homology_two_term(d) == homology_two_term(d2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_sweep_homology_matches_kernel_cokernel_and_the_oracle(rng, p):
+    # free, torsion and mixed modules, 0-generator ones included
+    modules = [FGModule(p, 0), FGModule(p, 1), FGModule(p, 3), FGModule(p, 0, (1,)),
+               FGModule(p, 0, (1, 3)), FGModule(p, 1, (2,)), FGModule(p, 2, (1, 2)),
+               FGModule(p, 1, (1, 1, 3))]
+    seen = set()
+    for trial in range(220):
+        src, tgt = rng.choice(modules), rng.choice(modules)
+        d = (ModuleMap(src, tgt, QMat.zeros(tgt.ngens, src.ngens)) if trial % 10 == 0
+             else rand_module_map(rng, p, src, tgt))
+        h0, h1 = homology_two_term(d)
+        assert (h0, h1) == (kernel(d), cokernel(d))
+        # out of a torsion-free source the library skips the oracle's relations step
+        assert h0 == oracle_module_kernel(d)
+        seen.add((bool(src.torsion), bool(tgt.torsion), bool(h0.torsion), bool(h1.torsion)))
+    assert len(seen) >= 8
 
 
 # ---------------------------------------------------------------------------
