@@ -8,11 +8,11 @@ strings "num/den"; nothing ever passes through floating point):
 
 Verbs: ``compute`` runs jobs and prints one deterministic text block per
 job (optionally writing a JSON report mirroring the input with computed
-fields), ``check`` runs the same jobs, every output included, but prints
-only ``ok: <file>`` for each one that succeeds, ``table`` prints the built-in
-reference tables for the twist families.  Exit codes: 0 success, 1 for
-schema violations (the message names the field), 2 for mathematical law
-violations (the message quotes the law).  Identical input bytes produce
+fields), ``check`` runs the same jobs, each with its own ``outputs``, but
+prints only ``ok: <file>`` for each one that succeeds, ``table`` prints the
+built-in reference tables for the twist families.  Exit codes: 0 success,
+1 for schema violations (the message names the field), 2 for mathematical
+law violations (the message quotes the law).  Identical input bytes produce
 identical output bytes; ``--jobs N`` only parallelizes across job files.
 
 The environment variable GAUGEWORKS_SEED is reserved for randomized test
@@ -53,60 +53,87 @@ KINDS = tuple(DEFAULT_OUTPUTS)
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# the job reader
 # ---------------------------------------------------------------------------
 
 
-def _need(payload, field: str, path: str):
-    if field not in _as_dict(payload, path):
-        raise SchemaError(f"{path}.{field}", "missing required field")
-    return payload[field]
+class _Field:
+    """A value of a job document with its path, which names it in a schema error.
 
+    Each method is one leaf kind: it checks the value's JSON type and reads
+    it, or steps to a child, whose path is built once, from this one.
+    """
 
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {value!r}")
-    return value
+    __slots__ = ("value", "path")
 
+    def __init__(self, value, path: str):
+        self.value, self.path = value, path
 
-def _as_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(path, f"expected a list, got {value!r}")
-    return value
+    def fail(self, message: str):
+        raise SchemaError(self.path, message)
 
+    def dict(self) -> dict:
+        if not isinstance(self.value, dict):
+            self.fail(f"expected an object, got {self.value!r}")
+        return self.value
 
-def _as_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise SchemaError(path, f"expected an object, got {value!r}")
-    return value
+    def need(self, name: str) -> _Field:
+        if name not in self.dict():
+            raise SchemaError(f"{self.path}.{name}", "missing required field")
+        return _Field(self.value[name], f"{self.path}.{name}")
 
+    def get(self, name: str, default) -> _Field:
+        return _Field(self.dict().get(name, default), f"{self.path}.{name}")
 
-def _as_window(value, path: str) -> tuple[int, int]:
-    if not (isinstance(value, list) and len(value) == 2):
-        raise SchemaError(path, "expected [lo, hi]")
-    lo, hi = _as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]")
-    if lo > hi:
-        raise SchemaError(path, f"expected lo <= hi, got [{lo}, {hi}]")
-    return lo, hi
+    def list(self, n: int | None = None, noun: str = "entries") -> list:
+        """The list, of exactly ``n`` items when ``n`` is given (printed at any size)."""
+        if not isinstance(self.value, list):
+            self.fail(f"expected a list, got {self.value!r}")
+        if n is not None and len(self.value) != n:
+            self.fail(f"expected {format_rational(n)} {noun}")
+        return self.value
 
+    def each(self, n: int | None = None, noun: str = "entries") -> list[_Field]:
+        return [_Field(x, f"{self.path}[{k}]") for k, x in enumerate(self.list(n, noun))]
 
-def _row_width(rows: list, path: str) -> int:
-    """Length of the first row of a matrix given as a list of rows (0 if none)."""
-    return len(_as_list(rows[0], f"{path}[0]")) if _as_list(rows, path) else 0
+    def keyed(self, what: str):
+        """``(int(key), child)`` for each key of the object, in order.
 
+        A key is the integer's own spelling, ``str(int(key)) == key``, so no
+        two keys name the same integer ("+2", "02" and " 2" are bad keys).
+        """
+        for key, value in self.dict().items():
+            try:
+                k = int(key)
+            except ValueError:  # not an integer, or past the digit limit
+                k = None
+            if k is None or str(k) != key:
+                self.fail(f"bad {what} key {key!r}")
+            yield k, _Field(value, f"{self.path}[{key}]")
 
-def _sized(value, n: int, path: str, noun: str) -> list:
-    """``value`` as a list of exactly ``n`` items, ``n`` printed at any size."""
-    if len(_as_list(value, path)) != n:
-        raise SchemaError(path, f"expected {format_rational(n)} {noun}")
-    return value
+    def int(self) -> int:
+        if isinstance(self.value, bool) or not isinstance(self.value, int):
+            self.fail(f"expected an integer, got {self.value!r}")
+        return self.value
 
+    def window(self) -> tuple[int, int]:
+        if not (isinstance(self.value, list) and len(self.value) == 2):
+            self.fail("expected [lo, hi]")
+        lo, hi = (end.int() for end in self.each())
+        if lo > hi:
+            self.fail(f"expected lo <= hi, got [{lo}, {hi}]")
+        return lo, hi
 
-def _int_key(key: str, path: str, what: str) -> int:
-    try:
-        return int(key)
-    except ValueError:
-        raise SchemaError(path, f"bad {what} key {key!r}") from None
+    def width(self) -> int:
+        """Length of the first row of a matrix given as a list of rows (0 if none)."""
+        rows = self.list()
+        return len(_Field(rows[0], f"{self.path}[0]").list()) if rows else 0
+
+    def rationals(self, rows: int, cols: int) -> QMat:
+        return _rational_matrix(self.value, rows, cols, self.path)
+
+    def mod(self, p: int, rows: int, cols: int) -> FpMat:
+        return _int_matrix(p, self.value, rows, cols, self.path)
 
 
 @contextmanager
@@ -119,15 +146,14 @@ def _schema(path: str):
         raise SchemaError(path, str(err)) from None
 
 
-def _rows(data, rows: int, cols: int, path: str):
-    """The rows of a ``rows`` x ``cols`` list of rows, as ``(i, row)``, each
-    checked for its length before it is yielded."""
+def _shaped(data, rows: int, cols: int, path: str) -> list:
+    """``data``, once it is a list of ``rows`` rows of ``cols`` entries each."""
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows")
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}[{i}]", f"expected a row of length {cols}")
-        yield i, row
+    return data
 
 
 def _pair(value) -> tuple[int, int]:
@@ -140,28 +166,29 @@ def _pair(value) -> tuple[int, int]:
 
 
 def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
-    """Integer rows over the lcm of the entries' reduced denominators, with no
-    Fraction; an entry's path is built only to name a bad one."""
-    pairs = []
-    for i, row in _rows(data, rows, cols, path):
-        try:
-            pairs.append(list(map(_pair, row)))
-        except ValueError:
+    """Integer rows over the lcm of the entries' reduced denominators, stored with no
+    Fraction and no second check (canonical: a prime's full power in the lcm comes
+    from an entry it does not divide); an entry's path only names a bad one."""
+    data = _shaped(data, rows, cols, path)
+    try:
+        pairs = [list(map(_pair, row)) for row in data]
+    except ValueError:
+        for i, row in enumerate(data):
             for j, x in enumerate(row):
                 with _schema(f"{path}[{i}][{j}]"):
                     _pair(x)
-            raise
+        raise
     den = lcm(*{d for r in pairs for _, d in r})
-    return QMat([[n * (den // d) for n, d in r] for r in pairs], cols, den=den)
+    return QMat._made(tuple([tuple([n * (den // d) for n, d in r]) for r in pairs]), den, cols)
 
 
 def _int_matrix(p: int, data, rows: int, cols: int, path: str) -> FpMat:
     """The matrix of JSON ints mod p; an entry's path is built only to name a bad one."""
-    for i, row in _rows(data, rows, cols, path):
-        if not all(type(x) is int for x in row):
-            j = next(j for j, x in enumerate(row) if type(x) is not int)
-            raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
-    return FpMat(p, data, ncols=cols)
+    if not all(type(x) is int for row in _shaped(data, rows, cols, path) for x in row):
+        i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row)
+                    if type(x) is not int)
+        raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
+    return FpMat._made(p, tuple([tuple([x % p for x in r]) for r in data]), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -170,128 +197,86 @@ def _int_matrix(p: int, data, rows: int, cols: int, path: str) -> FpMat:
 
 
 def build_filphi(p: int, payload: dict) -> FilteredPhiModule:
+    pl = _Field(payload, "payload")
     if "tate" in payload:
-        return tate(_as_int(payload["tate"], "payload.tate"), p)
-    dim = _as_int(_need(payload, "dim", "payload"), "payload.dim")
-    frob = _rational_matrix(_need(payload, "frobenius", "payload"),
-                            dim, dim, "payload.frobenius")
-    fil = _need(payload, "filtration", "payload")
-    lo, hi = _as_window(_need(fil, "window", "payload.filtration"),
-                        "payload.filtration.window")
-    dims = _sized(_need(fil, "dims", "payload.filtration"), hi - lo + 1,
-                  "payload.filtration.dims", "entries")
-    dims = [_as_int(x, f"payload.filtration.dims[{k}]") for k, x in enumerate(dims)]
-    if dims and dims[0] != dim:
-        raise SchemaError("payload.filtration.dims[0]",
-                          "must equal the underlying dimension")
-    raw_trans = _sized(fil.get("transitions", []), hi - lo,
-                       "payload.filtration.transitions", "matrices")
-    transitions = tuple(
-        _rational_matrix(t, dims[k], dims[k + 1],
-                         f"payload.filtration.transitions[{k}]")
-        for k, t in enumerate(raw_trans))
-    with _schema("payload.filtration"):
-        fs = FilteredSpace(lo, hi, tuple(dims), transitions)
-        return FilteredPhiModule(p, fs, frob)
+        return tate(pl.need("tate").int(), p)
+    dim = pl.need("dim").int()
+    frob = pl.need("frobenius").rationals(dim, dim)
+    fil = pl.need("filtration")
+    lo, hi = fil.need("window").window()
+    dims = fil.need("dims").each(hi - lo + 1)
+    sizes = [d.int() for d in dims]
+    if sizes and sizes[0] != dim:
+        dims[0].fail("must equal the underlying dimension")
+    trans = fil.get("transitions", []).each(hi - lo, "matrices")
+    transitions = tuple(t.rationals(sizes[k], sizes[k + 1]) for k, t in enumerate(trans))
+    with _schema(fil.path):
+        return FilteredPhiModule(p, FilteredSpace(lo, hi, tuple(sizes), transitions), frob)
 
 
-def _build_module(p: int, data, path: str) -> FGModule:
-    free = _as_int(_need(data, "free", path), f"{path}.free")
-    torsion = _as_list(data.get("torsion", []), f"{path}.torsion")
-    torsion = tuple(_as_int(e, f"{path}.torsion[{k}]") for k, e in enumerate(torsion))
-    with _schema(path):
+def _build_module(p: int, data: _Field) -> FGModule:
+    free = data.need("free").int()
+    torsion = tuple(e.int() for e in data.get("torsion", []).each())
+    with _schema(data.path):
         return FGModule(p, free, torsion)
 
 
 def build_fgauge(p: int, payload: dict) -> FpGauge:
+    pl = _Field(payload, "payload")
     if "fcrystal" in payload:
-        fc = payload["fcrystal"]
-        rank = _as_int(_need(fc, "rank", "payload.fcrystal"), "payload.fcrystal.rank")
-        tau = _rational_matrix(_need(fc, "tau", "payload.fcrystal"),
-                               rank, rank, "payload.fcrystal.tau")
-        return gauge_from_fcrystal(FCrystalPoint(p, rank, tau))
-    a, b = _as_window(_need(payload, "window", "payload"), "payload.window")
-    raw_modules = _sized(_need(payload, "modules", "payload"), b - a + 1,
-                         "payload.modules", "entries")
-    modules = tuple(_build_module(p, m, f"payload.modules[{k}]")
-                    for k, m in enumerate(raw_modules))
+        fc = pl.need("fcrystal")
+        rank = fc.need("rank").int()
+        return gauge_from_fcrystal(FCrystalPoint(p, rank, fc.need("tau").rationals(rank, rank)))
+    a, b = pl.need("window").window()
+    modules = tuple(_build_module(p, m) for m in pl.need("modules").each(b - a + 1))
 
     def maps(field: str, sources, targets) -> tuple[ModuleMap, ...]:
-        raw = _sized(_need(payload, field, "payload"), b - a, f"payload.{field}",
-                     "matrices")
-        return tuple(
-            ModuleMap(sources[k], targets[k],
-                      _rational_matrix(data, targets[k].ngens, sources[k].ngens,
-                                       f"payload.{field}[{k}]"))
-            for k, data in enumerate(raw))
+        return tuple(ModuleMap(s, t, m.rationals(t.ngens, s.ngens))
+                     for s, t, m in zip(sources, targets,
+                                        pl.need(field).each(b - a, "matrices")))
 
     ts = maps("t", modules[1:], modules[:-1])
     us = maps("u", modules[:-1], modules[1:])
-    tau_mat = _rational_matrix(_need(payload, "tau", "payload"),
-                               modules[0].ngens, modules[-1].ngens, "payload.tau")
-    tau = ModuleMap(modules[-1], modules[0], tau_mat)
-    return FpGauge(p, (a, b), modules, ts, us, tau)
+    tau = pl.need("tau").rationals(modules[0].ngens, modules[-1].ngens)
+    return FpGauge(p, (a, b), modules, ts, us, ModuleMap(modules[-1], modules[0], tau))
 
 
 def build_reduced(p: int, payload: dict) -> ReducedFGauge:
+    pl = _Field(payload, "payload")
     if "bk" in payload:
-        return bk_reduced(_as_int(payload["bk"], "payload.bk"), p)
-    raw_htc = _need(payload, "htc", "payload")
-    lo, hi = _as_window(_need(raw_htc, "window", "payload.htc"), "payload.htc.window")
-    raw_dims = _as_list(_need(raw_htc, "dims", "payload.htc"), "payload.htc.dims")
-    dims = _sized([_as_int(x, f"payload.htc.dims[{k}]") for k, x in enumerate(raw_dims)],
-                  hi - lo + 1, "payload.htc.dims", "entries")
-    raw_x = _as_list(raw_htc.get("x", []), "payload.htc.x")
-    raw_d = _as_list(raw_htc.get("d", []), "payload.htc.d")
-    if len(raw_x) != hi - lo or len(raw_d) != hi - lo:
-        raise SchemaError("payload.htc",
-                          "need one x and one D per adjacent pair in the window")
-    xs = tuple(_int_matrix(p, mat, dims[k + 1], dims[k], f"payload.htc.x[{k}]")
-               for k, mat in enumerate(raw_x))
-    ds = tuple(_int_matrix(p, mat, dims[k], dims[k + 1], f"payload.htc.d[{k}]")
-               for k, mat in enumerate(raw_d))
-    with _schema("payload.htc"):
-        htc = A1Module(p, lo, hi, tuple(dims), xs, ds)
-    raw_drp = _need(payload, "drp", "payload")
-    n = _as_int(_need(raw_drp, "dim", "payload.drp"), "payload.drp.dim")
-    dlo, dhi = _as_window(_need(raw_drp, "window", "payload.drp"), "payload.drp.window")
-    raw_flags = _sized(_need(raw_drp, "flags", "payload.drp"), dhi - dlo + 1,
-                       "payload.drp.flags", "bases")
-    flags = [_int_matrix(p, cols, n, _row_width(cols, f"payload.drp.flags[{k}]"),
-                         f"payload.drp.flags[{k}]")
-             for k, cols in enumerate(raw_flags)]
-    theta = _int_matrix(p, _need(raw_drp, "theta", "payload.drp"), n, n,
-                        "payload.drp.theta")
-    drp = FilThetaModule(p, n, dlo, dhi, tuple(flags), theta)
-    alpha_dr_raw = _need(payload, "alpha_dr", "payload")
-    dim_stable = htc.dim_at(htc.stable_level())
-    alpha_dr = _int_matrix(p, alpha_dr_raw, n, dim_stable, "payload.alpha_dr")
-    raw_hod = _as_dict(_need(payload, "alpha_hod", "payload"), "payload.alpha_hod")
-    alpha_hod = {}
-    for key, mat in raw_hod.items():
-        deg = _int_key(key, "payload.alpha_hod", "degree")
-        path = f"payload.alpha_hod[{key}]"
-        width = _row_width(mat, path)  # checks that mat is a list before len()
-        alpha_hod[deg] = _int_matrix(p, mat, len(mat), width, path)
-    return ReducedFGauge(htc=htc, drp=drp, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
+        return bk_reduced(pl.need("bk").int(), p)
+    htc = pl.need("htc")
+    lo, hi = htc.need("window").window()
+    dims = [d.int() for d in htc.need("dims").each(hi - lo + 1)]
+    xs, ds = htc.get("x", []).each(), htc.get("d", []).each()
+    if len(xs) != hi - lo or len(ds) != hi - lo:
+        htc.fail("need one x and one D per adjacent pair in the window")
+    xs = tuple(x.mod(p, dims[k + 1], dims[k]) for k, x in enumerate(xs))
+    ds = tuple(d.mod(p, dims[k], dims[k + 1]) for k, d in enumerate(ds))
+    with _schema(htc.path):
+        a1 = A1Module(p, lo, hi, tuple(dims), xs, ds)
+    drp = pl.need("drp")
+    n = drp.need("dim").int()
+    dlo, dhi = drp.need("window").window()
+    flags = tuple(f.mod(p, n, f.width()) for f in drp.need("flags").each(dhi - dlo + 1, "bases"))
+    ft = FilThetaModule(p, n, dlo, dhi, flags, drp.need("theta").mod(p, n, n))
+    alpha_dr = pl.need("alpha_dr").mod(p, n, a1.dim_at(a1.stable_level()))
+    alpha_hod = {deg: mat.mod(p, len(mat.list()), mat.width())
+                 for deg, mat in pl.need("alpha_hod").keyed("degree")}
+    return ReducedFGauge(htc=a1, drp=ft, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
 
 def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
-    d = _as_int(_need(payload, "directions", "payload"), "payload.directions")
-    raw_pieces = _as_dict(_need(payload, "pieces", "payload"), "payload.pieces")
-    dims = {_int_key(key, "payload.pieces", "degree"): _as_int(v, f"payload.pieces[{key}]")
-            for key, v in raw_pieces.items()}
-    fields = {}
-    for kdir, per in _as_dict(payload.get("fields", {}), "payload.fields").items():
-        k = _int_key(kdir, "payload.fields", "direction")
+    pl = _Field(payload, "payload")
+    d = pl.need("directions").int()
+    dims = {deg: v.int() for deg, v in pl.need("pieces").keyed("degree")}
+    fields, per_direction = {}, pl.get("fields", {})
+    for k, per in per_direction.keyed("direction"):
         if not 1 <= k <= d:
-            raise SchemaError("payload.fields", f"direction {k} out of range 1..{d}")
-        fields[k] = per_out = {}
-        for key, mat in _as_dict(per, f"payload.fields[{kdir}]").items():
-            deg = _int_key(key, f"payload.fields[{kdir}]", "degree")
-            per_out[deg] = _int_matrix(p, mat, dims.get(deg - 1, 0), dims.get(deg, 0),
-                                       f"payload.fields[{kdir}][{key}]")
-    with _schema("payload"):
+            per_direction.fail(f"direction {k} out of range 1..{d}")
+        fields[k] = {deg: mat.mod(p, dims.get(deg - 1, 0), dims.get(deg, 0))
+                     for deg, mat in per.keyed("degree")}
+    with _schema(pl.path):
         return GradedHiggsModule(p, d, dims, fields)
 
 
@@ -302,8 +287,7 @@ def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
 
 def _record_laws(results: dict, lines: list[str]) -> None:
     """Record a value as lawful: its constructor raised the first law it broke."""
-    results["valid"] = True
-    results["violations"] = []
+    results.update(valid=True, violations=[])
     lines.append("valid: true")
 
 
@@ -314,7 +298,8 @@ def run_job(doc: dict, prime_flag: int | None):
     fmt = doc.get("format")
     if fmt != 1:
         raise SchemaError("format", f"unsupported format {fmt!r}; expected 1")
-    kind = _need(doc, "kind", "$")
+    job = _Field(doc, "$")
+    kind = job.need("kind").value
     if kind not in KINDS:
         raise SchemaError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     p = doc.get("prime", prime_flag)
@@ -322,12 +307,11 @@ def run_job(doc: dict, prime_flag: int | None):
         raise SchemaError("prime", "missing prime (set it in the job or pass --prime)")
     if prime_flag is not None and "prime" in doc and doc["prime"] != prime_flag:
         raise SchemaError("prime", f"--prime {prime_flag} conflicts with job prime {doc['prime']}")
-    p = _as_int(p, "prime")
+    p = _Field(p, "prime").int()
     with _schema("prime"):
         check_prime(p)
-    payload = _as_dict(_need(doc, "payload", "$"), "payload")
-    outputs = (tuple(_as_list(doc["outputs"], "outputs")) if "outputs" in doc
-               else DEFAULT_OUTPUTS[kind])
+    payload = _Field(job.need("payload").value, "payload").dict()
+    outputs = _Field(doc.get("outputs", [*DEFAULT_OUTPUTS[kind]]), "outputs").list()
     for o in outputs:
         if o not in DEFAULT_OUTPUTS[kind]:
             raise SchemaError("outputs", f"unknown output {o!r} for kind {kind!r}")
@@ -408,13 +392,12 @@ def run_job(doc: dict, prime_flag: int | None):
         if "check" in outputs:
             _record_laws(results, lines)
         if "cohomology" in outputs:
-            weights = payload.get("weights")
-            if weights is None:
+            weights = _Field(payload, "payload").get("weights", None)
+            if weights.value is None:
                 support = sorted(m.dims)
-                weights = list(range(support[0], support[-1] + m.directions + 1)) \
-                    if support else []
-            weights = [_as_int(w, "payload.weights[]")
-                       for w in _as_list(weights, "payload.weights")]
+                weights = range(support[0], support[-1] + m.directions + 1) if support else ()
+            else:
+                weights = [w.int() for w in weights.each()]
             results["cohomology"] = {}
             for i in weights:
                 hs = hodge_cohomology(m, i)
@@ -422,8 +405,7 @@ def run_job(doc: dict, prime_flag: int | None):
                 pretty = " ".join(num(h) for _, h in hs)
                 lines.append(f"weight {num(i)} koszul h: {pretty}")
 
-    report = {"format": 1, "prime": p, "kind": kind, "payload": payload,
-              "results": results}
+    report = {"format": 1, "prime": p, "kind": kind, "payload": payload, "results": results}
     return "\n".join(lines) + "\n", report
 
 

@@ -402,6 +402,37 @@ def test_check_reports_a_malformed_job_as_compute_does(capsys, job):
     assert capsys.readouterr().err == err
 
 
+MALFORMED_GOLDEN = (FIXTURES / "golden" / "malformed.txt").read_bytes().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("job", MALFORMED, ids=lambda j: j.stem)
+def test_malformed_job_messages_match_golden_bytes(monkeypatch, capsys, job):
+    # run from the fixture's folder, so that the line starts with the bare file name
+    monkeypatch.chdir(job.parent)
+    assert run_cli(["compute", job.name])[1] == ""
+    err = capsys.readouterr().err.encode("utf-8")
+    assert len(MALFORMED_GOLDEN) == len(MALFORMED)
+    assert [g for g in MALFORMED_GOLDEN if g.startswith(f"{job.name}: ".encode())] == [err]
+
+
+NON_HONEST = {"format": 1, "prime": 3, "kind": "filphi",
+              "payload": {"dim": 2, "frobenius": [["1", "0"], ["0", "3"]],
+                          "filtration": {"window": [0, 1], "dims": [2, 1],
+                                         "transitions": [[["0"], ["0"]]]}}}
+
+
+@pytest.mark.parametrize("outputs, code", [(["cohomology"], 0), (None, 2)])
+def test_check_runs_the_jobs_own_outputs(tmp_path, capsys, outputs, code):
+    # hodge and admissible reject a non-honest filtration, cohomology does not
+    doc = NON_HONEST if outputs is None else dict(NON_HONEST, outputs=outputs)
+    path = tmp_path / "non_honest.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["compute", str(path)])[0] == code
+    assert run_cli(["check", str(path)]) == (code, f"ok: {path}\n" if code == 0 else "")
+    if code:
+        assert "operation requires an honest filtration" in capsys.readouterr().err
+
+
 def _digit_limit_message() -> str:
     try:
         int("1" * 4301)
@@ -411,7 +442,7 @@ def _digit_limit_message() -> str:
 
 
 def _with_rows(name: str, field: tuple, edit):
-    """The fixture job ``name`` after ``edit`` of the matrix at ``payload`` + ``field``."""
+    """The fixture job ``name`` after ``edit`` of the node at ``payload`` + ``field``."""
     doc = json.loads((FIXTURES / "jobs" / name).read_text(encoding="utf-8"))
     mat = doc["payload"]
     for key in field:
@@ -483,8 +514,33 @@ ENTRY_MESSAGES = [
 ]
 
 
-@pytest.mark.parametrize("doc, message", ENTRY_MESSAGES,
-                         ids=[m.split(": ", 1)[1][:40] for _, m in ENTRY_MESSAGES])
+def _with_key(field: tuple, key: str, value):
+    """``higgs_pair.json`` with ``key`` added to the object at ``payload`` + ``field``."""
+    return _with_rows("higgs_pair.json", field, lambda obj: obj.__setitem__(key, value))
+
+
+# messages of the other leaf kinds
+LEAF_MESSAGES = [
+    # "+2" names direction 2 a second time; the last of the two once won
+    (_with_key(("fields",), "+2", {}), "payload.fields: bad direction key '+2'"),
+    (_with_key(("fields", "1"), "-01", [[1]]), "payload.fields[1]: bad degree key '-01'"),
+    (_with_rows("higgs_pair.json", ("weights",), lambda w: w.__setitem__(1, "x")),
+     "payload.weights[1]: expected an integer, got 'x'"),
+    # a length is checked before any entry: of a list, and of every row of a matrix
+    (_with_rows("reduced_explicit.json", ("htc",), lambda h: h.__setitem__("dims", ["x", 1])),
+     "payload.htc.dims: expected 1 entries"),
+    (_with_rows("filphi_explicit.json", (), lambda pl: pl.update(
+        dim=3, frobenius=[["1.5", "0", "0"], ["0", "3"], ["0", "0", "1"]])),
+     "payload.frobenius[1]: expected a row of length 3"),
+] + [
+    # a key is spelled as str prints its integer
+    (_with_key(("pieces",), key, 1), f"payload.pieces: bad degree key {key!r}")
+    for key in ["+1", "01", "-0", " 1", "1 ", "1_0", "٣", "1" * 4301, "x", ""]]
+PINNED = ENTRY_MESSAGES + LEAF_MESSAGES
+
+
+@pytest.mark.parametrize("doc, message", PINNED,
+                         ids=[m.split(": ", 1)[1][:40] for _, m in PINNED])
 @pytest.mark.parametrize("verb", ["compute", "check"])
 def test_matrix_entry_schema_messages_are_pinned(tmp_path, capsys, doc, message, verb):
     path = tmp_path / "job.json"

@@ -30,7 +30,7 @@ DOCS = [json.loads(path.read_text(encoding="utf-8"))
 
 RATIONALS = st.sampled_from(["0", "1", "-3", "2/3", "-7/4", "9/1", "1/0", "1.5",
                              " 2", "x", ""])
-DEGREE_KEYS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "+1", "x", ""])
+DEGREE_KEYS = st.sampled_from(["-2", "-1", "0", "1", "2", "3", "+1", "01", "-0", "x", ""])
 LEAVES = st.none() | st.booleans() | st.integers(-40, 40) | RATIONALS
 JSON = st.recursive(
     LEAVES,
