@@ -25,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import mul, sub
 from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
 from .dense import block_diag
 from .fpmat import rank_mod
-from .qmat import QMat, _canonical
+from .qmat import QMat, _canonical, _combined
 from .rationals import check_prime, format_rational
 from .snf import _eliminate, _v_columns
 
@@ -173,8 +173,8 @@ class ModuleMap:
         if self.source != other.source or self.target != other.target:
             raise ValueError("can only subtract parallel maps")
         # both maps are p-integral, and valuations >= f - e survive subtraction
-        d = self.matrix - other.matrix
-        return ModuleMap._made(self.source, self.target, d.num, d.den)
+        return ModuleMap._made(self.source, self.target,
+                               *_combined(self.rows, self.den, other.rows, other.den, sub))
 
     def direct_sum(self, other: "ModuleMap") -> "ModuleMap":
         """The block sum, with generators in the order of :meth:`FGModule.direct_sum`."""
@@ -328,10 +328,10 @@ def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
     if not src.torsion:
         exps = [e for e, *_ in _eliminate(rows, p)]
         return FGModule(p, ncols - len(exps)), _module(p, tgt.ngens, exps)
-    exps, vcols, _ = _v_columns(rows, ncols, p)
+    exps, vcols = _v_columns(rows, ncols, p)
     k = ncols - len(exps)
     lifts = [[w[i] for w, _ in vcols[len(exps):]] for i in range(src.ngens)]
-    rexps, rcols, _ = _v_columns(_with_relations(lifts, src), k + len(src.torsion), p)
+    rexps, rcols = _v_columns(_with_relations(lifts, src), k + len(src.torsion), p)
     rels = [w for w, _ in rcols[len(rexps):]]
     return _quotient(p, [[w[i] for w in rels] for i in range(k)]), _module(p, tgt.ngens, exps)
 

@@ -125,6 +125,23 @@ def _scaled(num: tuple, s: int) -> tuple:
     return num if s == 1 else tuple([tuple([s * x for x in r]) for r in num])
 
 
+def _aligned(a: tuple, da: int, b: tuple, db: int) -> tuple[tuple, tuple, int]:
+    """The numerators of ``a / da`` and ``b / db`` over d = lcm(da, db), and d.
+
+    Each keeps gcd 1 with d: a prime's full power in d comes from a
+    denominator whose numerator has an entry that it does not divide.
+    """
+    d = lcm(da, db)
+    return _scaled(a, d // da), _scaled(b, d // db), d
+
+
+def _combined(a: tuple, da: int, b: tuple, db: int, op) -> tuple[tuple, int]:
+    """``op`` entry by entry on ``a / da`` and ``b / db``, in the stored form:
+    both over their lcm denominator, then one :func:`_canonical`."""
+    a, b, d = _aligned(a, da, b, db)
+    return _canonical([list(map(op, r1, r2)) for r1, r2 in zip(a, b)], d)
+
+
 class QMat(DenseMat):
     __slots__ = ("num", "den")
 
@@ -185,22 +202,12 @@ class QMat(DenseMat):
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def _aligned(self, other: "QMat") -> tuple[tuple, tuple, int]:
-        """Both numerators over the lcm d of the denominators, and d.
-
-        Each keeps gcd 1 with d: a prime's full power in d comes from a
-        denominator whose numerator has an entry that it does not divide.
-        """
-        d = lcm(self.den, other.den)
-        return _scaled(self.num, d // self.den), _scaled(other.num, d // other.den), d
-
     # -- arithmetic on the numerators ----------------------------------------
 
     def _combine(self, other: "QMat", op) -> "QMat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        a, b, d = self._aligned(other)
-        return QMat._lowest([list(map(op, r1, r2)) for r1, r2 in zip(a, b)], d, self.ncols)
+        return QMat._made(*_combined(self.num, self.den, other.num, other.den, op), self.ncols)
 
     def __add__(self, other: "QMat") -> "QMat":
         return self._combine(other, add)
@@ -234,18 +241,18 @@ class QMat(DenseMat):
     def hstack(self, other: "QMat") -> "QMat":
         if self.nrows != other.nrows:
             raise ValueError("hstack: row count mismatch")
-        a, b, d = self._aligned(other)
+        a, b, d = _aligned(self.num, self.den, other.num, other.den)
         return QMat._made(tuple([r1 + r2 for r1, r2 in zip(a, b)]), d,
                           self.ncols + other.ncols)
 
     def vstack(self, other: "QMat") -> "QMat":
         if self.ncols != other.ncols:
             raise ValueError("vstack: column count mismatch")
-        a, b, d = self._aligned(other)
+        a, b, d = _aligned(self.num, self.den, other.num, other.den)
         return QMat._made(a + b, d, self.ncols)
 
     def _block_diag(self, other: "QMat") -> "QMat":
-        a, b, d = self._aligned(other)
+        a, b, d = _aligned(self.num, self.den, other.num, other.den)
         right, left = (0,) * other.ncols, (0,) * self.ncols
         return QMat._made(tuple([r + right for r in a] + [left + r for r in b]), d,
                           self.ncols + other.ncols)

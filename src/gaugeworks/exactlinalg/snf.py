@@ -27,12 +27,15 @@ questions about the reduction mod p there, whether a map is an isomorphism
 and the dimensions behind the Hodge--Tate weights, read a rank mod p and
 never come here.  :func:`smith_exponents` takes the exponents alone; no
 route in the package calls it, and it is kept as library API.
-:func:`smith_normal_form` and :func:`kernel_over_zp` also build V, equal to
-that of plain Fraction elimination: V depends only on the ratios
-a_kj / a_kk within pivot rows.  :func:`smith_normal_form` reads V^{-1} off
-the same rows, with no inversion: row k of V^{-1} is the k-th pivot row over
-its pivot, each entry at its column's original index, and the rows past the
-rank are unit rows at the columns that never pivoted (proved at :class:`SNF`).
+:func:`smith_normal_form` reads V^{-1} off the pivot rows, with no
+inversion: row k of V^{-1} is the k-th pivot row over its pivot, each entry
+at its column's original index, and the rows past the rank are unit rows at
+the columns that never pivoted (proved at :class:`SNF`).  So V^{-1} is unit
+upper triangular with its columns in pivot order, and V, equal to that of
+plain Fraction elimination (V depends only on the ratios a_kj / a_kk within
+pivot rows), is derived from it by back substitution, only when read.
+:func:`kernel_over_zp` builds V's columns during the sweep instead, since
+it reads only those past the rank.
 No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
 a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
 from M V, and V^{-1} U^{-1} as V^{-1} (M V) D^{-1}.
@@ -41,6 +44,7 @@ from M V, and V^{-1} U^{-1} as V^{-1} (M V) D^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from .qmat import QMat
@@ -49,15 +53,21 @@ from .rationals import check_prime, vp_int
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V = D with U, V invertible over Z_(p); V and V^{-1} are kept.
+    """U @ M @ V = D with U, V invertible over Z_(p); V^{-1} is kept, V derived.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries of D,
-    weakly increasing; the remaining diagonal of D is zero.
+    weakly increasing; the remaining diagonal of D is zero.  ``order`` lists
+    the original indices of the columns in the order they pivoted, then
+    those that never did.
 
     Lemma.  Row k < r of ``v_inv`` (r the rank) is the k-th pivot row of the
     sweep divided by its pivot, each live column's entry at that column's
     original index and 0 at the columns pivoted before; row r + i is the
     unit row at the original index of the i-th column that never pivoted.
+    So row k has 1 at ``order[k]`` and 0 at ``order[:k]``: with its columns
+    in ``order``, ``v_inv`` is unit upper triangular, and ``v`` is its
+    inverse by back substitution (:func:`_unit_triangular_inverse`), built
+    on the first read.
 
     Proof.  Label each live column by its original index; swaps move labels
     with the columns.  At step k the sweep's only column operations replace
@@ -75,13 +85,17 @@ class SNF:
     """
 
     prime: int
-    v: QMat
     v_inv: QMat
+    order: tuple[int, ...]
     exponents: tuple[int, ...]
 
     @property
     def rank(self) -> int:
         return len(self.exponents)
+
+    @cached_property
+    def v(self) -> QMat:
+        return QMat(_unit_triangular_inverse(self.v_inv.rows, self.order), self.v_inv.ncols)
 
 
 def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
@@ -199,26 +213,19 @@ def exponents_mod_power(rows, p: int) -> list[int]:
 
 
 def _v_columns(rows: list[list[int]], nc: int, p: int):
-    """Exponents, V's columns and V^{-1}'s rows for the integer ``rows`` with ``nc`` columns.
+    """Exponents and V's columns for the integer ``rows`` with ``nc`` columns.
 
-    A column of V or a row of V^{-1} is a pair (integer vector w, p-unit t),
-    meaning w / t.  Row k of V^{-1} is the k-th pivot row over its pivot
-    p^e u, placed at the live columns' original indices (see :class:`SNF`).
+    A column of V is a pair (integer vector w, p-unit t), meaning w / t.
     """
     vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
-    labels = list(range(nc))
-    exps, v_done, v_inv = [], [], []
+    exps, v_done = [], []
     for e, bj, prow, pe, unit in _eliminate(rows, p):
         vcols[0], vcols[bj] = vcols[bj], vcols[0]
-        labels[0], labels[bj] = labels[bj], labels[0]
         # column j of V gains -(a_kj / a_kk) times the pivot column
         w0, t0 = vcols.pop(0)
-        inv = [0] * nc
-        inv[labels.pop(0)] = unit
         for j, a in enumerate(prow[1:]):
             q = a // pe
             if q:
-                inv[labels[j]] = q
                 w, t = vcols[j]
                 c = unit * t0
                 w = [c * x - q * t * y for x, y in zip(w, w0)]
@@ -226,10 +233,8 @@ def _v_columns(rows: list[list[int]], nc: int, p: int):
                 g = gcd(*w, t)
                 vcols[j] = ([x // g for x in w], t // g) if g > 1 else (w, t)
         v_done.append((w0, t0))
-        v_inv.append((inv, unit))
         exps.append(e)
-    v_inv += [([1 if i == j else 0 for i in range(nc)], 1) for j in labels]
-    return tuple(exps), v_done + vcols, v_inv
+    return tuple(exps), v_done + vcols
 
 
 def _from_rows(rows, n: int) -> QMat:
@@ -238,20 +243,58 @@ def _from_rows(rows, n: int) -> QMat:
     return QMat._lowest([[x * (d // t) for x in w] for w, t in rows], d, n)
 
 
+def _unit_triangular_inverse(rows, order) -> list[list]:
+    """The inverse of the square matrix ``rows`` whose row k has 1 at column
+    ``order[k]`` and 0 at the columns ``order[:k]``.
+
+    Taken with its columns in ``order``, the matrix is unit upper triangular,
+    T = M P, so M^{-1} = P T^{-1}: row ``order[k]`` of M^{-1} is row k of
+    T^{-1}, which back substitution gives as e_k minus the sum over c > k of
+    T[k][c] times row c, and that row vanishes before position c.  There is
+    no division, so integer rows give integer rows, and Fraction rows work
+    as they are.
+    """
+    n = len(order)
+    inv = [None] * n
+    for k in range(n - 1, -1, -1):
+        row, x = rows[k], [0] * n
+        x[k] = 1
+        for c in range(k + 1, n):
+            a = row[order[c]]
+            if a:
+                y = inv[order[c]]
+                for j in range(c, n):
+                    x[j] -= a * y[j]
+        inv[order[k]] = x
+    return inv
+
+
 def smith_normal_form(m: QMat, p: int) -> SNF:
     """Diagonalize ``m`` by unimodular row and column operations over Z_(p).
 
     >>> from .qmat import QMat
     >>> s = smith_normal_form(QMat([[2, 3], [3, 9]]), 3)
-    >>> s.exponents
-    (0, 2)
+    >>> s.exponents, s.order
+    ((0, 2), (0, 1))
     >>> s.v_inv @ s.v == QMat.identity(2)
     True
     """
     rows, shift = _integral_rows(m, p)
-    exps, vcols, v_inv = _v_columns(rows, m.ncols, p)
-    return SNF(p, _from_rows(vcols, m.ncols).transpose(), _from_rows(v_inv, m.ncols),
-               tuple(e - shift for e in exps))
+    nc = m.ncols
+    labels = list(range(nc))
+    exps, order, v_inv = [], [], []
+    for e, bj, prow, pe, unit in _eliminate(rows, p):
+        labels[0], labels[bj] = labels[bj], labels[0]
+        order.append(labels.pop(0))
+        # row k of V^{-1}: the pivot row over its pivot, at the original indices
+        inv = [0] * nc
+        inv[order[-1]] = unit
+        for label, a in zip(labels, prow[1:]):
+            inv[label] = a // pe
+        v_inv.append((inv, unit))
+        exps.append(e - shift)
+    v_inv += [([1 if i == j else 0 for i in range(nc)], 1) for j in labels]
+    return SNF(p, _from_rows(v_inv, nc), tuple(order + labels), tuple(exps))
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -260,7 +303,7 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    exps, vcols, _ = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
+    exps, vcols = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
     return _from_rows(vcols[len(exps):], m.ncols).transpose()
 
 

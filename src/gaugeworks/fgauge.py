@@ -34,6 +34,7 @@ from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, check_prime,
                           homology_two_term, is_p_local, kernel_over_zp,
                           smith_normal_form, zero_module)
 from .exactlinalg.modules import composite, reduced_cokernel_dim
+from .exactlinalg.snf import _unit_triangular_inverse
 from .filphi import PhiModule
 
 
@@ -235,14 +236,55 @@ def _filtration_basis(s: SNF, i: int) -> QMat:
     return QMat.from_cols(cols, n)
 
 
+def _integral_basis(s: SNF, n: int) -> tuple[QMat, QMat]:
+    """W = V^{-1} reduced entrywise mod p^n, and B = W^{-1}, for the Smith form ``s``.
+
+    The entries of V^{-1} are p-integral, so each has a residue mod p^n; the
+    least absolute one is taken (p^n / 2 itself when p = 2).  Row k of
+    V^{-1} has 1 at ``s.order[k]`` and 0 at ``s.order[:k]``, and so has W,
+    so B comes from back substitution with no division and both are
+    integer matrices.
+    """
+    pn = s.prime ** n
+    # residues in [-h, pn - 1 - h]: 1 stays 1, even for pn = 2
+    h, unit = (pn - 1) // 2, pow(s.v_inv.den, -1, pn)
+    w = [[(y * unit + h) % pn - h for y in r] for r in s.v_inv.num]
+    k = len(w)
+    return (QMat._made(tuple(map(tuple, w)), 1, k),
+            QMat._made(tuple(map(tuple, _unit_triangular_inverse(w, s.order))), 1, k))
+
+
 def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     """Gauge of the saturated filtration Fil^i = preimage of p^i M under tau.
 
-    t is the inclusion, u the unique map with ut = p, and the window is the
-    exponent range of the Smith normal form of tau, outside which t and u
-    are the declared constants.
-    tau of the gauge sends m in Fil^b to tau_crys(m)/p^b, which lands in M
-    and is an isomorphism there.
+    t is the inclusion, u the unique map with ut = p, and the window [a, b]
+    is the exponent range of the Smith normal form of tau, outside which t
+    and u are the declared constants.  tau of the gauge sends m in Fil^b to
+    tau_crys(m)/p^b, which lands in M and is an isomorphism there.  The
+    levels are written in the bases B_i = B diag(p^{max(i - d_j, 0)}), with B
+    the integer matrix of :func:`_integral_basis` at N = b - a + 1,
+    whose entries stay the size of p^N however large the exact V grows.
+
+    Lemma.  Let U tau_crys V = diag(p^{d_j}) be the Smith form, with
+    a <= d_j <= b, N = b - a + 1, W = V^{-1} reduced mod p^N and B = W^{-1}.
+    Then B is a Smith transform of tau_crys with the same exponents: B_i is
+    a basis of Fil^i, and tau of the gauge is W tau_crys B diag(p^{-d_j}).
+
+    Proof.  (i) W = V^{-1} (mod p^N), and with its columns in pivot order W
+    is unit upper triangular, as V^{-1} is (see :class:`SNF`).  So det W is
+    +-1, B is an integer matrix of determinant +-1, and
+    B - V = B (V^{-1} - W) V = 0 (mod p^N), since V is p-integral.
+    (ii) p^{-a} tau_crys is p-integral, so
+    p^{-a} tau_crys B = p^{-a} tau_crys V + p^{-a} tau_crys (B - V)
+    = U^{-1} diag(p^{d_j - a}) + p^N X with X p-integral.  Since
+    d_j - a < N, column j is divisible by p^{d_j - a}, and the quotient is
+    U^{-1} (mod p), hence unimodular: tau_crys B = U'^{-1} diag(p^{d_j})
+    with U' invertible over Z_(p).  (iii) So U' tau_crys B = diag(p^{d_j}),
+    and m = B x lies in Fil^i exactly when p^{d_j} x_j lies in p^i Z_(p)
+    for every j: B diag(p^{max(i - d_j, 0)}) is a basis of Fil^i.  In these
+    bases t and u are diagonal, and tau of the gauge is
+    B_a^{-1} (tau_crys B_b / p^b) = W tau_crys B diag(p^{-d_j}) = U'^{-1},
+    unimodular (and checked so by the gauge's constructor).
     """
     p = c.prime
     if c.rank == 0:
@@ -258,12 +300,10 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
         # t_i is p where d_j < i and 1 elsewhere, u_i = p / t_i: lawful as built
         ts.append(ModuleMap.diagonal(free, [p if d < i else 1 for d in exps]))
         us.append(ModuleMap.diagonal(free, [1 if d < i else p for d in exps]))
-    # in the bases B_i = V diag(p^{max(i - d_j, 0)}), tau of the gauge is
-    # B_a^{-1} (tau_crys B_b / p^b) = V^{-1} tau_crys V diag(p^{-d_j}), which
-    # is V^{-1} U^{-1} for U tau_crys V = diag(p^{d_j}): unimodular (checked).
-    # V^{-1} comes with the Smith form, and diag(p^{-d_j}) scales columns:
-    # column j of N / D becomes N p^(top - d_j) / (D p^top)
-    tv = s.v_inv @ (c.tau_crys @ s.v)
+    w, basis = _integral_basis(s, b - a + 1)
+    # diag(p^{-d_j}) scales columns: column j of N / D becomes
+    # N p^(top - d_j) / (D p^top)
+    tv = w @ (c.tau_crys @ basis)
     top = max(b, 0)
     scale = [p ** (top - d) for d in exps]
     tau = ModuleMap(free, free, QMat._lowest([list(map(mul, r, scale)) for r in tv.num],

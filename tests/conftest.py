@@ -821,12 +821,33 @@ def twist_sum_square(rng: random.Random, p: int, n: int, honest: bool) -> tuple[
 
 
 def rand_fcrystal(rng: random.Random, p: int, max_rank: int = 4,
-                  exp_lo: int = -3, exp_hi: int = 3) -> FCrystalPoint:
+                  exp_lo: int = -3, exp_hi: int = 3, kind: str = "general") -> FCrystalPoint:
+    """tau = U diag(p^e) V with U, V random over Z_(p) (``kind`` "general");
+    V = U^{-1} ("conjugated"); or U diag(p^e) V + p^(exp_hi + 1) X for a
+    random integer X ("perturbed"), which is D (1 + p Y) between U and V,
+    so it keeps the exponents while V grows denominators."""
     r = rng.randint(1, max_rank)
     exps = sorted(rng.randint(exp_lo, exp_hi) for _ in range(r))
     diag = QMat.diagonal([Fraction(p) ** e for e in exps])
-    tau = rand_unimodular(rng, p, r) @ diag @ rand_unimodular(rng, p, r)
+    u = rand_unimodular(rng, p, r)
+    tau = u @ diag @ (u.inverse() if kind == "conjugated" else rand_unimodular(rng, p, r))
+    if kind == "perturbed":
+        x = QMat([[rng.randint(-3, 3) for _ in range(r)] for _ in range(r)])
+        tau = tau + x.scale(Fraction(p) ** (exp_hi + 1))
     return FCrystalPoint(p, r, tau)
+
+
+def level_transport(m: QMat, exps, p: int, i: int) -> QMat:
+    """D_i^{-1} m D_i with D_i = diag(p^max(i - d_j, 0)): a change of basis
+    ``m`` between two Smith transforms of one crystal, read on Fil^i."""
+    scale = QMat.diagonal([Fraction(p) ** max(i - d, 0) for d in exps])
+    return scale.inverse() @ m @ scale
+
+
+def is_p_unimodular(m: QMat, p: int) -> bool:
+    """Square with p-integral entries and a p-unit determinant."""
+    return (m.nrows == m.ncols and all(vp(x, p) >= 0 for r in m.rows for x in r)
+            and vp(m.det(), p) == 0)
 
 
 def rand_fpmat(rng: random.Random, p: int, nrows: int, ncols: int) -> FpMat:

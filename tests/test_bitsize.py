@@ -15,18 +15,19 @@ from math import isqrt
 
 import pytest
 
-from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge, job_strings,
-                      oracle_q_det, oracle_t_at, oracle_u_at, rand_fcrystal, rand_filtered_phi,
-                      rand_glued, rand_unimodular, scalar, twist_sum_square)
+from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge,
+                      is_p_unimodular, job_strings, level_transport, oracle_q_det, oracle_t_at,
+                      oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued, rand_unimodular,
+                      scalar, twist_sum_square)
 from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
-from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat,
-                                    smith_normal_form, zero_module)
+from gaugeworks.exactlinalg import (SNF, FGModule, ModuleMap, QMat,
+                                    smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import modules
-from gaugeworks.fgauge import (FpGauge, direct_sum, extend_window,
-                               gauge_from_fcrystal, hodge_tate_weights,
-                               syntomic_cohomology, twist_gauge)
-from gaugeworks.filphi import FilteredSpace
+from gaugeworks.fgauge import (FCrystalPoint, FpGauge, _integral_basis, direct_sum,
+                               extend_window, gauge_from_fcrystal, hodge_tate_weights,
+                               rational_realization, syntomic_cohomology, twist_gauge)
+from gaugeworks.filphi import FilteredSpace, rhom_phi
 from gaugeworks.redlocus import dual_reduced, reduced_syntomic_cohomology, tensor_reduced
 
 BIG = 10 ** 6
@@ -280,14 +281,62 @@ def widened_gauge_from_fcrystal(c):
 
 
 def test_crystal_gauge_extends_to_the_former_widened_gauge(rng):
+    # the widened gauge is the former one up to the gauge isomorphism
+    # M_i = D_i^{-1} (V^{-1} B) D_i: p-unimodular at every level, and
+    # commuting with every t, every u and tau
     for lo, hi in [(-3, 3), (1, 4), (-4, -1), (0, 0)]:
         for _ in range(10):
             c = rand_fcrystal(rng, rng.choice([2, 3, 5]), exp_lo=lo, exp_hi=hi)
-            g = gauge_from_fcrystal(c)
-            exps = smith_normal_form(c.tau_crys, c.prime).exponents
+            p, g = c.prime, gauge_from_fcrystal(c)
+            s = smith_normal_form(c.tau_crys, p)
+            exps = s.exponents
             assert g.window == (min(exps), max(exps))
-            assert extend_window(g, min(g.a, 0), max(g.b, 0)) == \
-                widened_gauge_from_fcrystal(c)
+            wide, old = extend_window(g, min(g.a, 0), max(g.b, 0)), widened_gauge_from_fcrystal(c)
+            assert (wide.window, wide.modules) == (old.window, old.modules)
+            m = s.v.inverse() @ _integral_basis(s, g.b - g.a + 1)[1]
+            iso = [level_transport(m, exps, p, i) for i in range(wide.a, wide.b + 1)]
+            assert all(is_p_unimodular(x, p) for x in iso)
+            for k, (t, u) in enumerate(zip(wide.t, wide.u)):
+                assert old.t[k].matrix @ iso[k + 1] == iso[k] @ t.matrix
+                assert old.u[k].matrix @ iso[k] == iso[k + 1] @ u.matrix
+            assert old.tau.matrix @ iso[-1] == iso[0] @ wide.tau.matrix
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("kind", ["conjugated", "general", "perturbed"])
+def test_crystal_gauge_agrees_with_the_exact_v_gauge(rng, kind, p):
+    # 17 crystals of ranks 1-12 per case, 204 in all: the gauge in the basis
+    # B = W^{-1}, W = V^{-1} mod p^N, against the gauge in the exact basis V
+    for _ in range(17):
+        c = rand_fcrystal(rng, p, max_rank=12, kind=kind)
+        g, old = gauge_from_fcrystal(c), widened_gauge_from_fcrystal(c)
+        s = smith_normal_form(c.tau_crys, p)
+        assert g.window == (min(s.exponents), max(s.exponents))
+        assert old.window == (min(g.a, 0), max(g.b, 0))
+        assert syntomic_cohomology(g) == syntomic_cohomology(old)
+        assert hodge_tate_weights(g) == hodge_tate_weights(old)
+        phi, phi_old = rational_realization(g), rational_realization(old)
+        assert rhom_phi(phi).dims == rhom_phi(phi_old).dims
+        n = g.b - g.a + 1
+        w, basis = _integral_basis(s, n)
+        assert w.det() in (1, -1)
+        assert basis @ w == QMat.identity(c.rank)
+        assert all(vp(x, p) >= n for r in (w @ s.v - QMat.identity(c.rank)).rows for x in r)
+        # the two realizations are conjugate by V^{-1} B
+        m = s.v.inverse() @ basis
+        assert phi_old.frobenius @ m == m @ phi.frobenius
+
+
+def test_crystal_gauge_builds_no_exact_v(monkeypatch):
+    # the gauge reads V^{-1} mod p^N only: neither V nor any inverse is built
+    def refuse(*args):
+        raise AssertionError("the F-crystal path built an exact V or an inverse")
+    c = FCrystalPoint(5, 3, QMat([[2, 5, 0], [1, 0, "1/25"], [0, 3, 5]]))
+    s = smith_normal_form(c.tau_crys, 5)
+    assert s.exponents == (-2, 0, 0) and s.v != QMat.identity(3)
+    monkeypatch.setattr(SNF, "v", property(refuse))
+    monkeypatch.setattr(QMat, "inverse", refuse)
+    assert gauge_from_fcrystal(c).window == (-2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +410,7 @@ def test_square_of_a_conjugated_twist_sum_at_the_north_star_sizes(rng, tmp_path,
         f"twisted fibre h0 h1: {want['fm_h0']} {want['fm_h1']}"]
 
 
-@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("n", [32, 48, 64])
 def test_fcrystal_job_at_the_north_star_sizes(rng, tmp_path, n):
     # tau = U diag(p^e) U^-1 splits into twists: syntomic H0 = H1 = free of
     # rank #{e = 0}, and e has weight #{e}
@@ -375,7 +424,7 @@ def test_fcrystal_job_at_the_north_star_sizes(rng, tmp_path, n):
     path.write_text(json.dumps({"format": 1, "prime": p, "kind": "fgauge", "payload": {
         "fcrystal": {"rank": n, "tau": job_strings(tau.rows)}}}), encoding="utf-8")
     out = io.StringIO()
-    with HangGuard(60), redirect_stdout(out):
+    with HangGuard(20), redirect_stdout(out):
         code = main(["compute", str(path)])
     assert code == 0
     free = f"Z({p})^{exps.count(0)}"

@@ -8,9 +8,10 @@ from unittest import mock
 
 import pytest
 
-from conftest import (compose, constant_gauge, equals_as_map, oracle_q_det,
-                      oracle_snf, oracle_snf_weights, oracle_t_at, oracle_u_at,
-                      qmat_rows, rand_fcrystal, raw_gauge, relation_matrix, scalar)
+from conftest import (compose, constant_gauge, equals_as_map, is_p_unimodular,
+                      level_transport, oracle_q_det, oracle_snf, oracle_snf_weights,
+                      oracle_t_at, oracle_u_at, qmat_rows, rand_fcrystal, raw_gauge,
+                      relation_matrix, scalar)
 from gaugeworks import cli, fgauge
 from gaugeworks.cli import build_fgauge, run_job
 from gaugeworks.errors import LawViolation
@@ -18,7 +19,7 @@ from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
                                     homology_two_term, kernel_over_zp,
                                     smith_exponents, smith_normal_form, vp,
                                     zero_module)
-from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
+from gaugeworks.fgauge import (FCrystalPoint, FpGauge, _integral_basis, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
                                gauge_from_fcrystal, hodge_tate_weights,
@@ -192,14 +193,19 @@ def test_realization_kills_torsion():
 def test_realization_roundtrip_up_to_base_change(rng, trial):
     c = rand_fcrystal(rng, 3)
     phi = rational_realization(gauge_from_fcrystal(c)).frobenius
-    # equal to tau_crys after the change of basis of the normal form
-    from gaugeworks.exactlinalg import smith_normal_form
-    v = smith_normal_form(c.tau_crys, c.prime).v
-    assert phi == v.inverse() @ c.tau_crys @ v
+    # equal to tau_crys after the change of basis B of the gauge, which
+    # agrees with the oracle's exact V modulo p^N
+    s, o = smith_normal_form(c.tau_crys, c.prime), oracle_snf(c.tau_crys, c.prime)
+    n = max(s.exponents) - min(s.exponents) + 1
+    _, basis = _integral_basis(s, n)
+    assert phi == basis.inverse() @ c.tau_crys @ basis
+    assert all(vp(x, c.prime) >= n for r in (basis - o.v).rows for x in r)
 
 
 def test_gauge_tau_equals_the_oracle_transform(rng):
-    # tau of the gauge is V^{-1} U^{-1} for U tau_crys V = D, built from V alone
+    # tau of the gauge is W tau_crys B D^{-1}; carried to the oracle's basis
+    # V by M_i = D_i^{-1} (V^{-1} B) D_i, p-unimodular at every level, it is
+    # the oracle's V^{-1} U^{-1} for U tau_crys V = D
     job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "fcrystal.json"
     doc = json.loads(job.read_text(encoding="utf-8"))
     fc = doc["payload"]["fcrystal"]
@@ -207,8 +213,16 @@ def test_gauge_tau_equals_the_oracle_transform(rng):
     crystals = [FCrystalPoint(doc["prime"], fc["rank"], tau)]
     crystals += [rand_fcrystal(rng, rng.choice([2, 3, 5, 7])) for _ in range(40)]
     for c in crystals:
-        o = oracle_snf(c.tau_crys, c.prime)
-        assert gauge_from_fcrystal(c).tau.matrix == o.v.inverse() @ o.u.inverse()
+        p, o = c.prime, oracle_snf(c.tau_crys, c.prime)
+        a, b = min(o.exponents), max(o.exponents)
+        w, basis = _integral_basis(smith_normal_form(c.tau_crys, p), b - a + 1)
+        got = gauge_from_fcrystal(c).tau.matrix
+        unscale = QMat.diagonal([Fraction(p) ** -d for d in o.exponents])
+        assert got == w @ c.tau_crys @ basis @ unscale
+        m = o.v.inverse() @ basis
+        iso = [level_transport(m, o.exponents, p, i) for i in range(a, b + 1)]
+        assert all(is_p_unimodular(x, p) for x in iso)
+        assert o.v.inverse() @ o.u.inverse() @ iso[-1] == iso[0] @ got
 
 
 @pytest.mark.parametrize("trial", range(30))
