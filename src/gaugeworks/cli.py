@@ -132,8 +132,8 @@ class _Field:
     def rationals(self, rows: int, cols: int) -> QMat:
         return _rational_matrix(self.value, rows, cols, self.path)
 
-    def mod(self, p: int, rows: int, cols: int) -> FpMat:
-        return _int_matrix(p, self.value, rows, cols, self.path)
+    def mod(self, p: int, rows: int, cols: int, seen: dict) -> FpMat:
+        return _int_matrix(p, self.value, rows, cols, self.path, seen)
 
 
 @contextmanager
@@ -182,13 +182,21 @@ def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
     return QMat._made(tuple([tuple([n * (den // d) for n, d in r]) for r in pairs]), den, cols)
 
 
-def _int_matrix(p: int, data, rows: int, cols: int, path: str) -> FpMat:
-    """The matrix of JSON ints mod p; an entry's path is built only to name a bad one."""
+def _int_matrix(p: int, data, rows: int, cols: int, path: str, seen: dict) -> FpMat:
+    """The matrix of JSON ints mod p; an entry's path is built only to name a bad one.
+
+    ``seen`` holds the matrices read so far from one document, so equal matrices
+    there are one object (and compare by identity).
+    """
     if not all(type(x) is int for row in _shaped(data, rows, cols, path) for x in row):
         i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row)
                     if type(x) is not int)
         raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
-    return FpMat._made(p, tuple([tuple([x % p for x in r]) for r in data]), cols)
+    key = (tuple([tuple([x % p for x in r]) for r in data]), cols)
+    m = seen.get(key)
+    if m is None:
+        m = seen[key] = FpMat._made(p, *key)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +259,19 @@ def build_reduced(p: int, payload: dict) -> ReducedFGauge:
     xs, ds = htc.get("x", []).each(), htc.get("d", []).each()
     if len(xs) != hi - lo or len(ds) != hi - lo:
         htc.fail("need one x and one D per adjacent pair in the window")
-    xs = tuple(x.mod(p, dims[k + 1], dims[k]) for k, x in enumerate(xs))
-    ds = tuple(d.mod(p, dims[k], dims[k + 1]) for k, d in enumerate(ds))
+    seen: dict = {}
+    xs = tuple(x.mod(p, dims[k + 1], dims[k], seen) for k, x in enumerate(xs))
+    ds = tuple(d.mod(p, dims[k], dims[k + 1], seen) for k, d in enumerate(ds))
     with _schema(htc.path):
         a1 = A1Module(p, lo, hi, tuple(dims), xs, ds)
     drp = pl.need("drp")
     n = drp.need("dim").int()
     dlo, dhi = drp.need("window").window()
-    flags = tuple(f.mod(p, n, f.width()) for f in drp.need("flags").each(dhi - dlo + 1, "bases"))
-    ft = FilThetaModule(p, n, dlo, dhi, flags, drp.need("theta").mod(p, n, n))
-    alpha_dr = pl.need("alpha_dr").mod(p, n, a1.dim_at(a1.stable_level()))
-    alpha_hod = {deg: mat.mod(p, len(mat.list()), mat.width())
+    flags = tuple(f.mod(p, n, f.width(), seen)
+                  for f in drp.need("flags").each(dhi - dlo + 1, "bases"))
+    ft = FilThetaModule(p, n, dlo, dhi, flags, drp.need("theta").mod(p, n, n, seen))
+    alpha_dr = pl.need("alpha_dr").mod(p, n, a1.dim_at(a1.stable_level()), seen)
+    alpha_hod = {deg: mat.mod(p, len(mat.list()), mat.width(), seen)
                  for deg, mat in pl.need("alpha_hod").keyed("degree")}
     return ReducedFGauge(htc=a1, drp=ft, alpha_dr=alpha_dr, alpha_hod=alpha_hod)
 
@@ -270,11 +280,11 @@ def build_higgs(p: int, payload: dict) -> GradedHiggsModule:
     pl = _Field(payload, "payload")
     d = pl.need("directions").int()
     dims = {deg: v.int() for deg, v in pl.need("pieces").keyed("degree")}
-    fields, per_direction = {}, pl.get("fields", {})
+    fields, per_direction, seen = {}, pl.get("fields", {}), {}
     for k, per in per_direction.keyed("direction"):
         if not 1 <= k <= d:
             per_direction.fail(f"direction {k} out of range 1..{d}")
-        fields[k] = {deg: mat.mod(p, dims.get(deg - 1, 0), dims.get(deg, 0))
+        fields[k] = {deg: mat.mod(p, dims.get(deg - 1, 0), dims.get(deg, 0), seen)
                      for deg, mat in per.keyed("degree")}
     with _schema(pl.path):
         return GradedHiggsModule(p, d, dims, fields)
@@ -409,13 +419,32 @@ def run_job(doc: dict, prime_flag: int | None):
     return "\n".join(lines) + "\n", report
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys are all distinct; a repeated key is a schema error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError("$", f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+# one decoder for every document, as json.loads keeps one for its defaults
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _run_file(path: str, prime_flag: int | None):
     """Worker: returns (status, text, report) with status in {0, 1, 2}."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
         try:
-            doc = json.loads(raw)
+            # json.loads's reading of bytes: the encoding from the first bytes
+            doc = _DECODER.decode(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+        except SchemaError:
+            raise
         except ValueError as err:
             # malformed JSON, or an integer literal past the interpreter's
             # 4300-digit limit; the limit stays, since an exponent that long

@@ -6,13 +6,13 @@ owns its stored form: every method that reads or writes an entry, a checked
 public constructor (rows checked by :func:`width`) and a trusted ``_made``
 that stores its arguments as given, through which every result the library
 builds goes.  Written here once for both is what reads no entry: shapes,
-equality and hashing through the field's ``_key``, ``power``, ``rank`` and
-``column_space_basis`` read off the field's ``_pivots()``, and ``inverse``
-read off its ``rref``.  So is the one rule that reads a kernel or a
-solution off a reduced row echelon form, :func:`kernel_rows` and
-:func:`solve_rows`, on integer rows whose pivot entries all equal one
-integer (1 over F_p, the stored denominator over Q); each field brings
-their result to its own form.
+equality (identity first, then the field's ``_key``) and hashing,
+``power``, ``rank`` and ``column_space_basis`` read off the field's
+``_pivots()``, and ``inverse`` read off its ``rref``.  So is the one rule
+that reads a kernel or a solution off a reduced row echelon form,
+:func:`kernel_rows` and :func:`solve_rows`, on integer rows whose pivot
+entries all equal one integer (1 over F_p, the stored denominator over
+Q); each field brings their result to its own form.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ class DenseMat:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, type(self)) and self._key() == other._key()
+        # shared constants and interned job matrices stop at the pointer
+        return self is other or (isinstance(other, type(self)) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())

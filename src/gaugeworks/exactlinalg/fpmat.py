@@ -10,17 +10,21 @@ each row update: the forward sweep :func:`mod_pivots` (hence ``rank``,
 ``inverse`` and :func:`quotient_projection`) and ``@``.  There is no
 ``det``: nothing in the package asks for one.  The sweep is a module
 function on integer rows, so it also gives the ranks mod p of module maps
-and the first reading of a ``QMat``'s rank.
+and the first reading of a ``QMat``'s rank.  ``zeros``, ``identity`` and
+``scalar`` hand out one shared object per (p, shape, c).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from ..errors import PrimeMismatchError
 from . import dense
 from .dense import DenseMat, kernel_rows, rows_from_cols, solve_rows
+
+CONSTANTS = 256  # distinct zero, identity and scalar matrices kept alive at once
 
 
 class FpMat(DenseMat):
@@ -115,11 +119,8 @@ class FpMat(DenseMat):
         self._check(other)
         if self.ncols != other.nrows:
             raise ValueError(f"cannot compose {self.shape} @ {other.shape}")
-        # an inner dimension of 0 leaves zip nothing to transpose
-        p = self.p
-        cols = list(zip(*other.rows)) or [()] * other.ncols
-        return FpMat._made(p, tuple([tuple([sum(map(mul, row, col)) % p for col in cols])
-                                     for row in self.rows]), other.ncols)
+        return FpMat._made(self.p, product_rows(self.rows, other.rows, other.ncols, self.p),
+                           other.ncols)
 
     def rref(self) -> tuple["FpMat", list[int]]:
         """Reduced row echelon form; returns (R, pivot_columns)."""
@@ -167,7 +168,7 @@ class FpMat(DenseMat):
 
     @classmethod
     def zeros(cls, p: int, m: int, n: int) -> "FpMat":
-        return cls._made(p, ((0,) * n,) * m, n)
+        return _constant(p, m, n, 0)
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMat":
@@ -175,9 +176,7 @@ class FpMat(DenseMat):
 
     @classmethod
     def scalar(cls, p: int, n: int, c: int) -> "FpMat":
-        c = int(c) % p
-        return cls._made(p, tuple([tuple([c if i == j else 0 for j in range(n)])
-                                   for i in range(n)]), n)
+        return _constant(p, n, n, int(c) % p)
 
     @classmethod
     def from_cols(cls, p: int, cols: Iterable[Sequence[int]], nrows: int) -> "FpMat":
@@ -204,6 +203,28 @@ def _fill(m: FpMat, p: int, rows: tuple, ncols: int) -> FpMat:
     _set_nrows(m, len(rows))
     _set_ncols(m, ncols)
     return m
+
+
+@lru_cache(maxsize=CONSTANTS)
+def _constant(p: int, m: int, n: int, c: int) -> FpMat:
+    """The m x n matrix with c in [0, p) on its diagonal (c = 0 unless m = n).
+
+    A matrix is immutable, so every caller shares one object per key: equal
+    constants compare by identity first, and none is built twice while it
+    stays among the ``CONSTANTS`` keys used last.
+    """
+    return FpMat._made(p, tuple([tuple([c if i == j else 0 for j in range(n)])
+                                 for i in range(m)]), n)
+
+
+def product_rows(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], ncols: int,
+                 p: int) -> tuple:
+    """The rows of the product mod p of the rows ``a`` and the rows ``b``, ``ncols``
+    wide: ``@`` without its checks and without an ``FpMat``, for callers that
+    only read the rows."""
+    # an inner dimension of 0 leaves zip nothing to transpose
+    cols = list(zip(*b)) or [()] * ncols
+    return tuple([tuple([sum(map(mul, row, col)) % p for col in cols]) for row in a])
 
 
 def mod_pivots(rows: Iterable[Sequence[int]], q: int):

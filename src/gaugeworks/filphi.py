@@ -247,7 +247,10 @@ def rhom_mfphi(d: FilteredPhiModule) -> RHom:
     # map (x, f) |-> ((phi - 1) x, x - iota f)
     top = (phi - one).hstack(QMat.zeros(n, f0))
     bot = one.hstack(iota.scale(-1))
-    d0 = top.vstack(bot)
+    # the rows of [1 | -iota] go first: their pivots are the identity block's,
+    # so the elimination clears the first n columns with no search.  The
+    # kernel depends only on the row space, and the RREF is unique.
+    d0 = bot.vstack(top)
     ker = d0.kernel()
     h0 = ker.ncols
     h1 = (2 * n) - (n + f0 - h0)  # rank-nullity on the total complex

@@ -27,8 +27,13 @@ pieces of both filtered strata, read the bases or maps of one or two
 neighbouring indices.  Each module computes them once per run of equal
 inputs (:func:`per_index`, one ``==`` per index), so a window of width w
 whose flag jumps j times costs O(j) eliminations and O(w) comparisons.
-The x composites to the stable level take one product per index, built
-once top-down; the relation Dx - xD = 1 is still checked level by level.
+Equal matrices are often one object (the shared constants of ``FpMat``
+outside the window, and the matrices of one job document), and ``==``
+answers identity first, so most of those comparisons read no entry.  The
+x composites to the stable level take one product per index, built once
+top-down.  The relation Dx - xD = 1 is still checked level by level, two
+products a level, but on the stored rows: it builds no matrix, and
+neither do the partial products of a D composite.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..errors import LawViolation
+from ..errors import LawViolation, PrimeMismatchError
 from ..exactlinalg import (FpMat, check_prime, fp_homology_two_term,
                            quotient_projection)
+from ..exactlinalg.fpmat import product_rows
 
 
 def per_index(inputs, compute):
@@ -46,7 +52,10 @@ def per_index(inputs, compute):
 
     The value is computed again only when ``args`` differ from the previous
     index's, tested with one ``==``; otherwise the previous value is yielded.
-    Lazy, so a caller that raises at a failed law stops the loop there.
+    The tuples compare item by item, identity first, so a run of the same
+    matrix object (a shared constant, an interned job matrix, a value
+    yielded again) costs no entry reads.  Lazy, so a caller that raises at a
+    failed law stops the loop there.
     """
     last = value = None
     for args in inputs:
@@ -152,6 +161,10 @@ class A1Module:
         for k, m in enumerate(self.d):
             if m.shape != (self.dims[k], self.dims[k + 1]):
                 raise ValueError(f"D[{k}] has shape {m.shape}")
+        # the relation and the D composites multiply stored rows mod the prime
+        for m in self.x + self.d:
+            if m.p != self.prime:
+                raise PrimeMismatchError(self.prime, m.p)
 
     def dim_at(self, i: int) -> int:
         if i < self.lo:
@@ -178,8 +191,12 @@ class A1Module:
             return FpMat.zeros(self.prime, self.dim_at(i - 1), self.dim_at(i))
         if i <= self.hi:
             return self.d[i - self.lo - 1]
-        return (self.x_at(self.hi - 1) @ self.d_at(self.hi)
-                + FpMat.scalar(self.prime, self.dims[-1], i - self.hi))
+        # the sum is made on the product's rows: one matrix is built
+        p, n, c = self.prime, self.dims[-1], (i - self.hi) % self.prime
+        x, d = self.x_at(self.hi - 1), self.d_at(self.hi)
+        rows = product_rows(x.rows, d.rows, n, p)
+        return FpMat._made(p, tuple([r[:k] + ((r[k] + c) % p,) + r[k + 1:]
+                                     for k, r in enumerate(rows)]), n)
 
     @cached_property
     def _composites(self) -> list[FpMat]:
@@ -198,13 +215,19 @@ class A1Module:
         return comps[max(self.hi - i, 0)]
 
     def d_composite(self, top: int, bottom: int) -> FpMat:
-        """D_{bottom+1} ... D_top: Fil_top -> Fil_bottom; zero below the window."""
+        """D_{bottom+1} ... D_top: Fil_top -> Fil_bottom; zero below the window.
+
+        The partial products stay rows, so the composite is the one matrix built.
+        """
+        p, n = self.prime, self.dim_at(top)
         if bottom < self.lo:
-            return FpMat.zeros(self.prime, 0, self.dim_at(top))
-        acc = FpMat.identity(self.prime, self.dim_at(top))
-        for i in range(top, bottom, -1):
-            acc = self.d_at(i) @ acc
-        return acc
+            return FpMat.zeros(p, 0, n)
+        if top == bottom:
+            return FpMat.identity(p, n)
+        rows = self.d_at(top).rows
+        for i in range(top - 1, bottom, -1):
+            rows = product_rows(self.d_at(i).rows, rows, n, p)
+        return FpMat._made(p, rows, n)
 
     def stable_level(self) -> int:
         """Least multiple of p that is >= max(hi, 0): the canonical x-stable
@@ -225,11 +248,14 @@ class A1Module:
 
     def check_relation(self) -> None:
         """Raise at the first level lo..hi-1 where Dx - xD = 1 fails; at hi both
-        sides are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}."""
+        sides are x_{hi-1} D_hi + 1, the recursion that defines D_{hi+1}.  Both
+        sides are read as rows of the stored maps' products: no matrix is built."""
         p = self.prime
         for i in range(self.lo, self.hi):
-            dx = (self.d_at(i + 1) @ self.x_at(i)).rows
-            xd = (self.x_at(i - 1) @ self.d_at(i)).rows
+            d, x = self.d_at(i + 1), self.x_at(i)
+            dx = product_rows(d.rows, x.rows, x.ncols, p)
+            x, d = self.x_at(i - 1), self.d_at(i)
+            xd = product_rows(x.rows, d.rows, d.ncols, p)
             # entries lie in [0, p): off the diagonal Dx = xD, on it Dx = xD + 1
             if any(a[:j] != b[:j] or a[j] != (b[j] + 1) % p or a[j + 1:] != b[j + 1:]
                    for j, (a, b) in enumerate(zip(dx, xd))):

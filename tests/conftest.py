@@ -24,6 +24,7 @@ import pytest
 
 from gaugeworks.exactlinalg import (FGModule, FpMat, ModuleMap, QMat, cokernel, fp_kron,
                                     fp_span_union, smith_exponents)
+from gaugeworks.exactlinalg import fpmat
 from gaugeworks.exactlinalg.modules import _quotient
 from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
@@ -84,8 +85,11 @@ def recheck_trusted_constructions(request, monkeypatch):
     it an unreduced entry, a ``QMat`` numerator that is not in lowest terms
     with its denominator, a list row or a wrong width, or a map that breaks
     a torsion law, fails the first test that builds one.  The rebuild calls the ``__init__`` captured here, so tests that
-    count constructions see only their own.
+    count constructions see only their own.  The table of shared F_p
+    constants is emptied first, so each constant a test uses is built again
+    through the checked ``_made``.
     """
+    fpmat._constant.cache_clear()
     if request.path.stem not in RECHECKED_MODULES:
         return
     fp_made, fp_init = FpMat._made, FpMat.__init__

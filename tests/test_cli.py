@@ -12,7 +12,8 @@ from math import gcd
 
 import pytest
 
-from conftest import HangGuard, oracle_rational_matrix
+from conftest import HangGuard, oracle_rational_matrix, rand_glued
+from gaugeworks import cli
 from gaugeworks.cli import _int_matrix, _rational_matrix, main
 from gaugeworks.exactlinalg import FpMat
 
@@ -283,6 +284,26 @@ def test_invalid_json_is_schema_error(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     code, _ = run_cli(["compute", str(path)])
     assert code == 1
+
+
+HIGGS_PAIR = (FIXTURES / "jobs" / "higgs_pair.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("verb", ["compute", "check"])
+@pytest.mark.parametrize("text, key", [
+    # a second direction 2 with no field: json.loads alone keeps it and reads
+    # weight -1 as "0 0 0" -> "1 1 0", a wrong answer with exit 0
+    (HIGGS_PAIR.replace('"-1": [[1, 0]]}}', '"-1": [[1, 0]]}, "2": {}}', 1), "2"),
+    (HIGGS_PAIR.replace('"prime": 3,', '"prime": 3, "prime": 5,', 1), "prime"),
+    (HIGGS_PAIR.replace('"pieces": {"0": 1,', '"pieces": {"0": 1, "0": 2,', 1), "0"),
+])
+def test_a_repeated_key_exits_1_naming_it(tmp_path, capsys, verb, text, key):
+    assert text != HIGGS_PAIR and json.loads(text) != json.loads(HIGGS_PAIR)
+    path = tmp_path / "twice.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli([verb, str(path)]) == (1, "")
+    # the hook's own message, not wrapped as invalid JSON
+    assert capsys.readouterr().err == f"{path}: schema error: $: duplicate key {key!r}\n"
 
 
 def test_integer_past_the_digit_limit_is_schema_error(tmp_path):
@@ -601,7 +622,7 @@ def test_empty_matrices_read_with_their_shape(shape):
     data = [[] for _ in range(rows)]
     got = _rational_matrix(data, rows, cols, "m")
     assert got.shape == shape and got.den == 1 and got == oracle_rational_matrix(data, cols)
-    assert _int_matrix(5, data, rows, cols, "m") == FpMat(5, data, ncols=cols)
+    assert _int_matrix(5, data, rows, cols, "m", {}) == FpMat(5, data, ncols=cols)
 
 
 def test_int_matrix_reduces_any_int_mod_p(rng):
@@ -610,6 +631,67 @@ def test_int_matrix_reduces_any_int_mod_p(rng):
             rows, cols = rng.randint(1, 4), rng.randint(1, 4)
             data = [[rng.choice([rng.randint(-3 * p, 3 * p), -1, p, p + 1, -p, 10 ** 40])
                      for _ in range(cols)] for _ in range(rows)]
-            got = _int_matrix(p, data, rows, cols, "m")
+            got = _int_matrix(p, data, rows, cols, "m", {})
             assert got == FpMat(p, data) and got.shape == (rows, cols)
             assert got.rows == tuple(tuple(x % p for x in r) for r in data)
+
+
+# ---------------------------------------------------------------------------
+# one object per distinct F_p matrix of a document
+# ---------------------------------------------------------------------------
+
+
+def _reduced_doc(g) -> dict:
+    """The ``reduced`` job document of the glued datum ``g``."""
+    def rows(m):
+        return [list(r) for r in m.rows]
+    htc, drp = g.htc, g.drp
+    return {"format": 1, "prime": g.prime, "kind": "reduced", "payload": {
+        "htc": {"window": [htc.lo, htc.hi], "dims": list(htc.dims),
+                "x": [rows(m) for m in htc.x], "d": [rows(m) for m in htc.d]},
+        "drp": {"dim": drp.dim, "window": [drp.lo, drp.hi],
+                "flags": [rows(f) for f in drp.flags], "theta": rows(drp.theta)},
+        "alpha_dr": rows(g.alpha_dr),
+        "alpha_hod": {str(k): rows(m) for k, m in g.alpha_hod.items()}}}
+
+
+def _job_matrices(g) -> list:
+    return [*g.htc.x, *g.htc.d, *g.drp.flags, g.drp.theta, g.alpha_dr, *g.alpha_hod.values()]
+
+
+def test_equal_matrices_in_one_document_are_one_object(rng):
+    shared = 0
+    for p, twists in [(3, [0, 2]), (5, [-1, 3]), (7, [0, 0, 4]), (7, [1, 2, 6])]:
+        g = rand_glued(rng, p, twists=twists, perturb=False)
+        read = cli.build_reduced(p, _reduced_doc(g)["payload"])
+        mats = _job_matrices(read)
+        assert mats == _job_matrices(g)
+        by_value = {}
+        for m in mats:
+            assert by_value.setdefault((m.rows, m.ncols), m) is m
+        shared += len(mats) - len(by_value)
+    assert shared  # the documents do repeat matrices
+    m = cli.build_higgs(3, json.loads(HIGGS_PAIR)["payload"])
+    assert m.fields[1][0].rows == ((1,), (0,)) and m.fields[2][-1].rows == ((1, 0),)
+    doc = json.loads(HIGGS_PAIR)["payload"]
+    doc["fields"]["2"] = doc["fields"]["1"] = {"0": [[1], [1]], "-1": [[1, 2]]}
+    m = cli.build_higgs(3, doc)
+    assert m.fields[1][0] is m.fields[2][0] and m.fields[1][-1] is m.fields[2][-1]
+
+
+def test_two_jobs_in_one_call_share_no_job_matrix(rng, tmp_path, monkeypatch):
+    g = rand_glued(rng, 7, twists=[0, 0, 4], perturb=False)
+    glued = tmp_path / "glued.json"
+    glued.write_text(json.dumps(_reduced_doc(g)), encoding="utf-8")
+    higgs = FIXTURES / "jobs" / "higgs_pair.json"
+    jobs = []
+    read, run = cli._int_matrix, cli.run_job
+    monkeypatch.setattr(cli, "run_job", lambda *a: jobs.append([]) or run(*a))
+    monkeypatch.setattr(cli, "_int_matrix", lambda *a: jobs[-1].append(read(*a)) or jobs[-1][-1])
+    code, out = run_cli(["compute", str(glued), str(glued), str(higgs), str(higgs)])
+    blocks = out.split("== ")[1:]
+    assert code == 0 and blocks[0] == blocks[1] and blocks[2] == blocks[3]
+    # the matrices stay referenced here, so their ids are distinct while compared
+    ids = [{id(m) for m in job} for job in jobs]
+    assert len(ids) == 4 and all(ids)
+    assert all(a.isdisjoint(b) for k, a in enumerate(ids) for b in ids[k + 1:])

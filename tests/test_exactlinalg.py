@@ -1308,6 +1308,71 @@ def test_fpmat_product_constructs_one_matrix(monkeypatch):
     assert product == want
 
 
+def test_fpmat_product_rows_match_the_product(rng):
+    for p in (2, 5, 211):
+        for m, k, n in [(0, 0, 0), (2, 0, 3), (0, 3, 2), (3, 2, 0), (3, 4, 2), (4, 4, 4)]:
+            a = FpMat(p, [[rng.randrange(p) for _ in range(k)] for _ in range(m)], ncols=k)
+            b = FpMat(p, [[rng.randrange(p) for _ in range(n)] for _ in range(k)], ncols=n)
+            rows = fpmat.product_rows(a.rows, b.rows, n, p)
+            assert rows == (a @ b).rows
+            assert [list(r) for r in rows] == oracle_fp_matmul(p, a.rows, b.rows, n)
+
+
+# ---------------------------------------------------------------------------
+# shared F_p constants
+# ---------------------------------------------------------------------------
+
+
+def test_fp_constants_are_one_object_per_prime_shape_and_value():
+    z = FpMat.zeros(5, 2, 3)
+    assert FpMat.zeros(5, 2, 3) is z and z == FpMat(5, [[0] * 3] * 2)
+    assert FpMat.identity(7, 3) is FpMat.identity(7, 3) is FpMat.scalar(7, 3, 8)
+    assert FpMat.scalar(7, 3, -1) is FpMat.scalar(7, 3, 6)
+    assert FpMat.scalar(7, 3, 7) is FpMat.zeros(7, 3, 3)
+    distinct = [FpMat.zeros(5, 2, 3), FpMat.zeros(7, 2, 3), FpMat.zeros(5, 3, 2),
+                FpMat.zeros(5, 0, 3), FpMat.zeros(5, 3, 0), FpMat.identity(5, 3),
+                FpMat.scalar(5, 3, 2), FpMat.identity(5, 2)]
+    assert len({id(m) for m in distinct}) == len(distinct)
+    assert [m.shape for m in distinct[3:5]] == [(0, 3), (3, 0)]
+    assert FpMat.scalar(5, 3, 2) == FpMat(5, [[2, 0, 0], [0, 2, 0], [0, 0, 2]])
+
+
+def test_fp_constants_stay_immutable():
+    one = FpMat.identity(5, 2)
+    for name, value in [("rows", ((0, 0), (0, 0))), ("p", 7), ("ncols", 3), ("nrows", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(one, name, value)
+    assert type(one.rows) is tuple and all(type(r) is tuple for r in one.rows)
+    # arithmetic on a shared constant builds a new matrix and leaves it as it was
+    assert (one + one).rows == ((2, 0), (0, 2)) and (-one).rows == ((4, 0), (0, 4))
+    assert one.rows == ((1, 0), (0, 1)) and FpMat.identity(5, 2) is one
+
+
+def test_fp_constant_table_is_bounded():
+    info = fpmat._constant.cache_info()
+    assert info.maxsize == fpmat.CONSTANTS and info.currsize <= fpmat.CONSTANTS
+    first = FpMat.identity(3, 1)
+    for n in range(fpmat.CONSTANTS + 10):
+        FpMat.zeros(3, n, 1)
+    assert fpmat._constant.cache_info().currsize == fpmat.CONSTANTS
+    # the least recently used key was dropped, and its constant is built again
+    again = FpMat.identity(3, 1)
+    assert again is not first and again == first
+
+
+def test_equality_answers_identity_first(monkeypatch):
+    a, q = FpMat(5, [[1, 2], [3, 4]]), QMat([[Fraction(1, 2), 3]])
+
+    def unread(self):
+        raise AssertionError("_key read for a matrix compared with itself")
+
+    monkeypatch.setattr(FpMat, "_key", unread)
+    monkeypatch.setattr(QMat, "_key", unread)
+    assert a == a and not a != a and q == q and (a,) == (a,)
+    with pytest.raises(AssertionError):
+        a == FpMat.identity(5, 2)
+
+
 # ---------------------------------------------------------------------------
 # the trusted construction path against the public constructors
 # ---------------------------------------------------------------------------

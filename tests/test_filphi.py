@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import (oracle_q_det, oracle_q_rank, oracle_q_two_term,
-                      oracle_rational_roots, oracle_snf, qmat_rows, rand_filtered_phi)
+                      oracle_rational_roots, oracle_snf, qmat_rows, rand_filtered_phi,
+                      twist_sum_square)
+from gaugeworks.cli import build_filphi
 from gaugeworks.errors import LawViolation, NonHonestFiltrationError
 from gaugeworks.exactlinalg import QMat, kron, span_union, vp
 from gaugeworks import filphi
@@ -107,6 +109,23 @@ def test_rhom_mfphi_routes_agree(rng, trial):
     joint = a.hstack(b)
     assert oracle_q_rank(qmat_rows(joint)) == oracle_q_rank(qmat_rows(a)) \
         == oracle_q_rank(qmat_rows(b))
+
+
+@pytest.mark.parametrize("honest", [True, False])
+def test_rhom_mfphi_kernel_is_the_one_of_either_row_order(rng, honest):
+    # rhom_mfphi eliminates the rows [1 | -iota] first; the RREF, hence the
+    # kernel read off it, is the one of the former order [phi - 1 | 0] first
+    for n in (2, 3, 5, 8, 12):
+        for p in (3, 5):
+            payload, _ = twist_sum_square(rng, p, n, honest)
+            d = build_filphi(p, payload)
+            iota, f0 = d.fil0_iota, d.fil0_dim()
+            top = (d.frobenius - QMat.identity(n)).hstack(QMat.zeros(n, f0))
+            ker = top.vstack(QMat.identity(n).hstack(iota.scale(-1))).kernel()
+            r = rhom_mfphi(d)
+            assert r.h0 == ker.ncols and r.h1 == 2 * n - (n + f0 - ker.ncols)
+            assert r.h0_in_underlying == ker.take_rows(list(range(n)))
+            assert r.h0_basis == ker.take_rows(list(range(n, n + f0)))
 
 
 @pytest.mark.parametrize("trial", range(60))

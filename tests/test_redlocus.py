@@ -9,7 +9,7 @@ from conftest import (count_calls, fpmat_rows, oracle_a1_violations,
                       oracle_euler, oracle_flag_tensor_bases, oracle_fp_rank,
                       oracle_fp_two_term, oracle_gauge_violations, rand_fpmat,
                       rand_glued, same_span)
-from gaugeworks.errors import LawViolation
+from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import FpMat
 from gaugeworks.redlocus import bk, components, gluing
 from gaugeworks.redlocus import (A1Flag, A1Module, FilThetaModule,
@@ -89,6 +89,68 @@ def test_a1_relation_negative_control():
     m = A1Module(P, 0, 1, (1, 1), (FpMat(P, [[1]]),), (FpMat(P, [[0]]),))
     with pytest.raises(LawViolation, match="Dx - xD = 1 failed on Fil_0"):
         m.check_relation()
+
+
+def _constant_flag_module(p: int, lo: int, hi: int, bad=()) -> A1Module:
+    """Rank one on [lo, hi]: x = 1 and D_i = i - lo, so Dx - xD = 1 on every level;
+    each k in ``bad`` adds 1 to D_{lo+k+1}, which breaks the relation first at
+    level lo + k."""
+    w = hi - lo
+    xs = (FpMat(p, [[1]]),) * w
+    ds = tuple(FpMat(p, [[k + 1 + (k in bad)]]) for k in range(w))
+    return A1Module(p, lo, hi, (1,) * (w + 1), xs, ds)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_relation_check_builds_no_matrix_and_stops_at_the_first_bad_level(
+        rng, monkeypatch, p):
+    lo, hi = -2, 4
+    # (levels broken, first failing level): at lo, at hi - 1, inside, and several
+    cases = [((), None), ((0,), lo), ((hi - lo - 1,), hi - 1), ((2,), lo + 2),
+             ((3, 1, 5), lo + 1), ((0, hi - lo - 1), lo)]
+    modules = [(_constant_flag_module(p, lo, hi, bad), level) for bad, level in cases]
+    modules += [(rand_glued(rng, p).htc, None) for _ in range(4)]
+    for m, level in modules:
+        assert oracle_a1_violations(m)[:1] == ([] if level is None else
+                                               [f"Dx - xD = 1 failed on Fil_{level}"])
+    built = []
+    made = FpMat._made
+    monkeypatch.setattr(FpMat, "_made", staticmethod(lambda *a: built.append(a) or made(*a)))
+    monkeypatch.setattr(FpMat, "__init__", lambda *a, **k: built.append(a))
+    for m, level in modules:
+        if level is None:
+            m.check_relation()
+        else:
+            with pytest.raises(LawViolation, match=f"Dx - xD = 1 failed on Fil_{level}$"):
+                m.check_relation()
+    assert built == []
+
+
+def test_a1_module_maps_live_over_its_prime():
+    # the relation multiplies stored rows mod the module's prime, so a map
+    # over another prime is refused when the module is built
+    for xs, ds in [((FpMat(5, [[1]]),), (FpMat(3, [[1]]),)),
+                   ((FpMat(3, [[1]]),), (FpMat(5, [[1]]),))]:
+        with pytest.raises(PrimeMismatchError):
+            A1Module(3, 0, 1, (1, 1), xs, ds)
+
+
+@pytest.mark.parametrize("p", [3, 7])
+def test_d_composite_builds_only_the_composite(rng, monkeypatch, p):
+    modules = [_constant_flag_module(p, -2, 4)] + [rand_glued(rng, p).htc for _ in range(4)]
+    for m in modules:
+        for top in range(m.lo + 1, m.hi + 1):
+            for bottom in range(m.lo, top):
+                want = m.d_at(top)
+                for i in range(top - 1, bottom, -1):
+                    want = m.d_at(i) @ want
+                built = []
+                made = FpMat._made
+                with monkeypatch.context() as patch:
+                    patch.setattr(FpMat, "_made",
+                                  staticmethod(lambda *a: built.append(a) or made(*a)))
+                    got = m.d_composite(top, bottom)
+                assert got == want and len(built) == 1
 
 
 def test_torsion_a1_module():
@@ -836,7 +898,9 @@ def test_flag_presentation_products_grow_linearly_with_the_window(rng):
 def _count_bk_work(monkeypatch, cases):
     """Calls of D_i, x_i, ``@`` and ``power`` made by building each bk twist
     (n, p) in ``cases`` and computing its cohomology; the at most 2 log2(p)
-    products inside one ``power`` (Theta^p) count as that one call."""
+    products inside one ``power`` (Theta^p) count as that one call.  The
+    products that ``components`` reads as rows only (``product_rows``) count
+    under ``@`` too."""
     counts = {}
     inside_power = []
 
@@ -856,6 +920,7 @@ def _count_bk_work(monkeypatch, cases):
     monkeypatch.setattr(A1Module, "d_at", counting("d_at", A1Module.d_at))
     monkeypatch.setattr(A1Module, "x_at", counting("x_at", A1Module.x_at))
     monkeypatch.setattr(FpMat, "__matmul__", counting("@", FpMat.__matmul__))
+    monkeypatch.setattr(components, "product_rows", counting("@", components.product_rows))
     monkeypatch.setattr(FpMat, "power", counting("power", FpMat.power))
     seen = []
     for n, p in cases:
