@@ -9,8 +9,8 @@ rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  That is
 the form a :class:`~.qmat.QMat` stores, so the canonical step, differences
 and block sums are ``QMat``'s.  What is decided here reads N as it is:
 chain products (a diagonal factor scales, a dense one multiplies), "c times
-the identity as a map", the Smith exponents and kernels of
-``homology_two_term``, and the ranks mod p behind ``is_isomorphism`` and
+the identity as a map", the Smith exponents of ``homology_two_term``'s
+two sweeps, and the ranks mod p behind ``is_isomorphism`` and
 ``reduced_cokernel_dim``; scaling by the p-unit D changes no exponent, no
 kernel and no rank mod p.  The two questions about the reduction mod p need
 no Smith form: relations vanish mod p, so M / pM is F_p^ngens and N mod p
@@ -33,7 +33,7 @@ from .dense import block_diag
 from .fpmat import rank_mod
 from .qmat import QMat, _canonical, _combined
 from .rationals import check_prime, format_rational
-from .snf import _eliminate, _v_columns
+from .snf import _eliminate
 
 
 @dataclass(frozen=True)
@@ -302,38 +302,51 @@ def cokernel(d: ModuleMap) -> FGModule:
 
 
 def kernel(d: ModuleMap) -> FGModule:
-    """ker(d) in Smith normal form, read off the sweep of :func:`homology_two_term`."""
+    """ker(d) in Smith normal form, read off the sweeps of :func:`homology_two_term`."""
     return homology_two_term(d)[0]
+
+
+def _relation_lifts(d: ModuleMap) -> list[list[int]]:
+    """B = [R_S ; -N'] of :func:`homology_two_term`, less its zero rows at the
+    source's free generators."""
+    p, src, tgt = d.prime, d.source, d.target
+    es = src.torsion
+    b = [[p ** e if i == j else 0 for j in range(len(es))] for i, e in enumerate(es)]
+    return b + [[-(n * p ** (e - f) if e >= f else n // p ** (f - e)) if n else 0
+                 for n, e in zip(r[src.free_rank:], es)]
+                for r, f in zip(d.rows[tgt.free_rank:], tgt.torsion)]
 
 
 def homology_two_term(d: ModuleMap) -> tuple[FGModule, FGModule]:
     """(H0, H1) = (kernel, cokernel) of  source --d--> target  in degrees 0 -> 1.
 
-    One Smith sweep of [N | relations of the target] gives both.  Its
-    exponents present the cokernel.  The columns of V over its zero
-    diagonal are a basis of the free kernel of that matrix; their first
-    ngens(source) coordinates are lifts g with d(g) in the target's relation
-    lattice, and they generate ker(d).  The lifts are independent: a
-    combination of the basis whose lifts part vanishes is (0, y) with the
-    relations times y zero, and the relation columns p^e e_k are injective,
-    so y = 0.  Out of a torsion-free source the kernel is therefore free of
-    rank the nullity of the swept matrix, and the sweep need not build V.
-    Otherwise the kernel's relations are the coefficient vectors whose lift
-    lands in the source's relation lattice, the kernel of [lifts | relations
-    of the source], and its exponents come from a last sweep.
+    Two Smith sweeps, read for their exponents only.  With R_S, R_T the
+    relation columns of source and target and N the stored rows of d, the
+    exponents of A = [N | R_T] present H1 = coker A.  Projection to the
+    source's coordinates maps ker A onto the lifts {x : N x in im R_T},
+    injectively since R_T is injective.  As d respects torsion,
+    N R_S = R_T N' with N' integral: its entry from a generator of order
+    p^e to one of order p^f is N's times p^(e - f), and no torsion
+    generator maps into a free one.  So B = [R_S ; -N'] has A B = 0 and
+    projects onto im R_S, and ker d = ker A / im B.  ker A is saturated, a
+    direct summand with a free complement of rank rank(A), so coker B is H0
+    plus that complement (Cohen, GTM 138, 2.4): H0 is free of rank
+    nullity(A) - rank(B), with the torsion of coker B.  Out of a
+    torsion-free source B has no columns.
+
+    >>> from .qmat import QMat
+    >>> m = FGModule(3, 0, (2,))
+    >>> [str(h) for h in homology_two_term(ModuleMap(m, m, QMat([[0]])))]
+    ['Z/3^2', 'Z/3^2']
+    >>> m = FGModule(3, 0, (3,))
+    >>> [str(h) for h in homology_two_term(ModuleMap(m, m, QMat([[3]])))]
+    ['Z/3^1', 'Z/3^1']
     """
     p, src, tgt = d.prime, d.source, d.target
-    rows = _with_relations(d.rows, tgt)
-    ncols = src.ngens + len(tgt.torsion)
-    if not src.torsion:
-        exps = [e for e, *_ in _eliminate(rows, p)]
-        return FGModule(p, ncols - len(exps)), _module(p, tgt.ngens, exps)
-    exps, vcols = _v_columns(rows, ncols, p)
-    k = ncols - len(exps)
-    lifts = [[w[i] for w, _ in vcols[len(exps):]] for i in range(src.ngens)]
-    rexps, rcols = _v_columns(_with_relations(lifts, src), k + len(src.torsion), p)
-    rels = [w for w, _ in rcols[len(rexps):]]
-    return _quotient(p, [[w[i] for w in rels] for i in range(k)]), _module(p, tgt.ngens, exps)
+    exps = [e for e, *_ in _eliminate(_with_relations(d.rows, tgt), p)]
+    rels = [e for e, *_ in _eliminate(_relation_lifts(d), p)]
+    nullity = src.ngens + len(tgt.torsion) - len(exps)
+    return _module(p, nullity, rels), _module(p, tgt.ngens, exps)
 
 
 def reduced_cokernel_dim(target: FGModule, maps: Sequence[ModuleMap]) -> int:

@@ -18,11 +18,13 @@ first entry of least valuation in row-major order of the trailing block,
 exactly as in Fraction elimination, and is swapped to the front of the live
 rows and columns, as there.
 
-Every entry point reads that one elimination on integer rows, which module
-``kernel`` and ``cokernel`` in :mod:`.modules` hand over as stored, except
+Every entry point reads that one elimination on integer rows, except
 :func:`exponents_mod_power`: the same elimination on the rows reduced
 modulo a word-size p^k, with no gcd, which proves its exponents when it
-finds them all below k (see there).  The
+finds them all below k (see there).  Module ``kernel``, ``cokernel`` and
+``homology_two_term`` in :mod:`.modules` run :func:`_eliminate` on integer
+rows they build from a map's stored rows and relations, and read its
+exponents only.  The
 questions about the reduction mod p there, whether a map is an isomorphism
 and the dimensions behind the Hodge--Tate weights, read a rank mod p and
 never come here.  :func:`smith_exponents` takes the exponents alone; no
@@ -34,8 +36,7 @@ the columns that never pivoted (proved at :class:`SNF`).  So V^{-1} is unit
 upper triangular with its columns in pivot order, and V, equal to that of
 plain Fraction elimination (V depends only on the ratios a_kj / a_kk within
 pivot rows), is derived from it by back substitution, only when read.
-:func:`kernel_over_zp` builds V's columns during the sweep instead, since
-it reads only those past the rank.
+:func:`kernel_over_zp` reads V's columns past the rank off that same V.
 No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
 a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
 from M V, and V^{-1} U^{-1} as V^{-1} (M V) D^{-1}.
@@ -212,31 +213,6 @@ def exponents_mod_power(rows, p: int) -> list[int]:
     return [e for e, *_ in _eliminate([[x % pk for x in r] for r in rows], p, pk)]
 
 
-def _v_columns(rows: list[list[int]], nc: int, p: int):
-    """Exponents and V's columns for the integer ``rows`` with ``nc`` columns.
-
-    A column of V is a pair (integer vector w, p-unit t), meaning w / t.
-    """
-    vcols = [([1 if i == j else 0 for i in range(nc)], 1) for j in range(nc)]
-    exps, v_done = [], []
-    for e, bj, prow, pe, unit in _eliminate(rows, p):
-        vcols[0], vcols[bj] = vcols[bj], vcols[0]
-        # column j of V gains -(a_kj / a_kk) times the pivot column
-        w0, t0 = vcols.pop(0)
-        for j, a in enumerate(prow[1:]):
-            q = a // pe
-            if q:
-                w, t = vcols[j]
-                c = unit * t0
-                w = [c * x - q * t * y for x, y in zip(w, w0)]
-                t *= c
-                g = gcd(*w, t)
-                vcols[j] = ([x // g for x in w], t // g) if g > 1 else (w, t)
-        v_done.append((w0, t0))
-        exps.append(e)
-    return tuple(exps), v_done + vcols
-
-
 def _from_rows(rows, n: int) -> QMat:
     """The QMat whose rows, each ``n`` long, are the pairs (w, t) read as w / t."""
     d = lcm(*(t for _, t in rows))
@@ -303,8 +279,8 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     The kernel of a map of free modules is free and saturated, so the columns
     of V sitting over the zero diagonal of the normal form are a basis.
     """
-    exps, vcols = _v_columns(_integral_rows(m, p)[0], m.ncols, p)
-    return _from_rows(vcols[len(exps):], m.ncols).transpose()
+    s = smith_normal_form(m, p)
+    return s.v.take_cols(list(range(s.rank, m.ncols)))
 
 
 __all__ = ["SNF", "smith_normal_form", "smith_exponents", "exponents_mod_power",

@@ -106,12 +106,13 @@ def reduced_syntomic_cohomology(g: ReducedFGauge) -> ReducedCohomology:
     htc, drp = g.htc, g.drp
 
     # chain-level components of the four corner complexes
-    proj0, sigma0 = drp.gr(0)                 # Fil^0 -> gr^0 and a section
+    proj0 = drp.gr(0)[0]                      # Fil^0 -> gr^0
     proj_p = drp.gr(-p)[0]                    # Fil^{-p} -> gr^{-p}
     d_drp = drp.theta_in_flag(0)              # Fil^0 -> Fil^{-p}
     d_htc = htc.d_at(0)                       # Fil_0 -> Fil_{-1}
     theta_v = drp.theta                       # V -> V
-    d_hod = proj_p @ d_drp @ sigma0           # gr^0 -> gr^{-p}
+    # gr^0 -> gr^{-p}: proj_p Theta sigma_0, built by the gluing check
+    d_hod = drp.hodge.theta_at(0)
 
     # restriction chain maps (degree 0 and 1 components)
     incl0 = drp.flag_at(0)                    # Fil^0 -> V

@@ -18,4 +18,4 @@ def test_every_docstring_example_passes():
         attempted += result.attempted
         failed += result.failed
     assert failed == 0
-    assert attempted >= 7
+    assert attempted >= 21  # all of the package's examples: losing one fails here

@@ -22,7 +22,8 @@ from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
                                     smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import fpmat, qmat, rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
-from gaugeworks.exactlinalg.modules import _diagonal, composite, reduced_cokernel_dim
+from gaugeworks.exactlinalg.modules import (_diagonal, _relation_lifts, _with_relations,
+                                            composite, reduced_cokernel_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -579,21 +580,63 @@ def test_homology_presentation_independence(rng, trial):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_one_sweep_homology_matches_kernel_cokernel_and_the_oracle(rng, p):
-    # free, torsion and mixed modules, 0-generator ones included
+    # free, torsion and mixed modules, 0-generator ones included; (1, 4) and
+    # (2, 5) straddle each other, so N' = R_T^{-1} N R_S both multiplies and
+    # divides entries by powers of p
     modules = [FGModule(p, 0), FGModule(p, 1), FGModule(p, 3), FGModule(p, 0, (1,)),
                FGModule(p, 0, (1, 3)), FGModule(p, 1, (2,)), FGModule(p, 2, (1, 2)),
-               FGModule(p, 1, (1, 1, 3))]
-    seen = set()
-    for trial in range(220):
+               FGModule(p, 1, (1, 1, 3)), FGModule(p, 0, (1, 4)), FGModule(p, 0, (2, 5))]
+    seen, shifts = set(), set()
+    for trial in range(300):
         src, tgt = rng.choice(modules), rng.choice(modules)
         d = (ModuleMap(src, tgt, QMat.zeros(tgt.ngens, src.ngens)) if trial % 10 == 0
              else rand_module_map(rng, p, src, tgt))
         h0, h1 = homology_two_term(d)
         assert (h0, h1) == (kernel(d), cokernel(d))
-        # out of a torsion-free source the library skips the oracle's relations step
+        # the oracle reads V's kernel columns and runs its relations step in
+        # Fractions; the library reads the exponents of two integer sweeps
         assert h0 == oracle_module_kernel(d)
+        # A = [N | R_T] kills B = [R_S ; -N'], whose source rows are R_S
+        b = [[0] * len(src.torsion)] * src.free_rank + _relation_lifts(d)
+        a = _with_relations(d.rows, tgt)
+        assert all(not sum(x * r[j] for x, r in zip(row, b))
+                   for row in a for j in range(len(src.torsion)))
+        assert b[:src.ngens] == [list(r) for r in relation_matrix(src).num]
         seen.add((bool(src.torsion), bool(tgt.torsion), bool(h0.torsion), bool(h1.torsion)))
+        for f, row in zip(tgt.torsion, d.rows[tgt.free_rank:]):
+            for e, n in zip(src.torsion, row[src.free_rank:]):
+                if n:
+                    shifts.add((e > f) - (e < f))
     assert len(seen) >= 8
+    assert {1, -1} <= shifts
+
+
+def test_homology_of_small_maps_by_hand():
+    p = 3
+
+    def h(src, tgt, rows):
+        return homology_two_term(ModuleMap(src, tgt, QMat(rows, ncols=src.ngens)))
+
+    def cyc(*es):
+        return FGModule(p, 0, es)
+
+    zero, free = FGModule(p, 0), FGModule(p, 1)
+    for e in range(1, 5):  # the zero map on Z/p^e
+        assert h(cyc(e), cyc(e), [[0]]) == (cyc(e), cyc(e))
+    assert h(cyc(3), cyc(3), [[p]]) == (cyc(1), cyc(1))
+    assert h(free, cyc(2), [[1]]) == (free, zero)  # the kernel p^2 Z is free
+    assert h(cyc(1), cyc(3), [[p ** 2]]) == (zero, cyc(2))  # e < f: injective
+    assert h(cyc(3), cyc(1), [[1]]) == (cyc(2), zero)  # e > f: onto, kernel p Z/p^3
+    # straddling orders: p maps Z/p^e into Z/p^(e+1) injectively, and the
+    # reductions Z/p^(f+1) -> Z/p^f are onto with kernels p^f Z/p^(f+1)
+    assert h(cyc(1, 4), cyc(2, 5), [[p, 0], [0, p]]) == (zero, cyc(1, 1))
+    assert h(cyc(2, 5), cyc(1, 4), [[1, 0], [0, 1]]) == (cyc(1, 1), zero)
+    # 0-generator modules on either side
+    assert h(zero, zero, []) == (zero, zero)
+    assert h(zero, cyc(2), [[]]) == (zero, cyc(2))
+    assert h(cyc(2), zero, []) == (cyc(2), zero)
+    assert h(FGModule(p, 2, (1,)), zero, []) == (FGModule(p, 2, (1,)), zero)
+    assert h(zero, free, [[]]) == (zero, free)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from gaugeworks.fgauge import (FCrystalPoint, FpGauge, _integral_basis, direct_s
                                rational_realization,
                                syntomic_cohomology, twist_gauge, validate)
 from gaugeworks.exactlinalg.modules import composite
+from gaugeworks.exactlinalg.snf import _eliminate
 from gaugeworks.filphi import rhom_phi
 from test_bitsize import old_t_composite, old_u_composite
 
@@ -588,6 +589,25 @@ def test_weights_and_cokernels_read_exponents_only(monkeypatch):
     assert weights and len(cokernels) == 2 * len(g.t) + 1
     gauge_from_fcrystal(FCrystalPoint(3, 1, QMat([[3]])))  # the counter does count
     assert calls == ["smith_normal_form"]
+
+
+def test_homology_out_of_a_torsion_source_runs_two_exponent_sweeps(monkeypatch):
+    # H1 from the exponents of [N | R_T] and H0 from those of [R_S ; -N']:
+    # two eliminations, no V and no kernel basis
+    job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / "gauge_torsion.json"
+    doc = json.loads(job.read_text(encoding="utf-8"))
+    g = build_fgauge(doc["prime"], doc["payload"])
+    maps = [d for d in g.t + g.u + (g.tau,) if d.source.torsion]
+    calls = []
+    for fn in (_eliminate, smith_normal_form, kernel_over_zp):
+        _count_calls(monkeypatch, fn, calls)
+    for d in maps:
+        homology_two_term(d)
+        assert calls == ["_eliminate", "_eliminate"]
+        calls.clear()
+    assert maps
+    syntomic_cohomology(g)
+    assert calls == ["_eliminate", "_eliminate"]
 
 
 @pytest.mark.parametrize("name", ["fcrystal", "gauge_torsion"])

@@ -557,6 +557,46 @@ def test_drplus_hodge_restriction_is_built_once_per_module(monkeypatch, rng):
     assert len(drps) == 20 and len({id(m) for m in drps}) == 20
 
 
+def _graded_theta_cases(rng):
+    """de Rham+ data whose windows hold 0 and -p, or not, with gr^0 and gr^{-p}
+    zero or not, each with the glued gauge it came from, if any."""
+    cases = []
+    for p in (3, 5):
+        one = FpMat.identity(p, 1)
+        # one flag step at hi: gr^hi = V and every other piece is 0
+        for lo, hi in [(-p, 0), (-p, -p), (0, 0), (1, 2), (-p - 2, -p - 1), (-2 * p, p)]:
+            for c in (0, 1):
+                cases.append((FilThetaModule(p, 1, lo, hi, (one,) * (hi - lo + 1),
+                                             FpMat.scalar(p, 1, c)), None))
+        for n in range(-p - 1, p + 2):
+            g = bk_reduced(n, p)
+            cases.append((g.drp, g))
+        g = ReducedFGauge(**_wide_gluing(p, 1, p - 1))  # support {-p, 0}, Theta != 0
+        cases.append((g.drp, g))
+        for twists in ([-1, 1], [1, p], [0, 2], [0, 0, 1]):
+            g = rand_glued(rng, p, twists=twists)
+            cases.append((g.drp, g))
+    for _ in range(30):
+        g = rand_glued(rng, rng.choice([3, 5]))
+        cases.append((g.drp, g))
+    return cases
+
+
+def test_hodge_differential_is_the_graded_theta_at_zero(rng):
+    # the cohomology reads gr^0 -> gr^{-p} off the associated graded that the
+    # gluing check built; it equals proj_{-p} Theta sigma_0 in flag coordinates
+    nonzero = 0
+    for drp, g in _graded_theta_cases(rng):
+        p = drp.prime
+        former = drp.gr(-p)[0] @ drp.theta_in_flag(0) @ drp.gr(0)[1]
+        assert drp.hodge.theta_at(0) == former
+        nonzero += not former.is_zero()
+        if g is not None:
+            hod = reduced_syntomic_cohomology(g).components["Hod"]
+            assert hod == oracle_fp_two_term(p, fpmat_rows(former), *former.shape)
+    assert nonzero
+
+
 def _bump(rng, mat: FpMat) -> FpMat:
     """``mat`` with one entry moved by a nonzero amount mod p."""
     rows = [list(r) for r in mat.rows]
