@@ -25,14 +25,14 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from functools import cache
-from math import lcm
+from functools import cache, partial
 
 from .beilinson import corners, fm_fibre, verify_cartesian
 from .errors import LawViolation, SchemaError
 from .exactlinalg import (FGModule, FpMat, ModuleMap, QMat, check_prime,
-                          format_rational, rational_pair)
-from .exactlinalg.rationals import format_ratio
+                          format_rational)
+from .exactlinalg.fpmat import residues
+from .exactlinalg.rationals import exact_int, format_ratio, rational_entry
 from .fgauge import (FCrystalPoint, FpGauge, gauge_from_fcrystal,
                      hodge_tate_weights, rational_realization,
                      syntomic_cohomology, twist_gauge)
@@ -112,9 +112,10 @@ class _Field:
             yield k, _Field(value, f"{self.path}[{key}]")
 
     def int(self) -> int:
-        if isinstance(self.value, bool) or not isinstance(self.value, int):
-            self.fail(f"expected an integer, got {self.value!r}")
-        return self.value
+        try:
+            return exact_int(self.value)
+        except ValueError as err:
+            self.fail(str(err))
 
     def window(self) -> tuple[int, int]:
         if not (isinstance(self.value, list) and len(self.value) == 2):
@@ -146,53 +147,40 @@ def _schema(path: str):
         raise SchemaError(path, str(err)) from None
 
 
-def _shaped(data, rows: int, cols: int, path: str) -> list:
-    """``data``, once it is a list of ``rows`` rows of ``cols`` entries each."""
+def _matrix(data, rows: int, cols: int, path: str, build, entry):
+    """``build(data)`` once ``data`` is a list of ``rows`` rows of ``cols`` entries each.
+
+    When ``build`` raises ValueError, ``entry`` re-reads the entries one by one,
+    so the first bad one is named at its own path; no other path is built.
+    """
     if not isinstance(data, list) or len(data) != rows:
         raise SchemaError(path, f"expected {rows} rows")
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise SchemaError(f"{path}[{i}]", f"expected a row of length {cols}")
-    return data
-
-
-def _pair(value) -> tuple[int, int]:
-    """A rational entry as ``(num, den)``: a JSON int, or a literal string."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str:
-        return rational_pair(value)
-    raise ValueError(f"expected a rational string, got {value!r}")
-
-
-def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
-    """Integer rows over the lcm of the entries' reduced denominators, stored with no
-    Fraction and no second check (canonical: a prime's full power in the lcm comes
-    from an entry it does not divide); an entry's path only names a bad one."""
-    data = _shaped(data, rows, cols, path)
     try:
-        pairs = [list(map(_pair, row)) for row in data]
+        return build(data)
     except ValueError:
         for i, row in enumerate(data):
             for j, x in enumerate(row):
                 with _schema(f"{path}[{i}][{j}]"):
-                    _pair(x)
+                    entry(x)
         raise
-    den = lcm(*{d for r in pairs for _, d in r})
-    return QMat._made(tuple([tuple([n * (den // d) for n, d in r]) for r in pairs]), den, cols)
+
+
+def _rational_matrix(data, rows: int, cols: int, path: str) -> QMat:
+    """The matrix of rational entries, each read by ``QMat``'s one entry rule."""
+    return _matrix(data, rows, cols, path, lambda d: QMat(d, cols), rational_entry)
 
 
 def _int_matrix(p: int, data, rows: int, cols: int, path: str, seen: dict) -> FpMat:
-    """The matrix of JSON ints mod p; an entry's path is built only to name a bad one.
+    """The matrix of JSON ints mod p, read by ``fpmat.residues``.
 
     ``seen`` holds the matrices read so far from one document, so equal matrices
     there are one object (and compare by identity).
     """
-    if not all(type(x) is int for row in _shaped(data, rows, cols, path) for x in row):
-        i, j = next((i, j) for i, row in enumerate(data) for j, x in enumerate(row)
-                    if type(x) is not int)
-        raise SchemaError(f"{path}[{i}][{j}]", "expected an integer mod p")
-    key = (tuple([tuple([x % p for x in r]) for r in data]), cols)
+    key = (_matrix(data, rows, cols, path, partial(residues, p),
+                   lambda x: residues(p, [[x]])), cols)
     m = seen.get(key)
     if m is None:
         m = seen[key] = FpMat._made(p, *key)

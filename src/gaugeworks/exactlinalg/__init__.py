@@ -17,13 +17,13 @@ from .fpmat import (FpMat, fp_homology_two_term, fp_kron, fp_span_union,
 from .modules import (FGModule, ModuleMap, cokernel, homology_two_term, kernel,
                       zero_module)
 from .qmat import QMat, intersect_spans, kron, span_union
-from .rationals import (INF, check_prime, format_rational, is_p_local,
+from .rationals import (INF, check_prime, exact_int, format_rational, is_p_local,
                         parse_rational, rational_pair, unit_part, vp)
 from .snf import SNF, kernel_over_zp, smith_exponents, smith_normal_form
 
 __all__ = [
     "INF", "vp", "is_p_local", "unit_part",
-    "check_prime", "parse_rational", "rational_pair", "format_rational",
+    "check_prime", "exact_int", "parse_rational", "rational_pair", "format_rational",
     "block_diag", "QMat", "kron", "span_union", "intersect_spans",
     "FpMat", "fp_kron", "fp_span_union", "fp_homology_two_term",
     "quotient_projection",

@@ -3,7 +3,8 @@
 An ``FpMat`` stores rows of ints in [0, p), and this module owns that form:
 every method that reads or writes an entry is written here on ``self.p``
 and ``FpMat._made``, and mixing two primes raises
-:class:`~gaugeworks.errors.PrimeMismatchError`.  The kernels reduce inside
+:class:`~gaugeworks.errors.PrimeMismatchError`.  Entries from outside are
+read by :func:`residues` alone: ints mod p.  The kernels reduce inside
 each row update: the forward sweep :func:`mod_pivots` (hence ``rank``,
 ``column_space_basis`` and ``is_invertible``), Gauss--Jordan ``rref``
 (hence ``kernel`` and ``solve`` by the rule shared with ``QMat``,
@@ -30,8 +31,8 @@ CONSTANTS = 256  # distinct zero, identity and scalar matrices kept alive at onc
 class FpMat(DenseMat):
     __slots__ = ("p",)
 
-    def __init__(self, p: int, rows: Sequence[Sequence[int]], ncols: int | None = None):
-        rows = tuple([tuple([int(x) % p for x in r]) for r in rows])
+    def __init__(self, p: int, rows: Iterable[Iterable[int]], ncols: int | None = None):
+        rows = residues(p, rows)
         _fill(self, p, rows, dense.width(rows, ncols))
 
     @classmethod
@@ -78,8 +79,8 @@ class FpMat(DenseMat):
     def __neg__(self) -> "FpMat":
         return self._reduced([[-x for x in r] for r in self.rows], self.ncols)
 
-    def scale(self, c) -> "FpMat":
-        c = int(c) % self.p
+    def scale(self, c: int) -> "FpMat":
+        c = residues(self.p, [[c]])[0][0]
         return self._reduced([[c * x for x in r] for r in self.rows], self.ncols)
 
     def hstack(self, other: "FpMat") -> "FpMat":
@@ -172,11 +173,11 @@ class FpMat(DenseMat):
 
     @classmethod
     def identity(cls, p: int, n: int) -> "FpMat":
-        return cls.scalar(p, n, 1)
+        return _constant(p, n, n, 1)
 
     @classmethod
     def scalar(cls, p: int, n: int, c: int) -> "FpMat":
-        return _constant(p, n, n, int(c) % p)
+        return _constant(p, n, n, residues(p, [[c]])[0][0])
 
     @classmethod
     def from_cols(cls, p: int, cols: Iterable[Sequence[int]], nrows: int) -> "FpMat":
@@ -195,6 +196,16 @@ class FpMat(DenseMat):
 _set_p = FpMat.p.__set__
 _set_rows, _set_nrows, _set_ncols = (DenseMat.rows.__set__, DenseMat.nrows.__set__,
                                      DenseMat.ncols.__set__)
+
+
+def residues(p: int, rows: Iterable[Iterable[int]]) -> tuple:
+    """The int ``rows`` mod p as int tuples: the one rule that reads an entry over F_p.
+    Any other entry raises ValueError; none is truncated (1/2 is not 0 mod p)."""
+    return tuple([tuple([x % p if type(x) is int else _not_int() for x in r]) for r in rows])
+
+
+def _not_int():
+    raise ValueError("expected an integer mod p")
 
 
 def _fill(m: FpMat, p: int, rows: tuple, ncols: int) -> FpMat:

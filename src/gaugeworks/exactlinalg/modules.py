@@ -32,7 +32,7 @@ from ..errors import LawViolation, PrimeMismatchError
 from .dense import block_diag
 from .fpmat import rank_mod
 from .qmat import QMat, _canonical, _combined
-from .rationals import check_prime, format_rational
+from .rationals import check_prime, exact_int, format_rational
 from .snf import _eliminate
 
 
@@ -46,8 +46,8 @@ class FGModule:
 
     def __post_init__(self):
         check_prime(self.prime)
-        object.__setattr__(self, "torsion", tuple(int(e) for e in self.torsion))
-        if self.free_rank < 0:
+        object.__setattr__(self, "torsion", tuple(map(exact_int, self.torsion)))
+        if exact_int(self.free_rank) < 0:
             raise ValueError("free_rank must be >= 0")
         if any(e <= 0 for e in self.torsion):
             raise ValueError("torsion exponents must be positive")

@@ -12,10 +12,10 @@ over D1 D2; sums, stacks and block sums first bring both numerators over
 the lcm of the two denominators, and one gcd keeps a result canonical where
 entries can share a factor with its denominator.  A
 :class:`~fractions.Fraction` is built only when ``rows`` or ``m[i, j]`` is
-read, once per matrix.  The public constructor reads ints and Fractions
-through their numerator and denominator and keeps none of them;
-``QMat(num, ncols, den=d)`` takes the stored form itself, rows of ints over
-one denominator, and divides out their common gcd.
+read, once per matrix.  The constructor, ``diagonal``, ``scale`` and
+``apply`` read entries by :func:`~.rationals.rational_entry` alone (an int,
+a Fraction or a literal such as ``"-3/4"``), and the constructor keeps none
+of them: it brings the rows over the lcm of the denominators.
 
 There are two eliminations, both on the primitive rows of ``num`` (scaling
 a row moves no pivot).  The forward sweep ``_sweep`` finds the pivots
@@ -55,6 +55,7 @@ from typing import Iterable, Sequence
 from . import dense
 from .dense import DenseMat, kernel_rows, rows_from_cols, solve_rows
 from .fpmat import rank_mod
+from .rationals import rational_entry
 
 # A prime below 2^30: the rank of ``num`` modulo it is a lower bound on the
 # rank over Q, read with word-size residues
@@ -145,22 +146,11 @@ def _combined(a: tuple, da: int, b: tuple, db: int, op) -> tuple[tuple, int]:
 class QMat(DenseMat):
     __slots__ = ("num", "den")
 
-    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None, *,
-                 den: int | None = None):
-        if den is None:
-            # ints and Fractions both carry .numerator and .denominator
-            rows = [[x if type(x) is int or type(x) is Fraction else Fraction(x) for x in r]
-                    for r in rows]
-            den = lcm(*(x.denominator for r in rows for x in r))
-            # lowest-terms entries over the lcm of their denominators: canonical
-            num = tuple([tuple([x.numerator * (den // x.denominator) for x in r])
-                         for r in rows])
-        else:
-            num = tuple(map(tuple, rows))
-            if (type(den) is not int or den < 1
-                    or not set(map(type, chain.from_iterable(num))) <= {int}):
-                raise ValueError("den= takes rows of ints over an int den >= 1")
-            num, den = _canonical(num, den)
+    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
+        pairs = [list(map(rational_entry, r)) for r in rows]
+        den = lcm(*{d for r in pairs for _, d in r})
+        # lowest-terms entries over the lcm of their denominators: canonical
+        num = tuple([tuple([n * (den // d) for n, d in r]) for r in pairs])
         ncols = dense.width(num, ncols)
         _set_num(self, num)
         _set_den(self, den)
@@ -169,7 +159,7 @@ class QMat(DenseMat):
 
     @classmethod
     def _made(cls, num: tuple, den: int, ncols: int) -> "QMat":
-        """The trusted twin of ``QMat(num, ncols, den=den)``: ``num / den`` stored as given.
+        """The trusted twin of ``QMat(rows, ncols)``: ``num / den`` stored as given.
 
         ``num`` must be a tuple of int tuples, each ``ncols`` long, and
         already canonical with ``den``.
@@ -220,10 +210,8 @@ class QMat(DenseMat):
                           self.ncols)
 
     def scale(self, c) -> "QMat":
-        c = c if isinstance(c, Fraction) else Fraction(c)
-        n = c.numerator
-        return QMat._lowest([[n * x for x in r] for r in self.num], self.den * c.denominator,
-                            self.ncols)
+        n, d = rational_entry(c)
+        return QMat._lowest([[n * x for x in r] for r in self.num], self.den * d, self.ncols)
 
     def __matmul__(self, other: "QMat") -> "QMat":
         if self.ncols != other.nrows:
@@ -375,15 +363,12 @@ class QMat(DenseMat):
         return cls(rows, ncols=ncols)
 
     @classmethod
-    def diagonal(cls, entries: Sequence, m: int | None = None, n: int | None = None) -> "QMat":
-        entries = [x if isinstance(x, Fraction) else Fraction(x) for x in entries]
-        m = len(entries) if m is None else m
-        n = len(entries) if n is None else n
-        entries = entries[:min(m, n)]
-        d = lcm(*(x.denominator for x in entries))
-        rows = [[0] * n for _ in range(m)]
-        for i, x in enumerate(entries):
-            rows[i][i] = x.numerator * (d // x.denominator)
+    def diagonal(cls, entries: Iterable) -> "QMat":
+        pairs = list(map(rational_entry, entries))
+        n, d = len(pairs), lcm(*{den for _, den in pairs})
+        rows = [[0] * n for _ in range(n)]
+        for i, (x, den) in enumerate(pairs):
+            rows[i][i] = x * (d // den)
         return cls._made(tuple(map(tuple, rows)), d, n)
 
     def __repr__(self):
@@ -395,7 +380,7 @@ class QMat(DenseMat):
     # -- rational-only helpers ---------------------------------------------
 
     def apply(self, vec: Sequence) -> tuple:
-        vec = [Fraction(x) for x in vec]
+        vec = [Fraction(*rational_entry(x)) for x in vec]
         if len(vec) != self.ncols:
             raise ValueError("vector of wrong length")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.rows)

@@ -186,6 +186,27 @@ def rational_pair(text: str) -> tuple[int, int]:
     return (num, den) if g == 1 else (num // g, den // g)
 
 
+def rational_entry(x) -> tuple[int, int]:
+    """The one rule that reads a rational entry: ``(num, den)`` in lowest terms of an
+    ``int`` (not a bool), a Fraction or a :func:`rational_pair` literal; anything
+    else, a float or a ``Decimal`` included, raises ValueError."""
+    if type(x) is int:
+        return x, 1
+    if isinstance(x, str):
+        return rational_pair(x)
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    raise ValueError(f"expected a rational string, got {x!r}")
+
+
+def exact_int(x) -> int:
+    """``x`` if it is an ``int`` (not a bool), else ValueError: a float, a Fraction or
+    a string is never truncated to a size, an exponent or a degree."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def parse_rational(text: str) -> Fraction:
     """The :class:`Fraction` of a literal read by :func:`rational_pair`.
 

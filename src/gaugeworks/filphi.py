@@ -36,7 +36,7 @@ from .errors import (LawViolation, NonHonestFiltrationError,
                      PrimeMismatchError)
 from .exactlinalg import (QMat, block_diag, check_prime, intersect_spans,
                           kron, span_union, vp)
-from .exactlinalg.rationals import vp_int
+from .exactlinalg.rationals import exact_int, vp_int
 from .exactlinalg.snf import exponents_mod_power
 
 
@@ -79,7 +79,7 @@ class FilteredSpace:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("window must satisfy lo <= hi")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(map(exact_int, self.dims)))
         if len(self.dims) != self.hi - self.lo + 1:
             raise ValueError("dims must cover the window")
         if len(self.transitions) != self.hi - self.lo:
@@ -320,15 +320,14 @@ class Admissibility(Enum):
 
 
 def _char_poly(a: QMat) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_n] of det(tI - A), c_n = 1 (Faddeev-LeVerrier)."""
+    """Coefficients [c_0, ..., c_n] of det(tI - A), c_n = 1 (Faddeev-LeVerrier), keeping
+    only A M_k: one product per step, its trace read off ``num``."""
     n = a.nrows
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = QMat.zeros(n, n)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    am = QMat.zeros(n, n)
     for k in range(1, n + 1):
-        m = a @ m + QMat.scalar(n, coeffs[n - k + 1])
-        trace = sum((a @ m).rows[i][i] for i in range(n))
-        coeffs[n - k] = -trace / k
+        am = a @ (am + QMat.scalar(n, coeffs[n - k + 1]))
+        coeffs[n - k] = Fraction(-sum(am.num[i][i] for i in range(n)), am.den * k)
     return coeffs
 
 

@@ -25,7 +25,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import LawViolation
-from .exactlinalg import FpMat, check_prime
+from .exactlinalg import FpMat, check_prime, exact_int
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,15 @@ class GradedHiggsModule:
         check_prime(self.prime)
         if self.directions < 0:
             raise ValueError("directions must be >= 0")
-        object.__setattr__(self, "dims",
-                           {int(i): int(v) for i, v in self.dims.items() if v})
+        dims = {exact_int(i): exact_int(v) for i, v in self.dims.items()}
+        object.__setattr__(self, "dims", {i: v for i, v in dims.items() if v})
         if any(v < 0 for v in self.dims.values()):
             raise ValueError("piece dimensions must be >= 0")
         fields: dict = {}
         for k in range(1, self.directions + 1):
             per = {}
             for i, mat in self.fields.get(k, {}).items():
-                i = int(i)
+                i = exact_int(i)
                 expected = (self.dim_at(i - 1), self.dim_at(i))
                 if mat.shape != expected:
                     raise ValueError(
@@ -139,12 +139,8 @@ def koszul_differential(m: GradedHiggsModule, i: int, k: int) -> FpMat:
 def hodge_cohomology(m: GradedHiggsModule, i: int) -> list[tuple[int, int]]:
     """[(k, dim H^k)] for k = 0..d of the Koszul total complex in weight i."""
     d = m.directions
-    diffs = [koszul_differential(m, i, k) for k in range(d)]
-    out = []
-    prev_rank = 0
-    for k in range(d + 1):
-        dim_term = comb(d, k) * m.dim_at(i - k)
-        rank_out = diffs[k].rank() if k < d else 0
-        out.append((k, dim_term - rank_out - prev_rank))
-        prev_rank = rank_out
-    return out
+    # r[k] is the rank into term k; a differential out of or into a zero piece
+    # has a shape and no entries, so it is not built
+    r = [0] + [koszul_differential(m, i, k).rank() if m.dim_at(i - k) and m.dim_at(i - k - 1)
+               else 0 for k in range(d)] + [0]
+    return [(k, comb(d, k) * m.dim_at(i - k) - r[k] - r[k + 1]) for k in range(d + 1)]

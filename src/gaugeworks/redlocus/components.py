@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from ..errors import LawViolation, PrimeMismatchError
-from ..exactlinalg import (FpMat, check_prime, fp_homology_two_term,
+from ..exactlinalg import (FpMat, check_prime, exact_int, fp_homology_two_term,
                            quotient_projection)
 from ..exactlinalg.fpmat import product_rows
 
@@ -101,11 +101,11 @@ class GradedThetaModule:
 
     def __post_init__(self):
         check_prime(self.prime)
-        object.__setattr__(self, "dims",
-                           {int(k): int(v) for k, v in self.dims.items() if v})
+        dims = {exact_int(k): exact_int(v) for k, v in self.dims.items()}
+        object.__setattr__(self, "dims", {k: v for k, v in dims.items() if v})
         thetas = {}
         for i, m in self.thetas.items():
-            i = int(i)
+            i = exact_int(i)
             expected = (self.dim_at(i - self.prime), self.dim_at(i))
             if m.shape != expected:
                 raise ValueError(f"theta at degree {i} has shape {m.shape}, "
@@ -149,7 +149,7 @@ class A1Module:
         check_prime(self.prime)
         if self.lo > self.hi:
             raise ValueError("window must satisfy lo <= hi")
-        object.__setattr__(self, "dims", tuple(int(v) for v in self.dims))
+        object.__setattr__(self, "dims", tuple(map(exact_int, self.dims)))
         if len(self.dims) != self.hi - self.lo + 1:
             raise ValueError("dims must cover the window")
         w = self.hi - self.lo

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import LawViolation
-from ..exactlinalg import FpMat, fp_homology_two_term
+from ..exactlinalg import FpMat, exact_int, fp_homology_two_term
 from .components import (A1Module, FilThetaModule, restrict_dRplus_to_Hod,
                          restrict_HTc_to_Hod)
 
@@ -43,7 +43,7 @@ class ReducedFGauge:
         if self.htc.prime != self.drp.prime:
             raise LawViolation("both halves must share one prime")
         object.__setattr__(self, "alpha_hod",
-                           {int(k): v for k, v in self.alpha_hod.items()})
+                           {exact_int(k): v for k, v in self.alpha_hod.items()})
         _check_gluing(self)
 
     @property
@@ -161,10 +161,9 @@ def reduced_syntomic_cohomology(g: ReducedFGauge) -> ReducedCohomology:
 
 
 def _stack_rows(p: int, blocks: list[list[FpMat]]) -> FpMat:
-    out = None
-    for row in blocks:
-        acc = None
-        for blk in row:
-            acc = blk if acc is None else acc.hstack(blk)
-        out = acc if out is None else out.vstack(acc)
-    return out
+    """The block matrix with block rows ``blocks``, built once: each of its rows
+    joins the stored rows of one block row's blocks."""
+    ncols, = {sum(blk.ncols for blk in row) for row in blocks}  # one width, or ValueError
+    return FpMat._made(p, tuple([sum(parts, ()) for row in blocks
+                                 for parts in zip(*[blk.rows for blk in row], strict=True)]),
+                       ncols)

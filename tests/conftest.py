@@ -16,7 +16,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -29,7 +29,7 @@ from gaugeworks.exactlinalg.modules import _quotient
 from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
-from gaugeworks.higgs import GradedHiggsModule
+from gaugeworks.higgs import GradedHiggsModule, koszul_differential
 from gaugeworks.errors import LawViolation
 from gaugeworks.redlocus import (A1Flag, FilThetaModule, ReducedFGauge,
                                  restrict_dRplus_to_Hod, restrict_HTc_to_dR,
@@ -617,6 +617,21 @@ def oracle_gauge_violations(g) -> list[str]:
         if a_j @ hod_htc.theta_at(i) != hod_drp.theta_at(i) @ a_i:
             bad.append(f"alpha_Hod must commute with Theta (degree {i})")
     return bad
+
+
+def oracle_hodge_cohomology(m, i: int) -> list[tuple[int, int]]:
+    """Koszul cohomology with every differential built and ranked, those out of
+    or into a zero piece included: the routine before it skipped them."""
+    d = m.directions
+    diffs = [koszul_differential(m, i, k) for k in range(d)]
+    out = []
+    prev_rank = 0
+    for k in range(d + 1):
+        dim_term = comb(d, k) * m.dim_at(i - k)
+        rank_out = diffs[k].rank() if k < d else 0
+        out.append((k, dim_term - rank_out - prev_rank))
+        prev_rank = rank_out
+    return out
 
 
 def oracle_euler(r) -> int:

@@ -24,6 +24,9 @@ from gaugeworks.exactlinalg import fpmat, qmat, rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
 from gaugeworks.exactlinalg.modules import (_diagonal, _relation_lifts, _with_relations,
                                             composite, reduced_cokernel_dim)
+from gaugeworks.filphi import FilteredSpace
+from gaugeworks.higgs import GradedHiggsModule
+from gaugeworks.redlocus import A1Module, GradedThetaModule, ReducedFGauge, bk_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -1081,31 +1084,10 @@ def test_qmat_reads_fractions_off_its_integer_form():
     # the constructor keeps no entry it was handed: the Fractions of ``rows``
     # are built from num / den on the first read
     third = Fraction(1, 3)
-    a = QMat([[third, 2], [True, Fraction(4, 6)]])
+    a = QMat([[third, 2], [1, Fraction(4, 6)]])
     assert a.num == ((1, 6), (3, 2)) and a.den == 3
     assert all(type(x) is Fraction for r in a.rows for x in r) and a.rows is a.rows
     assert a == QMat([[Fraction(1, 3), 2], [1, Fraction(2, 3)]])
-
-
-def test_qmat_den_keyword_takes_the_stored_form(rng):
-    for _ in range(200):
-        m, n = rng.randint(0, 4), rng.randint(0, 4)
-        den = rng.choice([1, 2, 6, 12, 3 ** 40])
-        num = [[rng.randint(-20, 20) * rng.choice([1, 2, 3]) for _ in range(n)]
-               for _ in range(m)]
-        a = QMat(num, n, den=den)
-        assert a == QMat([[Fraction(x, den) for x in r] for r in num], ncols=n)
-        assert a.shape == (m, n) and a.den > 0
-        assert gcd(a.den, *(x for r in a.num for x in r)) == 1
-        assert type(a.num) is tuple and all(type(r) is tuple for r in a.num)
-    for num, ncols, den, message in [
-            ([[1, 2]], None, 0, "den="), ([[1, 2]], None, -3, "den="),
-            ([[1, 2]], None, True, "den="), ([[1, 2]], None, 2.0, "den="),
-            ([[1, Fraction(1, 2)]], None, 2, "den="), ([[1, True]], None, 2, "den="),
-            ([["1", 2]], None, 2, "den="), ([[1, 2], [3]], None, 2, "ragged rows"),
-            ([[1, 2]], 3, 2, "ncols=3")]:
-        with pytest.raises(ValueError, match=message):
-            QMat(num, ncols, den=den)
 
 
 def test_qmat_constructors_match_the_old_ones_and_hold_fractions():
@@ -1114,10 +1096,11 @@ def test_qmat_constructors_match_the_old_ones_and_hold_fractions():
     built = []
     for m, n in [(0, 0), (0, 3), (2, 0), (3, 3), (2, 4), (4, 2)]:
         built.append((QMat.zeros(m, n), QMat([[0] * n for _ in range(m)], ncols=n)))
-        entries = [third, 2, 0, -1][:min(m, n)]
-        built.append((QMat.diagonal(entries, m, n),
-                      QMat([[entries[i] if (i == j and i < len(entries)) else 0
-                             for j in range(n)] for i in range(m)], ncols=n)))
+    for n in range(5):
+        entries = [third, 2, 0, -1][:n]
+        built.append((QMat.diagonal(entries),
+                      QMat([[entries[i] if i == j else 0 for j in range(n)]
+                            for i in range(n)], ncols=n)))
     for n in range(5):
         built.append((QMat.identity(n), QMat([[int(i == j) for j in range(n)]
                                               for i in range(n)], ncols=n)))
@@ -1481,7 +1464,7 @@ def test_every_kernel_result_equals_its_public_rebuild(rng, p, trial):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 211])
 def test_public_fpmat_constructor_reduces_and_checks(p):
-    a = FpMat(p, [[-1, p, 2 * p + 3, True]])
+    a = FpMat(p, [[-1, p, 2 * p + 3, p + 1]])
     assert a.rows == ((p - 1, 0, 3 % p, 1),)
     assert all(type(x) is int for x in a.rows[0])
     assert FpMat(p, [], ncols=4).shape == (0, 4) and FpMat(p, [[]] * 2).shape == (2, 0)
@@ -1493,15 +1476,111 @@ def test_public_fpmat_constructor_reduces_and_checks(p):
 
 
 def test_public_qmat_constructor_wraps_and_checks():
-    a = QMat([[1, "1/2", Fraction(2, 4), True]])
-    assert a.rows == ((1, Fraction(1, 2), Fraction(1, 2), 1),)
+    a = QMat([[1, "1/2", Fraction(2, 4), "-3"]])
+    assert a.rows == ((1, Fraction(1, 2), Fraction(1, 2), -3),)
     assert all(type(x) is Fraction for x in a.rows[0])
     assert QMat([], ncols=4).shape == (0, 4) and QMat([[]] * 2).shape == (2, 0)
-    assert all(type(x) is Fraction for r in QMat.diagonal([2, "1/3"], 3, 2).rows for x in r)
+    assert all(type(x) is Fraction for r in QMat.diagonal([2, "1/3"]).rows for x in r)
     with pytest.raises(ValueError, match="ragged rows"):
         QMat([[1, 2], [3]])
     with pytest.raises(ValueError, match="ncols=1 but rows have width 2"):
         QMat([[1, 2]], ncols=1)
+
+
+# ---------------------------------------------------------------------------
+# one rule per kind of entry: rational, F_p and integer
+# ---------------------------------------------------------------------------
+
+# (value, the job reader's message for a rational entry, or None if it reads one)
+ENTRIES = [(0, None), (3, None), (-7, None), (10 ** 30, None), (Fraction(3, 4), None),
+           (Fraction(-6, 4), None), ("3/4", None), ("-2", None), ("-4/6", None),
+           (True, "expected a rational string, got True"),
+           (0.5, "expected a rational string, got 0.5"),
+           (Decimal("0.1"), "expected a rational string, got Decimal('0.1')"),
+           (None, "expected a rational string, got None"),
+           ([1], "expected a rational string, got [1]"),
+           ("1.5", "not a rational literal: '1.5'"),
+           (" 2", "not a rational literal: ' 2'"),
+           ("1e3", "not a rational literal: '1e3'")]
+ENTRY_IDS = [repr(x) for x, _ in ENTRIES]
+
+
+@pytest.mark.parametrize("x, message", ENTRIES, ids=ENTRY_IDS)
+def test_one_rule_reads_a_rational_entry_or_scalar(x, message):
+    reads = {"QMat": lambda: QMat([[x, "1/6"]]).num, "diagonal": lambda: QMat.diagonal([x]),
+             "scale": lambda: QMat([["1/6"]]).scale(x), "apply": lambda: QMat.identity(1).apply([x]),
+             "rational_entry": lambda: rationals.rational_entry(x)}
+    if message is not None:
+        for name, read in reads.items():
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == message, name
+        return
+    want = Fraction(x)  # what each of them read before the one rule
+    d = lcm(want.denominator, 6)
+    assert QMat([[x, "1/6"]]).num == ((want.numerator * (d // want.denominator), d // 6),)
+    assert QMat([[x, "1/6"]]).den == d
+    diag = QMat.diagonal([x])
+    assert (diag.num, diag.den) == (((want.numerator,),), want.denominator)
+    assert QMat([["1/6"]]).scale(x) == QMat([[want / 6]])
+    assert QMat.identity(1).apply([x]) == (want,)
+    assert rationals.rational_entry(x) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("x, message", ENTRIES, ids=ENTRY_IDS)
+def test_one_rule_reads_an_entry_over_fp_and_an_integer(x, message):
+    p = 5
+    reads = {"FpMat": lambda: FpMat(p, [[1, x]]), "scale": lambda: FpMat(p, [[1]]).scale(x),
+             "scalar": lambda: FpMat.scalar(p, 2, x)}
+    if type(x) is not int:
+        for name, read in reads.items():
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == "expected an integer mod p", name
+        with pytest.raises(ValueError) as err:
+            rationals.exact_int(x)
+        assert str(err.value) == f"expected an integer, got {x!r}"
+        return
+    r = x % p  # what each of them read before: int(x) % p
+    assert FpMat(p, [[1, x]]).rows == ((1, r),)
+    assert FpMat(p, [[1]]).scale(x).rows == ((r,),)
+    assert FpMat.scalar(p, 2, x).rows == ((r, 0), (0, r))
+    assert rationals.exact_int(x) is x
+
+
+def test_no_entry_is_truncated_to_an_int():
+    # each of these once read int(x): 1/2 as 0, 2.7 as 2, "3" as 3 and True as 1
+    for x in (Fraction(1, 2), 2.7, "3", True):
+        with pytest.raises(ValueError, match="expected an integer mod p"):
+            FpMat(5, [[x]])
+    with pytest.raises(ValueError, match="expected an integer mod p"):
+        FpMat.scalar(5, 2, 2.9)
+    assert QMat([["1/2"]]).den == 2
+    with pytest.raises(ValueError, match="expected a rational string, got 0.1"):
+        QMat([[0.1]])  # once 3602879701896397 / 2^55
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(2), "2", True, None], ids=repr)
+def test_integer_fields_are_read_by_one_rule(bad):
+    # sizes, exponents and degrees: each once went through int(), so
+    # FGModule(3, 0, (1.5, 2.9)) was Z/3^1 + Z/3^2
+    g = bk_reduced(1, 3)
+    one = FpMat.zeros(3, 0, 1)
+    builds = [lambda: FGModule(3, 0, (1, bad)), lambda: FGModule(3, bad),
+              lambda: FilteredSpace(0, 0, (bad,), ()),
+              lambda: A1Module(3, 0, 0, (bad,), (), ()),
+              lambda: GradedThetaModule(3, {0: bad}, {}),
+              lambda: GradedThetaModule(3, {bad: 1}, {}),
+              lambda: GradedThetaModule(3, {0: 1}, {bad: one}),
+              lambda: GradedHiggsModule(3, 1, {0: bad}, {}),
+              lambda: GradedHiggsModule(3, 1, {bad: 1}, {}),
+              lambda: GradedHiggsModule(3, 1, {0: 1}, {1: {bad: one}}),
+              lambda: ReducedFGauge(htc=g.htc, drp=g.drp, alpha_dr=g.alpha_dr,
+                                    alpha_hod={bad: next(iter(g.alpha_hod.values()))})]
+    for k, build in enumerate(builds):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == f"expected an integer, got {bad!r}", k
 
 
 def lawful_map(rng, p, src, tgt):

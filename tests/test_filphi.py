@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (oracle_q_det, oracle_q_rank, oracle_q_two_term,
+from conftest import (count_calls, oracle_q_det, oracle_q_rank, oracle_q_two_term,
                       oracle_rational_roots, oracle_snf, qmat_rows, rand_filtered_phi,
-                      twist_sum_square)
+                      rand_qmat, twist_sum_square)
 from gaugeworks.cli import build_filphi
 from gaugeworks.errors import LawViolation, NonHonestFiltrationError
 from gaugeworks.exactlinalg import QMat, kron, span_union, vp
@@ -271,6 +271,20 @@ def test_rational_roots_match_the_divisor_oracle(rng):
     for _ in range(30):
         char = filphi._char_poly(rand_filtered_phi(rng, 3, max_dim=3).frobenius)
         assert filphi._rational_roots(char) == oracle_rational_roots(char)
+
+
+@pytest.mark.parametrize("trial", range(40))
+def test_char_poly_is_det_of_t_minus_a_with_one_product_per_step(rng, trial):
+    n = rng.randint(0, 7)
+    a = rand_qmat(rng, rng.choice([2, 3, 5]), n, n)
+    with count_calls(QMat, "__matmul__") as products:
+        coeffs = filphi._char_poly(a)
+    assert len(products) == n and len(coeffs) == n + 1
+    rows = qmat_rows(a)
+    # n + 1 distinct points fix a polynomial of degree n
+    for t in (Fraction(k - 2, 3) for k in range(n + 1)):
+        shifted = [[(t if i == j else 0) - x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+        assert sum(c * t ** k for k, c in enumerate(coeffs)) == oracle_q_det(shifted)
 
 
 def test_rational_roots_of_a_linear_factor_at_a_61_bit_prime():

@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
-from conftest import fpmat_rows, oracle_fp_rank, rand_higgs
+from conftest import (count_calls, fpmat_rows, oracle_fp_rank, oracle_hodge_cohomology,
+                      rand_higgs)
+from gaugeworks import higgs
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import FpMat
 from gaugeworks.higgs import (GradedHiggsModule, check_higgs,
@@ -130,6 +132,28 @@ def test_cohomology_matches_oracle(rng, trial):
     m = rand_higgs(rng, P, rng.randint(1, 3))
     for i in range(min(m.dims), max(m.dims) + m.directions + 1):
         assert hodge_cohomology(m, i) == oracle_hodge(m, i)
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_cohomology_matches_the_routine_that_built_every_differential(rng, trial):
+    # fields in one to three directions, then the same module with up to three
+    # directions more that have none
+    p = rng.choice([2, 3, 5])
+    m = rand_higgs(rng, p, rng.randint(1, 3))
+    padded = GradedHiggsModule(p, m.directions + rng.randint(1, 3), m.dims, m.fields)
+    for mod in (m, padded):
+        for i in range(min(mod.dims) - 1, max(mod.dims) + mod.directions + 2):
+            assert hodge_cohomology(mod, i) == oracle_hodge_cohomology(mod, i)
+
+
+def test_differentials_out_of_or_into_a_zero_piece_are_not_built(rng):
+    for m in (rand_higgs(rng, P, 2), GradedHiggsModule(P, 12, {0: 2, 3: 1}, {})):
+        d = m.directions
+        for i in range(min(m.dims) - 1, max(m.dims) + d + 2):
+            with count_calls(higgs, "koszul_differential") as built:
+                hodge_cohomology(m, i)
+            assert len(built) == sum(1 for k in range(d)
+                                     if m.dim_at(i - k) and m.dim_at(i - k - 1))
 
 
 def test_joint_nilpotence_is_structural(rng):

@@ -486,6 +486,54 @@ def test_random_glued_euler_relation(rng, trial):
     assert r.h == oracle_reduced(g)
 
 
+def pairwise_stack(blocks):
+    """The block matrix by one ``hstack`` per block and one ``vstack`` per block row."""
+    out = None
+    for row in blocks:
+        acc = None
+        for blk in row:
+            acc = blk if acc is None else acc.hstack(blk)
+        out = acc if out is None else out.vstack(acc)
+    return out
+
+
+@pytest.mark.parametrize("trial", range(20))
+def test_stack_rows_builds_one_matrix_equal_to_the_pairwise_stacks(rng, trial):
+    p = rng.choice([2, 3, 5])
+    heights = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    widths = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
+    blocks = [[rand_fpmat(rng, p, h, w) for w in widths] for h in heights]
+    want = pairwise_stack(blocks)
+    with count_calls(FpMat, "_made") as made:
+        got = gluing._stack_rows(p, blocks)
+    assert len(made) == 1 and got == want and got.shape == (sum(heights), sum(widths))
+
+
+def test_stack_rows_refuses_blocks_that_do_not_fit():
+    z = FpMat.zeros
+    with pytest.raises(ValueError):  # block rows of widths 2 and 3
+        gluing._stack_rows(P, [[z(P, 1, 2)], [z(P, 1, 3)]])
+    with pytest.raises(ValueError):  # blocks of heights 1 and 2 in one block row
+        gluing._stack_rows(P, [[z(P, 1, 1), z(P, 2, 1)]])
+
+
+def test_glued_complex_is_the_pairwise_stacks_of_its_blocks(monkeypatch, rng):
+    one_pass, complexes = gluing._stack_rows, []
+
+    def compared(p, blocks):
+        got = one_pass(p, blocks)
+        assert got == pairwise_stack(blocks)
+        complexes.append(got)
+        return got
+
+    monkeypatch.setattr(gluing, "_stack_rows", compared)
+    gauges = [rand_glued(rng, rng.choice([3, 5])) for _ in range(15)]
+    gauges += [bk_reduced(n, p) for p in (2, 3, 5) for n in range(-p - 1, p + 2)]
+    for g in gauges:
+        reduced_syntomic_cohomology(g)
+    assert len(complexes) == 2 * len(gauges)
+
+
 def test_graded_pieces_lift_to_a_basis(rng):
     # gr_i = coker(x_{i-1}) and gr^i = Fil^i / Fil^{i+1}; over the window the
     # lifted pieces of each half together form a basis of its stable space
