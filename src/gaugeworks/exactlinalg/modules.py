@@ -150,8 +150,12 @@ class ModuleMap:
 
     @classmethod
     def diagonal(cls, m: FGModule, entries: Sequence[int]) -> "ModuleMap":
-        """The self-map of ``m`` with the integers ``entries`` on the diagonal."""
+        """The self-map of ``m`` with the integers ``entries`` on the diagonal, one
+        per generator, each read by :func:`exact_int`."""
         n = m.ngens
+        if len(entries) != n:
+            raise ValueError(f"need {n} diagonal entries, got {len(entries)}")
+        entries = list(map(exact_int, entries))
         return cls._made(m, m, tuple([tuple([entries[i] if i == j else 0 for j in range(n)])
                                       for i in range(n)]), 1)
 

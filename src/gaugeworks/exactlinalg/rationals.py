@@ -5,7 +5,8 @@ integers at a fixed prime p: exact rationals whose denominator (in lowest
 terms) is coprime to p.  We represent them with :class:`fractions.Fraction`
 and keep the prime as an explicit argument; a value is "p-local" when
 ``is_p_local(x, p)`` holds.  The valuation of zero is the distinguished
-sentinel :data:`INF`, never a number.
+sentinel :data:`INF`, never a number.  ``vp``, ``is_p_local``, ``unit_part``
+and ``format_rational`` read x by :func:`rational_entry`: a float raises.
 """
 
 from __future__ import annotations
@@ -145,23 +146,23 @@ def vp(x, p: int):
     >>> vp(0, 3)
     INF
     """
-    x = Fraction(x)
-    if x == 0:
+    num, den = rational_entry(x)
+    if num == 0:
         return INF
-    return vp_int(x.numerator, p) - vp_int(x.denominator, p)
+    return vp_int(num, p) - vp_int(den, p)
 
 
 def is_p_local(x, p: int) -> bool:
     """True when x lies in Z_(p), i.e. its reduced denominator is prime to p."""
-    return Fraction(x).denominator % p != 0
+    return rational_entry(x)[1] % p != 0
 
 
 def unit_part(x, p: int) -> Fraction:
     """Write a nonzero rational as p^v * u with u a p-unit and return u."""
-    x = Fraction(x)
-    if x == 0:
+    num, den = rational_entry(x)
+    if num == 0:
         raise ValueError("zero has no unit part")
-    return x / Fraction(p) ** vp(x, p)
+    return Fraction(num // p ** vp_int(num, p), den // p ** vp_int(den, p))
 
 
 def rational_pair(text: str) -> tuple[int, int]:
@@ -220,8 +221,7 @@ def format_rational(x) -> str:
 
     Exact at any size, through :func:`format_ratio`.
     """
-    x = Fraction(x)
-    return format_ratio(x.numerator, x.denominator)
+    return format_ratio(*rational_entry(x))
 
 
 def format_ratio(num: int, den: int) -> str:

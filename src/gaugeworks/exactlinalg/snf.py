@@ -33,19 +33,15 @@ route in the package calls it, and it is kept as library API.
 inversion: row k of V^{-1} is the k-th pivot row over its pivot, each entry
 at its column's original index, and the rows past the rank are unit rows at
 the columns that never pivoted (proved at :class:`SNF`).  So V^{-1} is unit
-upper triangular with its columns in pivot order, and V, equal to that of
-plain Fraction elimination (V depends only on the ratios a_kj / a_kk within
-pivot rows), is derived from it by back substitution, only when read.
-:func:`kernel_over_zp` reads V's columns past the rank off that same V.
-No routine returns U.  Since U M V = D, the product M V equals U^{-1} D, so
-a caller that wants U^{-1} D, or U^{-1} itself when D is invertible, gets it
-from M V, and V^{-1} U^{-1} as V^{-1} (M V) D^{-1}.
+upper triangular with its columns in pivot order.  Nothing here derives V
+or U: :meth:`SNF.integral_basis` inverts V^{-1} modulo p^n only, on integer
+rows, and :func:`kernel_over_zp` solves for the kernel vectors off the
+pivot order alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 
 from .qmat import QMat
@@ -54,7 +50,7 @@ from .rationals import check_prime, vp_int
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V = D with U, V invertible over Z_(p); V^{-1} is kept, V derived.
+    """U @ M @ V = D with U, V invertible over Z_(p), of which V^{-1} is kept.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries of D,
     weakly increasing; the remaining diagonal of D is zero.  ``order`` lists
@@ -66,9 +62,7 @@ class SNF:
     original index and 0 at the columns pivoted before; row r + i is the
     unit row at the original index of the i-th column that never pivoted.
     So row k has 1 at ``order[k]`` and 0 at ``order[:k]``: with its columns
-    in ``order``, ``v_inv`` is unit upper triangular, and ``v`` is its
-    inverse by back substitution (:func:`_unit_triangular_inverse`), built
-    on the first read.
+    in ``order``, ``v_inv`` is unit upper triangular.
 
     Proof.  Label each live column by its original index; swaps move labels
     with the columns.  At step k the sweep's only column operations replace
@@ -94,9 +88,27 @@ class SNF:
     def rank(self) -> int:
         return len(self.exponents)
 
-    @cached_property
-    def v(self) -> QMat:
-        return QMat(_unit_triangular_inverse(self.v_inv.rows, self.order), self.v_inv.ncols)
+    def integral_basis(self, n: int) -> tuple[QMat, QMat]:
+        """W = V^{-1} reduced entrywise mod p^n, and B = W^{-1}.
+
+        The entries of V^{-1} are p-integral, so each has a residue mod p^n;
+        the least absolute one is taken (p^n / 2 itself when p = 2).  Row k
+        of W has 1 at ``order[k]`` and 0 at ``order[:k]``, as row k of
+        V^{-1} has, so B comes from back substitution with no division, and
+        both are integer matrices of determinant +-1.
+
+        >>> from .qmat import QMat
+        >>> w, b = smith_normal_form(QMat([[2, 3], [3, 9]]), 3).integral_basis(2)
+        >>> w.num, b.num
+        (((1, -3), (0, 1)), ((1, 3), (0, 1)))
+        """
+        pn = self.prime ** n
+        # residues in [-h, pn - 1 - h]: 1 stays 1, even for pn = 2
+        h, unit = (pn - 1) // 2, pow(self.v_inv.den, -1, pn)
+        w = [[(y * unit + h) % pn - h for y in r] for r in self.v_inv.num]
+        k = len(w)
+        return (QMat._made(tuple(map(tuple, w)), 1, k),
+                QMat._made(tuple(map(tuple, _unit_triangular_inverse(w, self.order))), 1, k))
 
 
 def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
@@ -227,8 +239,7 @@ def _unit_triangular_inverse(rows, order) -> list[list]:
     T = M P, so M^{-1} = P T^{-1}: row ``order[k]`` of M^{-1} is row k of
     T^{-1}, which back substitution gives as e_k minus the sum over c > k of
     T[k][c] times row c, and that row vanishes before position c.  There is
-    no division, so integer rows give integer rows, and Fraction rows work
-    as they are.
+    no division, so integer rows give integer rows.
     """
     n = len(order)
     inv = [None] * n
@@ -252,8 +263,6 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
     >>> s = smith_normal_form(QMat([[2, 3], [3, 9]]), 3)
     >>> s.exponents, s.order
     ((0, 2), (0, 1))
-    >>> s.v_inv @ s.v == QMat.identity(2)
-    True
     """
     rows, shift = _integral_rows(m, p)
     nc = m.ncols
@@ -274,13 +283,31 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
-    """Basis (columns) of the Z_(p)-kernel of ``m``.
+    """Basis (columns) of the Z_(p)-kernel of ``m``: the columns of V past the rank r.
 
-    The kernel of a map of free modules is free and saturated, so the columns
-    of V sitting over the zero diagonal of the normal form are a basis.
+    Column i is 1 at ``order[r + i]``, 0 at the rest of ``order[r:]``, and
+    at ``order[:r]`` the one solution y of m[:, order[:r]] y = -m[:, order[r + i]].
+    Proof: for M x = 0 and y = V^{-1} x, U^{-1} D y = 0 gives y_k = 0 for
+    k < r, and y_{r+i} is x at ``order[r + i]``, since the rows of V^{-1}
+    past r are unit rows there (see :class:`SNF`).  So x is the sum of its
+    entries at ``order[r:]`` times V's columns past r: those columns are a
+    basis, each is the vector described, and a kernel vector is fixed by
+    its entries at ``order[r:]``.
+
+    >>> from .qmat import QMat
+    >>> k = kernel_over_zp(QMat([[2, 3, 1]]), 3)
+    >>> k.num, k.den
+    (((-3, -1), (2, 0), (0, 2)), 2)
     """
     s = smith_normal_form(m, p)
-    return s.v.take_cols(list(range(s.rank, m.ncols)))
+    r, free = s.rank, s.order[s.rank:]
+    y = m.take_cols(s.order[:r]).solve(-m.take_cols(free))
+    rows = [None] * m.ncols
+    for label, row in zip(s.order, y.num):
+        rows[label] = row
+    for i, label in enumerate(free):
+        rows[label] = [y.den if j == i else 0 for j in range(len(free))]
+    return QMat._lowest(rows, y.den, len(free))
 
 
 __all__ = ["SNF", "smith_normal_form", "smith_exponents", "exponents_mod_power",

@@ -19,8 +19,9 @@ automorphism induced by tau, the rational realization.
 
 An :class:`FCrystalPoint` is the input datum (free module, invertible
 rational tau); its gauge is cut out by the saturated filtration
-Fil^i = preimage of p^i M under tau, computed once from the Smith normal
-form of tau and then thresholded per index.
+Fil^i = preimage of p^i M under tau.  One Smith form of tau gives its
+exponents d_j and an integer basis B of M, the inverse of V^{-1} mod p^N,
+in which Fil^i is B diag(p^{max(i - d_j, 0)}) at every index.
 """
 
 from __future__ import annotations
@@ -30,11 +31,9 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LawViolation, PrimeMismatchError
-from .exactlinalg import (SNF, FGModule, ModuleMap, QMat, check_prime,
-                          homology_two_term, is_p_local, kernel_over_zp,
+from .exactlinalg import (FGModule, ModuleMap, QMat, check_prime, homology_two_term,
                           smith_normal_form, zero_module)
 from .exactlinalg.modules import composite, reduced_cokernel_dim
-from .exactlinalg.snf import _unit_triangular_inverse
 from .filphi import PhiModule
 
 
@@ -217,41 +216,23 @@ class FCrystalPoint:
             raise LawViolation("tau_crys must be invertible over the rationals")
 
 
+def _integral_smith(c: FCrystalPoint) -> tuple[tuple[int, ...], QMat, QMat]:
+    """The Smith exponents d_j of tau, and W and B of :meth:`SNF.integral_basis`
+    at N = b - a + 1, for [a, b] the range of the d_j."""
+    s = smith_normal_form(c.tau_crys, c.prime)
+    exps = s.exponents  # tau is invertible, so all rank exponents are present
+    return (exps, *s.integral_basis(max(exps, default=0) - min(exps, default=0) + 1))
+
+
 def filtration_basis(c: FCrystalPoint, i: int) -> QMat:
     """Column basis of Fil^i = {m : tau(m) in p^i M} inside M = Z_(p)^rank.
 
-    With U tau V = diag(p^{d_j}), the preimage is spanned by
-    p^{max(i - d_j, 0)} (column j of V).
+    It is B diag(p^{max(i - d_j, 0)}), with B and the d_j as in
+    :func:`gauge_from_fcrystal`, whose Lemma (iii) proves it.
     """
-    return _filtration_basis(smith_normal_form(c.tau_crys, c.prime), i)
-
-
-def _filtration_basis(s: SNF, i: int) -> QMat:
-    """:func:`filtration_basis` read off the Smith form ``s`` of tau."""
-    n = s.v.nrows
-    cols = []
-    for j, d_j in enumerate(s.exponents):
-        scale = Fraction(s.prime) ** max(i - d_j, 0)
-        cols.append([scale * s.v[r, j] for r in range(n)])
-    return QMat.from_cols(cols, n)
-
-
-def _integral_basis(s: SNF, n: int) -> tuple[QMat, QMat]:
-    """W = V^{-1} reduced entrywise mod p^n, and B = W^{-1}, for the Smith form ``s``.
-
-    The entries of V^{-1} are p-integral, so each has a residue mod p^n; the
-    least absolute one is taken (p^n / 2 itself when p = 2).  Row k of
-    V^{-1} has 1 at ``s.order[k]`` and 0 at ``s.order[:k]``, and so has W,
-    so B comes from back substitution with no division and both are
-    integer matrices.
-    """
-    pn = s.prime ** n
-    # residues in [-h, pn - 1 - h]: 1 stays 1, even for pn = 2
-    h, unit = (pn - 1) // 2, pow(s.v_inv.den, -1, pn)
-    w = [[(y * unit + h) % pn - h for y in r] for r in s.v_inv.num]
-    k = len(w)
-    return (QMat._made(tuple(map(tuple, w)), 1, k),
-            QMat._made(tuple(map(tuple, _unit_triangular_inverse(w, s.order))), 1, k))
+    exps, _, basis = _integral_smith(c)
+    scale = [c.prime ** max(i - d, 0) for d in exps]
+    return QMat._made(tuple([tuple(map(mul, r, scale)) for r in basis.num]), 1, c.rank)
 
 
 def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
@@ -262,7 +243,7 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     and u are the declared constants.  tau of the gauge sends m in Fil^b to
     tau_crys(m)/p^b, which lands in M and is an isomorphism there.  The
     levels are written in the bases B_i = B diag(p^{max(i - d_j, 0)}), with B
-    the integer matrix of :func:`_integral_basis` at N = b - a + 1,
+    the integer matrix of :meth:`SNF.integral_basis` at N = b - a + 1,
     whose entries stay the size of p^N however large the exact V grows.
 
     Lemma.  Let U tau_crys V = diag(p^{d_j}) be the Smith form, with
@@ -290,8 +271,7 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     if c.rank == 0:
         m = zero_module(p)
         return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.diagonal(m, ()))
-    s = smith_normal_form(c.tau_crys, p)
-    exps = s.exponents  # tau is invertible, so all r exponents are present
+    exps, w, basis = _integral_smith(c)
     a, b = min(exps), max(exps)
     free = FGModule(p, c.rank)
     modules = tuple(free for _ in range(a, b + 1))
@@ -300,7 +280,6 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
         # t_i is p where d_j < i and 1 elsewhere, u_i = p / t_i: lawful as built
         ts.append(ModuleMap.diagonal(free, [p if d < i else 1 for d in exps]))
         us.append(ModuleMap.diagonal(free, [1 if d < i else p for d in exps]))
-    w, basis = _integral_basis(s, b - a + 1)
     # diag(p^{-d_j}) scales columns: column j of N / D becomes
     # N p^(top - d_j) / (D p^top)
     tv = w @ (c.tau_crys @ basis)
@@ -324,39 +303,20 @@ def filtration_saturation_holds(c: FCrystalPoint) -> bool:
     injectivity of the induced maps Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2}
     and is what the mod-p injectivity of the filtration diagram means at the
     point, where the ideal cutting out the point is (p) itself.
+
+    In the coordinates of the basis B of :func:`filtration_basis`, checked
+    first to span M (det B = +-1), p M is diag(p) and Fil^i is
+    diag(p^{max(i - d_j, 0)}).  Lattices diagonal in one basis meet in the
+    larger exponents, so p M intersect Fil^i has max(1, i - d_j) and
+    p Fil^{i-1} has 1 + max(i - 1 - d_j, 0): both 1 when i - d_j <= 1, and
+    i - d_j otherwise.  So a crystal's filtration is saturated because B is
+    a basis (Lemma (i) of :func:`gauge_from_fcrystal`).
     """
-    if c.rank == 0:
-        return True
-    p = c.prime
-    s = smith_normal_form(c.tau_crys, p)
-    a, b = min(s.exponents), max(s.exponents)
-    full = QMat.identity(c.rank)
-    for i in range(a, b + 2):
-        lhs = _lattice_intersection(full.scale(p), _filtration_basis(s, i), p)
-        rhs = _filtration_basis(s, i - 1).scale(p)
-        if not (_lattice_contains(lhs, rhs, p) and _lattice_contains(rhs, lhs, p)):
-            return False
-    return True
-
-
-def _lattice_intersection(b1: QMat, b2: QMat, p: int) -> QMat:
-    """Basis of the intersection of two full-rank lattices in Q^n."""
-    ker = kernel_over_zp(b1.hstack(b2.scale(-1)), p)
-    coeffs = ker.take_rows(list(range(b1.ncols)))
-    vecs = b1 @ coeffs
-    s = smith_normal_form(vecs, p)
-    # a basis of the (full-rank) intersection: the first rank columns of
-    # U^{-1} D, which is vecs V
-    return vecs @ s.v.take_cols(list(range(s.rank)))
-
-
-def _lattice_contains(outer: QMat, inner: QMat, p: int) -> bool:
-    """Every column of ``inner`` lies in the Z_(p)-span of ``outer``."""
-    sol = outer.solve(inner)
-    if sol is None:
+    exps, _, basis = _integral_smith(c)
+    if basis.det() not in (1, -1):
         return False
-    return all(is_p_local(sol[i, j], p)
-               for i in range(sol.nrows) for j in range(sol.ncols))
+    return all([max(1, i - d) for d in exps] == [1 + max(i - 1 - d, 0) for d in exps]
+               for i in range(min(exps, default=0), max(exps, default=0) + 2))
 
 
 # ---------------------------------------------------------------------------

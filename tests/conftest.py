@@ -23,7 +23,7 @@ from typing import NamedTuple
 import pytest
 
 from gaugeworks.exactlinalg import (FGModule, FpMat, ModuleMap, QMat, cokernel, fp_kron,
-                                    fp_span_union, smith_exponents)
+                                    fp_span_union)
 from gaugeworks.exactlinalg import fpmat
 from gaugeworks.exactlinalg.modules import _quotient
 from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
@@ -401,9 +401,45 @@ def oracle_snf_weights(c: FCrystalPoint) -> dict[int, int]:
     which reads ranks mod p instead of a Smith form.
     """
     out: dict[int, int] = {}
-    for e in smith_exponents(c.tau_crys, c.prime):
+    for e in oracle_snf(c.tau_crys, c.prime).exponents:
         out[e] = out.get(e, 0) + 1
     return out
+
+
+def oracle_filtration_basis(o: OracleSNF, i: int) -> QMat:
+    """Fil^i = {m : tau(m) in p^i M} in the oracle's basis V of the Smith form
+    ``o`` of tau: the columns p^{max(i - d_j, 0)} V e_j."""
+    scale = [Fraction(o.prime) ** max(i - d, 0) for d in o.exponents]
+    return QMat([[x * c for x, c in zip(r, scale)] for r in o.v.rows], ncols=o.v.ncols)
+
+
+def oracle_lattice_contains(outer: QMat, inner: QMat, p: int) -> bool:
+    """Every column of ``inner`` lies in the Z_(p)-span of the columns of ``outer``."""
+    sol = outer.solve(inner)
+    return sol is not None and all(x.denominator % p for r in sol.rows for x in r)
+
+
+def oracle_lattice_intersection(b1: QMat, b2: QMat, p: int) -> QMat:
+    """Basis of the intersection of two full-rank lattices in Q^n, by Fraction Smith
+    forms: the kernel of [b1 | -b2] read off V past the rank, then a basis of the
+    span of its b1-images, the first rank columns of U^{-1} D = vecs V."""
+    o = oracle_snf(b1.hstack(b2.scale(-1)), p)
+    coeffs = o.v.take_cols(list(range(o.rank, o.v.ncols))).take_rows(list(range(b1.ncols)))
+    vecs = b1 @ coeffs
+    o = oracle_snf(vecs, p)
+    return vecs @ o.v.take_cols(list(range(o.rank)))
+
+
+def oracle_saturated(fil, p: int, indices) -> bool:
+    """p M intersect Fil^i = p Fil^{i-1} at every i in ``indices``, with ``fil[i]``
+    a column basis of Fil^i in M = Z_(p)^n: the lattice route of the former
+    ``filtration_saturation_holds``."""
+    for i in indices:
+        lhs = oracle_lattice_intersection(QMat.scalar(fil[i].nrows, p), fil[i], p)
+        rhs = fil[i - 1].scale(p)
+        if not (oracle_lattice_contains(lhs, rhs, p) and oracle_lattice_contains(rhs, lhs, p)):
+            return False
+    return True
 
 
 def raw_gauge(prime, window, modules, t, u, tau) -> SimpleNamespace:

@@ -16,15 +16,15 @@ from math import comb, isqrt
 import pytest
 
 from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge,
-                      is_p_unimodular, job_strings, level_transport, oracle_q_det, oracle_t_at,
-                      oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued, rand_unimodular,
-                      scalar, twist_sum_square)
+                      is_p_unimodular, job_strings, level_transport, oracle_q_det, oracle_snf,
+                      oracle_t_at, oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued,
+                      rand_unimodular, scalar, twist_sum_square)
 from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
-from gaugeworks.exactlinalg import (SNF, FGModule, ModuleMap, QMat,
+from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, kernel_over_zp,
                                     smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import modules
-from gaugeworks.fgauge import (FCrystalPoint, FpGauge, _integral_basis, direct_sum,
+from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, gauge_from_fcrystal, hodge_tate_weights,
                                rational_realization, syntomic_cohomology, twist_gauge)
 from gaugeworks import higgs
@@ -278,10 +278,11 @@ def test_iota_equals_the_per_index_loop(rng):
 
 def widened_gauge_from_fcrystal(c):
     """The former gauge of a crystal, kept as an oracle: its window is the
-    Smith exponent range widened to contain 0."""
+    Smith exponent range widened to contain 0, and its basis the exact V of
+    the Fraction Smith form."""
     p = c.prime
-    s = smith_normal_form(c.tau_crys, p)
-    exps = s.exponents
+    o = oracle_snf(c.tau_crys, p)
+    exps = o.exponents
     a, b = min(min(exps), 0), max(max(exps), 0)
     free = FGModule(p, c.rank)
     modules = tuple(free for _ in range(a, b + 1))
@@ -292,7 +293,7 @@ def widened_gauge_from_fcrystal(c):
         ts.append(ModuleMap(free, free, QMat.diagonal(tdiag)))
         us.append(ModuleMap(free, free, QMat.diagonal(udiag)))
     unscale = QMat.diagonal([Fraction(p) ** -d for d in exps])
-    tau = ModuleMap(free, free, s.v.inverse() @ c.tau_crys @ s.v @ unscale)
+    tau = ModuleMap(free, free, o.v.inverse() @ c.tau_crys @ o.v @ unscale)
     return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
 
 
@@ -309,7 +310,7 @@ def test_crystal_gauge_extends_to_the_former_widened_gauge(rng):
             assert g.window == (min(exps), max(exps))
             wide, old = extend_window(g, min(g.a, 0), max(g.b, 0)), widened_gauge_from_fcrystal(c)
             assert (wide.window, wide.modules) == (old.window, old.modules)
-            m = s.v.inverse() @ _integral_basis(s, g.b - g.a + 1)[1]
+            m = s.v_inv @ s.integral_basis(g.b - g.a + 1)[1]
             iso = [level_transport(m, exps, p, i) for i in range(wide.a, wide.b + 1)]
             assert all(is_p_unimodular(x, p) for x in iso)
             for k, (t, u) in enumerate(zip(wide.t, wide.u)):
@@ -326,7 +327,7 @@ def test_crystal_gauge_agrees_with_the_exact_v_gauge(rng, kind, p):
     for _ in range(17):
         c = rand_fcrystal(rng, p, max_rank=12, kind=kind)
         g, old = gauge_from_fcrystal(c), widened_gauge_from_fcrystal(c)
-        s = smith_normal_form(c.tau_crys, p)
+        s, o = smith_normal_form(c.tau_crys, p), oracle_snf(c.tau_crys, p)
         assert g.window == (min(s.exponents), max(s.exponents))
         assert old.window == (min(g.a, 0), max(g.b, 0))
         assert syntomic_cohomology(g) == syntomic_cohomology(old)
@@ -334,25 +335,44 @@ def test_crystal_gauge_agrees_with_the_exact_v_gauge(rng, kind, p):
         phi, phi_old = rational_realization(g), rational_realization(old)
         assert rhom_phi(phi).dims == rhom_phi(phi_old).dims
         n = g.b - g.a + 1
-        w, basis = _integral_basis(s, n)
+        w, basis = s.integral_basis(n)
         assert w.det() in (1, -1)
         assert basis @ w == QMat.identity(c.rank)
-        assert all(vp(x, p) >= n for r in (w @ s.v - QMat.identity(c.rank)).rows for x in r)
+        assert all(vp(x, p) >= n for r in (w @ o.v - QMat.identity(c.rank)).rows for x in r)
         # the two realizations are conjugate by V^{-1} B
-        m = s.v.inverse() @ basis
+        m = s.v_inv @ basis
         assert phi_old.frobenius @ m == m @ phi.frobenius
 
 
 def test_crystal_gauge_builds_no_exact_v(monkeypatch):
-    # the gauge reads V^{-1} mod p^N only: neither V nor any inverse is built
+    # the gauge reads V^{-1} mod p^N only: no inverse and no solve is built
     def refuse(*args):
         raise AssertionError("the F-crystal path built an exact V or an inverse")
     c = FCrystalPoint(5, 3, QMat([[2, 5, 0], [1, 0, "1/25"], [0, 3, 5]]))
     s = smith_normal_form(c.tau_crys, 5)
-    assert s.exponents == (-2, 0, 0) and s.v != QMat.identity(3)
-    monkeypatch.setattr(SNF, "v", property(refuse))
+    assert s.exponents == (-2, 0, 0) and s.v_inv != QMat.identity(3)
+    assert not hasattr(s, "v")
     monkeypatch.setattr(QMat, "inverse", refuse)
+    monkeypatch.setattr(QMat, "solve", refuse)
     assert gauge_from_fcrystal(c).window == (-2, 0)
+
+
+def test_kernel_over_zp_of_a_32_by_64_matrix(rng):
+    # entries of up to 64 bits with p in numerators and denominators: one
+    # solve against the 32 pivot columns, and a basis that is the identity
+    # on the labels that never pivoted, so every p-integral kernel vector is
+    # the combination of its own entries there
+    p = 5
+    m = QMat([[Fraction(rng.randint(-2 ** 64, 2 ** 64) * p ** rng.randint(0, 2),
+                        rng.choice([1, 2, 3, 4, 6]) * p ** rng.randint(0, 2))
+               for _ in range(64)] for _ in range(32)])
+    with HangGuard(60):
+        k = kernel_over_zp(m, p)
+        s = smith_normal_form(m, p)
+    assert s.rank == 32 and k.shape == (64, 32)
+    assert (m @ k).is_zero()
+    assert k.take_rows(list(s.order[32:])) == QMat.identity(32)
+    assert all(vp(x, p) >= 0 for r in k.rows for x in r)
 
 
 # ---------------------------------------------------------------------------

@@ -148,8 +148,8 @@ def test_snf_identity_case():
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 0)
     assert o.d == QMat.identity(2) and o.u == QMat.identity(2)
-    assert s.v == QMat.identity(2)
-    assert m @ s.v == o.u.inverse() @ o.d
+    assert s.v_inv == QMat.identity(2)
+    assert m == o.u.inverse() @ o.d @ s.v_inv
 
 
 def test_snf_permutes_diagonal():
@@ -157,7 +157,7 @@ def test_snf_permutes_diagonal():
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 1)
     assert o.d == QMat([[1, 0], [0, 3]])
-    assert m @ s.v == o.u.inverse() @ o.d
+    assert m == o.u.inverse() @ o.d @ s.v_inv
 
 
 def test_snf_unit_pivot_example():
@@ -167,7 +167,7 @@ def test_snf_unit_pivot_example():
     m = QMat([[2, 3], [3, 9]])
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 2)
-    assert m @ s.v == o.u.inverse() @ o.d
+    assert m == o.u.inverse() @ o.d @ s.v_inv
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -184,9 +184,9 @@ def test_snf_roundtrip_randomized(rng, trial):
 
     m = QMat([[entry() for _ in range(nc)] for _ in range(nr)], ncols=nc)
     s, o = smith_normal_form(m, p), oracle_snf(m, p)
-    assert m @ s.v == o.u.inverse() @ o.d
+    assert m == o.u.inverse() @ o.d @ s.v_inv
     assert list(s.exponents) == sorted(s.exponents)
-    assert vp(o.u.det(), p) == 0 and vp(s.v.det(), p) == 0
+    assert vp(o.u.det(), p) == 0 and vp(s.v_inv.det(), p) == 0
     for i in range(min(nr, nc)):
         for j in range(min(nr, nc)):
             if i != j:
@@ -272,10 +272,10 @@ def test_snf_matches_fraction_oracle(rng, family, p):
         m = _snf_input(rng, p, family)
         s, o = smith_normal_form(m, p), oracle_snf(m, p)
         assert s.prime == o.prime == p
-        assert s.v == o.v
+        assert s.v_inv @ o.v == QMat.identity(m.ncols)
         assert s.exponents == o.exponents
         assert smith_exponents(m, p) == o.exponents
-        assert m @ s.v == o.u.inverse() @ o.d
+        assert m == o.u.inverse() @ o.d @ s.v_inv
         assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, m.ncols)))
 
 
@@ -311,17 +311,20 @@ def _v_inv_input(rng, p, shape) -> QMat:
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 @pytest.mark.parametrize("shape", ["square", "wide", "tall", "deficient", "zero", "0xk", "kx0"])
 def test_snf_v_inv_is_the_inverse_of_v(rng, shape, p):
-    # V^{-1} read off the pivot rows against Fraction Gauss--Jordan on [V | I]
+    # V^{-1} read off the pivot rows against Fraction Gauss--Jordan on [V | I],
+    # V the Fraction oracle's, and the kernel basis against V's columns past
+    # the rank
     for _ in range(15):
         m = _v_inv_input(rng, p, shape)
-        s = smith_normal_form(m, p)
+        s, o = smith_normal_form(m, p), oracle_snf(m, p)
         n = m.ncols
-        assert s.v.shape == s.v_inv.shape == (n, n)
+        assert o.v.shape == s.v_inv.shape == (n, n)
         red, pivots = oracle_q_rref([list(r) + [int(i == j) for j in range(n)]
-                                     for i, r in enumerate(s.v.rows)], 2 * n)
+                                     for i, r in enumerate(o.v.rows)], 2 * n)
         assert pivots == list(range(n))
         assert s.v_inv == QMat([r[n:] for r in red], ncols=n)
         assert all(is_p_local(x, p) for r in s.v_inv.rows for x in r)
+        assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, n)))
 
 
 def test_smith_exponents_of_an_empty_or_zero_matrix():
@@ -1496,6 +1499,7 @@ ENTRIES = [(0, None), (3, None), (-7, None), (10 ** 30, None), (Fraction(3, 4), 
            (Fraction(-6, 4), None), ("3/4", None), ("-2", None), ("-4/6", None),
            (True, "expected a rational string, got True"),
            (0.5, "expected a rational string, got 0.5"),
+           (0.1, "expected a rational string, got 0.1"),
            (Decimal("0.1"), "expected a rational string, got Decimal('0.1')"),
            (None, "expected a rational string, got None"),
            ([1], "expected a rational string, got [1]"),
@@ -1558,6 +1562,46 @@ def test_no_entry_is_truncated_to_an_int():
     assert QMat([["1/2"]]).den == 2
     with pytest.raises(ValueError, match="expected a rational string, got 0.1"):
         QMat([[0.1]])  # once 3602879701896397 / 2^55
+
+
+@pytest.mark.parametrize("x, message", ENTRIES, ids=ENTRY_IDS)
+def test_valuation_and_printing_read_their_argument_by_the_one_rule(x, message):
+    p = 2
+    reads = {"vp": lambda: rationals.vp(x, p), "is_p_local": lambda: rationals.is_p_local(x, p),
+             "unit_part": lambda: rationals.unit_part(x, p),
+             "format_rational": lambda: rationals.format_rational(x)}
+    if message is not None:
+        for name, read in reads.items():
+            with pytest.raises(ValueError) as err:
+                read()
+            assert str(err.value) == message, name
+        return
+    want = Fraction(x)  # what each of them read before the one rule
+    assert rationals.is_p_local(x, p) == (want.denominator % p != 0)
+    assert rationals.format_rational(x) == str(want)
+    if want == 0:
+        assert rationals.vp(x, p) is rationals.INF
+        with pytest.raises(ValueError, match="zero has no unit part"):
+            rationals.unit_part(x, p)
+        return
+    v = 0
+    while (want / Fraction(p) ** v).numerator % p == 0:
+        v += 1
+    while (want / Fraction(p) ** v).denominator % p == 0:
+        v -= 1
+    assert rationals.vp(x, p) == v
+    assert rationals.unit_part(x, p) == want / Fraction(p) ** v
+
+
+def test_module_map_diagonal_reads_one_integer_per_generator():
+    m = FGModule(3, 1, (2,))
+    assert ModuleMap.diagonal(m, [3, -1]).rows == ((3, 0), (0, -1))
+    for bad in ([Fraction(1, 2), 0.5], [1, Fraction(2)], [True, 1], [1, "3"]):
+        with pytest.raises(ValueError, match="expected an integer, got"):
+            ModuleMap.diagonal(m, bad)
+    for wrong in ([3], [3, 1, 1]):
+        with pytest.raises(ValueError, match="need 2 diagonal entries"):
+            ModuleMap.diagonal(m, wrong)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, Fraction(2), "2", True, None], ids=repr)

@@ -9,17 +9,18 @@ from unittest import mock
 import pytest
 
 from conftest import (compose, constant_gauge, equals_as_map, is_p_unimodular,
-                      level_transport, oracle_q_det, oracle_snf, oracle_snf_weights,
+                      level_transport, oracle_filtration_basis, oracle_lattice_contains,
+                      oracle_q_det, oracle_saturated, oracle_snf, oracle_snf_weights,
                       oracle_t_at, oracle_u_at, qmat_rows, rand_fcrystal, raw_gauge,
                       relation_matrix, scalar)
 from gaugeworks import cli, fgauge
 from gaugeworks.cli import build_fgauge, run_job
 from gaugeworks.errors import LawViolation
-from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
+from gaugeworks.exactlinalg import (SNF, FGModule, ModuleMap, QMat, cokernel,
                                     homology_two_term, kernel_over_zp,
                                     smith_exponents, smith_normal_form, vp,
                                     zero_module)
-from gaugeworks.fgauge import (FCrystalPoint, FpGauge, _integral_basis, direct_sum,
+from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
                                filtration_saturation_holds,
                                gauge_from_fcrystal, hodge_tate_weights,
@@ -198,7 +199,7 @@ def test_realization_roundtrip_up_to_base_change(rng, trial):
     # agrees with the oracle's exact V modulo p^N
     s, o = smith_normal_form(c.tau_crys, c.prime), oracle_snf(c.tau_crys, c.prime)
     n = max(s.exponents) - min(s.exponents) + 1
-    _, basis = _integral_basis(s, n)
+    _, basis = s.integral_basis(n)
     assert phi == basis.inverse() @ c.tau_crys @ basis
     assert all(vp(x, c.prime) >= n for r in (basis - o.v).rows for x in r)
 
@@ -216,7 +217,7 @@ def test_gauge_tau_equals_the_oracle_transform(rng):
     for c in crystals:
         p, o = c.prime, oracle_snf(c.tau_crys, c.prime)
         a, b = min(o.exponents), max(o.exponents)
-        w, basis = _integral_basis(smith_normal_form(c.tau_crys, p), b - a + 1)
+        w, basis = smith_normal_form(c.tau_crys, p).integral_basis(b - a + 1)
         got = gauge_from_fcrystal(c).tau.matrix
         unscale = QMat.diagonal([Fraction(p) ** -d for d in o.exponents])
         assert got == w @ c.tau_crys @ basis @ unscale
@@ -336,12 +337,47 @@ def test_filtration_membership_oracle(rng, trial):
                 assert vp(image[row, col], p) >= i  # tau(Fil^i) in p^i M
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_filtration_basis_spans_the_oracle_lattice(rng, p):
+    # 50 crystals per prime, 200 in all: B diag(p^max(i - d_j, 0)) and the
+    # oracle's V diag(p^max(i - d_j, 0)) span one lattice at every index of
+    # the window and two beyond it on each side
+    for _ in range(50):
+        c = rand_fcrystal(rng, p, max_rank=5)
+        o = oracle_snf(c.tau_crys, p)
+        a, b = min(o.exponents), max(o.exponents)
+        for i in range(a - 2, b + 3):
+            got, want = filtration_basis(c, i), oracle_filtration_basis(o, i)
+            assert got.shape == want.shape == (c.rank, c.rank)
+            assert oracle_lattice_contains(got, want, p)
+            assert oracle_lattice_contains(want, got, p)
+
+
 @pytest.mark.parametrize("trial", range(25))
 def test_mod_p_filtration_injectivity(rng, trial):
     # saturation: p M intersect Fil^i = p Fil^{i-1}, equivalently the maps
-    # Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2} are injective
+    # Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2} are injective; the
+    # lattice oracle reads the oracle's V-based filtration
     c = rand_fcrystal(rng, rng.choice([3, 5]))
+    o = oracle_snf(c.tau_crys, c.prime)
+    a, b = min(o.exponents), max(o.exponents)
+    fil = {i: oracle_filtration_basis(o, i) for i in range(a - 1, b + 2)}
+    assert filtration_saturation_holds(c) == oracle_saturated(fil, c.prime, range(a, b + 2))
     assert filtration_saturation_holds(c)
+
+
+def test_saturation_check_refuses_a_basis_that_does_not_span_m(monkeypatch):
+    # in the coordinates of a B with det B = p, the exponent lists still
+    # agree; the determinant check is what fails
+    c = FCrystalPoint(3, 2, QMat([[3, 3], [0, 27]]))
+    assert filtration_saturation_holds(c)
+    integral_basis = SNF.integral_basis
+
+    def scaled(s, n):
+        w, basis = integral_basis(s, n)
+        return w, basis @ QMat.diagonal([1, 3])
+    monkeypatch.setattr(SNF, "integral_basis", scaled)
+    assert not filtration_saturation_holds(c)
 
 
 def test_saturation_check_takes_one_smith_form_of_tau(monkeypatch):
@@ -363,18 +399,13 @@ def test_saturation_check_takes_one_smith_form_of_tau(monkeypatch):
 
 def test_saturation_fails_for_an_unsaturated_filtration():
     # the doubled filtration p^{2 max(i,0)} M is Nygaardian but not saturated;
-    # the same check distinguishes it (computed on raw lattices)
-    from gaugeworks.fgauge import _lattice_contains, _lattice_intersection
+    # the lattice oracle distinguishes it, and it passes the single-step
+    # filtration p^{max(i,0)} M
     p = 3
-    full = QMat.identity(1)
     fil = {i: QMat([[Fraction(p) ** (2 * max(i, 0))]]) for i in range(-1, 4)}
-    ok = True
-    for i in range(0, 3):
-        lhs = _lattice_intersection(full.scale(p), fil[i], p)
-        rhs = fil[i - 1].scale(p)
-        if not (_lattice_contains(lhs, rhs, p) and _lattice_contains(rhs, lhs, p)):
-            ok = False
-    assert not ok
+    assert not oracle_saturated(fil, p, range(0, 3))
+    assert oracle_saturated({i: QMat([[Fraction(p) ** max(i, 0)]]) for i in range(-1, 4)},
+                            p, range(0, 3))
 
 
 # ---------------------------------------------------------------------------
