@@ -280,12 +280,6 @@ def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],
     return ModuleMap._made(source, target, *_canonical(*_int_product(source, maps, c)))
 
 
-def _quotient(p: int, rows: list[list[int]]) -> FGModule:
-    """Z_(p)^len(rows) modulo the columns of the integer matrix ``rows``."""
-    n = len(rows)
-    return _module(p, n, [e for e, *_ in _eliminate(rows, p)])
-
-
 def _module(p: int, n: int, exps) -> FGModule:
     """Z_(p)^n modulo a matrix with Smith exponents ``exps``."""
     return FGModule(p, n - len(exps), tuple(sorted(e for e in exps if e > 0)))
@@ -302,7 +296,8 @@ def _with_relations(rows: Sequence[Sequence[int]], m: FGModule) -> list[list[int
 
 def cokernel(d: ModuleMap) -> FGModule:
     """coker(d) = target / (image of d + relations of target)."""
-    return _quotient(d.prime, _with_relations(d.rows, d.target))
+    exps = [e for e, *_ in _eliminate(_with_relations(d.rows, d.target), d.prime)]
+    return _module(d.prime, d.target.ngens, exps)
 
 
 def kernel(d: ModuleMap) -> FGModule:

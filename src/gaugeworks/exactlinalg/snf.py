@@ -27,22 +27,22 @@ rows they build from a map's stored rows and relations, and read its
 exponents only.  The
 questions about the reduction mod p there, whether a map is an isomorphism
 and the dimensions behind the Hodge--Tate weights, read a rank mod p and
-never come here.  :func:`smith_exponents` takes the exponents alone; no
-route in the package calls it, and it is kept as library API.
-:func:`smith_normal_form` reads V^{-1} off the pivot rows, with no
-inversion: row k of V^{-1} is the k-th pivot row over its pivot, each entry
-at its column's original index, and the rows past the rank are unit rows at
-the columns that never pivoted (proved at :class:`SNF`).  So V^{-1} is unit
-upper triangular with its columns in pivot order.  Nothing here derives V
-or U: :meth:`SNF.integral_basis` inverts V^{-1} modulo p^n only, on integer
-rows, and :func:`kernel_over_zp` solves for the kernel vectors off the
-pivot order alone.
+never come here.  :func:`smith_normal_form` keeps what its sweep yields:
+the exponents, the pivot order, and V^{-1} as one integer row over one
+p-unit per row, with no inversion and no common denominator: row k is the
+k-th pivot row over its pivot, each entry at its column's original index,
+and the rows past the rank are unit rows at the columns that never pivoted
+(proved at :class:`SNF`).  So V^{-1} is unit upper triangular with its
+columns in pivot order.  Nothing here derives V or U, or V^{-1} as a
+rational matrix: :meth:`SNF.integral_basis` reduces those rows modulo p^n
+and inverts the result on integer rows, and :func:`kernel_over_zp` solves
+for the kernel vectors off the pivot order alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .qmat import QMat
 from .rationals import check_prime, vp_int
@@ -50,19 +50,23 @@ from .rationals import check_prime, vp_int
 
 @dataclass(frozen=True)
 class SNF:
-    """U @ M @ V = D with U, V invertible over Z_(p), of which V^{-1} is kept.
+    """U @ M @ V = D with U, V invertible over Z_(p), of which V^{-1} is kept
+    as the sweep left it.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries of D,
     weakly increasing; the remaining diagonal of D is zero.  ``order`` lists
     the original indices of the columns in the order they pivoted, then
-    those that never did.
+    those that never did.  ``v_inv_rows`` holds one pair (w_k, u_k) per row
+    of V^{-1}, an integer row and a p-unit: row k of V^{-1} is w_k / u_k.
 
-    Lemma.  Row k < r of ``v_inv`` (r the rank) is the k-th pivot row of the
-    sweep divided by its pivot, each live column's entry at that column's
-    original index and 0 at the columns pivoted before; row r + i is the
-    unit row at the original index of the i-th column that never pivoted.
-    So row k has 1 at ``order[k]`` and 0 at ``order[:k]``: with its columns
-    in ``order``, ``v_inv`` is unit upper triangular.
+    Lemma.  For k < r (r the rank), w_k / u_k is the k-th pivot row of the
+    sweep divided by its pivot p^e u_k, each live column's entry at that
+    column's original index and 0 at the columns pivoted before; row r + i
+    is the unit row at the original index of the i-th column that never
+    pivoted, with u_(r+i) = 1.  So row k has 1 at ``order[k]`` and 0 at
+    ``order[:k]``: with its columns in ``order``, V^{-1} is unit upper
+    triangular.  Every entry of the pivot row is divisible by p^e, which is
+    the least valuation of its block, so w_k = (pivot row) / p^e is integral.
 
     Proof.  Label each live column by its original index; swaps move labels
     with the columns.  At step k the sweep's only column operations replace
@@ -80,7 +84,7 @@ class SNF:
     """
 
     prime: int
-    v_inv: QMat
+    v_inv_rows: tuple[tuple[tuple[int, ...], int], ...]
     order: tuple[int, ...]
     exponents: tuple[int, ...]
 
@@ -91,11 +95,12 @@ class SNF:
     def integral_basis(self, n: int) -> tuple[QMat, QMat]:
         """W = V^{-1} reduced entrywise mod p^n, and B = W^{-1}.
 
-        The entries of V^{-1} are p-integral, so each has a residue mod p^n;
-        the least absolute one is taken (p^n / 2 itself when p = 2).  Row k
-        of W has 1 at ``order[k]`` and 0 at ``order[:k]``, as row k of
-        V^{-1} has, so B comes from back substitution with no division, and
-        both are integer matrices of determinant +-1.
+        The entries of V^{-1} are p-integral, so each has a residue mod p^n:
+        row k of W is w_k times u_k^{-1} mod p^n, the least absolute residue
+        taken (p^n / 2 itself when p = 2).  Row k of W has 1 at ``order[k]``
+        and 0 at ``order[:k]``, as row k of V^{-1} has, so B comes from back
+        substitution with no division, and both are integer matrices of
+        determinant +-1.
 
         >>> from .qmat import QMat
         >>> w, b = smith_normal_form(QMat([[2, 3], [3, 9]]), 3).integral_basis(2)
@@ -104,18 +109,14 @@ class SNF:
         """
         pn = self.prime ** n
         # residues in [-h, pn - 1 - h]: 1 stays 1, even for pn = 2
-        h, unit = (pn - 1) // 2, pow(self.v_inv.den, -1, pn)
-        w = [[(y * unit + h) % pn - h for y in r] for r in self.v_inv.num]
+        h = (pn - 1) // 2
+        w = []
+        for row, u in self.v_inv_rows:
+            unit = pow(u, -1, pn)
+            w.append(tuple([(y * unit + h) % pn - h for y in row]))
         k = len(w)
-        return (QMat._made(tuple(map(tuple, w)), 1, k),
+        return (QMat._made(tuple(w), 1, k),
                 QMat._made(tuple(map(tuple, _unit_triangular_inverse(w, self.order))), 1, k))
-
-
-def _integral_rows(m: QMat, p: int) -> tuple[list[list[int]], int]:
-    """The rows of p^K W m as ints, and K: the stored numerator of ``m`` and
-    the valuation of its denominator p^K w, so W = w I."""
-    check_prime(p)
-    return [list(r) for r in m.num], vp_int(m.den, p)
 
 
 def _pivot(rows: list[list[int]], p: int):
@@ -168,17 +169,6 @@ def _eliminate(rows: list[list[int]], p: int, pk: int | None = None):
         yield e, bj, prow, pe, unit
 
 
-def smith_exponents(m: QMat, p: int) -> tuple[int, ...]:
-    """The exponents of :func:`smith_normal_form` alone, without V.
-
-    >>> from .qmat import QMat
-    >>> smith_exponents(QMat([[2, 3], [3, 9]]), 3)
-    (0, 2)
-    """
-    rows, shift = _integral_rows(m, p)
-    return tuple(e - shift for e, *_ in _eliminate(rows, p))
-
-
 def exponents_mod_power(rows, p: int) -> list[int]:
     """The pivot valuations of the integer ``rows`` swept mod p^k, k largest with p^k < 2^62.
 
@@ -225,12 +215,6 @@ def exponents_mod_power(rows, p: int) -> list[int]:
     return [e for e, *_ in _eliminate([[x % pk for x in r] for r in rows], p, pk)]
 
 
-def _from_rows(rows, n: int) -> QMat:
-    """The QMat whose rows, each ``n`` long, are the pairs (w, t) read as w / t."""
-    d = lcm(*(t for _, t in rows))
-    return QMat._lowest([[x * (d // t) for x in w] for w, t in rows], d, n)
-
-
 def _unit_triangular_inverse(rows, order) -> list[list]:
     """The inverse of the square matrix ``rows`` whose row k has 1 at column
     ``order[k]`` and 0 at the columns ``order[:k]``.
@@ -263,23 +247,29 @@ def smith_normal_form(m: QMat, p: int) -> SNF:
     >>> s = smith_normal_form(QMat([[2, 3], [3, 9]]), 3)
     >>> s.exponents, s.order
     ((0, 2), (0, 1))
+    >>> s.v_inv_rows  # V^{-1} has rows (1, 3/2) and (0, 1)
+    (((2, 3), 2), ((0, 1), 1))
+    >>> t = smith_normal_form(QMat([["1/9", 0], [6, 0]]), 3)
+    >>> t.exponents, t.v_inv_rows  # past the rank, a unit row over 1
+    ((-2,), (((1, 0), 1), ((0, 1), 1)))
     """
-    rows, shift = _integral_rows(m, p)
-    nc = m.ncols
+    check_prime(p)
+    # the sweep reads the stored rows p^K w m; K shifts every exponent
+    shift, nc = vp_int(m.den, p), m.ncols
     labels = list(range(nc))
     exps, order, v_inv = [], [], []
-    for e, bj, prow, pe, unit in _eliminate(rows, p):
+    for e, bj, prow, pe, unit in _eliminate([list(r) for r in m.num], p):
         labels[0], labels[bj] = labels[bj], labels[0]
         order.append(labels.pop(0))
-        # row k of V^{-1}: the pivot row over its pivot, at the original indices
+        # w_k: the pivot row over p^e, at the original indices
         inv = [0] * nc
         inv[order[-1]] = unit
         for label, a in zip(labels, prow[1:]):
             inv[label] = a // pe
-        v_inv.append((inv, unit))
+        v_inv.append((tuple(inv), unit))
         exps.append(e - shift)
-    v_inv += [([1 if i == j else 0 for i in range(nc)], 1) for j in labels]
-    return SNF(p, _from_rows(v_inv, nc), tuple(order + labels), tuple(exps))
+    v_inv += [(tuple([1 if i == j else 0 for i in range(nc)]), 1) for j in labels]
+    return SNF(p, tuple(v_inv), tuple(order + labels), tuple(exps))
 
 
 def kernel_over_zp(m: QMat, p: int) -> QMat:
@@ -310,5 +300,4 @@ def kernel_over_zp(m: QMat, p: int) -> QMat:
     return QMat._lowest(rows, y.den, len(free))
 
 
-__all__ = ["SNF", "smith_normal_form", "smith_exponents", "exponents_mod_power",
-           "kernel_over_zp"]
+__all__ = ["SNF", "smith_normal_form", "exponents_mod_power", "kernel_over_zp"]

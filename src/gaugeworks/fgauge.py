@@ -304,19 +304,16 @@ def filtration_saturation_holds(c: FCrystalPoint) -> bool:
     and is what the mod-p injectivity of the filtration diagram means at the
     point, where the ideal cutting out the point is (p) itself.
 
-    In the coordinates of the basis B of :func:`filtration_basis`, checked
-    first to span M (det B = +-1), p M is diag(p) and Fil^i is
-    diag(p^{max(i - d_j, 0)}).  Lattices diagonal in one basis meet in the
-    larger exponents, so p M intersect Fil^i has max(1, i - d_j) and
-    p Fil^{i-1} has 1 + max(i - 1 - d_j, 0): both 1 when i - d_j <= 1, and
-    i - d_j otherwise.  So a crystal's filtration is saturated because B is
-    a basis (Lemma (i) of :func:`gauge_from_fcrystal`).
+    In the coordinates of the basis B of :func:`filtration_basis`, p M is
+    diag(p) and Fil^i is diag(p^{max(i - d_j, 0)}), once B spans M
+    (det B = +-1).  Lattices diagonal in one basis meet in the larger
+    exponents, so p M intersect Fil^i has max(1, i - d_j) and p Fil^{i-1}
+    has 1 + max(i - 1 - d_j, 0): both 1 when i - d_j <= 1, and i - d_j
+    otherwise.  The two are equal at every i and every d_j, so a crystal's
+    filtration is saturated exactly because B is a basis (Lemma (i) of
+    :func:`gauge_from_fcrystal`), and that is what is checked.
     """
-    exps, _, basis = _integral_smith(c)
-    if basis.det() not in (1, -1):
-        return False
-    return all([max(1, i - d) for d in exps] == [1 + max(i - 1 - d, 0) for d in exps]
-               for i in range(min(exps, default=0), max(exps, default=0) + 2))
+    return _integral_smith(c)[2].det() in (1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,9 @@ from typing import NamedTuple
 
 import pytest
 
-from gaugeworks.exactlinalg import (FGModule, FpMat, ModuleMap, QMat, cokernel, fp_kron,
-                                    fp_span_union)
+from gaugeworks.exactlinalg import FGModule, FpMat, ModuleMap, QMat, fp_kron, fp_span_union
 from gaugeworks.exactlinalg import fpmat
-from gaugeworks.exactlinalg.modules import _quotient
-from gaugeworks.exactlinalg.rationals import check_prime, parse_rational, unit_part, vp
+from gaugeworks.exactlinalg.rationals import check_prime, parse_rational
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule, koszul_differential
@@ -271,6 +269,18 @@ def oracle_fp_two_term(p: int, rows, nrows: int, ncols: int) -> tuple[int, int]:
     return (ncols - r, nrows - r)
 
 
+def oracle_vp(x, p: int) -> int:
+    """p-adic valuation of a nonzero rational, by division one p at a time."""
+    x = Fraction(x)
+    assert x != 0
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    return v
+
+
 class OracleSNF(NamedTuple):
     """U @ M @ V = D, with U and V invertible over Z_(p)."""
 
@@ -288,9 +298,10 @@ class OracleSNF(NamedTuple):
 def oracle_snf(m: QMat, p: int) -> OracleSNF:
     """Smith normal form over Z_(p) by plain Fraction row and column operations.
 
-    The former library routine, kept verbatim: the pivot is the first entry
-    of least valuation in the trailing block (row-major), scaled to an exact
-    power of p, and every U, D and V entry is a Fraction throughout.
+    The former library routine, with its own valuation (:func:`oracle_vp`):
+    the pivot is the first entry of least valuation in the trailing block
+    (row-major), scaled to an exact power of p, and every U, D and V entry
+    is a Fraction throughout.
     """
     check_prime(p)
     a = [list(r) for r in m.rows]
@@ -319,12 +330,12 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
         for i in range(k, nr):
             for j in range(k, nc):
                 if a[i][j] != 0:
-                    val = vp(a[i][j], p)
+                    val = oracle_vp(a[i][j], p)
                     if best is None or val < best[0]:
                         best = (val, i, j)
         if best is None:
             break
-        _, bi, bj = best
+        val, bi, bj = best
         if bi != k:
             row_swap(a, k, bi)
             row_swap(u, k, bi)
@@ -332,8 +343,7 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
             col_swap(a, k, bj)
             col_swap(v, k, bj)
         # normalize the pivot to an exact power of p (unit scaling is unimodular)
-        unit = unit_part(a[k][k], p)
-        inv = 1 / unit
+        inv = Fraction(p) ** val / a[k][k]
         a[k] = [inv * x for x in a[k]]
         u[k] = [inv * x for x in u[k]]
         pivot = a[k][k]
@@ -352,15 +362,32 @@ def oracle_snf(m: QMat, p: int) -> OracleSNF:
     exps = []
     for i in range(min(nr, nc)):
         if a[i][i] != 0:
-            exps.append(vp(a[i][i], p))
+            exps.append(oracle_vp(a[i][i], p))
     return OracleSNF(prime=p, u=QMat(u, ncols=nr), d=QMat(a, ncols=nc),
                      v=QMat(v, ncols=nc), exponents=tuple(exps))
 
 
+def oracle_presentation_exponents(target: FGModule, maps) -> tuple[int, ...]:
+    """The :func:`oracle_snf` exponents of [the maps' matrices side by side |
+    relations of ``target``], which present target / (images of ``maps``)."""
+    m = QMat.zeros(target.ngens, 0)
+    for f in maps:
+        m = m.hstack(f.matrix)
+    return oracle_snf(m.hstack(relation_matrix(target)), target.prime).exponents
+
+
+def exact_v_inv(s) -> QMat:
+    """V^{-1} of a library Smith form as one exact matrix, built by the public
+    constructor from its rows: row k is w_k / u_k for (w_k, u_k) in ``v_inv_rows``."""
+    return QMat([[Fraction(x, u) for x in w] for w, u in s.v_inv_rows], ncols=len(s.order))
+
+
 def oracle_is_isomorphism(m: ModuleMap) -> bool:
     """The former route of ``ModuleMap.is_isomorphism``: the full Smith form of
-    the cokernel, against the rank mod p that the library reads."""
-    return m.source == m.target and cokernel(m).is_zero()
+    the cokernel, against the rank mod p that the library reads.  The
+    cokernel is zero when every generator meets a unit exponent."""
+    return (m.source == m.target
+            and oracle_presentation_exponents(m.target, [m]) == (0,) * m.target.ngens)
 
 
 def oracle_module_kernel(d: ModuleMap) -> FGModule:
@@ -388,9 +415,9 @@ def oracle_module_kernel(d: ModuleMap) -> FGModule:
 
 def oracle_reduced_cokernel_dim(target, maps) -> int:
     """The former route of ``reduced_cokernel_dim``: the number of generators of
-    the Smith-form quotient of ``target`` by the images of ``maps``."""
-    rows = [[x for f in maps for x in f.rows[i]] for i in range(target.ngens)]
-    return _quotient(target.prime, rows).ngens
+    the Smith-form quotient of ``target`` by the images of ``maps``, one for
+    each generator that meets no unit exponent."""
+    return target.ngens - oracle_presentation_exponents(target, maps).count(0)
 
 
 def oracle_snf_weights(c: FCrystalPoint) -> dict[int, int]:
@@ -484,7 +511,7 @@ def equals_as_map(f: ModuleMap, g: ModuleMap) -> bool:
         e = f.target.order_exponent(i)
         for j in range(f.source.ngens):
             x = diff[i, j]
-            if x != 0 and (e is None or vp(x, f.prime) < e):
+            if x != 0 and (e is None or oracle_vp(x, f.prime) < e):
                 return False
     return True
 
@@ -901,8 +928,8 @@ def level_transport(m: QMat, exps, p: int, i: int) -> QMat:
 
 def is_p_unimodular(m: QMat, p: int) -> bool:
     """Square with p-integral entries and a p-unit determinant."""
-    return (m.nrows == m.ncols and all(vp(x, p) >= 0 for r in m.rows for x in r)
-            and vp(m.det(), p) == 0)
+    return (m.nrows == m.ncols and all(x.denominator % p for r in m.rows for x in r)
+            and m.det() != 0 and oracle_vp(m.det(), p) == 0)
 
 
 def rand_fpmat(rng: random.Random, p: int, nrows: int, ncols: int) -> FpMat:

@@ -16,9 +16,10 @@ from math import comb, isqrt
 import pytest
 
 from conftest import (HangGuard, compose, conjugated_twist_sum, constant_gauge,
-                      is_p_unimodular, job_strings, level_transport, oracle_q_det, oracle_snf,
-                      oracle_t_at, oracle_u_at, rand_fcrystal, rand_filtered_phi, rand_glued,
-                      rand_unimodular, scalar, twist_sum_square)
+                      exact_v_inv, is_p_unimodular, job_strings, level_transport,
+                      oracle_q_det, oracle_snf, oracle_t_at, oracle_u_at, rand_fcrystal,
+                      rand_filtered_phi, rand_glued, rand_unimodular, scalar,
+                      twist_sum_square)
 from gaugeworks.cli import main, run_job
 from gaugeworks.errors import LawViolation
 from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, kernel_over_zp,
@@ -310,7 +311,7 @@ def test_crystal_gauge_extends_to_the_former_widened_gauge(rng):
             assert g.window == (min(exps), max(exps))
             wide, old = extend_window(g, min(g.a, 0), max(g.b, 0)), widened_gauge_from_fcrystal(c)
             assert (wide.window, wide.modules) == (old.window, old.modules)
-            m = s.v_inv @ s.integral_basis(g.b - g.a + 1)[1]
+            m = exact_v_inv(s) @ s.integral_basis(g.b - g.a + 1)[1]
             iso = [level_transport(m, exps, p, i) for i in range(wide.a, wide.b + 1)]
             assert all(is_p_unimodular(x, p) for x in iso)
             for k, (t, u) in enumerate(zip(wide.t, wide.u)):
@@ -340,7 +341,7 @@ def test_crystal_gauge_agrees_with_the_exact_v_gauge(rng, kind, p):
         assert basis @ w == QMat.identity(c.rank)
         assert all(vp(x, p) >= n for r in (w @ o.v - QMat.identity(c.rank)).rows for x in r)
         # the two realizations are conjugate by V^{-1} B
-        m = s.v_inv @ basis
+        m = exact_v_inv(s) @ basis
         assert phi_old.frobenius @ m == m @ phi.frobenius
 
 
@@ -350,7 +351,7 @@ def test_crystal_gauge_builds_no_exact_v(monkeypatch):
         raise AssertionError("the F-crystal path built an exact V or an inverse")
     c = FCrystalPoint(5, 3, QMat([[2, 5, 0], [1, 0, "1/25"], [0, 3, 5]]))
     s = smith_normal_form(c.tau_crys, 5)
-    assert s.exponents == (-2, 0, 0) and s.v_inv != QMat.identity(3)
+    assert s.exponents == (-2, 0, 0) and exact_v_inv(s) != QMat.identity(3)
     assert not hasattr(s, "v")
     monkeypatch.setattr(QMat, "inverse", refuse)
     monkeypatch.setattr(QMat, "solve", refuse)
@@ -446,11 +447,13 @@ def test_square_of_a_conjugated_twist_sum_at_the_north_star_sizes(rng, tmp_path,
         f"twisted fibre h0 h1: {want['fm_h0']} {want['fm_h1']}"]
 
 
-@pytest.mark.parametrize("n", [32, 48, 64])
-def test_fcrystal_job_at_the_north_star_sizes(rng, tmp_path, n):
+@pytest.mark.parametrize("p, n", [pytest.param(5, 32, id="32"), pytest.param(5, 48, id="48"),
+                                  pytest.param(5, 64, id="64"),
+                                  pytest.param(2, 64, id="64-at-p-2")])
+def test_fcrystal_job_at_the_north_star_sizes(rng, tmp_path, p, n):
     # tau = U diag(p^e) U^-1 splits into twists: syntomic H0 = H1 = free of
-    # rank #{e = 0}, and e has weight #{e}
-    p = 5
+    # rank #{e = 0}, and e has weight #{e}; at p = 2 a least absolute
+    # residue of W may be p^n / 2 itself
     exps = [i % 7 - 3 for i in range(n)]
     rng.shuffle(exps)
     # two draws of 2n shears each fill U about as densely as the bench's crystals

@@ -1,7 +1,8 @@
 """The examples in the package's docstrings run and pass.
 
-``testpaths`` names only this directory, so the docstring examples are
-collected here, one ``doctest.testmod`` per module of the package.
+``testpaths`` names ``tests`` and ``bench``, neither of them the package,
+so the docstring examples are collected here, one ``doctest.testmod`` per
+module of the package.
 """
 
 import doctest
@@ -18,4 +19,4 @@ def test_every_docstring_example_passes():
         attempted += result.attempted
         failed += result.failed
     assert failed == 0
-    assert attempted >= 21  # all of the package's examples: losing one fails here
+    assert attempted >= 27  # all of the package's examples: losing one fails here

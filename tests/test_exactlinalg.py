@@ -1,12 +1,13 @@
 """Smith normal form, module homology, and dense matrices over Q and F_p."""
 
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 import pytest
 
-from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
+from conftest import (HangGuard, assert_same_matrix, exact_v_inv, oracle_fp_det,
                       oracle_fp_matmul, oracle_fp_rank, oracle_fp_rref,
                       oracle_fp_two_term, oracle_is_isomorphism, oracle_q_det,
                       oracle_module_kernel, oracle_q_matmul, oracle_q_rank,
@@ -14,12 +15,11 @@ from conftest import (HangGuard, assert_same_matrix, oracle_fp_det,
                       compose, rand_fcrystal, rand_fp_invertible, rand_unimodular,
                       relation_matrix, scalar)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
-from gaugeworks.exactlinalg import (INF, FGModule, FpMat, ModuleMap, QMat,
+from gaugeworks.exactlinalg import (INF, SNF, FGModule, FpMat, ModuleMap, QMat,
                                     check_prime, cokernel, format_rational,
                                     fp_homology_two_term, homology_two_term, kernel,
                                     is_p_local, kernel_over_zp, parse_rational,
-                                    rational_pair, smith_exponents,
-                                    smith_normal_form, vp, zero_module)
+                                    rational_pair, smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import fpmat, qmat, rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
 from gaugeworks.exactlinalg.modules import (_diagonal, _relation_lifts, _with_relations,
@@ -148,8 +148,8 @@ def test_snf_identity_case():
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 0)
     assert o.d == QMat.identity(2) and o.u == QMat.identity(2)
-    assert s.v_inv == QMat.identity(2)
-    assert m == o.u.inverse() @ o.d @ s.v_inv
+    assert exact_v_inv(s) == QMat.identity(2)
+    assert m == o.u.inverse() @ o.d @ exact_v_inv(s)
 
 
 def test_snf_permutes_diagonal():
@@ -157,7 +157,7 @@ def test_snf_permutes_diagonal():
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 1)
     assert o.d == QMat([[1, 0], [0, 3]])
-    assert m == o.u.inverse() @ o.d @ s.v_inv
+    assert m == o.u.inverse() @ o.d @ exact_v_inv(s)
 
 
 def test_snf_unit_pivot_example():
@@ -167,7 +167,7 @@ def test_snf_unit_pivot_example():
     m = QMat([[2, 3], [3, 9]])
     s, o = smith_normal_form(m, 3), oracle_snf(m, 3)
     assert s.exponents == (0, 2)
-    assert m == o.u.inverse() @ o.d @ s.v_inv
+    assert m == o.u.inverse() @ o.d @ exact_v_inv(s)
 
 
 @pytest.mark.parametrize("trial", range(40))
@@ -184,9 +184,9 @@ def test_snf_roundtrip_randomized(rng, trial):
 
     m = QMat([[entry() for _ in range(nc)] for _ in range(nr)], ncols=nc)
     s, o = smith_normal_form(m, p), oracle_snf(m, p)
-    assert m == o.u.inverse() @ o.d @ s.v_inv
+    assert m == o.u.inverse() @ o.d @ exact_v_inv(s)
     assert list(s.exponents) == sorted(s.exponents)
-    assert vp(o.u.det(), p) == 0 and vp(s.v_inv.det(), p) == 0
+    assert vp(o.u.det(), p) == 0 and vp(exact_v_inv(s).det(), p) == 0
     for i in range(min(nr, nc)):
         for j in range(min(nr, nc)):
             if i != j:
@@ -272,10 +272,9 @@ def test_snf_matches_fraction_oracle(rng, family, p):
         m = _snf_input(rng, p, family)
         s, o = smith_normal_form(m, p), oracle_snf(m, p)
         assert s.prime == o.prime == p
-        assert s.v_inv @ o.v == QMat.identity(m.ncols)
+        assert exact_v_inv(s) @ o.v == QMat.identity(m.ncols)
         assert s.exponents == o.exponents
-        assert smith_exponents(m, p) == o.exponents
-        assert m == o.u.inverse() @ o.d @ s.v_inv
+        assert m == o.u.inverse() @ o.d @ exact_v_inv(s)
         assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, m.ncols)))
 
 
@@ -308,8 +307,20 @@ def _v_inv_input(rng, p, shape) -> QMat:
     return QMat(rows, ncols=nc)
 
 
+V_INV_SHAPES = ["square", "wide", "tall", "deficient", "zero", "0xk", "kx0"]
+
+
+def _oracle_v_inv(o) -> list[list[Fraction]]:
+    """The inverse of the oracle's V, by Fraction Gauss--Jordan on [V | I]."""
+    n = o.v.ncols
+    red, pivots = oracle_q_rref([list(r) + [int(i == j) for j in range(n)]
+                                 for i, r in enumerate(o.v.rows)], 2 * n)
+    assert pivots == list(range(n))
+    return [r[n:] for r in red]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("shape", ["square", "wide", "tall", "deficient", "zero", "0xk", "kx0"])
+@pytest.mark.parametrize("shape", V_INV_SHAPES)
 def test_snf_v_inv_is_the_inverse_of_v(rng, shape, p):
     # V^{-1} read off the pivot rows against Fraction Gauss--Jordan on [V | I],
     # V the Fraction oracle's, and the kernel basis against V's columns past
@@ -318,20 +329,68 @@ def test_snf_v_inv_is_the_inverse_of_v(rng, shape, p):
         m = _v_inv_input(rng, p, shape)
         s, o = smith_normal_form(m, p), oracle_snf(m, p)
         n = m.ncols
-        assert o.v.shape == s.v_inv.shape == (n, n)
-        red, pivots = oracle_q_rref([list(r) + [int(i == j) for j in range(n)]
-                                     for i, r in enumerate(o.v.rows)], 2 * n)
-        assert pivots == list(range(n))
-        assert s.v_inv == QMat([r[n:] for r in red], ncols=n)
-        assert all(is_p_local(x, p) for r in s.v_inv.rows for x in r)
+        assert o.v.shape == exact_v_inv(s).shape == (n, n)
+        assert exact_v_inv(s) == QMat(_oracle_v_inv(o), ncols=n)
+        assert all(is_p_local(x, p) for r in exact_v_inv(s).rows for x in r)
         assert kernel_over_zp(m, p) == o.v.take_cols(list(range(o.rank, n)))
+        # the stored rows: integers over a p-unit, that unit at order[k] and 0
+        # at order[:k], and unit rows over 1 past the rank
+        assert len(s.v_inv_rows) == n and sorted(s.order) == list(range(n))
+        for k, (w, u) in enumerate(s.v_inv_rows):
+            assert type(u) is int and u % p and len(w) == n
+            assert all(type(x) is int for x in w)
+            assert w[s.order[k]] == u and not any(w[j] for j in s.order[:k])
+            if k >= s.rank:
+                assert u == 1 and w == tuple(int(j == s.order[k]) for j in range(n))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("shape", V_INV_SHAPES + ["fcrystal"])
+def test_integral_basis_is_the_oracle_v_inverse_mod_p_to_the_n(rng, shape, p):
+    # 8 inputs per case, 256 in all: W = the least absolute residues of the
+    # oracle's exact V^{-1} mod p^n (p^n / 2 itself for p = 2), at every n
+    # from 1 to N + 2 with N the exponent range plus one, and B W = I
+    for _ in range(8):
+        m = (rand_fcrystal(rng, p, max_rank=8).tau_crys if shape == "fcrystal"
+             else _v_inv_input(rng, p, shape))
+        s, o = smith_normal_form(m, p), oracle_snf(m, p)
+        exact = _oracle_v_inv(o)
+        big = max(s.exponents, default=0) - min(s.exponents, default=0) + 1
+        for n in range(1, big + 3):
+            pn = p ** n
+            residues = [[x.numerator * pow(x.denominator, -1, pn) % pn for x in r]
+                        for r in exact]
+            want = [[x if x <= pn // 2 else x - pn for x in r] for r in residues]
+            w, b = s.integral_basis(n)
+            assert w.num == tuple(map(tuple, want)) and w.den == 1
+            assert b @ w == QMat.identity(m.ncols) and b.den == 1
 
 
 def test_smith_exponents_of_an_empty_or_zero_matrix():
-    assert smith_exponents(QMat.zeros(0, 3), 3) == ()
-    assert smith_exponents(QMat.zeros(3, 0), 3) == ()
-    assert smith_exponents(QMat.zeros(2, 2), 3) == ()
-    assert smith_exponents(QMat([[Fraction(1, 9), 0], [0, 6]]), 3) == (-2, 1)
+    assert smith_normal_form(QMat.zeros(0, 3), 3).exponents == ()
+    assert smith_normal_form(QMat.zeros(3, 0), 3).exponents == ()
+    assert smith_normal_form(QMat.zeros(2, 2), 3).exponents == ()
+    assert smith_normal_form(QMat([[Fraction(1, 9), 0], [0, 6]]), 3).exponents == (-2, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_smith_normal_form_builds_no_qmat(rng, monkeypatch, p):
+    # V^{-1} stays the sweep's integer rows over their units: no QMat is
+    # made, by the checked constructor or by either trusted one
+    families = ["fcrystal", "torsion", "negative", "zero-lines", "empty", "2000-bit"]
+    ms = [_snf_input(rng, p, family) for family in families for _ in range(3)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("smith_normal_form built a QMat")
+    with monkeypatch.context() as patched:
+        for name in ("__init__", "_made", "_lowest"):
+            patched.setattr(QMat, name, refuse)
+        forms = [smith_normal_form(m, p) for m in ms]
+    for m, s in zip(ms, forms):
+        assert not any(isinstance(getattr(s, f.name), QMat) for f in fields(SNF))
+        o = oracle_snf(m, p)
+        assert s.exponents == o.exponents
+        assert exact_v_inv(s) @ o.v == QMat.identity(m.ncols)
 
 
 # ---------------------------------------------------------------------------
