@@ -8,7 +8,7 @@ generators first, then torsion generators, stored in one form only: integer
 rows N over one p-unit denominator D with D > 0 and gcd(N, D) = 1.  That is
 the form a :class:`~.qmat.QMat` stores, so the canonical step, differences
 and block sums are ``QMat``'s.  What is decided here reads N as it is:
-chain products (a diagonal factor scales, a dense one multiplies), "c times
+chain products (row by row, over the nonzero entries of each factor), "c times
 the identity as a map", the Smith exponents of ``homology_two_term``'s
 two sweeps, and the ranks mod p behind ``is_isomorphism`` and
 ``reduced_cokernel_dim``; scaling by the p-unit D changes no exponent, no
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from operator import mul, sub
+from operator import add, sub
 from typing import Sequence
 
 from ..errors import LawViolation, PrimeMismatchError
@@ -233,41 +233,36 @@ def _sum_order(m1: FGModule, m2: FGModule) -> list[int]:
 
 
 def _int_product(start: FGModule, maps: Sequence[ModuleMap],
-                 c: int = 1) -> tuple[list[list[int]], int]:
+                 c: int = 1) -> tuple[Sequence[Sequence[int]], int]:
     """Integer rows N and a denominator D with c maps[-1] o ... o maps[0] = N / D.
 
     ``maps[0]`` has source ``start``, and each map's target is the next one's
     source; an empty chain is c times the identity of ``start``.  The stored
-    rows of the factors are multiplied over the integers, a diagonal factor
-    by scaling each row, and D, the product of their denominators, is a
-    p-unit.
+    rows of the factors are multiplied over the integers, row by row: row i
+    of F R is the sum of F[i, k] R[k] over the nonzero F[i, k], so a
+    diagonal factor costs one scaled row per row.  D, the product of the
+    denominators, is a p-unit.
     """
     n = start.ngens
     if not maps:
         return [[c if i == j else 0 for j in range(n)] for i in range(n)], 1
-    cols, den = None, 1
-    for f in maps:
-        rows = f.rows
+    first = maps[0]
+    rows = first.rows if c == 1 else [list(map(c.__mul__, r)) for r in first.rows]
+    den = first.den
+    for f in maps[1:]:
         den *= f.den
-        if cols is None:  # the first factor, times c, as columns
-            cols = [[c * r[j] for r in rows] for j in range(n)]
-        elif (diag := _diagonal(rows)) is not None:
-            cols = [list(map(mul, diag, col)) for col in cols]
-        else:
-            cols = [[sum(map(mul, r, col)) for r in rows] for col in cols]
-    m = maps[-1].target.ngens
-    return [[col[i] for col in cols] for i in range(m)], den
+        rows = [_row_combination(r, rows, n) for r in f.rows]
+    return rows, den
 
 
-def _diagonal(rows: tuple) -> list[int] | None:
-    """The diagonal of the square integer ``rows``, or None if an entry off it is nonzero."""
-    n = len(rows)
-    if n and len(rows[0]) != n:
-        return None
-    diag = [r[i] for i, r in enumerate(rows)]
-    # no rows: the empty diagonal maps each column to (), as a product does
-    off = n * n - n + diag.count(0) - sum(r.count(0) for r in rows)
-    return None if off else diag
+def _row_combination(coeffs: Sequence[int], rows: Sequence[Sequence[int]], n: int):
+    """The sum of coeffs[k] rows[k] over the nonzero coeffs[k]; ``n`` zeros if none."""
+    out = None
+    for x, r in zip(coeffs, rows):
+        if x:
+            term = r if x == 1 else map(x.__mul__, r)
+            out = list(term) if out is None else list(map(add, out, term))
+    return [0] * n if out is None else out
 
 
 def composite(source: FGModule, target: FGModule, maps: Sequence[ModuleMap],

@@ -5,7 +5,9 @@ M^a ... M^b with downward maps t and upward maps u satisfying ut = tu = p,
 plus an isomorphism tau: M^b -> M^a identifying the two stabilized ends
 (Frobenius is the identity on the base, so tau is a plain isomorphism and
 the Frobenius twist is bookkeeping only).  The constructor raises the first
-law the diagram breaks, so every value is a lawful gauge.  Outside the
+law the diagram breaks; the one gauge built without that check is an
+F-crystal's, through the trusted :meth:`FpGauge._made`, whose laws the Lemma
+of :func:`gauge_from_fcrystal` proves.  So every value is lawful.  Outside the
 window the diagram is declared constant: t = p above b and the identity at
 or below a, u = p at or below a and the identity above b, so the stabilized
 ends stand in for the completed colimits.  The window need not contain 0.
@@ -43,7 +45,7 @@ class FpGauge:
 
     ``t[k]`` is t_{a+1+k}: M^{a+1+k} -> M^{a+k} and ``u[k]`` is
     u_{a+1+k}: M^{a+k} -> M^{a+1+k}; ``tau``: M^b -> M^a.  The gauge laws
-    are checked once, here, by :func:`validate`.
+    are checked once, here, by :func:`validate`, except in :meth:`_made`.
     """
 
     prime: int
@@ -74,6 +76,15 @@ class FpGauge:
         if self.tau.source != self.modules[-1] or self.tau.target != self.modules[0]:
             raise ValueError("tau must map M^b to M^a")
         validate(self)
+
+    @classmethod
+    def _made(cls, prime: int, window: tuple[int, int], modules: tuple, t: tuple, u: tuple,
+              tau: ModuleMap) -> "FpGauge":
+        """The trusted twin of ``FpGauge(prime, window, modules, t, u, tau)``, with no
+        shape or law check, for gauges whose laws a proof covers."""
+        new = object.__new__(cls)
+        vars(new).update(prime=prime, window=window, modules=modules, t=t, u=u, tau=tau)
+        return new
 
     @property
     def a(self) -> int:
@@ -228,7 +239,10 @@ def filtration_basis(c: FCrystalPoint, i: int) -> QMat:
     """Column basis of Fil^i = {m : tau(m) in p^i M} inside M = Z_(p)^rank.
 
     It is B diag(p^{max(i - d_j, 0)}), with B and the d_j as in
-    :func:`gauge_from_fcrystal`, whose Lemma (iii) proves it.
+    :func:`gauge_from_fcrystal`, whose Lemma (iii) proves it.  The
+    filtration is saturated, p M intersect Fil^i = p Fil^{i-1}: in B's
+    coordinates both are diagonal, with exponents max(1, i - d_j) and
+    1 + max(i - 1 - d_j, 0), equal at every i and d_j.
     """
     exps, _, basis = _integral_smith(c)
     scale = [c.prime ** max(i - d, 0) for d in exps]
@@ -265,12 +279,18 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     for every j: B diag(p^{max(i - d_j, 0)}) is a basis of Fil^i.  In these
     bases t and u are diagonal, and tau of the gauge is
     B_a^{-1} (tau_crys B_b / p^b) = W tau_crys B diag(p^{-d_j}) = U'^{-1},
-    unimodular (and checked so by the gauge's constructor).
+    unimodular, and p-integral as ``ModuleMap``'s constructor checks.
+    (iv) The gauge is lawful, so it is built by the trusted
+    :meth:`FpGauge._made`.  t_i is diagonal with p where d_j < i and 1
+    elsewhere, and u_i with 1 where d_j < i and p elsewhere, so
+    u_i t_i = t_i u_i = p at every index of the window; tau = U'^{-1} is
+    unimodular by (ii) and (iii), an isomorphism of the free module.  At
+    rank 0 the gauge is the zero module at [0, 0] with tau its identity.
     """
     p = c.prime
     if c.rank == 0:
         m = zero_module(p)
-        return FpGauge(p, (0, 0), (m,), (), (), ModuleMap.diagonal(m, ()))
+        return FpGauge._made(p, (0, 0), (m,), (), (), ModuleMap.diagonal(m, ()))
     exps, w, basis = _integral_smith(c)
     a, b = min(exps), max(exps)
     free = FGModule(p, c.rank)
@@ -287,33 +307,13 @@ def gauge_from_fcrystal(c: FCrystalPoint) -> FpGauge:
     scale = [p ** (top - d) for d in exps]
     tau = ModuleMap(free, free, QMat._lowest([list(map(mul, r, scale)) for r in tv.num],
                                              tv.den * p ** top, c.rank))
-    return FpGauge(p, (a, b), modules, tuple(ts), tuple(us), tau)
+    return FpGauge._made(p, (a, b), modules, tuple(ts), tuple(us), tau)
 
 
 def twist_gauge(n: int, p: int) -> FpGauge:
     """The rank-one gauge with tau_crys = p^{-n} (the n-th twist)."""
     tau = QMat([[Fraction(1, p ** n) if n >= 0 else Fraction(p ** (-n))]])
     return gauge_from_fcrystal(FCrystalPoint(p, 1, tau))
-
-
-def filtration_saturation_holds(c: FCrystalPoint) -> bool:
-    """Exact check of  p M  intersect  Fil^i  =  p Fil^{i-1}  at every window index.
-
-    This is the saturation property of the filtration; it is equivalent to
-    injectivity of the induced maps Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2}
-    and is what the mod-p injectivity of the filtration diagram means at the
-    point, where the ideal cutting out the point is (p) itself.
-
-    In the coordinates of the basis B of :func:`filtration_basis`, p M is
-    diag(p) and Fil^i is diag(p^{max(i - d_j, 0)}), once B spans M
-    (det B = +-1).  Lattices diagonal in one basis meet in the larger
-    exponents, so p M intersect Fil^i has max(1, i - d_j) and p Fil^{i-1}
-    has 1 + max(i - 1 - d_j, 0): both 1 when i - d_j <= 1, and i - d_j
-    otherwise.  The two are equal at every i and every d_j, so a crystal's
-    filtration is saturated exactly because B is a basis (Lemma (i) of
-    :func:`gauge_from_fcrystal`), and that is what is checked.
-    """
-    return _integral_smith(c)[2].det() in (1, -1)
 
 
 # ---------------------------------------------------------------------------

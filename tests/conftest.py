@@ -25,6 +25,7 @@ import pytest
 from gaugeworks.exactlinalg import FGModule, FpMat, ModuleMap, QMat, fp_kron, fp_span_union
 from gaugeworks.exactlinalg import fpmat
 from gaugeworks.exactlinalg.rationals import check_prime, parse_rational
+from gaugeworks import fgauge
 from gaugeworks.fgauge import FCrystalPoint, FpGauge
 from gaugeworks.filphi import FilteredPhiModule, FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule, koszul_differential
@@ -77,13 +78,16 @@ def assert_same_matrix(made, rebuilt, entry_type):
 
 @pytest.fixture(autouse=True)
 def recheck_trusted_constructions(request, monkeypatch):
-    """Rebuild each ``_made`` result of ``FpMat``, ``QMat`` and ``ModuleMap`` publicly.
+    """Rebuild each ``_made`` result of ``FpMat``, ``QMat``, ``ModuleMap`` and
+    ``FpGauge`` publicly.
 
     The trusted path stores its arguments as given, so a kernel that hands
     it an unreduced entry, a ``QMat`` numerator that is not in lowest terms
-    with its denominator, a list row or a wrong width, or a map that breaks
-    a torsion law, fails the first test that builds one.  The rebuild calls the ``__init__`` captured here, so tests that
-    count constructions see only their own.  The table of shared F_p
+    with its denominator, a list row or a wrong width, a map that breaks
+    a torsion law, or a gauge that breaks ut = tu = p or whose tau is not an
+    isomorphism, fails the first test that builds one.  The rebuild calls the
+    ``__init__`` and ``validate`` captured here, so tests that count
+    constructions or law checks see only their own.  The table of shared F_p
     constants is emptied first, so each constant a test uses is built again
     through the checked ``_made``.
     """
@@ -93,6 +97,7 @@ def recheck_trusted_constructions(request, monkeypatch):
     fp_made, fp_init = FpMat._made, FpMat.__init__
     q_made, q_init = QMat._made, QMat.__init__
     map_made, map_init = ModuleMap._made, ModuleMap.__init__
+    gauge_made, gauge_validate = FpGauge._made, fgauge.validate
 
     def fp_checked(p, rows, ncols):
         made = fp_made(p, rows, ncols)
@@ -125,9 +130,18 @@ def recheck_trusted_constructions(request, monkeypatch):
         assert made == rebuilt
         return made
 
+    def gauge_checked(prime, window, modules, t, u, tau):
+        made = gauge_made(prime, window, modules, t, u, tau)
+        with monkeypatch.context() as patch:
+            patch.setattr(fgauge, "validate", gauge_validate)
+            rebuilt = FpGauge(prime, window, modules, t, u, tau)  # raises on a broken law
+        assert made == rebuilt
+        return made
+
     monkeypatch.setattr(FpMat, "_made", staticmethod(fp_checked))
     monkeypatch.setattr(QMat, "_made", staticmethod(q_checked))
     monkeypatch.setattr(ModuleMap, "_made", staticmethod(map_checked))
+    monkeypatch.setattr(FpGauge, "_made", staticmethod(gauge_checked))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,12 @@ from fractions import Fraction
 from math import comb
 
 from conftest import (oracle_component_euler, oracle_euler, oracle_q_rank,
-                      oracle_q_two_term, oracle_snf_weights, qmat_rows, rand_fcrystal,
-                      rand_filtered_phi, rand_glued, rand_higgs)
+                      oracle_q_two_term, oracle_saturated, oracle_snf_weights, qmat_rows,
+                      rand_fcrystal, rand_filtered_phi, rand_glued, rand_higgs)
 from gaugeworks.beilinson import (corners, corrupt_drop_corner_b, fm_fibre,
                                   verify_cartesian)
 from gaugeworks.exactlinalg import QMat
-from gaugeworks.fgauge import (FCrystalPoint, filtration_saturation_holds,
+from gaugeworks.fgauge import (FCrystalPoint, filtration_basis,
                                gauge_from_fcrystal, hodge_tate_weights,
                                rational_realization,
                                syntomic_cohomology, twist_gauge)
@@ -92,7 +92,10 @@ def test_criterion_5_gauge_laws_and_rational_comparison(rng):
         h0, h1 = syntomic_cohomology(g)
         r = rhom_phi(rational_realization(g))
         assert (h0.free_rank, h1.free_rank) == r.dims
-        assert filtration_saturation_holds(c)
+        # mod-p injectivity: the lattice oracle on the library's filtration
+        a, b = g.window
+        fil = {i: filtration_basis(c, i) for i in range(a - 1, b + 2)}
+        assert oracle_saturated(fil, p, range(a, b + 2))
     print("criterion 5 (rational comparison + mod-p injectivity, 200 runs): PASS")
 
 

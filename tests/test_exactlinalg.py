@@ -22,7 +22,7 @@ from gaugeworks.exactlinalg import (INF, SNF, FGModule, FpMat, ModuleMap, QMat,
                                     rational_pair, smith_normal_form, vp, zero_module)
 from gaugeworks.exactlinalg import fpmat, qmat, rationals
 from gaugeworks.exactlinalg.fpmat import rank_mod
-from gaugeworks.exactlinalg.modules import (_diagonal, _relation_lifts, _with_relations,
+from gaugeworks.exactlinalg.modules import (_relation_lifts, _with_relations,
                                             composite, reduced_cokernel_dim)
 from gaugeworks.filphi import FilteredSpace
 from gaugeworks.higgs import GradedHiggsModule
@@ -580,19 +580,14 @@ def test_composite_matches_the_fraction_composition(rng):
         for f in maps:
             want = compose(f, want)
         assert composite(chain[0], chain[-1], maps, c) == want
+        # the factors past the first, each multiplied in row by row
         for f in maps[1:]:
-            diag = _diagonal(f.rows)
-            kinds.add("diagonal" if diag is not None and f.source.ngens else
-                      "empty" if not f.source.ngens or not f.target.ngens else
-                      "square" if f.source.ngens == f.target.ngens else "non-square")
+            n, m = f.source.ngens, f.target.ngens
+            diagonal = n == m and not any(x for i, r in enumerate(f.rows)
+                                          for j, x in enumerate(r) if i != j)
+            kinds.add("empty" if not n or not m else "diagonal" if diagonal else
+                      "square" if n == m else "non-square")
     assert kinds == {"diagonal", "square", "non-square", "empty"}
-
-
-def test_diagonal_reads_only_square_rows_with_nothing_off_the_diagonal():
-    assert _diagonal(((2, 0), (0, 0))) == [2, 0]
-    assert _diagonal(((2, 0), (1, 3))) is None
-    assert _diagonal(((2, 0, 0), (0, 3, 0))) is None
-    assert _diagonal(()) == []
 
 
 def test_qmat_is_invertible_matches_the_determinant(rng):

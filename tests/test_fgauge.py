@@ -13,15 +13,14 @@ from conftest import (compose, constant_gauge, equals_as_map, is_p_unimodular,
                       oracle_q_det, oracle_saturated, oracle_snf, oracle_snf_weights,
                       oracle_t_at, oracle_u_at, qmat_rows, rand_fcrystal, raw_gauge,
                       relation_matrix, scalar)
-from gaugeworks import cli, fgauge
+from gaugeworks import cli
 from gaugeworks.cli import build_fgauge, run_job
 from gaugeworks.errors import LawViolation
-from gaugeworks.exactlinalg import (SNF, FGModule, ModuleMap, QMat, cokernel,
+from gaugeworks.exactlinalg import (FGModule, ModuleMap, QMat, cokernel,
                                     homology_two_term, kernel_over_zp,
                                     smith_normal_form, vp, zero_module)
 from gaugeworks.fgauge import (FCrystalPoint, FpGauge, direct_sum,
                                extend_window, filtration_basis,
-                               filtration_saturation_holds,
                                gauge_from_fcrystal, hodge_tate_weights,
                                rational_realization,
                                syntomic_cohomology, twist_gauge, validate)
@@ -356,44 +355,14 @@ def test_filtration_basis_spans_the_oracle_lattice(rng, p):
 def test_mod_p_filtration_injectivity(rng, trial):
     # saturation: p M intersect Fil^i = p Fil^{i-1}, equivalently the maps
     # Fil^i / p Fil^{i-1} -> Fil^{i-1} / p Fil^{i-2} are injective; the
-    # lattice oracle reads the oracle's V-based filtration
+    # lattice oracle reads the library's filtration, and its basis B spans M
     c = rand_fcrystal(rng, rng.choice([3, 5]))
-    o = oracle_snf(c.tau_crys, c.prime)
-    a, b = min(o.exponents), max(o.exponents)
-    fil = {i: oracle_filtration_basis(o, i) for i in range(a - 1, b + 2)}
-    assert filtration_saturation_holds(c) == oracle_saturated(fil, c.prime, range(a, b + 2))
-    assert filtration_saturation_holds(c)
-
-
-def test_saturation_check_refuses_a_basis_that_does_not_span_m(monkeypatch):
-    # in the coordinates of a B with det B = p, the exponent lists still
-    # agree; the determinant check is what fails
-    c = FCrystalPoint(3, 2, QMat([[3, 3], [0, 27]]))
-    assert filtration_saturation_holds(c)
-    integral_basis = SNF.integral_basis
-
-    def scaled(s, n):
-        w, basis = integral_basis(s, n)
-        return w, basis @ QMat.diagonal([1, 3])
-    monkeypatch.setattr(SNF, "integral_basis", scaled)
-    assert not filtration_saturation_holds(c)
-
-
-def test_saturation_check_takes_one_smith_form_of_tau(monkeypatch):
-    # exponents (1, 3): every Fil^i at the five window indices is read off
-    # one Smith form of tau
-    c = FCrystalPoint(3, 2, QMat([[3, 3], [0, 27]]))
-    assert smith_normal_form(c.tau_crys, 3).exponents == (1, 3)
-    of_tau = []
-
-    def counting(m, p):
-        if m is c.tau_crys:
-            of_tau.append(m)
-        return smith_normal_form(m, p)
-
-    monkeypatch.setattr(fgauge, "smith_normal_form", counting)
-    assert filtration_saturation_holds(c)
-    assert len(of_tau) == 1
+    exps = oracle_snf(c.tau_crys, c.prime).exponents
+    a, b = min(exps), max(exps)
+    fil = {i: filtration_basis(c, i) for i in range(a - 1, b + 2)}
+    assert oracle_saturated(fil, c.prime, range(a, b + 2))
+    _, basis = smith_normal_form(c.tau_crys, c.prime).integral_basis(b - a + 1)
+    assert basis.det() in (1, -1)
 
 
 def test_saturation_fails_for_an_unsaturated_filtration():
@@ -642,14 +611,35 @@ def test_homology_out_of_a_torsion_source_runs_two_exponent_sweeps(monkeypatch):
 
 @pytest.mark.parametrize("name", ["fcrystal", "gauge_torsion"])
 def test_a_gauge_job_checks_its_laws_once(monkeypatch, name):
-    # the constructor checks the laws; the validate output only records that
+    # the constructor checks the laws of a gauge read from the job, once; an
+    # F-crystal's gauge is lawful by Lemma (iv) of gauge_from_fcrystal and is
+    # built unchecked; the validate output only records that
     job = pathlib.Path(__file__).parent / "fixtures" / "jobs" / f"{name}.json"
     doc = json.loads(job.read_text(encoding="utf-8"))
     calls = []
     _count_calls(monkeypatch, validate, calls)
     _, report = run_job(doc, None)
     assert report["results"]["valid"] is True
-    assert calls == ["validate"]
+    assert calls == ([] if name == "fcrystal" else ["validate"])
+
+
+def test_crystal_gauges_pass_the_per_index_law_check(rng):
+    # Lemma (iv) of gauge_from_fcrystal, checked independently of it: every
+    # gauge it builds unchecked passes the per-index Fraction law check and
+    # equals the gauge the checked constructor builds from the same fields
+    primes = (2, 3, 5, 7)
+    crystals = [FCrystalPoint(p, 0, QMat.zeros(0, 0)) for p in primes]
+    for k in range(320):
+        p = primes[k % 4]
+        c = rand_fcrystal(rng, p, max_rank=8, kind=("general", "conjugated")[k // 4 % 2])
+        unit = rng.choice([q for q in (1, 2, 7, 1 + p) if q % p])
+        crystals.append(FCrystalPoint(p, c.rank, c.tau_crys.scale(Fraction(1, unit))))
+    gauges = [gauge_from_fcrystal(c) for c in crystals]
+    gauges += [twist_gauge(n, p) for n in range(-6, 7) for p in primes]
+    assert {c.rank for c in crystals} == set(range(9))
+    for g in gauges:
+        assert old_validate(g) == ()
+        assert g == FpGauge(g.prime, g.window, g.modules, g.t, g.u, g.tau)
 
 
 def test_direct_sum_checks_the_gauge_laws_once(monkeypatch):
