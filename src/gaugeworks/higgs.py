@@ -45,6 +45,7 @@ class GradedHiggsModule:
 
     def __post_init__(self):
         check_prime(self.prime)
+        object.__setattr__(self, "directions", exact_int(self.directions))
         if self.directions < 0:
             raise ValueError("directions must be >= 0")
         dims = {exact_int(i): exact_int(v) for i, v in self.dims.items()}

@@ -62,7 +62,8 @@ class A1Flag:
     hi: int
     bases: tuple[FpMat, ...]
     operator: FpMat
-    _module: A1Module = field(init=False, repr=False, compare=False)
+    _x: tuple[FpMat, ...] = field(init=False, repr=False, compare=False)
+    _d: tuple[FpMat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_prime(self.prime)
@@ -99,9 +100,8 @@ class A1Flag:
             if ds[-1] is None:
                 raise LawViolation("(E + i) must carry G_i into G_{i-1}",
                                    f"failed at i = {i}")
-        dims = tuple(b.ncols for b in self.bases)
-        object.__setattr__(self, "_module", A1Module(
-            p, self.lo, self.hi, dims, tuple(xs), tuple(ds[1:])))
+        object.__setattr__(self, "_x", tuple(xs))
+        object.__setattr__(self, "_d", tuple(ds[1:]))
 
     def basis_at(self, i: int) -> FpMat:
         if i < self.lo:
@@ -111,8 +111,14 @@ class A1Flag:
         return self.bases[i - self.lo]
 
     def to_module(self) -> A1Module:
-        """Windowed presentation: x = flag inclusions, D_i = (E + i) on G_i."""
-        return self._module
+        """Windowed presentation: x = flag inclusions, D_i = (E + i) on G_i.
+
+        Built here, from the maps the flag laws solved for, so a flag read
+        only for its bases and operator builds no module; the module checks
+        its own relation, which holds identically on a lawful flag.
+        """
+        dims = tuple(b.ncols for b in self.bases)
+        return A1Module(self.prime, self.lo, self.hi, dims, self._x, self._d)
 
     @classmethod
     def from_module(cls, m: A1Module) -> "A1Flag":

@@ -102,6 +102,8 @@ class GradedThetaModule:
     def __post_init__(self):
         check_prime(self.prime)
         dims = {exact_int(k): exact_int(v) for k, v in self.dims.items()}
+        if any(v < 0 for v in dims.values()):
+            raise ValueError("piece dimensions must be >= 0")
         object.__setattr__(self, "dims", {k: v for k, v in dims.items() if v})
         thetas = {}
         for i, m in self.thetas.items():
@@ -135,7 +137,9 @@ class A1Module:
     the pieces vanish; at and above the top the transition x is the
     identity, and D continues upward by the recursion forced by the algebra
     relation.  D is automatically locally nilpotent: the module is bounded
-    below, so enough D steps land in zero.
+    below, so enough D steps land in zero.  The relation Dx - xD = 1 is
+    checked once, here, by :meth:`check_relation`; the value is frozen, so
+    the gluing laws and the cohomology trust it.
     """
 
     prime: int
@@ -152,6 +156,8 @@ class A1Module:
         object.__setattr__(self, "dims", tuple(map(exact_int, self.dims)))
         if len(self.dims) != self.hi - self.lo + 1:
             raise ValueError("dims must cover the window")
+        if any(n < 0 for n in self.dims):
+            raise ValueError("piece dimensions must be >= 0")
         w = self.hi - self.lo
         if len(self.x) != w or len(self.d) != w:
             raise ValueError("need one x and one D per adjacent pair in the window")
@@ -165,6 +171,7 @@ class A1Module:
         for m in self.x + self.d:
             if m.p != self.prime:
                 raise PrimeMismatchError(self.prime, m.p)
+        self.check_relation()
 
     def dim_at(self, i: int) -> int:
         if i < self.lo:

@@ -652,7 +652,9 @@ def oracle_a1_violations(m) -> list[str]:
 
 def oracle_gauge_violations(g) -> list[str]:
     """The former list of every violated gluing law, kept verbatim as an
-    oracle except that the relation is checked by :func:`oracle_a1_violations`.
+    oracle except that the relation is checked by :func:`oracle_a1_violations`
+    and alpha_Hod is read in every degree it is given, not only on the Hodge
+    support (outside it, gr is 0 on both sides, so the shape must be 0 x 0).
 
     ``g`` needs only the fields of a :class:`ReducedFGauge` and ``prime``, so
     lawless data can be checked without constructing one.
@@ -677,7 +679,7 @@ def oracle_gauge_violations(g) -> list[str]:
     if hod_htc.support() != hod_drp.support():
         bad.append("the two Hodge restrictions must have equal support")
         return bad
-    for i in hod_htc.support():
+    for i in sorted(set(hod_htc.support()) | set(g.alpha_hod)):
         a_i = g.alpha_hod.get(i)
         if a_i is None or a_i.shape != (hod_drp.dim_at(i), hod_htc.dim_at(i)):
             bad.append(f"alpha_Hod missing or mis-shaped in degree {i}")

@@ -550,6 +550,9 @@ LEAF_MESSAGES = [
     # a length is checked before any entry: of a list, and of every row of a matrix
     (_with_rows("reduced_explicit.json", ("htc",), lambda h: h.__setitem__("dims", ["x", 1])),
      "payload.htc.dims: expected 1 entries"),
+    # refused by A1Module itself; it was once read as a row length of alpha_dr
+    (_with_rows("reduced_explicit.json", ("htc",), lambda h: h.__setitem__("dims", [-1])),
+     "payload.htc: piece dimensions must be >= 0"),
     (_with_rows("filphi_explicit.json", (), lambda pl: pl.update(
         dim=3, frobenius=[["1.5", "0", "0"], ["0", "3"], ["0", "0", "1"]])),
      "payload.frobenius[1]: expected a row of length 3"),
@@ -568,6 +571,21 @@ def test_matrix_entry_schema_messages_are_pinned(tmp_path, capsys, doc, message,
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli([verb, str(path)]) == (1, "")
     assert capsys.readouterr().err == f"{path}: schema error: {message}\n"
+
+
+@pytest.mark.parametrize("degree, block", [("0", [[1, 1]]), ("-3", [[1]]), ("7", [[1]])])
+@pytest.mark.parametrize("verb", ["compute", "check"])
+def test_alpha_hod_off_the_hodge_support_exits_2(tmp_path, capsys, degree, block, verb):
+    # reduced_explicit.json glues in degree -2 only, so a block in another
+    # degree must be 0 x 0; degrees 0 and -3 (= -p) once crashed the
+    # cohomology with a traceback, and degree 7 was accepted
+    doc = _with_rows("reduced_explicit.json", ("alpha_hod",),
+                     lambda alpha: alpha.__setitem__(degree, block))
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli([verb, str(path)]) == (2, "")
+    assert capsys.readouterr().err == (f"{path}: law violated: alpha_Hod missing or "
+                                       f"mis-shaped in degree {degree}\n")
 
 
 def test_parallel_compute_keeps_a_bad_file_out_of_stdout():

@@ -64,6 +64,14 @@ def test_noncommuting_pair_among_many_directions():
     assert str(err.value) == "phi_7 phi_31 != phi_31 phi_7 on V_0"
 
 
+@pytest.mark.parametrize("directions", [True, False, 2.0, "2"])
+def test_directions_must_be_an_int(directions):
+    # read like every other size: a bool once built a module with that many
+    # directions, and a float raised a TypeError from range
+    with pytest.raises(ValueError, match="expected an integer"):
+        GradedHiggsModule(P, directions, {0: 1}, {})
+
+
 def test_commuting_koszul_example_is_valid(rng):
     m = rand_higgs(rng, P, 2)
     check_higgs(m)  # raises on a violated law

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import (count_calls, fpmat_rows, oracle_a1_violations,
                       oracle_component_euler, oracle_convolved_flags,
-                      oracle_euler, oracle_flag_tensor_bases, oracle_fp_rank,
-                      oracle_fp_two_term, oracle_gauge_violations, rand_fpmat,
-                      rand_glued, same_span)
+                      oracle_euler, oracle_flag_tensor_bases, oracle_fp_matmul,
+                      oracle_fp_rank, oracle_fp_two_term, oracle_gauge_violations,
+                      rand_fpmat, rand_glued, same_span)
 from gaugeworks.errors import LawViolation, PrimeMismatchError
 from gaugeworks.exactlinalg import FpMat
 from gaugeworks.redlocus import bk, components, gluing
@@ -85,20 +85,42 @@ def test_a1_relation_holds_on_twist_modules():
 
 
 def test_a1_relation_negative_control():
-    # same shapes as the unit twist but D forced to zero out of level 1
-    m = A1Module(P, 0, 1, (1, 1), (FpMat(P, [[1]]),), (FpMat(P, [[0]]),))
+    # same shapes as the unit twist but D forced to zero out of level 1: the
+    # module refuses to be built
+    xs, ds = (FpMat(P, [[1]]),), (FpMat(P, [[0]]),)
     with pytest.raises(LawViolation, match="Dx - xD = 1 failed on Fil_0"):
-        m.check_relation()
+        A1Module(P, 0, 1, (1, 1), xs, ds)
+
+
+def test_a1_module_dimensions_are_not_negative():
+    # a one-level window has no x or D map whose shape would refuse it
+    with pytest.raises(ValueError, match="piece dimensions must be >= 0"):
+        A1Module(P, 0, 0, (-2,), (), ())
+    with pytest.raises(ValueError, match="piece dimensions must be >= 0"):
+        GradedThetaModule(P, {0: -1}, {})
+
+
+def unchecked_a1(*args) -> A1Module:
+    """``A1Module(*args)`` built without its relation check, so that the oracle
+    can list every level of lawless data; :func:`rebuilt` builds it checked."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(A1Module, "check_relation", lambda m: None)
+        return A1Module(*args)
+
+
+def rebuilt(m: A1Module) -> A1Module:
+    """``m``'s data built again through the checked constructor."""
+    return A1Module(m.prime, m.lo, m.hi, m.dims, m.x, m.d)
 
 
 def _constant_flag_module(p: int, lo: int, hi: int, bad=()) -> A1Module:
     """Rank one on [lo, hi]: x = 1 and D_i = i - lo, so Dx - xD = 1 on every level;
     each k in ``bad`` adds 1 to D_{lo+k+1}, which breaks the relation first at
-    level lo + k."""
+    level lo + k (the module is then built unchecked)."""
     w = hi - lo
     xs = (FpMat(p, [[1]]),) * w
     ds = tuple(FpMat(p, [[k + 1 + (k in bad)]]) for k in range(w))
-    return A1Module(p, lo, hi, (1,) * (w + 1), xs, ds)
+    return unchecked_a1(p, lo, hi, (1,) * (w + 1), xs, ds)
 
 
 @pytest.mark.parametrize("p", [3, 7])
@@ -113,16 +135,17 @@ def test_relation_check_builds_no_matrix_and_stops_at_the_first_bad_level(
     for m, level in modules:
         assert oracle_a1_violations(m)[:1] == ([] if level is None else
                                                [f"Dx - xD = 1 failed on Fil_{level}"])
+    # the constructor checks the relation on the stored rows: it builds no FpMat
     built = []
     made = FpMat._made
     monkeypatch.setattr(FpMat, "_made", staticmethod(lambda *a: built.append(a) or made(*a)))
     monkeypatch.setattr(FpMat, "__init__", lambda *a, **k: built.append(a))
     for m, level in modules:
         if level is None:
-            m.check_relation()
+            rebuilt(m)
         else:
             with pytest.raises(LawViolation, match=f"Dx - xD = 1 failed on Fil_{level}$"):
-                m.check_relation()
+                rebuilt(m)
     assert built == []
 
 
@@ -190,25 +213,26 @@ def test_a1_relation_holds_above_the_window(rng, p):
 @pytest.mark.parametrize("p", [3, 5])
 def test_relation_at_the_window_top_is_the_recursion(rng, p):
     # at hi both sides are x_{hi-1} D_hi + 1, so checking lo..hi-1 reports
-    # the first failure of the full range, lawless modules included
+    # the first failure of the full range, lawless modules included; the
+    # constructor raises it
     modules = [rand_glued(rng, p).htc for _ in range(20)]
     for _ in range(200):
         lo = rng.randint(-4, 2)
         dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 4))]
         xs = [rand_fpmat(rng, p, dims[k + 1], dims[k]) for k in range(len(dims) - 1)]
         ds = [rand_fpmat(rng, p, dims[k], dims[k + 1]) for k in range(len(dims) - 1)]
-        modules.append(A1Module(p, lo, lo + len(dims) - 1, tuple(dims), tuple(xs),
-                                tuple(ds)))
+        modules.append(unchecked_a1(p, lo, lo + len(dims) - 1, tuple(dims), tuple(xs),
+                                    tuple(ds)))
     lawless = 0
     for m in modules:
         full = oracle_a1_violations(m)
         assert f"Dx - xD = 1 failed on Fil_{m.hi}" not in full
         if full:
             with pytest.raises(LawViolation) as err:
-                m.check_relation()
+                rebuilt(m)
             assert str(err.value) == full[0]
         else:
-            m.check_relation()
+            rebuilt(m)
         lawless += bool(full)
     assert 0 < lawless < len(modules)
 
@@ -534,6 +558,30 @@ def test_glued_complex_is_the_pairwise_stacks_of_its_blocks(monkeypatch, rng):
     assert len(complexes) == 2 * len(gauges)
 
 
+def test_glued_differentials_compose_to_zero(monkeypatch, rng):
+    # the cohomology does not check d1 d0 = 0: its docstring proves it from
+    # the constructor laws; here the product is taken by the defining sum
+    one_pass, stacks = gluing._stack_rows, []
+    monkeypatch.setattr(gluing, "_stack_rows",
+                        lambda p, blocks: stacks.append(one_pass(p, blocks)) or stacks[-1])
+    gauges = []
+    for p in (2, 3, 5, 7):
+        gauges += [bk_reduced(n, p) for n in range(-p - 1, p + 2)]
+        gauges += [rand_glued(rng, p) for _ in range(40)]
+        pairs = [(rand_glued(rng, p, max_rank=2), rand_glued(rng, p, max_rank=2))
+                 for _ in range(20)]
+        gauges += [tensor_reduced(g1, g2) for g1, g2 in pairs]
+        gauges += [dual_reduced(g1) for g1, _ in pairs]
+    assert len(gauges) >= 300
+    for g in gauges:
+        stacks.clear()
+        reduced_syntomic_cohomology(g)
+        d0, d1 = stacks
+        assert d1.ncols == d0.nrows
+        product = oracle_fp_matmul(g.prime, fpmat_rows(d1), fpmat_rows(d0), d0.ncols)
+        assert all(x == 0 for row in product for x in row)
+
+
 def test_graded_pieces_lift_to_a_basis(rng):
     # gr_i = coker(x_{i-1}) and gr^i = Fil^i / Fil^{i+1}; over the window the
     # lifted pieces of each half together form a basis of its stable space
@@ -654,7 +702,8 @@ def _bump(rng, mat: FpMat) -> FpMat:
 
 def _mutated_gluing(rng, g: ReducedFGauge) -> dict:
     """The fields of ``g`` with one datum changed: an entry of alpha_dR, of an
-    alpha_Hod block or of an x or D map bumped, or an alpha_Hod degree dropped."""
+    alpha_Hod block or of an x or D map bumped, or an alpha_Hod degree dropped.
+    A bumped Hodge--Tate half is built unchecked; :func:`_glue` checks it."""
     fields = {"htc": g.htc, "drp": g.drp, "alpha_dr": g.alpha_dr,
               "alpha_hod": dict(g.alpha_hod)}
     kind = rng.choice(["alpha_dr", "alpha_hod", "drop", "x", "d"])
@@ -672,15 +721,21 @@ def _mutated_gluing(rng, g: ReducedFGauge) -> dict:
         k = rng.choice(maps)
         new[k] = _bump(rng, new[k])
         x, d = (new, m.d) if kind == "x" else (m.x, new)
-        fields["htc"] = A1Module(m.prime, m.lo, m.hi, m.dims, tuple(x), tuple(d))
+        fields["htc"] = unchecked_a1(m.prime, m.lo, m.hi, m.dims, tuple(x), tuple(d))
     else:
         fields["alpha_dr"] = _bump(rng, g.alpha_dr)
     return fields
 
 
+def _glue(fields: dict) -> ReducedFGauge:
+    """The glued gauge of ``fields``, its Hodge--Tate half built first and checked."""
+    return ReducedFGauge(**dict(fields, htc=rebuilt(fields["htc"])))
+
+
 def test_gluing_raises_the_first_law_of_the_full_list(rng):
-    # the constructor raises the first entry of the former full list of
-    # violated gluing laws, and builds exactly when that list is empty
+    # the constructors raise the first entry of the former full list of
+    # violated gluing laws, a bumped x or D map when its module is built, and
+    # build exactly when that list is empty
     lawless = 0
     for trial in range(300):
         p = rng.choice([3, 5])
@@ -693,11 +748,42 @@ def test_gluing_raises_the_first_law_of_the_full_list(rng):
             if want:
                 lawless += 1
                 with pytest.raises(LawViolation) as err:
-                    ReducedFGauge(**fields)
+                    _glue(fields)
                 assert str(err.value) == want[0]
             else:
-                ReducedFGauge(**fields)
+                _glue(fields)
     assert 0 < lawless < 1500
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_alpha_hod_is_checked_in_every_degree_it_is_given(rng, p):
+    # outside the Hodge support gr is 0 on both sides: a 0 x 0 block glues
+    # and changes nothing, any other block is refused as mis-shaped (degrees
+    # 0 and -p, which the cohomology reads, once crashed it)
+    gauges = [bk_reduced(n, p) for n in range(-p - 1, p + 2)]
+    gauges += [rand_glued(rng, p) for _ in range(10)]
+    refused = 0
+    for g in gauges:
+        support = restrict_HTc_to_Hod(g.htc).support()
+        others = [d for d in range(min(support) - p - 1, max(support) + p + 2)
+                  if d not in support]
+        for d in {0, -p, rng.choice(others)} - set(support):
+            for shape in [(0, 0), (1, 1), (1, 2), (0, 1), (2, 0)]:
+                fields = {"htc": g.htc, "drp": g.drp, "alpha_dr": g.alpha_dr,
+                          "alpha_hod": {**g.alpha_hod, d: rand_fpmat(rng, p, *shape)}}
+                want = oracle_gauge_violations(SimpleNamespace(prime=p, **fields))
+                if shape == (0, 0):
+                    assert want == []
+                    glued = ReducedFGauge(**fields)
+                    assert (reduced_syntomic_cohomology(glued)
+                            == reduced_syntomic_cohomology(g))
+                    continue
+                assert want == [f"alpha_Hod missing or mis-shaped in degree {d}"]
+                with pytest.raises(LawViolation) as err:
+                    ReducedFGauge(**fields)
+                assert str(err.value) == want[0]
+                refused += 1
+    assert refused
 
 
 def _wide_gluing(p: int, a: int, b: int) -> dict:
@@ -779,6 +865,24 @@ def test_flag_module_is_the_one_its_law_checks_solve_for(rng):
         flags += [f1, f1.dual(), f1.tensor(f2)]
     for flag in flags:
         assert flag.to_module() == old_to_module(flag)
+
+
+def test_tensor_and_dual_build_and_check_one_module_each(monkeypatch, rng):
+    # the flags that from_module makes are read for their bases and operator
+    # only; the output's Hodge--Tate half is the one module built, and its
+    # relation is checked once, when it is built
+    built = []
+    post = A1Module.__post_init__
+    monkeypatch.setattr(A1Module, "__post_init__", lambda m: built.append(m) or post(m))
+    for p in (3, 5):
+        gauges = [bk_reduced(n, p) for n in range(-p, p + 1)]
+        gauges += [rand_glued(rng, p, max_rank=2) for _ in range(6)]
+        for g1, g2 in zip(gauges, gauges[1:] + gauges[:1]):
+            for op, args in ((tensor_reduced, (g1, g2)), (dual_reduced, (g1,))):
+                built.clear()
+                with count_calls(A1Module, "check_relation") as checks:
+                    out = op(*args)
+                assert len(built) == len(checks) == 1 and built[0] is out.htc
 
 
 @pytest.mark.parametrize("p", [3, 5])
